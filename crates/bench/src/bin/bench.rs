@@ -11,10 +11,12 @@
 //! * **transient steps/sec** of the spatial transient engine per grid size — the hot
 //!   loop of the `tsc3d-sca` trace simulations (one sca trace is a few hundred steps, so
 //!   traces/sec is this number divided by the configured dwell's step count),
-//! * **traces/sec** of the end-to-end sca attack (flow → trace simulation → streaming
-//!   CPA) per attack grid size and batch size, batched engine vs. the per-trace
-//!   reference — the number the `tsc3d-sca` batching tentpole is accountable to. The
-//!   harness asserts both engines return the identical `ScaOutcome` before timing them.
+//! * **traces/sec** of the end-to-end sca attack (kernel extraction → trace evaluation →
+//!   streaming CPA) per attack grid size, the default kernel engine vs. the batched
+//!   stepper at each batch size (the reference engine). The harness asserts both engines
+//!   return the identical `ScaOutcome` before timing them. Entries recorded before the
+//!   kernel engine measured the batched stepper in `traces_per_sec` and the per-trace
+//!   scalar path in `reference_traces_per_sec`.
 //!
 //! Methodology: every section runs one untimed warmup pass, then takes the best of
 //! `--reps` timed repetitions. On a loaded (or single-CPU) box a single cold run can
@@ -28,14 +30,14 @@
 //!       [--json PATH]         # write a fresh single-entry trajectory document
 //!       [--append PATH]       # append this run as a new entry to an existing trajectory
 //!       [--baseline PATH]     # print a delta table against the last entry of PATH
-//!       [--gate-traces FRAC]  # exit 1 when batched traces/sec regresses by more than
+//!       [--gate-traces FRAC]  # exit 1 when kernel traces/sec regresses by more than
 //!                             # FRAC vs the baseline's last entry with a traces section
 //! ```
 //!
 //! CI runs two passes: a full informational sweep (`bench --smoke --json
 //! target/bench/BENCH_flow.json --baseline BENCH_flow.json`) and a gating pass
 //! (`bench --smoke --only traces --reps 4 --baseline BENCH_flow.json --gate-traces
-//! 0.25`). Only the traces/sec section gates (the batched engine is this repo's
+//! 0.25`). Only the traces/sec section gates (the default sca engine is this repo's
 //! headline perf claim), and the gating pass runs it alone at best-of-4 so one noisy
 //! timing sample on a loaded runner cannot flake the check; every other section stays
 //! informational because seeded end-to-end numbers on shared runners are too noisy to
@@ -87,7 +89,7 @@ struct TransientSample {
     steps_per_sec: f64,
 }
 
-/// One end-to-end sca trace-throughput sample (batched vs. per-trace reference).
+/// One end-to-end sca trace-throughput sample (kernel engine vs. the batched stepper).
 struct TraceSample {
     grid: usize,
     batch: usize,
@@ -225,7 +227,7 @@ fn main() {
         }
     }
 
-    // End-to-end sca trace throughput: batched engine vs. the per-trace reference.
+    // End-to-end sca trace throughput: kernel engine vs. the batched stepper.
     let mut trace_samples = Vec::new();
     if section_enabled(&only, "traces") {
         let (design, flow) = trace_fixture();
@@ -299,7 +301,7 @@ fn main() {
     }
 }
 
-/// The gating check of the traces/sec section: every batched (grid, batch) cell must stay
+/// The gating check of the traces/sec section: every (grid, batch) cell must stay
 /// within `frac` of the baseline's last entry that has a traces section. Returns `true`
 /// (pass) when the baseline has no traces section yet — the first gated run establishes
 /// the trajectory rather than failing on its absence.
@@ -368,9 +370,9 @@ fn trace_fixture() -> (Design, FlowResult) {
     (design, flow)
 }
 
-/// Best-of-`reps` end-to-end attack throughput at attack grid `grid`², batched at `batch`
-/// traces per chunk vs. the per-trace reference engine. Asserts bit-identity between the
-/// two engines before timing.
+/// Best-of-`reps` end-to-end attack throughput at attack grid `grid`², the kernel engine
+/// vs. the batched stepper at `batch` traces per lockstep batch. Asserts the two engines
+/// return identical outcomes before timing.
 fn measure_traces(
     design: &Design,
     flow: &FlowResult,
@@ -398,28 +400,27 @@ fn measure_traces(
         )
         .expect("bench attack runs")
     };
-    let batched_engine = TraceEngine::Batched {
+    let stepper = TraceEngine::Batched {
         batch_traces: batch,
     };
-    // The engines must agree bit for bit before their speeds are worth comparing.
+    // The engines must agree before their speeds are worth comparing.
     assert_eq!(
-        attack(batched_engine),
-        attack(TraceEngine::Reference),
-        "batched and reference sca engines diverged at grid {grid} batch {batch}"
+        attack(TraceEngine::Kernel),
+        attack(stepper),
+        "kernel and batched sca engines diverged at grid {grid} batch {batch}"
     );
-    let mut traces_per_sec = 0.0f64;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let _ = attack(batched_engine);
-        traces_per_sec = traces_per_sec.max(config.traces as f64 / start.elapsed().as_secs_f64());
-    }
-    let mut reference_traces_per_sec = 0.0f64;
-    for _ in 0..reps {
-        let start = Instant::now();
-        let _ = attack(TraceEngine::Reference);
-        reference_traces_per_sec =
-            reference_traces_per_sec.max(config.traces as f64 / start.elapsed().as_secs_f64());
-    }
+    let best_rate = |engine: TraceEngine| {
+        let mut traces_per_sec = 0.0f64;
+        for _ in 0..reps {
+            let start = Instant::now();
+            let _ = attack(engine);
+            traces_per_sec =
+                traces_per_sec.max(config.traces as f64 / start.elapsed().as_secs_f64());
+        }
+        traces_per_sec
+    };
+    let traces_per_sec = best_rate(TraceEngine::Kernel);
+    let reference_traces_per_sec = best_rate(stepper);
     TraceSample {
         grid,
         batch,

@@ -156,6 +156,9 @@ fn exhausted_retries_quarantine_the_job_and_resume_skips_it() {
 /// later resume re-runs them — cancellation behaves exactly like a killed process.
 #[test]
 fn cancelled_campaigns_leave_no_records_and_resume_reruns_the_jobs() {
+    // Arms no faults, but its flow-stage checkpoints would consume the hits a concurrent
+    // test armed.
+    let _guard = fault::test_lock();
     let spec = chaos_spec();
     let path = temp_file("cancelled");
     let baseline = run_campaign(&spec, &CampaignOptions::in_memory(2)).unwrap();

@@ -354,6 +354,11 @@ impl PowerStamps {
         self.grid
     }
 
+    /// The number of blocks (one power value each).
+    pub fn blocks(&self) -> usize {
+        self.blocks
+    }
+
     /// Rebuilds the per-die power maps for `block_powers` by replaying the stamps,
     /// bit-identical to [`Floorplan::power_maps_into`] on the originating floorplan.
     ///
@@ -375,6 +380,39 @@ impl PowerStamps {
             values.fill(0.0);
             for stamp in &self.stamps[start..end] {
                 values[stamp.bin] += block_powers[stamp.block] * stamp.overlap / stamp.rect_area;
+            }
+            start = end;
+        }
+    }
+
+    /// The adjoint of [`PowerStamps::power_maps_into`]: folds one value per bin and die
+    /// into one value per block, `out[block] = Σ maps[die][bin] · overlap / rect_area`
+    /// over the block's stamps, summed in stamp order.
+    ///
+    /// With `maps` a temperature field per watt injected somewhere, `out[block]` is that
+    /// point's temperature per watt of the block's power, since the power maps are a
+    /// linear image of the block powers.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `maps` does not hold one map per die on the stamps' grid, or `out` does
+    /// not hold one value per block.
+    pub fn fold_maps(&self, maps: &[GridMap], out: &mut [f64]) {
+        assert!(
+            maps.len() == self.dies && maps.iter().all(|m| m.grid() == self.grid),
+            "one map per die on the stamps' grid required"
+        );
+        assert_eq!(
+            out.len(),
+            self.blocks,
+            "one output value per block required"
+        );
+        out.fill(0.0);
+        let mut start = 0;
+        for (map, &end) in maps.iter().zip(&self.die_ends) {
+            let values = map.values();
+            for stamp in &self.stamps[start..end] {
+                out[stamp.block] += values[stamp.bin] * (stamp.overlap / stamp.rect_area);
             }
             start = end;
         }
@@ -522,6 +560,42 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn fold_maps_is_the_adjoint_of_the_power_maps() {
+        let fp = floorplan();
+        let grid = fp.analysis_grid(10);
+        let stamps = fp.power_stamps(grid);
+        // A non-uniform field per die: ⟨field, maps(p)⟩ must equal ⟨fold(field), p⟩.
+        let fields: Vec<GridMap> = (0..2)
+            .map(|die| {
+                let values = (0..grid.bins())
+                    .map(|b| 1.0 + 0.37 * b as f64 + 5.0 * die as f64)
+                    .collect();
+                GridMap::from_values(grid, values)
+            })
+            .collect();
+        let mut folded = vec![f64::NAN; 3];
+        stamps.fold_maps(&fields, &mut folded);
+        let powers = [1.0, 2.0, 0.5];
+        let maps = fp.power_maps(grid, &powers);
+        let direct: f64 = maps
+            .iter()
+            .zip(&fields)
+            .map(|(map, field)| {
+                map.values()
+                    .iter()
+                    .zip(field.values())
+                    .map(|(p, t)| p * t)
+                    .sum::<f64>()
+            })
+            .sum();
+        let adjoint: f64 = folded.iter().zip(&powers).map(|(k, p)| k * p).sum();
+        assert!(
+            (direct - adjoint).abs() <= 1e-12 * direct.abs(),
+            "{direct} vs {adjoint}"
+        );
     }
 
     #[test]

@@ -10,82 +10,6 @@
 use crate::workload::LeakageModel;
 use serde::{Deserialize, Serialize};
 
-/// The observations of one attack run: per trace, the plaintext bytes fed to the target
-/// and the acquired sensor samples. Rows are appended in trace order, so a set assembled
-/// from parallel chunks is identical to a serial one.
-#[derive(Debug, Clone)]
-pub struct TraceSet {
-    key_bytes: usize,
-    points: usize,
-    /// `traces × key_bytes`, row-major.
-    plaintexts: Vec<u8>,
-    /// `traces × points`, row-major.
-    samples: Vec<f64>,
-}
-
-impl TraceSet {
-    /// Creates an empty set for `key_bytes` S-boxes and `points` observation points.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either dimension is zero.
-    pub fn new(key_bytes: usize, points: usize) -> Self {
-        assert!(
-            key_bytes > 0 && points > 0,
-            "trace dimensions must be positive"
-        );
-        Self {
-            key_bytes,
-            points,
-            plaintexts: Vec::new(),
-            samples: Vec::new(),
-        }
-    }
-
-    /// Appends one trace.
-    ///
-    /// # Panics
-    ///
-    /// Panics on dimension mismatches.
-    pub fn push_trace(&mut self, plaintexts: &[u8], samples: &[f64]) {
-        assert_eq!(
-            plaintexts.len(),
-            self.key_bytes,
-            "one plaintext byte per S-box"
-        );
-        assert_eq!(
-            samples.len(),
-            self.points,
-            "one sample per observation point"
-        );
-        self.plaintexts.extend_from_slice(plaintexts);
-        self.samples.extend_from_slice(samples);
-    }
-
-    /// Number of traces collected.
-    pub fn traces(&self) -> usize {
-        self.plaintexts.len() / self.key_bytes
-    }
-
-    /// Observation points per trace.
-    pub fn points(&self) -> usize {
-        self.points
-    }
-
-    /// Attacked key bytes.
-    pub fn key_bytes(&self) -> usize {
-        self.key_bytes
-    }
-
-    fn plaintext_row(&self, trace: usize) -> &[u8] {
-        &self.plaintexts[trace * self.key_bytes..(trace + 1) * self.key_bytes]
-    }
-
-    fn sample_row(&self, trace: usize) -> &[f64] {
-        &self.samples[trace * self.points..(trace + 1) * self.points]
-    }
-}
-
 /// The attack outcome for one key byte.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ByteResult {
@@ -167,32 +91,15 @@ struct ByteAccumulator {
     best_at_checkpoint: Vec<u8>,
 }
 
-/// A sink for simulated traces, delivered one at a time **in trace order**.
-///
-/// The streaming counterpart of assembling a [`TraceSet`]: the batched scenario engine
-/// feeds each trace's plaintexts and samples into a consumer the moment they exist, so
-/// whole trace sets never materialise. [`TraceSet`] implements the trait (materialise
-/// everything) and [`CpaAccumulator`] implements it by folding the trace into the CPA
-/// running sums — memory `O(points)` per trace instead of `O(traces × points)` total.
-pub trait TraceConsumer {
-    /// Consumes the next trace: one plaintext byte per attacked S-box, one sample per
-    /// observation point.
-    fn consume_trace(&mut self, plaintexts: &[u8], samples: &[f64]);
-}
-
-impl TraceConsumer for TraceSet {
-    fn consume_trace(&mut self, plaintexts: &[u8], samples: &[f64]) {
-        self.push_trace(plaintexts, samples);
-    }
-}
-
-/// The streaming form of [`run_cpa`]: CPA running sums folded over traces as they
-/// arrive, producing the **identical** [`CpaResult`] (same loop body, same operand
-/// order) without ever materialising the trace set.
+/// CPA as streaming running sums: traces are folded in one at a time **in trace order**
+/// as the scenario engine produces them, so whole trace sets never materialise — memory
+/// is `O(key bytes × 256 × points)` whatever the trace count. The accumulation order is
+/// the trace order, so the result is a pure function of the trace sequence, independent
+/// of how the traces were simulated or scheduled.
 ///
 /// The total trace count is declared up front (it fixes the disclosure checkpoints);
-/// feed exactly that many traces via [`TraceConsumer::consume_trace`] (or
-/// [`CpaAccumulator::push`]), then call [`CpaAccumulator::finish`].
+/// feed exactly that many traces via [`CpaAccumulator::push`], then call
+/// [`CpaAccumulator::finish`].
 pub struct CpaAccumulator {
     key: Vec<u8>,
     model: LeakageModel,
@@ -403,37 +310,6 @@ impl CpaAccumulator {
     }
 }
 
-impl TraceConsumer for CpaAccumulator {
-    fn consume_trace(&mut self, plaintexts: &[u8], samples: &[f64]) {
-        self.push(plaintexts, samples);
-    }
-}
-
-/// Runs CPA over a trace set against the known key, evaluating disclosure at
-/// `checkpoints` evenly spaced trace counts (the last one being the full set).
-///
-/// The accumulation order is the trace order, so the result is a pure function of the
-/// set — independent of how the traces were simulated or scheduled. Implemented on top
-/// of [`CpaAccumulator`], so the materialised and the streaming paths are the same code.
-///
-/// # Panics
-///
-/// Panics if `key.len()` differs from the set's `key_bytes`, the set is empty, or
-/// `checkpoints` is zero.
-pub fn run_cpa(set: &TraceSet, key: &[u8], model: LeakageModel, checkpoints: usize) -> CpaResult {
-    assert_eq!(
-        key.len(),
-        set.key_bytes(),
-        "one key byte per attacked S-box"
-    );
-    assert!(set.traces() > 0, "CPA needs at least one trace");
-    let mut acc = CpaAccumulator::new(key, model, set.points(), set.traces(), checkpoints);
-    for trace in 0..set.traces() {
-        acc.push(set.plaintext_row(trace), set.sample_row(trace));
-    }
-    acc.finish()
-}
-
 /// The best absolute Pearson correlation of one guess's hypothesis over all points,
 /// computed from the running sums (`0` for degenerate variance).
 #[inline]
@@ -472,36 +348,57 @@ mod tests {
     use rand::{Rng, SeedableRng};
     use rand_chacha::ChaCha8Rng;
 
-    /// Builds a synthetic set whose single point leaks `scale * HW(SBOX[p ^ key])` plus
+    /// One trace: its plaintext bytes and its observation points.
+    type Trace = (Vec<u8>, Vec<f64>);
+
+    /// Builds synthetic traces whose first point leaks `scale * HW(SBOX[p ^ key])` plus
     /// seeded Gaussian-ish noise of amplitude `noise`.
-    fn synthetic(key: &[u8], traces: usize, scale: f64, noise: f64, seed: u64) -> TraceSet {
-        let mut set = TraceSet::new(key.len(), 2);
+    fn synthetic(key: &[u8], traces: usize, scale: f64, noise: f64, seed: u64) -> Vec<Trace> {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
-        for _ in 0..traces {
-            let plaintexts: Vec<u8> = (0..key.len()).map(|_| rng.gen_range(0..=255u8)).collect();
-            let leak: f64 = plaintexts
-                .iter()
-                .zip(key)
-                .map(|(&p, &k)| SBOX[(p ^ k) as usize].count_ones() as f64)
-                .sum();
-            let jitter = tsc3d_attack::standard_normal(&mut rng);
-            // Point 0 carries the signal, point 1 is pure noise.
-            set.push_trace(
-                &plaintexts,
-                &[
+        (0..traces)
+            .map(|_| {
+                let plaintexts: Vec<u8> =
+                    (0..key.len()).map(|_| rng.gen_range(0..=255u8)).collect();
+                let leak: f64 = plaintexts
+                    .iter()
+                    .zip(key)
+                    .map(|(&p, &k)| SBOX[(p ^ k) as usize].count_ones() as f64)
+                    .sum();
+                let jitter = tsc3d_attack::standard_normal(&mut rng);
+                // Point 0 carries the signal, point 1 is pure noise.
+                let samples = vec![
                     293.0 + scale * leak + noise * jitter,
                     293.0 + noise * jitter,
-                ],
-            );
+                ];
+                (plaintexts, samples)
+            })
+            .collect()
+    }
+
+    /// Folds `traces` into a fresh accumulator.
+    fn accumulate(
+        traces: &[Trace],
+        key: &[u8],
+        model: LeakageModel,
+        checkpoints: usize,
+    ) -> CpaAccumulator {
+        let points = traces.first().map_or(1, |(_, samples)| samples.len());
+        let mut acc = CpaAccumulator::new(key, model, points, traces.len(), checkpoints);
+        for (plaintexts, samples) in traces {
+            acc.push(plaintexts, samples);
         }
-        set
+        acc
+    }
+
+    fn attack(traces: &[Trace], key: &[u8], model: LeakageModel, checkpoints: usize) -> CpaResult {
+        accumulate(traces, key, model, checkpoints).finish()
     }
 
     #[test]
     fn cpa_recovers_the_key_from_clean_traces() {
         let key = derive_key(42, 2);
-        let set = synthetic(&key, 160, 0.05, 0.0, 1);
-        let result = run_cpa(&set, &key, LeakageModel::HammingWeight, 8);
+        let traces = synthetic(&key, 160, 0.05, 0.0, 1);
+        let result = attack(&traces, &key, LeakageModel::HammingWeight, 8);
         assert_eq!(result.recovered_bytes(), 2);
         assert_eq!(result.guessing_entropy_bits(), 0.0);
         let mtd = result.mtd_traces().expect("key disclosed");
@@ -517,8 +414,8 @@ mod tests {
     #[test]
     fn cpa_fails_under_saturating_noise() {
         let key = derive_key(42, 2);
-        let set = synthetic(&key, 160, 0.05, 1e6, 2);
-        let result = run_cpa(&set, &key, LeakageModel::HammingWeight, 8);
+        let traces = synthetic(&key, 160, 0.05, 1e6, 2);
+        let result = attack(&traces, &key, LeakageModel::HammingWeight, 8);
         assert!(
             result.recovered_bytes() < 2,
             "noise should defeat the attack"
@@ -530,13 +427,13 @@ mod tests {
     #[test]
     fn mtd_shrinks_with_cleaner_traces() {
         let key = derive_key(9, 1);
-        let clean = run_cpa(
+        let clean = attack(
             &synthetic(&key, 256, 0.05, 0.001, 3),
             &key,
             LeakageModel::HammingWeight,
             16,
         );
-        let noisy = run_cpa(
+        let noisy = attack(
             &synthetic(&key, 256, 0.05, 0.35, 3),
             &key,
             LeakageModel::HammingWeight,
@@ -555,8 +452,8 @@ mod tests {
     #[test]
     fn checkpoints_end_at_the_full_set_and_are_monotone() {
         let key = derive_key(1, 1);
-        let set = synthetic(&key, 100, 0.05, 0.0, 4);
-        let result = run_cpa(&set, &key, LeakageModel::HammingWeight, 7);
+        let traces = synthetic(&key, 100, 0.05, 0.0, 4);
+        let result = attack(&traces, &key, LeakageModel::HammingWeight, 7);
         assert_eq!(*result.checkpoints.last().unwrap(), 100);
         assert!(result.checkpoints.windows(2).all(|w| w[0] < w[1]));
     }
@@ -564,43 +461,42 @@ mod tests {
     #[test]
     fn hamming_distance_model_recovers_a_hd_leaker() {
         let key = derive_key(5, 1);
-        let mut set = TraceSet::new(1, 1);
         let mut rng = ChaCha8Rng::seed_from_u64(6);
-        for _ in 0..200 {
-            let p: u8 = rng.gen_range(0..=255);
-            let leak = (SBOX[(p ^ key[0]) as usize] ^ p).count_ones() as f64;
-            set.push_trace(&[p], &[300.0 + 0.1 * leak]);
-        }
-        let result = run_cpa(&set, &key, LeakageModel::HammingDistance, 4);
+        let traces: Vec<Trace> = (0..200)
+            .map(|_| {
+                let p: u8 = rng.gen_range(0..=255);
+                let leak = (SBOX[(p ^ key[0]) as usize] ^ p).count_ones() as f64;
+                (vec![p], vec![300.0 + 0.1 * leak])
+            })
+            .collect();
+        let result = attack(&traces, &key, LeakageModel::HammingDistance, 4);
         assert_eq!(result.recovered_bytes(), 1);
     }
 
     #[test]
     #[should_panic(expected = "at least one trace")]
     fn empty_sets_are_rejected() {
-        let set = TraceSet::new(1, 1);
-        let _ = run_cpa(&set, &[0], LeakageModel::HammingWeight, 4);
+        let _ = attack(&[], &[0], LeakageModel::HammingWeight, 4);
     }
 
     #[test]
-    fn streaming_accumulator_equals_the_materialised_attack() {
+    fn checkpoint_verdicts_match_a_fresh_attack_on_each_prefix() {
+        // The running sums at a checkpoint equal the sums of a fresh attack on that
+        // prefix (same traces, same order), so every streamed verdict must too.
         let key = derive_key(27, 3);
         for (noise, checkpoints) in [(0.0, 8), (0.2, 16), (50.0, 5)] {
-            let set = synthetic(&key, 120, 0.05, noise, 11);
-            let materialised = run_cpa(&set, &key, LeakageModel::HammingWeight, checkpoints);
-            let mut acc = CpaAccumulator::new(
-                &key,
-                LeakageModel::HammingWeight,
-                set.points(),
-                set.traces(),
-                checkpoints,
-            );
-            for trace in 0..set.traces() {
-                acc.consume_trace(set.plaintext_row(trace), set.sample_row(trace));
+            let traces = synthetic(&key, 120, 0.05, noise, 11);
+            let streamed = accumulate(&traces, &key, LeakageModel::HammingWeight, checkpoints);
+            assert_eq!(streamed.seen(), traces.len());
+            for (i, &mark) in streamed.marks.iter().enumerate() {
+                let prefix = attack(&traces[..mark], &key, LeakageModel::HammingWeight, 1);
+                for (byte, acc) in prefix.bytes.iter().zip(&streamed.bytes) {
+                    assert_eq!(
+                        byte.best_guess, acc.best_at_checkpoint[i],
+                        "noise {noise}, mark {mark}"
+                    );
+                }
             }
-            assert_eq!(acc.seen(), set.traces());
-            let streamed = acc.finish();
-            assert_eq!(streamed, materialised, "noise {noise}");
         }
     }
 

@@ -17,9 +17,15 @@
 //!    to integrate the data-dependent power (Hamming-weight or Hamming-distance model),
 //!    plus Gaussian background traffic on every module (the
 //!    [`tsc3d_power::ActivitySampler`] convention).
-//! 2. **Transient thermal simulation**: the spatial engine
-//!    [`tsc3d_thermal::TransientSolver`] steps the flow's floorplan (power maps, signal
-//!    and dummy TSVs) through each trace's dwell.
+//! 2. **Transient thermal simulation** ([`TraceEngine`]): the spatial engine
+//!    [`tsc3d_thermal::TransientSolver`] models the flow's floorplan (power maps, signal
+//!    and dummy TSVs) through each trace's dwell. Its network is linear, time-invariant
+//!    and reciprocal, and every trace starts from ambient under constant power, so the
+//!    default engine steps one lane *per sensor* (1 W at the sensor) through the dwell's
+//!    substeps and evaluates every trace as a dot product of its module powers with that
+//!    response kernel. The batched stepper, which steps every trace, is the reference:
+//!    the two agree within 1e-10 K before acquisition, and identically after quantised
+//!    acquisition.
 //! 3. **Sensors** ([`sensor`]): an `s × s` array on the exposed die, sampled at a finite
 //!    period, quantized and noisy (the [`tsc3d_attack::NoisyOracle`] noise conventions).
 //! 4. **CPA + MTD** ([`cpa`]): Pearson correlation of hypothetical leakage against the
@@ -66,8 +72,11 @@ pub(crate) mod obs_metrics {
         pub attacks: tsc3d_obs::Counter,
         /// Simulated traces (observed encryptions) across all attacks.
         pub traces: tsc3d_obs::Counter,
-        /// Explicit-Euler transient steps across all attacks.
+        /// Trace-equivalent transient steps across all attacks (the steps each trace's
+        /// response spans, whichever engine computed it).
         pub transient_steps: tsc3d_obs::Counter,
+        /// Lane-steps stepped by kernel extractions (one lane per sensor).
+        pub kernel_steps: tsc3d_obs::Counter,
         /// CPA disclosure checkpoints evaluated.
         pub cpa_checkpoints: tsc3d_obs::Counter,
     }
@@ -87,7 +96,11 @@ pub(crate) mod obs_metrics {
                 ),
                 transient_steps: registry.counter(
                     "tsc3d_sca_transient_steps_total",
-                    "Explicit-Euler transient steps performed by trace simulations",
+                    "Explicit-Euler transient steps spanned by simulated traces",
+                ),
+                kernel_steps: registry.counter(
+                    "tsc3d_sca_kernel_steps_total",
+                    "Lane-steps stepped by reciprocity-kernel extractions (one lane per sensor)",
                 ),
                 cpa_checkpoints: registry.counter(
                     "tsc3d_sca_cpa_checkpoints_total",
@@ -98,7 +111,7 @@ pub(crate) mod obs_metrics {
     }
 }
 
-pub use cpa::{run_cpa, ByteResult, CpaAccumulator, CpaResult, TraceConsumer, TraceSet};
+pub use cpa::{ByteResult, CpaAccumulator, CpaResult};
 pub use scenario::{
     attack_tsv_fields, resolve_target, run_attack, run_attack_with, run_on_flow, run_on_flow_with,
     run_on_flow_with_cancel, run_verdict, run_verdict_with_cancel, AttackConfig, Mitigation,
@@ -117,7 +130,7 @@ mod tests {
     use tsc3d_netlist::Design;
 
     /// One shared quick flow for every end-to-end test (the flow is the expensive part).
-    fn flow_fixture() -> &'static (Design, FlowResult) {
+    pub(crate) fn flow_fixture() -> &'static (Design, FlowResult) {
         static FIXTURE: OnceLock<(Design, FlowResult)> = OnceLock::new();
         FIXTURE.get_or_init(|| {
             let design = generate(Benchmark::N100, 1);
@@ -133,7 +146,8 @@ mod tests {
         })
     }
 
-    fn test_config() -> AttackConfig {
+    /// The quick configuration at test scale: 64 traces, one sample, an 8-bin grid.
+    pub(crate) fn test_config() -> AttackConfig {
         let mut config = AttackConfig::quick();
         config.grid_bins = 8;
         config.traces = 64;
@@ -200,32 +214,19 @@ mod tests {
     }
 
     #[test]
-    fn batched_engine_is_bit_identical_to_the_reference_engine() {
+    fn kernel_engine_matches_the_batched_stepper() {
         let (design, flow) = flow_fixture();
-        let config = test_config();
-        for mitigation in [Mitigation::Baseline, Mitigation::DummyTsvs] {
-            let reference = run_on_flow_with(
-                design,
-                flow,
-                &config,
-                5,
-                11,
-                mitigation,
-                TraceEngine::Reference,
-                None,
-            )
-            .unwrap();
-            for batch in [1usize, 3, 8] {
-                let engine = TraceEngine::Batched {
-                    batch_traces: batch,
-                };
-                let serial =
-                    run_on_flow_with(design, flow, &config, 5, 11, mitigation, engine, None)
-                        .unwrap();
-                assert_eq!(serial, reference, "batch {batch}, serial, {:?}", mitigation);
-                for workers in [1usize, 4] {
-                    let pool = Pool::new(workers);
-                    let pooled = run_on_flow_with(
+        assert_eq!(TraceEngine::default(), TraceEngine::Kernel);
+        let pools = [None, Some(Pool::new(1)), Some(Pool::new(4))];
+        // The stepper's own invariance over batch sizes and pools is checked at the quick
+        // size; at the smoke size it runs once per batch size, on the 4-worker pool.
+        for (config, stepper_pools) in [
+            (test_config(), &pools[..]),
+            (AttackConfig::smoke(), &pools[2..]),
+        ] {
+            for mitigation in [Mitigation::Baseline, Mitigation::DummyTsvs] {
+                let run = |engine, pool: &Option<Pool>| {
+                    run_on_flow_with(
                         design,
                         flow,
                         &config,
@@ -233,17 +234,35 @@ mod tests {
                         11,
                         mitigation,
                         engine,
-                        Some(&pool),
+                        pool.as_ref(),
                     )
-                    .unwrap();
-                    assert_eq!(
-                        pooled, reference,
-                        "batch {batch}, {workers} workers, {:?}",
-                        mitigation
-                    );
-                    pool.shutdown();
+                    .unwrap()
+                };
+                let label = |pool: &Option<Pool>| {
+                    let workers = pool.as_ref().map_or(0, Pool::threads);
+                    format!(
+                        "{} traces, {mitigation:?}, {workers} workers",
+                        config.traces
+                    )
+                };
+                let kernel = run(TraceEngine::Kernel, &None);
+                for pool in &pools[1..] {
+                    assert_eq!(run(TraceEngine::Kernel, pool), kernel, "{}", label(pool));
+                }
+                for batch_traces in [1usize, 3, 8] {
+                    for pool in stepper_pools {
+                        assert_eq!(
+                            run(TraceEngine::Batched { batch_traces }, pool),
+                            kernel,
+                            "{}, batch {batch_traces}",
+                            label(pool)
+                        );
+                    }
                 }
             }
+        }
+        for pool in pools.iter().flatten() {
+            pool.shutdown();
         }
     }
 
@@ -298,6 +317,48 @@ mod tests {
         let err =
             run_on_flow(design, flow, &config, 5, 11, Mitigation::Baseline, None).unwrap_err();
         assert!(matches!(err, ScaError::InvalidConfig { .. }));
+
+        // A power vector that does not match the floorplan is refused, not truncated.
+        let grid = flow.floorplan().analysis_grid(test_config().grid_bins);
+        let fields = attack_tsv_fields(design, flow, grid, Mitigation::Baseline);
+        let powers = &flow.scaled_powers[1..];
+        let err = run_attack(
+            flow.floorplan(),
+            powers,
+            &fields,
+            None,
+            &test_config(),
+            5,
+            11,
+            None,
+        )
+        .unwrap_err();
+        assert!(matches!(err, ScaError::InvalidConfig { .. }), "{err}");
+
+        // Size bounds: each limit is accepted, one past it is refused before any work.
+        let mut largest = test_config();
+        largest.grid_bins = AttackConfig::MAX_GRID_BINS;
+        largest.traces = AttackConfig::MAX_TRACES;
+        largest.mtd_checkpoints = AttackConfig::MAX_TRACES;
+        assert_eq!(largest.validate(), Ok(()));
+        let mut traces = test_config();
+        traces.traces = AttackConfig::MAX_TRACES + 1;
+        let mut mtd_checkpoints = test_config();
+        mtd_checkpoints.mtd_checkpoints = mtd_checkpoints.traces + 1;
+        let mut grid_bins = test_config();
+        grid_bins.grid_bins = AttackConfig::MAX_GRID_BINS + 1;
+        for (field, config) in [
+            ("traces", traces),
+            ("mtd_checkpoints", mtd_checkpoints),
+            ("grid_bins", grid_bins),
+        ] {
+            let err =
+                run_on_flow(design, flow, &config, 5, 11, Mitigation::Baseline, None).unwrap_err();
+            assert!(
+                matches!(&err, ScaError::InvalidConfig { reason } if reason.starts_with(field)),
+                "{field}: {err}"
+            );
+        }
     }
 
     #[test]

@@ -7,16 +7,16 @@
 //! reporting the [`ScaVerdict`]: did the mitigation raise the attacker's
 //! measurements-to-disclosure?
 
-use crate::cpa::{run_cpa, CpaAccumulator, CpaResult, TraceConsumer, TraceSet};
+use crate::cpa::{CpaAccumulator, CpaResult};
 use crate::sensor::SensorConfig;
-use crate::workload::{derive_key, LeakageModel, Workload, WorkloadConfig};
+use crate::workload::{derive_key, LeakageModel, TraceActivity, Workload, WorkloadConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 use std::sync::{mpsc, Arc};
 use tsc3d::FlowResult;
-use tsc3d_exec::{chunk_ranges, CancelToken, Interrupt, Pool};
+use tsc3d_exec::{CancelToken, Interrupt, Pool};
 use tsc3d_floorplan::{plan_signal_tsvs, Floorplan, PowerStamps};
 use tsc3d_geometry::{DieId, Grid, GridMap, GridPos};
 use tsc3d_netlist::Design;
@@ -133,18 +133,34 @@ impl AttackConfig {
         }
     }
 
-    /// Validates the configuration.
+    /// The largest trace count an attack accepts.
+    pub const MAX_TRACES: usize = 1_000_000;
+
+    /// The finest analysis grid (bins per axis) an attack accepts; the transient network
+    /// holds `layers × grid_bins²` nodes.
+    pub const MAX_GRID_BINS: usize = 128;
+
+    /// Validates the configuration, including the size bounds that keep one submission
+    /// from allocating without limit.
     ///
     /// # Errors
     ///
     /// Returns [`ScaError::InvalidConfig`] describing the first problem.
     pub fn validate(&self) -> Result<(), ScaError> {
         let fail = |reason: String| Err(ScaError::InvalidConfig { reason });
-        if self.grid_bins < 2 {
-            return fail(format!("grid_bins must be >= 2, got {}", self.grid_bins));
+        if !(2..=Self::MAX_GRID_BINS).contains(&self.grid_bins) {
+            return fail(format!(
+                "grid_bins must be in 2..={}, got {}",
+                Self::MAX_GRID_BINS,
+                self.grid_bins
+            ));
         }
-        if self.traces < 8 {
-            return fail(format!("traces must be >= 8, got {}", self.traces));
+        if !(8..=Self::MAX_TRACES).contains(&self.traces) {
+            return fail(format!(
+                "traces must be in 8..={}, got {}",
+                Self::MAX_TRACES,
+                self.traces
+            ));
         }
         if !(1..=16).contains(&self.workload.key_bytes) {
             return fail(format!(
@@ -173,8 +189,11 @@ impl AttackConfig {
         if self.sensors.sigma_k < 0.0 || self.sensors.quantization_k < 0.0 {
             return fail("sensor sigma and quantization must be non-negative".into());
         }
-        if self.mtd_checkpoints == 0 {
-            return fail("mtd_checkpoints must be >= 1".into());
+        if !(1..=self.traces).contains(&self.mtd_checkpoints) {
+            return fail(format!(
+                "mtd_checkpoints must be in 1..=traces ({}), got {}",
+                self.traces, self.mtd_checkpoints
+            ));
         }
         Ok(())
     }
@@ -276,7 +295,11 @@ pub struct ScaOutcome {
     pub cpa: CpaResult,
     /// The module the workload keyed (index into the design's blocks).
     pub target_module: usize,
-    /// Transient grid steps simulated (the hot-loop count behind traces/sec).
+    /// Trace-equivalent transient steps: `traces × samples_per_trace ×
+    /// steps_for(sample_dt)`, the explicit-Euler steps each trace's response spans. The
+    /// same for both engines; only [`TraceEngine::Batched`] steps them all. The kernel
+    /// engine steps `sensors × samples_per_trace × steps_for(sample_dt)` lane-steps per
+    /// attack, counted by `tsc3d_sca_kernel_steps_total` and the `sca_kernel` span.
     pub transient_steps: u64,
 }
 
@@ -474,49 +497,62 @@ pub fn resolve_target(
     }
 }
 
-/// Default number of traces stepped in lockstep by the batched engine: amortises the
-/// per-node stepping overhead well while keeping the SoA field of a smoke-sized grid
-/// inside the L1/L2 working set.
-const DEFAULT_BATCH_TRACES: usize = 8;
+/// Traces per chunk of the kernel engine: the unit in which traces are evaluated, folded
+/// into the CPA sums and polled at the `sca-batch` checkpoint.
+const CHUNK_TRACES: usize = 8;
+
+/// Kernel extraction polls the cancel token at least once per this many substeps.
+const KERNEL_POLL_STEPS: usize = 512;
+
+/// The widest part of sensor lanes one kernel extraction batch steps: a lane count
+/// [`BatchTransientSolver`] steps with a specialised kernel, and one AVX-512 vector of
+/// `f64`. On a 2-vCPU AVX-512 Xeon, interleaved `verdict` benchmark runs (9 sensors)
+/// read 5–9% fewer ops/s with parts of 4 lanes and ~30% fewer with one part padded to 16.
+const MAX_KERNEL_LANES: usize = 8;
 
 /// Which trace-simulation engine evaluates the attack.
 ///
-/// Both engines produce **bit-identical** [`ScaOutcome`]s for any batch size and worker
-/// count (equivalence-tested); the batched engine is simply faster, so it is the
-/// default everywhere. The reference engine is retained as the bit-tested baseline and
-/// for the `bench` harness's batched-vs-reference traces/sec comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// Both engines draw the same seeded traces, step the same network through the same
+/// substeps, and run the same acquisition chain. They differ only in how a trace's true
+/// sensor temperatures are computed.
+///
+/// **Why the kernel is exact.** For one (floorplan, mitigation state) the RC network is
+/// linear and time-invariant, every trace starts from ambient, and its power is constant
+/// over the dwell. Conductances are symmetric and capacities diagonal, so the
+/// explicit-Euler operator `A = I − dt·C⁻¹G` satisfies `Aᵏ·C⁻¹ = (Aᵏ·C⁻¹)ᵀ`
+/// (reciprocity). The stepped rise at sensor `s` under a power vector `P` therefore
+/// equals `⟨θ_s, P⟩`, where `θ_s` is the field that 1 W injected at `s` produces on an
+/// ambient-0 copy of the network after the same substeps.
+///
+/// **How closely the engines agree.** Their true temperatures differ only by rounding
+/// (summation order). The equivalence tests bound the difference by 1e-10 K at every
+/// trace, sample and sensor; measured, it stays below 4e-13 K (7 ULP at 293 K). An ADC
+/// code changes only when the noisy reading lies within that distance of a quantisation
+/// boundary, so with quantised sensors every acquired sample, and with them the whole
+/// [`ScaOutcome`], is identical. The tests check this on the quick and smoke
+/// configurations in both mitigation states. Unquantised sensors (`quantization_k = 0`)
+/// agree to the 1e-10 K bound only.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceEngine {
-    /// Lockstep SoA batching: `batch_traces` traces share one conductance network and
-    /// advance through every Jacobi step together, with the CPA sums folded in
-    /// streaming (traces never materialise).
+    /// The reciprocity-kernel engine (default). Each attack steps one lane per *sensor*,
+    /// not per trace: 1 W injected at the sensor's node on the sensor die's active
+    /// layer, through the attack's exact `advance(sample_dt)` substeps. At each sample
+    /// time every lane's field is folded through the floorplan's power stamps into a
+    /// `samples × sensors × modules` kernel `K`. Trace `t` then reads
+    /// `ambient + Σ_m p_m·K[j][s][m]` at sample `j` and sensor `s`, summed in
+    /// module-index order.
+    ///
+    /// The sensor lanes are split over the pool in parts padded to a specialised lane
+    /// width. Extraction polls the cancel token at least every 512 substeps.
+    #[default]
+    Kernel,
+    /// The reference engine: lockstep SoA stepping of every trace, `batch_traces`
+    /// traces sharing one conductance network and advancing through every substep
+    /// together. Each lane is bit-identical to the scalar [`TransientSolver`].
     Batched {
         /// Traces per lockstep batch (at least 1).
         batch_traces: usize,
     },
-    /// The scalar per-trace path: one [`TransientSolver`] state per trace, traces
-    /// materialised into a [`TraceSet`] before CPA.
-    Reference,
-}
-
-impl Default for TraceEngine {
-    fn default() -> Self {
-        TraceEngine::Batched {
-            batch_traces: DEFAULT_BATCH_TRACES,
-        }
-    }
-}
-
-/// The immutable context shared by every trace simulation of one evaluation.
-struct TraceContext {
-    solver: TransientSolver,
-    floorplan: Floorplan,
-    workload: Workload,
-    sensors: SensorConfig,
-    positions: Vec<GridPos>,
-    grid: Grid,
-    seed: u64,
-    sample_dt: f64,
 }
 
 /// One chunk's simulated traces, in trace order.
@@ -524,45 +560,6 @@ struct ChunkTraces {
     plaintexts: Vec<u8>,
     samples: Vec<f64>,
     steps: u64,
-}
-
-impl TraceContext {
-    /// Simulates the traces `range.0..range.1`, each from its own seeded rng, resetting
-    /// the (chunk-reused) state to ambient per trace.
-    fn simulate(&self, range: (usize, usize)) -> ChunkTraces {
-        let _span = tsc3d_obs::span!("trace_window");
-        let (lo, hi) = range;
-        let key_bytes = self.workload.config().key_bytes;
-        let points = self.sensors.points();
-        let mut out = ChunkTraces {
-            plaintexts: Vec::with_capacity((hi - lo) * key_bytes),
-            samples: Vec::with_capacity((hi - lo) * points),
-            steps: 0,
-        };
-        let mut state = self.solver.state();
-        let mut maps: Vec<GridMap> = Vec::new();
-        for trace in lo..hi {
-            let mut rng = ChaCha8Rng::seed_from_u64(trace_seed(self.seed, trace as u64));
-            let activity = self.workload.draw_trace(&mut rng);
-            self.floorplan
-                .power_maps_into(self.grid, &activity.powers, &mut maps);
-            self.solver.reset(&mut state);
-            self.solver
-                .set_power(&mut state, &maps)
-                .expect("power maps are built on the solver grid");
-            for _ in 0..self.sensors.samples_per_trace {
-                out.steps += self.solver.advance(&mut state, self.sample_dt) as u64;
-                for &pos in &self.positions {
-                    let true_t = self.solver.temperature_at(&state, self.sensors.die, pos);
-                    out.samples.push(self.sensors.acquire(true_t, &mut rng));
-                }
-            }
-            out.plaintexts.extend_from_slice(&activity.plaintexts);
-        }
-        tsc3d_obs::add_to_span("traces", (hi - lo) as u64);
-        tsc3d_obs::add_to_span("transient_steps", out.steps);
-        out
-    }
 }
 
 /// The per-trace seed: decorrelates consecutive trace indices (SplitMix64 finalizer).
@@ -575,92 +572,268 @@ fn trace_seed(seed: u64, trace: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// The immutable context of the lockstep batched engine: one shared
-/// [`BatchTransientSolver`] (network and capacities built once per mitigation state) and
-/// the floorplan's precomputed [`PowerStamps`].
-struct BatchContext {
+/// Consecutive `(lo, hi)` ranges of `width` covering `0..total` (the last may be short).
+fn ranges(total: usize, width: usize) -> Vec<(usize, usize)> {
+    (0..total)
+        .step_by(width)
+        .map(|lo| (lo, (lo + width).min(total)))
+        .collect()
+}
+
+/// The physics of one trace engine: the true (pre-acquisition) sensor temperatures of
+/// given traces.
+trait ThermalResponse: Send + Sync + 'static {
+    /// The span wrapping one chunk's simulation.
+    const SPAN: &'static str;
+
+    /// Appends the true sensor temperatures of every trace to `out`, laid out
+    /// `trace × sample × sensor`.
+    fn temperatures(&self, activities: &[TraceActivity], out: &mut Vec<f64>);
+}
+
+/// What both engines step: one shared [`BatchTransientSolver`] (network and capacities
+/// built once per mitigation state), the floorplan's precomputed [`PowerStamps`] on its
+/// grid, and the sensor array. As the [`TraceEngine::Batched`] response it steps one lane
+/// per trace; the kernel engine steps one lane per sensor through it.
+struct AttackNetwork {
     solver: BatchTransientSolver,
     stamps: PowerStamps,
-    workload: Workload,
     sensors: SensorConfig,
     positions: Vec<GridPos>,
-    seed: u64,
     sample_dt: f64,
 }
 
-impl BatchContext {
-    /// Simulates the traces `range.0..range.1` in lockstep, one lane per trace.
-    ///
-    /// Each lane owns the rng stream of its trace (seeded exactly as the scalar path)
-    /// and is stepped with the scalar per-node operation order, so every lane's samples
-    /// are bit-identical to a scalar simulation of that trace.
-    fn simulate(&self, range: (usize, usize)) -> ChunkTraces {
-        let _span = tsc3d_obs::span!("trace_window");
-        let (lo, hi) = range;
+impl AttackNetwork {
+    /// Trace-equivalent transient steps per trace.
+    fn steps_per_trace(&self) -> u64 {
+        (self.sensors.samples_per_trace * self.solver.steps_for(self.sample_dt)) as u64
+    }
+
+    /// Extracts the kernel rows of sensors `lo..hi`, laid out
+    /// `samples × (hi − lo) × modules`, stepping them as one batch padded to a
+    /// power-of-two lane count. Padding lanes carry no power and stay at 0 K.
+    fn kernel_part(
+        &self,
+        (lo, hi): (usize, usize),
+        cancel: &CancelToken,
+    ) -> Result<Vec<f64>, ScaError> {
+        let solver = &self.solver;
+        let grid = solver.inner().grid();
+        let die = self.sensors.die;
+        let modules = self.stamps.blocks();
         let lanes = hi - lo;
-        let key_bytes = self.workload.config().key_bytes;
+        let mut state = solver.state(lanes.next_power_of_two());
+        let mut maps = vec![GridMap::zeros(grid); solver.inner().dies()];
+        for (lane, &pos) in self.positions[lo..hi].iter().enumerate() {
+            maps[die].set(pos, 1.0);
+            solver
+                .set_power(&mut state, lane, &maps)
+                .expect("unit maps are built on the solver grid");
+            maps[die].set(pos, 0.0);
+        }
+        // The substeps of `BatchTransientSolver::advance(sample_dt)`, polling the token.
+        let steps = solver.steps_for(self.sample_dt);
+        let dt = self.sample_dt / steps as f64;
+        let mut rows = vec![0.0; self.sensors.samples_per_trace * lanes * modules];
+        for sample in 0..self.sensors.samples_per_trace {
+            for step in 0..steps {
+                if step % KERNEL_POLL_STEPS == 0 {
+                    cancel
+                        .check()
+                        .map_err(|reason| ScaError::from_interrupt(Interrupt::Cancelled(reason)))?;
+                }
+                solver.step(&mut state, dt);
+            }
+            for lane in 0..lanes {
+                for (die, map) in maps.iter_mut().enumerate() {
+                    for (bin, value) in map.values_mut().iter_mut().enumerate() {
+                        *value = solver.temperature_at(&state, lane, die, grid.pos_of(bin));
+                    }
+                }
+                let row = (sample * lanes + lane) * modules;
+                self.stamps.fold_maps(&maps, &mut rows[row..row + modules]);
+            }
+        }
+        Ok(rows)
+    }
+}
+
+impl ThermalResponse for AttackNetwork {
+    const SPAN: &'static str = "trace_window";
+
+    /// Every lane is stepped with the scalar per-node operation order, so its samples
+    /// are bit-identical to a scalar simulation of that trace.
+    fn temperatures(&self, activities: &[TraceActivity], out: &mut Vec<f64>) {
+        let lanes = activities.len();
+        let sensors = self.positions.len();
         let points = self.sensors.points();
-        let sensor_count = self.positions.len();
-        let mut out = ChunkTraces {
-            plaintexts: Vec::with_capacity(lanes * key_bytes),
-            samples: vec![0.0; lanes * points],
-            steps: 0,
-        };
+        let start = out.len();
+        out.resize(start + lanes * points, 0.0);
         let mut state = self.solver.state(lanes);
-        let mut rngs: Vec<ChaCha8Rng> = Vec::with_capacity(lanes);
         let mut maps: Vec<GridMap> = Vec::new();
-        for (lane, trace) in (lo..hi).enumerate() {
-            let mut rng = ChaCha8Rng::seed_from_u64(trace_seed(self.seed, trace as u64));
-            let activity = self.workload.draw_trace(&mut rng);
+        for (lane, activity) in activities.iter().enumerate() {
             self.stamps.power_maps_into(&activity.powers, &mut maps);
             self.solver
                 .set_power(&mut state, lane, &maps)
                 .expect("power stamps are built on the solver grid");
-            out.plaintexts.extend_from_slice(&activity.plaintexts);
-            rngs.push(rng);
         }
         for sample in 0..self.sensors.samples_per_trace {
-            let steps = self.solver.advance(&mut state, self.sample_dt);
-            out.steps += steps as u64 * lanes as u64;
-            for (lane, rng) in rngs.iter_mut().enumerate() {
-                for (s, &pos) in self.positions.iter().enumerate() {
-                    let true_t = self
+            self.solver.advance(&mut state, self.sample_dt);
+            for lane in 0..lanes {
+                let row = start + lane * points + sample * sensors;
+                for (slot, &pos) in out[row..row + sensors].iter_mut().zip(&self.positions) {
+                    *slot = self
                         .solver
                         .temperature_at(&state, lane, self.sensors.die, pos);
-                    out.samples[lane * points + sample * sensor_count + s] =
-                        self.sensors.acquire(true_t, rng);
                 }
             }
         }
-        tsc3d_obs::add_to_span("traces", lanes as u64);
-        tsc3d_obs::add_to_span("transient_steps", out.steps);
-        out
     }
 }
 
-/// Feeds one chunk's traces into the consumer, in trace order.
-fn consume_chunk<C: TraceConsumer + ?Sized>(
-    consumer: &mut C,
-    chunk: &ChunkTraces,
-    key_bytes: usize,
-    points: usize,
-) {
-    let traces = chunk.plaintexts.len() / key_bytes;
-    for t in 0..traces {
-        consumer.consume_trace(
-            &chunk.plaintexts[t * key_bytes..(t + 1) * key_bytes],
-            &chunk.samples[t * points..(t + 1) * points],
-        );
+/// The evaluator behind [`TraceEngine::Kernel`]: each temperature is a dot product of
+/// the trace's module powers with one row of the extracted kernel.
+struct KernelResponse {
+    /// `samples × sensors × modules`, module-minor.
+    kernel: Vec<f64>,
+    modules: usize,
+    ambient: f64,
+}
+
+impl ThermalResponse for KernelResponse {
+    const SPAN: &'static str = "trace_eval";
+
+    fn temperatures(&self, activities: &[TraceActivity], out: &mut Vec<f64>) {
+        for activity in activities {
+            // One kernel row per (sample, sensor), sample-major: the trace's point order.
+            for taps in self.kernel.chunks_exact(self.modules) {
+                let rise = activity
+                    .powers
+                    .iter()
+                    .zip(taps)
+                    .fold(0.0, |sum, (p, k)| sum + p * k);
+                out.push(self.ambient + rise);
+            }
+        }
     }
 }
 
-/// Streams batched trace chunks into `consumer` in strict trace order, returning the
-/// total transient step count.
+/// Trace generation around a [`ThermalResponse`]. Each trace draws its workload from its
+/// own seeded rng, takes its true temperatures from the engine, then feeds them through
+/// the acquisition chain on the same rng (sample-major, sensor-minor).
+struct TraceSource<R> {
+    response: R,
+    workload: Workload,
+    sensors: SensorConfig,
+    seed: u64,
+    /// Trace-equivalent transient steps per trace.
+    steps_per_trace: u64,
+}
+
+impl<R: ThermalResponse> TraceSource<R> {
+    /// Simulates the traces `range.0..range.1`.
+    fn simulate(&self, range: (usize, usize)) -> ChunkTraces {
+        let _span = tsc3d_obs::span!(R::SPAN);
+        let (lo, hi) = range;
+        let (mut rngs, activities): (Vec<ChaCha8Rng>, Vec<TraceActivity>) = (lo..hi)
+            .map(|trace| {
+                let mut rng = ChaCha8Rng::seed_from_u64(trace_seed(self.seed, trace as u64));
+                let activity = self.workload.draw_trace(&mut rng);
+                (rng, activity)
+            })
+            .unzip();
+        let points = self.sensors.points();
+        let mut samples = Vec::with_capacity(activities.len() * points);
+        self.response.temperatures(&activities, &mut samples);
+        for (rng, row) in rngs.iter_mut().zip(samples.chunks_exact_mut(points)) {
+            for sample in row {
+                *sample = self.sensors.acquire(*sample, rng);
+            }
+        }
+        let traces = activities.len() as u64;
+        let steps = traces * self.steps_per_trace;
+        tsc3d_obs::add_to_span("traces", traces);
+        tsc3d_obs::add_to_span("transient_steps", steps);
+        ChunkTraces {
+            plaintexts: activities
+                .iter()
+                .flat_map(|activity| activity.plaintexts.iter().copied())
+                .collect(),
+            samples,
+            steps,
+        }
+    }
+}
+
+/// Splits `sensors` lanes over `workers` threads: contiguous parts of one power-of-two
+/// width, at most [`MAX_KERNEL_LANES`], wide enough that `workers` parts cover the
+/// sensors when the cap allows. Only the last part can be narrower; it is padded up to a
+/// power of two when stepped, since other lane counts take the stepper's slower generic
+/// loop.
+fn kernel_parts(sensors: usize, workers: usize) -> Vec<(usize, usize)> {
+    let width = ((sensors + workers - 1) / workers)
+        .next_power_of_two()
+        .min(MAX_KERNEL_LANES);
+    ranges(sensors, width)
+}
+
+/// Extracts the attack's `samples × sensors × modules` kernel, its sensor lanes split
+/// over the pool's threads plus the helping caller.
+fn extract_kernel(
+    network: Arc<AttackNetwork>,
+    pool: Option<&Pool>,
+    cancel: &CancelToken,
+) -> Result<Vec<f64>, ScaError> {
+    let _span = tsc3d_obs::span!("sca_kernel");
+    let sensors = network.positions.len();
+    let parts = kernel_parts(sensors, pool.map_or(1, |pool| pool.threads() + 1));
+    let results = match pool {
+        Some(pool) => {
+            let job = Arc::clone(&network);
+            let cancel = cancel.clone();
+            pool.run_batch(parts.clone(), move |_, part| job.kernel_part(part, &cancel))
+        }
+        None => parts
+            .iter()
+            .map(|&part| network.kernel_part(part, cancel))
+            .collect(),
+    };
+    let modules = network.stamps.blocks();
+    let samples = network.sensors.samples_per_trace;
+    let mut kernel = vec![0.0; samples * sensors * modules];
+    for (&(lo, hi), rows) in parts.iter().zip(results) {
+        let rows = rows?;
+        let len = (hi - lo) * modules;
+        for (sample, rows) in rows.chunks_exact(len).enumerate() {
+            let at = (sample * sensors + lo) * modules;
+            kernel[at..at + len].copy_from_slice(rows);
+        }
+    }
+    let kernel_steps = sensors as u64 * network.steps_per_trace();
+    tsc3d_obs::add_to_span("kernel_steps", kernel_steps);
+    crate::obs_metrics::get().kernel_steps.add(kernel_steps);
+    Ok(kernel)
+}
+
+/// Folds one chunk's traces into the CPA sums, in trace order.
+fn consume_chunk(cpa: &mut CpaAccumulator, chunk: &ChunkTraces, key_bytes: usize, points: usize) {
+    let _span = tsc3d_obs::span!("cpa_fold");
+    for (plaintexts, samples) in chunk
+        .plaintexts
+        .chunks_exact(key_bytes)
+        .zip(chunk.samples.chunks_exact(points))
+    {
+        cpa.push(plaintexts, samples);
+    }
+}
+
+/// Streams trace chunks into the CPA sums in strict trace order, returning the total
+/// (trace-equivalent) transient step count.
 ///
 /// With a pool, chunks are dispatched as fire-and-forget producer tasks and drained
-/// through a channel; out-of-order completions wait in a reorder buffer, so the consumer
-/// always sees trace `t` before `t + 1` — results are bit-identical for any worker count
-/// while memory stays `O(pending batches × batch × points)` instead of
+/// through a channel; out-of-order completions wait in a reorder buffer, so the sums
+/// always see trace `t` before `t + 1` — results are bit-identical for any worker count
+/// while memory stays `O(pending chunks × chunk × points)` instead of
 /// `O(traces × points)`. The drain loop *helps execute* queued tasks while waiting, so
 /// streaming from inside a pool task (the serve daemon's sca jobs) cannot deadlock.
 ///
@@ -668,27 +841,27 @@ fn consume_chunk<C: TraceConsumer + ?Sized>(
 /// count of that fault site is therefore deterministic (exactly the chunk count on a
 /// fault-free run) regardless of pool scheduling. An interrupt abandons the remaining
 /// chunks; in-flight producers finish into a dropped channel and are discarded.
-fn stream_batches<C: TraceConsumer>(
-    context: Arc<BatchContext>,
+fn stream_batches<R: ThermalResponse>(
+    source: Arc<TraceSource<R>>,
     chunks: Vec<(usize, usize)>,
     pool: Option<&Pool>,
-    consumer: &mut C,
-    key_bytes: usize,
-    points: usize,
+    cpa: &mut CpaAccumulator,
     cancel: &CancelToken,
 ) -> Result<u64, ScaError> {
+    let key_bytes = source.workload.config().key_bytes;
+    let points = source.sensors.points();
     let mut steps = 0u64;
     match pool {
         Some(pool) if pool.threads() > 0 => {
             let total = chunks.len();
             let (tx, rx) = mpsc::channel::<(usize, ChunkTraces)>();
-            // Reorder buffer: chunks complete in any order, the consumer sees them in
-            // trace order.
+            // Reorder buffer: chunks complete in any order, the sums see them in trace
+            // order.
             let mut pending: BTreeMap<usize, ChunkTraces> = BTreeMap::new();
             let mut delivered = 0usize;
             for (index, range) in chunks.into_iter().enumerate() {
                 let tx = tx.clone();
-                let producer = Arc::clone(&context);
+                let producer = Arc::clone(&source);
                 let submitted = pool.submit(move || {
                     // A dropped receiver means the streaming side panicked; nothing
                     // left to do with the chunk then.
@@ -698,7 +871,7 @@ fn stream_batches<C: TraceConsumer>(
                     // Draining pool: refuse-new-work mode. The chunk must still be
                     // simulated — run it inline, parked in the reorder buffer so
                     // ordering against still-in-flight earlier chunks is preserved.
-                    pending.insert(index, context.simulate(range));
+                    pending.insert(index, source.simulate(range));
                     delivered += 1;
                 }
             }
@@ -732,25 +905,25 @@ fn stream_batches<C: TraceConsumer>(
                     tsc3d_exec::checkpoint("sca-batch", cancel)
                         .map_err(ScaError::from_interrupt)?;
                     steps += chunk.steps;
-                    consume_chunk(consumer, &chunk, key_bytes, points);
+                    consume_chunk(cpa, &chunk, key_bytes, points);
                     next += 1;
                 }
             }
             while let Some(chunk) = pending.remove(&next) {
                 tsc3d_exec::checkpoint("sca-batch", cancel).map_err(ScaError::from_interrupt)?;
                 steps += chunk.steps;
-                consume_chunk(consumer, &chunk, key_bytes, points);
+                consume_chunk(cpa, &chunk, key_bytes, points);
                 next += 1;
             }
             assert_eq!(next, total, "every chunk consumed exactly once");
         }
         _ => {
-            // Serial: simulate and fold one batch at a time — memory O(batch × points).
+            // Serial: simulate and fold one chunk at a time — memory O(chunk × points).
             for range in chunks {
                 tsc3d_exec::checkpoint("sca-batch", cancel).map_err(ScaError::from_interrupt)?;
-                let chunk = context.simulate(range);
+                let chunk = source.simulate(range);
                 steps += chunk.steps;
-                consume_chunk(consumer, &chunk, key_bytes, points);
+                consume_chunk(cpa, &chunk, key_bytes, points);
             }
         }
     }
@@ -762,7 +935,7 @@ fn stream_batches<C: TraceConsumer>(
 /// `nominal_powers` are the per-block baseline powers (voltage-scaled); `stability` is
 /// the flow's correlation-stability map when available (the
 /// [`TargetPolicy::MostStable`] input); `seed` drives the traces (plaintexts, background
-/// traffic, sensor noise) and `key_seed` the secret key. With a pool, trace simulation
+/// traffic, sensor noise) and `key_seed` the secret key. With a pool, kernel extraction
 /// fans out over the workers; the per-trace seeding makes the result **bit-identical**
 /// for any worker count (including none).
 ///
@@ -796,13 +969,12 @@ pub fn run_attack(
 
 /// The validated, target-resolved inputs shared by both trace engines.
 struct AttackSetup {
-    grid: Grid,
-    solver: TransientSolver,
+    /// The engine's network (ambient 0 for the kernel engine).
+    network: AttackNetwork,
+    /// The stack's ambient temperature, which every trace starts from.
+    ambient: f64,
     target: usize,
-    key: Vec<u8>,
     workload: Workload,
-    positions: Vec<GridPos>,
-    sample_dt: f64,
 }
 
 /// Validates the configuration and resolves everything both engines share: the grid,
@@ -815,6 +987,7 @@ fn prepare_attack(
     stability: Option<&tsc3d_leakage::StabilityMap>,
     config: &AttackConfig,
     key_seed: u64,
+    engine: TraceEngine,
 ) -> Result<AttackSetup, ScaError> {
     config.validate()?;
     if config.sensors.die >= floorplan.stack().dies() {
@@ -826,9 +999,24 @@ fn prepare_attack(
             ),
         });
     }
+    if nominal_powers.len() != floorplan.placements().len() {
+        return Err(ScaError::InvalidConfig {
+            reason: format!(
+                "{} nominal powers for a {}-module floorplan",
+                nominal_powers.len(),
+                floorplan.placements().len()
+            ),
+        });
+    }
     let grid = floorplan.analysis_grid(config.grid_bins);
     let thermal_config = ThermalConfig::default_for(floorplan.stack());
-    let solver = TransientSolver::new(&thermal_config, grid, tsv_fields)?;
+    let ambient = thermal_config.ambient;
+    // The kernel engine steps unit-power responses: rises over ambient.
+    let network = match engine {
+        TraceEngine::Kernel => thermal_config.with_ambient(0.0),
+        TraceEngine::Batched { .. } => thermal_config,
+    };
+    let solver = TransientSolver::new(&network, grid, tsv_fields)?;
     let target = resolve_target(
         config.target,
         floorplan,
@@ -837,28 +1025,29 @@ fn prepare_attack(
         grid,
         stability,
     )?;
-    let key = derive_key(key_seed, config.workload.key_bytes);
     let workload = Workload::new(
         config.workload,
-        key.clone(),
+        derive_key(key_seed, config.workload.key_bytes),
         nominal_powers.to_vec(),
         target,
     );
-    let positions = config.sensors.positions(grid);
     Ok(AttackSetup {
-        grid,
-        solver,
+        network: AttackNetwork {
+            solver: BatchTransientSolver::new(Arc::new(solver)),
+            stamps: floorplan.power_stamps(grid),
+            sensors: config.sensors,
+            positions: config.sensors.positions(grid),
+            sample_dt: config.sensors.dwell_s / config.sensors.samples_per_trace as f64,
+        },
+        ambient,
         target,
-        key,
         workload,
-        positions,
-        sample_dt: config.sensors.dwell_s / config.sensors.samples_per_trace as f64,
     })
 }
 
 /// [`run_attack`] with an explicit [`TraceEngine`] — the extension point the bench
-/// harness and the equivalence tests use to pin batch sizes or select the scalar
-/// reference path. Both engines are bit-identical for any batch size and worker count.
+/// harness and the equivalence tests use to select the batched reference engine and pin
+/// its batch size.
 ///
 /// # Errors
 ///
@@ -890,7 +1079,8 @@ pub fn run_attack_with(
 }
 
 /// The cancellable core behind every attack entry point: polls `cancel` at the
-/// `sca-batch` checkpoint once per consumed trace chunk.
+/// `sca-batch` checkpoint once per consumed trace chunk, and during kernel extraction
+/// directly at least every [`KERNEL_POLL_STEPS`] substeps.
 #[allow(clippy::too_many_arguments)]
 fn run_attack_impl(
     floorplan: &Floorplan,
@@ -917,107 +1107,90 @@ fn run_attack_impl(
         stability,
         config,
         key_seed,
+        engine,
     )?;
-    let points = config.sensors.points();
-    let result = match engine {
+    let mut cpa = CpaAccumulator::new(
+        setup.workload.key(),
+        config.workload.leakage,
+        config.sensors.points(),
+        config.traces,
+        config.mtd_checkpoints,
+    );
+    let target = setup.target;
+    let transient_steps = match engine {
+        TraceEngine::Kernel => {
+            let source = kernel_source(setup, seed, pool, cancel)?;
+            // Evaluating a trace costs a fraction of folding it into the CPA sums, so the
+            // chunks run inline, and their spans nest under this attack's.
+            stream_batches(
+                Arc::new(source),
+                ranges(config.traces, CHUNK_TRACES),
+                None,
+                &mut cpa,
+                cancel,
+            )?
+        }
         TraceEngine::Batched { batch_traces } => {
-            let context = Arc::new(BatchContext {
-                stamps: floorplan.power_stamps(setup.grid),
-                solver: BatchTransientSolver::new(Arc::new(setup.solver)),
-                workload: setup.workload,
-                sensors: config.sensors,
-                positions: setup.positions,
-                seed,
-                sample_dt: setup.sample_dt,
-            });
+            let source = stepped_source(setup, seed);
             // Fixed-size lockstep batches (the last one may be short); the batch
             // boundary only affects scheduling and SoA lane width, never values.
-            // (Manual ceiling division keeps the crate on the workspace's MSRV.)
-            let mut chunks = Vec::with_capacity((config.traces + batch_traces - 1) / batch_traces);
-            let mut lo = 0;
-            while lo < config.traces {
-                let hi = (lo + batch_traces).min(config.traces);
-                chunks.push((lo, hi));
-                lo = hi;
-            }
-            let mut cpa_sums = CpaAccumulator::new(
-                &setup.key,
-                config.workload.leakage,
-                points,
-                config.traces,
-                config.mtd_checkpoints,
-            );
-            let transient_steps = stream_batches(
-                context,
-                chunks,
+            stream_batches(
+                Arc::new(source),
+                ranges(config.traces, batch_traces),
                 pool,
-                &mut cpa_sums,
-                config.workload.key_bytes,
-                points,
+                &mut cpa,
                 cancel,
-            )?;
-            Ok(ScaOutcome {
-                cpa: cpa_sums.finish(),
-                target_module: setup.target,
-                transient_steps,
-            })
-        }
-        TraceEngine::Reference => {
-            let context = Arc::new(TraceContext {
-                solver: setup.solver,
-                floorplan: floorplan.clone(),
-                workload: setup.workload,
-                sensors: config.sensors,
-                positions: setup.positions,
-                grid: setup.grid,
-                seed,
-                sample_dt: setup.sample_dt,
-            });
-            // Chunk the traces; the partition only affects scheduling, never values
-            // (each trace owns a seeded rng and starts from a reset state).
-            let workers = pool.map(Pool::threads).unwrap_or(0);
-            let chunks = chunk_ranges(config.traces, (workers * 3).max(1));
-            let results: Vec<ChunkTraces> = match pool {
-                Some(pool) if pool.threads() > 0 => {
-                    let context = Arc::clone(&context);
-                    pool.run_batch(chunks, move |_, range| context.simulate(range))
-                }
-                _ => chunks
-                    .into_iter()
-                    .map(|range| context.simulate(range))
-                    .collect(),
-            };
-
-            let mut set = TraceSet::new(config.workload.key_bytes, points);
-            let mut transient_steps = 0u64;
-            for chunk in &results {
-                tsc3d_exec::checkpoint("sca-batch", cancel).map_err(ScaError::from_interrupt)?;
-                transient_steps += chunk.steps;
-                consume_chunk(&mut set, chunk, config.workload.key_bytes, points);
-            }
-
-            let cpa = run_cpa(
-                &set,
-                &setup.key,
-                config.workload.leakage,
-                config.mtd_checkpoints,
-            );
-            Ok(ScaOutcome {
-                cpa,
-                target_module: setup.target,
-                transient_steps,
-            })
+            )?
         }
     };
-    if let Ok(outcome) = &result {
-        let metrics = crate::obs_metrics::get();
-        metrics.attacks.inc();
-        metrics.traces.add(config.traces as u64);
-        metrics.transient_steps.add(outcome.transient_steps);
-        tsc3d_obs::add_to_span("traces", config.traces as u64);
-        tsc3d_obs::add_to_span("transient_steps", outcome.transient_steps);
+    let outcome = ScaOutcome {
+        cpa: cpa.finish(),
+        target_module: target,
+        transient_steps,
+    };
+    let metrics = crate::obs_metrics::get();
+    metrics.attacks.inc();
+    metrics.traces.add(config.traces as u64);
+    metrics.transient_steps.add(outcome.transient_steps);
+    tsc3d_obs::add_to_span("traces", config.traces as u64);
+    tsc3d_obs::add_to_span("transient_steps", outcome.transient_steps);
+    Ok(outcome)
+}
+
+/// [`TraceEngine::Kernel`]'s trace source: extracts the attack's kernel (over the pool,
+/// polling `cancel`), then evaluates traces against it.
+fn kernel_source(
+    setup: AttackSetup,
+    seed: u64,
+    pool: Option<&Pool>,
+    cancel: &CancelToken,
+) -> Result<TraceSource<KernelResponse>, ScaError> {
+    let sensors = setup.network.sensors;
+    let steps_per_trace = setup.network.steps_per_trace();
+    let modules = setup.network.stamps.blocks();
+    let kernel = extract_kernel(Arc::new(setup.network), pool, cancel)?;
+    Ok(TraceSource {
+        response: KernelResponse {
+            kernel,
+            modules,
+            ambient: setup.ambient,
+        },
+        workload: setup.workload,
+        sensors,
+        seed,
+        steps_per_trace,
+    })
+}
+
+/// [`TraceEngine::Batched`]'s trace source: steps every trace.
+fn stepped_source(setup: AttackSetup, seed: u64) -> TraceSource<AttackNetwork> {
+    TraceSource {
+        sensors: setup.network.sensors,
+        steps_per_trace: setup.network.steps_per_trace(),
+        response: setup.network,
+        workload: setup.workload,
+        seed,
     }
-    result
 }
 
 /// Runs one attack evaluation out of a [`FlowResult`], against the chosen mitigation
@@ -1077,8 +1250,9 @@ pub fn run_on_flow_with(
 }
 
 /// [`run_on_flow`] polling `cancel` at the `sca-batch` checkpoint (once per consumed
-/// trace chunk), so a running attack can be stopped — or bounded by a deadline — within
-/// one chunk's worth of work. A run that completes is bit-identical to an uncancelled
+/// trace chunk) and, during kernel extraction, directly at least every 512 substeps, so
+/// a running attack can be stopped — or bounded by a deadline — within one chunk's or
+/// 512 substeps' worth of work. A run that completes is bit-identical to an uncancelled
 /// [`run_on_flow`].
 ///
 /// # Errors
@@ -1165,8 +1339,8 @@ pub fn run_verdict(
 }
 
 /// [`run_verdict`] polling `cancel` at the `sca-batch` checkpoint (once per consumed
-/// trace chunk of either mitigation state) — the serve daemon's cancellation and
-/// deadline path.
+/// trace chunk of either mitigation state) and during kernel extraction — the serve
+/// daemon's cancellation and deadline path.
 ///
 /// A run that completes is bit-identical to an uncancelled [`run_verdict`]: the token is
 /// only *read* at checkpoints and never touches the seeded trace streams.
@@ -1211,4 +1385,77 @@ pub fn run_verdict_with_cancel(
         baseline,
         mitigated,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::tests::{flow_fixture, test_config};
+
+    #[test]
+    fn kernel_temperatures_match_the_stepped_reference() {
+        let (design, flow) = flow_fixture();
+        let floorplan = flow.floorplan();
+        let stability = flow.post_process.as_ref().map(|pp| &pp.stability);
+        for config in [test_config(), AttackConfig::smoke()] {
+            for mitigation in [Mitigation::Baseline, Mitigation::DummyTsvs] {
+                let grid = floorplan.analysis_grid(config.grid_bins);
+                let fields = attack_tsv_fields(design, flow, grid, mitigation);
+                let setup = |engine| {
+                    prepare_attack(
+                        floorplan,
+                        &flow.scaled_powers,
+                        &fields,
+                        stability,
+                        &config,
+                        11,
+                        engine,
+                    )
+                    .unwrap()
+                };
+                let kernel =
+                    kernel_source(setup(TraceEngine::Kernel), 5, None, &CancelToken::new())
+                        .unwrap();
+                let stepped = stepped_source(setup(TraceEngine::Batched { batch_traces: 8 }), 5);
+                assert_eq!(kernel.steps_per_trace, stepped.steps_per_trace);
+                let mut worst = 0.0f64;
+                for (lo, hi) in ranges(config.traces, CHUNK_TRACES) {
+                    let activities: Vec<TraceActivity> = (lo..hi)
+                        .map(|trace| {
+                            let mut rng = ChaCha8Rng::seed_from_u64(trace_seed(5, trace as u64));
+                            kernel.workload.draw_trace(&mut rng)
+                        })
+                        .collect();
+                    let (mut fast, mut reference) = (Vec::new(), Vec::new());
+                    kernel.response.temperatures(&activities, &mut fast);
+                    stepped.response.temperatures(&activities, &mut reference);
+                    assert_eq!(fast.len(), (hi - lo) * config.sensors.points());
+                    assert_eq!(fast.len(), reference.len());
+                    for (a, b) in fast.iter().zip(&reference) {
+                        worst = worst.max((a - b).abs());
+                    }
+                }
+                assert!(
+                    worst <= 1e-10,
+                    "{} traces, {mitigation:?}: |T_kernel - T_stepped| reached {worst:e} K",
+                    config.traces
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn kernel_parts_use_specialised_widths() {
+        // The 3×3 array alone or on a one-worker pool (plus the helping caller): an
+        // 8-lane part and a 1-lane part.
+        assert_eq!(kernel_parts(9, 1), vec![(0, 8), (8, 9)]);
+        assert_eq!(kernel_parts(9, 2), vec![(0, 8), (8, 9)]);
+        assert_eq!(kernel_parts(16, 2), vec![(0, 8), (8, 16)]);
+        assert_eq!(kernel_parts(4, 2), vec![(0, 2), (2, 4)]);
+        assert_eq!(
+            kernel_parts(9, 5),
+            vec![(0, 2), (2, 4), (4, 6), (6, 8), (8, 9)]
+        );
+        assert_eq!(kernel_parts(1, 4), vec![(0, 1)]);
+    }
 }

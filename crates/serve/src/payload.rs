@@ -436,6 +436,30 @@ mod tests {
     }
 
     #[test]
+    fn oversized_sca_attacks_are_refused_at_submission() {
+        // Each size bound of the attack is enforced before the job is accepted, so a
+        // submission cannot make the daemon allocate without limit once its flow ends.
+        for (extra, needle) in [
+            (",\"traces\":1000000000000", "traces must be in 8..=1000000"),
+            (
+                ",\"attack_grid_bins\":100000",
+                "grid_bins must be in 2..=128",
+            ),
+        ] {
+            let body = format!("{{\"type\":\"sca\",\"benchmark\":\"n100\",\"seed\":7{extra}}}");
+            let err = parse_payload(&Json::parse(&body).unwrap()).unwrap_err();
+            assert!(err.contains(needle), "{body} -> {err}");
+        }
+        let body = "{\"type\":\"sca\",\"benchmark\":\"n100\",\"seed\":7,\"traces\":1000000,\
+                    \"attack_grid_bins\":128}";
+        let Payload::Sca(submission) = parse_payload(&Json::parse(body).unwrap()).unwrap() else {
+            panic!("expected an sca payload");
+        };
+        assert_eq!(submission.spec.attack.traces, 1_000_000);
+        assert_eq!(submission.spec.attack.grid_bins, 128);
+    }
+
+    #[test]
     fn flow_seed_derivation_matches_the_campaign_engine() {
         let Payload::Flow(job) = parse_payload(&flow_body("")).unwrap() else {
             panic!("expected a flow payload");

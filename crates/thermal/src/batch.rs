@@ -1,12 +1,18 @@
-//! Lockstep batched transient stepping: many independent traces through one network.
+//! Lockstep batched transient stepping: many independent transients through one network.
 //!
 //! Trace-level side-channel simulation (`tsc3d-sca`) steps the *same* RC network through
-//! thousands of short transients that differ only in their injected power. The scalar
+//! many short transients that differ only in their injected power: one per sensor when
+//! it extracts its response kernel, one per trace in its reference engine. The scalar
 //! [`TransientSolver`] pays the per-node overhead — index arithmetic, boundary branches,
-//! conductance loads — once per node per step *per trace*. [`BatchTransientSolver`] steps
-//! a batch of traces ("lanes") in lockstep over structure-of-arrays fields laid out
-//! `[node × lane]`, so every per-node quantity is loaded once per step and the inner loop
-//! is a contiguous, vectorizable sweep over the lanes.
+//! conductance loads — once per node per step *per transient*. [`BatchTransientSolver`]
+//! steps a batch of transients ("lanes") in lockstep over structure-of-arrays fields laid
+//! out `[node × lane]`, so every per-node quantity is loaded once per step and the inner
+//! loop is a contiguous, vectorizable sweep over the lanes.
+//!
+//! **Reciprocity.** Conductances are symmetric and capacities diagonal, so after `n`
+//! substeps from ambient the rise at node `b` from 1 W at node `a` equals the rise at `a`
+//! from 1 W at `b` (tested to 1e-12 relative). The sca kernel engine relies on this to
+//! step one lane per sensor instead of one per trace.
 //!
 //! **Bit-identity.** For each lane the arithmetic is the exact per-node operation
 //! sequence of [`TransientSolver::step`] — the boundary-damping term first, then the
@@ -65,9 +71,11 @@ impl BatchTransientState {
 /// Lockstep batched variant of [`TransientSolver`]: one shared conductance network and
 /// capacity vector, `lanes` independent transients advanced per step.
 ///
-/// The scalar engine stays the bit-tested reference; this engine exists purely for
-/// throughput and is equivalence-tested against it lane by lane (see module docs for the
-/// bit-identity argument).
+/// It is equivalence-tested lane by lane against the scalar engine (see module docs for
+/// the bit-identity argument). The sca layer uses it twice: stepping one lane per sensor
+/// to extract its reciprocity kernel, and, in its reference engine, one lane per trace.
+/// Lane counts 1, 2, 4, 8 and 16 step through specialised fixed-width loops; other
+/// counts fall back to a slower generic loop, so callers pad to those widths.
 ///
 /// ```
 /// use std::sync::Arc;
@@ -351,8 +359,8 @@ impl BatchTransientSolver {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{ThermalConfig, TsvField};
-    use tsc3d_geometry::{Grid, Outline, Rect, Stack};
+    use crate::{ThermalConfig, TsvField, TsvSite};
+    use tsc3d_geometry::{Grid, Outline, Point, Rect, Stack};
 
     fn setup(bins: usize) -> (Arc<TransientSolver>, Vec<Vec<GridMap>>) {
         let stack = Stack::two_die(Outline::new(2000.0, 2000.0));
@@ -437,6 +445,91 @@ mod tests {
         // Reset returns every lane to ambient.
         batched.reset(&mut state);
         assert!(state.temps.iter().all(|&t| t == solver.ambient()));
+    }
+
+    /// One watt in bin `pos` of die `die`'s active layer, nothing elsewhere.
+    fn unit_power(grid: Grid, die: usize, pos: GridPos) -> Vec<GridMap> {
+        let mut maps = vec![GridMap::zeros(grid); 2];
+        maps[die].set(pos, 1.0);
+        maps
+    }
+
+    #[test]
+    fn responses_are_reciprocal_on_a_non_uniform_network() {
+        // Symmetric conductances and diagonal capacities make every Euler power
+        // C⁻¹-weighted operator symmetric: after n substeps from ambient, the rise at b
+        // from 1 W at a equals the rise at a from 1 W at b. This is the premise of the
+        // sca kernel engine, so it is checked on an irregular TSV field.
+        let stack = Stack::two_die(Outline::new(2000.0, 2000.0));
+        let grid = Grid::square(stack.outline().rect(), 9);
+        let config = ThermalConfig::default_for(stack).with_ambient(0.0);
+        let mut tsvs = TsvField::empty(grid);
+        for (x, y, count) in [
+            (250.0, 300.0, 40),
+            (1100.0, 900.0, 120),
+            (1700.0, 1500.0, 15),
+        ] {
+            tsvs.add_site(TsvSite::island(Point::new(x, y), count));
+        }
+        let solver = Arc::new(TransientSolver::new(&config, grid, &[tsvs]).unwrap());
+        let batched = BatchTransientSolver::new(Arc::clone(&solver));
+        let pairs = [
+            ((0, GridPos::new(1, 2)), (0, GridPos::new(6, 5))),
+            ((1, GridPos::new(3, 3)), (1, GridPos::new(4, 8))),
+            ((0, GridPos::new(2, 7)), (1, GridPos::new(7, 1))),
+            ((0, GridPos::new(4, 4)), (1, GridPos::new(4, 4))),
+        ];
+        for ((die_a, a), (die_b, b)) in pairs {
+            let mut state = batched.state(2);
+            batched
+                .set_power(&mut state, 0, &unit_power(grid, die_a, a))
+                .unwrap();
+            batched
+                .set_power(&mut state, 1, &unit_power(grid, die_b, b))
+                .unwrap();
+            let steps = batched.advance(&mut state, 0.004);
+            assert!(steps > 100, "{steps} substeps");
+            let at_b = batched.temperature_at(&state, 0, die_b, b);
+            let at_a = batched.temperature_at(&state, 1, die_a, a);
+            assert!(
+                at_b > 0.0,
+                "die {die_a} {a} -> die {die_b} {b} never heated"
+            );
+            assert!(
+                (at_b - at_a).abs() <= 1e-12 * at_b,
+                "die {die_a} {a} -> die {die_b} {b}: {at_b:e} vs {at_a:e}"
+            );
+        }
+    }
+
+    #[test]
+    fn lumped_steps_match_the_closed_form() {
+        // One uncoupled node per die: n Euler steps under constant power P from ambient
+        // rise by (P/g)·(1 − (1 − g·dt/C)ⁿ).
+        let stack = Stack::two_die(Outline::new(4000.0, 4000.0));
+        let config = ThermalConfig::default_for(stack).with_ambient(0.0);
+        let solver = Arc::new(TransientSolver::lumped(&config));
+        let batched = BatchTransientSolver::new(Arc::clone(&solver));
+        let grid = solver.grid();
+        let pos = GridPos::new(0, 0);
+        let power = 1.75;
+        for die in 0..2 {
+            let (g, c) = (solver.network.gb[die], solver.cap[die]);
+            let dt = 0.01 * c / g;
+            let mut maps = unit_power(grid, die, pos);
+            maps[die].set(pos, power);
+            let mut state = batched.state(1);
+            batched.set_power(&mut state, 0, &maps).unwrap();
+            for n in 1..=300 {
+                batched.step(&mut state, dt);
+                let closed = (power / g) * (1.0 - (1.0 - g * dt / c).powi(n));
+                let stepped = batched.temperature_at(&state, 0, die, pos);
+                assert!(
+                    (stepped - closed).abs() <= 1e-12 * closed,
+                    "die {die}, step {n}: {stepped:e} vs {closed:e}"
+                );
+            }
+        }
     }
 
     #[test]
