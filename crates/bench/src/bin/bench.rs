@@ -203,7 +203,8 @@ fn main() {
     let sweep_budget = 300usize;
     let mut solver_samples = Vec::new();
     if section_enabled(&only, "solver") {
-        for bins in [32usize, 64] {
+        // 48 bins is the `flow` workload's verification grid.
+        for bins in [32usize, 48, 64] {
             let sweeps_per_sec = measure_sweeps(bins, sweep_budget, reps);
             println!("  solver grid {bins}: {sweeps_per_sec:.0} sweeps/s");
             solver_samples.push(SolverSample {

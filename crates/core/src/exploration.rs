@@ -168,8 +168,8 @@ pub fn run_exploration(config: &ExplorationConfig) -> Vec<ExplorationCase> {
 /// [`run_exploration`] with the detailed solver's red-black sweeps distributed over a
 /// worker pool ([`SteadyStateSolver::solve_on`]).
 ///
-/// Produces exactly the cases of the serial study — the parallel sweep is bit-identical —
-/// just faster on fine grids.
+/// Produces exactly the cases of the serial study — the parallel sweep is bit-identical.
+/// It only pays off on very fine grids (see [`SteadyStateSolver::solve_on`]).
 pub fn run_exploration_on(
     pool: &crate::exec::Pool,
     config: &ExplorationConfig,

@@ -151,7 +151,8 @@ impl DummyTsvInserter {
 
         // --- Nominal correlation before insertion. ---
         let nominal_maps = floorplan.power_maps(grid, block_powers);
-        let correlation_before = self.average_correlation(&nominal_maps, &tsv_plan);
+        let mut correlations_after = self.die_correlations(&nominal_maps, &tsv_plan);
+        let correlation_before = mean(&correlations_after);
 
         // --- Iterative insertion at the most stable bins. ---
         let candidates = stability.top_bins(self.config.max_insertions.max(1));
@@ -174,9 +175,11 @@ impl DummyTsvInserter {
             let site = TsvSite::island(grid.bin_center(pos), count);
             let mut candidate_plan = tsv_plan.clone();
             candidate_plan.add_dummy(0, site);
-            let correlation = self.average_correlation(&nominal_maps, &candidate_plan);
+            let correlations = self.die_correlations(&nominal_maps, &candidate_plan);
+            let correlation = mean(&correlations);
             if correlation < best_correlation {
                 best_correlation = correlation;
+                correlations_after = correlations;
                 tsv_plan = candidate_plan;
                 accepted_steps += 1;
             } else {
@@ -185,13 +188,8 @@ impl DummyTsvInserter {
             }
         }
 
-        let thermal_after = self.thermal(&nominal_maps, &tsv_plan);
-        let correlations_after: Vec<f64> = nominal_maps
-            .iter()
-            .zip(&thermal_after)
-            .map(|(p, t)| map_correlation(p, t).unwrap_or(0.0))
-            .collect();
-
+        // `correlations_after` already holds the per-die correlations of the final plan:
+        // the last accepted step (or the pre-insertion evaluation) solved exactly it.
         PostProcessResult {
             dummy_tsvs: tsv_plan.dummy_count(),
             tsv_plan,
@@ -223,14 +221,20 @@ impl DummyTsvInserter {
         }
     }
 
-    fn average_correlation(&self, power_maps: &[GridMap], tsv_plan: &TsvPlan) -> f64 {
+    /// Per-die nominal power–temperature correlations under `tsv_plan`.
+    fn die_correlations(&self, power_maps: &[GridMap], tsv_plan: &TsvPlan) -> Vec<f64> {
         let thermal = self.thermal(power_maps, tsv_plan);
-        let mut sum = 0.0;
-        for (p, t) in power_maps.iter().zip(&thermal) {
-            sum += map_correlation(p, t).unwrap_or(0.0);
-        }
-        sum / power_maps.len() as f64
+        power_maps
+            .iter()
+            .zip(&thermal)
+            .map(|(p, t)| map_correlation(p, t).unwrap_or(0.0))
+            .collect()
     }
+}
+
+/// The average of per-die correlations, summed in die order from `+0`.
+fn mean(correlations: &[f64]) -> f64 {
+    correlations.iter().fold(0.0, |sum, c| sum + c) / correlations.len() as f64
 }
 
 /// Builds an [`ActivitySampler`] whose means are the provided (voltage-scaled) powers rather
@@ -319,6 +323,35 @@ mod tests {
         let b = inserter.run(&design, &fp, &powers, plan, grid, 11);
         assert_eq!(a.correlation_after, b.correlation_after);
         assert_eq!(a.dummy_tsvs, b.dummy_tsvs);
+    }
+
+    #[test]
+    fn correlations_after_are_those_of_a_fresh_solve_of_the_final_plan() {
+        let (design, fp, grid, powers, plan) = setup();
+        let nominal = fp.power_maps(grid, &powers);
+        let mut accepted = 0;
+        for engine in [ThermalEngine::Fast, ThermalEngine::Detailed] {
+            let config = PostProcessConfig {
+                activity_samples: 4,
+                engine,
+                ..PostProcessConfig::quick()
+            };
+            let inserter = DummyTsvInserter::new(config, ThermalConfig::default_for(fp.stack()));
+            for seed in [3, 7, 11] {
+                let result = inserter.run(&design, &fp, &powers, plan.clone(), grid, seed);
+                let fresh: Vec<f64> = nominal
+                    .iter()
+                    .zip(&inserter.thermal(&nominal, &result.tsv_plan))
+                    .map(|(p, t)| map_correlation(p, t).unwrap_or(0.0))
+                    .collect();
+                let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&result.correlations_after), bits(&fresh), "{engine:?}");
+                let mean = fresh.iter().fold(0.0, |sum, c| sum + c) / fresh.len() as f64;
+                assert_eq!(result.correlation_after.to_bits(), mean.to_bits());
+                accepted += result.accepted_steps;
+            }
+        }
+        assert!(accepted > 0, "some run must accept an insertion step");
     }
 
     #[test]

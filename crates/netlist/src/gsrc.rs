@@ -65,11 +65,26 @@ impl From<DesignError> for ParseGsrcError {
     }
 }
 
+/// A finite number (`.pl` coordinates).
 fn parse_f64(section: &'static str, token: &str) -> Result<f64, ParseGsrcError> {
-    token.parse::<f64>().map_err(|_| ParseGsrcError::BadNumber {
-        section,
-        token: token.to_string(),
-    })
+    match token.parse::<f64>() {
+        Ok(value) if value.is_finite() => Ok(value),
+        _ => Err(ParseGsrcError::BadNumber {
+            section,
+            token: token.to_string(),
+        }),
+    }
+}
+
+/// A finite, strictly positive number (areas, widths, heights, aspect bounds).
+fn parse_positive(section: &'static str, token: &str) -> Result<f64, ParseGsrcError> {
+    match parse_f64(section, token)? {
+        value if value > 0.0 => Ok(value),
+        _ => Err(ParseGsrcError::BadNumber {
+            section,
+            token: token.to_string(),
+        }),
+    }
 }
 
 /// Parses the three GSRC sections into a [`Design`].
@@ -79,7 +94,11 @@ fn parse_f64(section: &'static str, token: &str) -> Result<f64, ParseGsrcError> 
 ///
 /// # Errors
 ///
-/// Returns [`ParseGsrcError`] on malformed input or dangling references.
+/// Returns [`ParseGsrcError`] on malformed input or dangling references:
+/// [`ParseGsrcError::BadNumber`] for an area, width, height or aspect bound that is not a
+/// finite positive number and for a non-finite `.pl` coordinate, and
+/// [`ParseGsrcError::Malformed`] for inverted aspect bounds or a hard block whose area
+/// overflows.
 ///
 /// ```
 /// use tsc3d_netlist::gsrc;
@@ -115,9 +134,15 @@ pub fn parse(
         match tokens.as_slice() {
             [name_tok, "terminal"] => terminal_names.push((*name_tok).to_string()),
             [name_tok, "softrectangular", area, min_ar, max_ar] => {
-                let area = parse_f64("blocks", area)?;
-                let min_aspect = parse_f64("blocks", min_ar)?;
-                let max_aspect = parse_f64("blocks", max_ar)?;
+                let area = parse_positive("blocks", area)?;
+                let min_aspect = parse_positive("blocks", min_ar)?;
+                let max_aspect = parse_positive("blocks", max_ar)?;
+                if min_aspect > max_aspect {
+                    return Err(ParseGsrcError::Malformed {
+                        section: "blocks",
+                        line: line.to_string(),
+                    });
+                }
                 let shape = BlockShape::Soft {
                     area,
                     min_aspect,
@@ -126,8 +151,14 @@ pub fn parse(
                 blocks.push(Block::new(*name_tok, shape, area * default_power_density));
             }
             [name_tok, "hardrectangular", w, h] => {
-                let width = parse_f64("blocks", w)?;
-                let height = parse_f64("blocks", h)?;
+                let width = parse_positive("blocks", w)?;
+                let height = parse_positive("blocks", h)?;
+                if !(width * height).is_finite() {
+                    return Err(ParseGsrcError::Malformed {
+                        section: "blocks",
+                        line: line.to_string(),
+                    });
+                }
                 let shape = BlockShape::hard(width, height);
                 blocks.push(Block::new(
                     *name_tok,
@@ -392,6 +423,94 @@ p0 B
         let blocks = "sb0 softrectangular xyz 0.3 3.0\n";
         let err = parse("t", blocks, "", "", Outline::new(10.0, 10.0), 1e-3).unwrap_err();
         assert!(matches!(err, ParseGsrcError::BadNumber { .. }));
+    }
+
+    #[test]
+    fn parse_rejects_non_finite_and_non_positive_block_numbers() {
+        let outline = Outline::new(10.0, 10.0);
+        for bad in [
+            "nan", "NaN", "inf", "-inf", "infinity", "-1", "0", "-0", "0.0", "1e-400",
+        ] {
+            let lines = [
+                format!("sb0 softrectangular {bad} 0.3 3.0\n"),
+                format!("sb0 softrectangular 10.0 {bad} 3.0\n"),
+                format!("sb0 softrectangular 10.0 0.3 {bad}\n"),
+                format!("bk0 hardrectangular {bad} 2.0\n"),
+                format!("bk0 hardrectangular 2.0 {bad}\n"),
+            ];
+            for blocks in &lines {
+                let err = parse("t", blocks, "", "", outline, 1e-3).unwrap_err();
+                assert_eq!(
+                    err,
+                    ParseGsrcError::BadNumber {
+                        section: "blocks",
+                        token: bad.to_string(),
+                    },
+                    "{blocks}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn parse_rejects_inverted_aspect_bounds_and_overflowing_areas() {
+        let outline = Outline::new(10.0, 10.0);
+        for blocks in [
+            "sb0 softrectangular 10.0 3.0 0.3\n",
+            "bk0 hardrectangular 1e200 1e200\n",
+        ] {
+            let err = parse("t", blocks, "", "", outline, 1e-3).unwrap_err();
+            assert!(
+                matches!(
+                    err,
+                    ParseGsrcError::Malformed {
+                        section: "blocks",
+                        ..
+                    }
+                ),
+                "{blocks}: {err:?}"
+            );
+        }
+        // Equal bounds (a fixed aspect ratio) stay legal.
+        let d = parse(
+            "t",
+            "sb0 softrectangular 10.0 1.0 1.0\n",
+            "",
+            "",
+            outline,
+            1e-3,
+        );
+        assert!(d.is_ok(), "{d:?}");
+    }
+
+    #[test]
+    fn parse_rejects_non_finite_terminal_positions() {
+        for bad in ["nan", "inf", "-inf"] {
+            for pl in [format!("p0 {bad} 1.0\n"), format!("p0 1.0 {bad}\n")] {
+                let err = parse("t", BLOCKS, NETS, &pl, Outline::new(50.0, 50.0), 1e-3);
+                assert_eq!(
+                    err.unwrap_err(),
+                    ParseGsrcError::BadNumber {
+                        section: "pl",
+                        token: bad.to_string(),
+                    },
+                    "{pl}"
+                );
+            }
+        }
+        // Negative and zero coordinates are legal positions.
+        let d = parse(
+            "t",
+            BLOCKS,
+            NETS,
+            "p0 -5.0 0\n",
+            Outline::new(50.0, 50.0),
+            1e-3,
+        );
+        assert_eq!(
+            d.unwrap().terminal(TerminalId(0)).position(),
+            Point::new(-5.0, 0.0)
+        );
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! * [`TsvField`] describes signal-TSV and dummy-TSV distributions per inter-die interface,
 //!   including the regular/irregular/island patterns explored in Section 3 of the paper.
 //! * [`SteadyStateSolver`] is a finite-volume solver for the steady-state heat equation on
-//!   the layered grid (successive over-relaxation).
+//!   the layered grid (red-black successive over-relaxation on a color-split,
+//!   structure-of-arrays copy of the network whose row loop vectorizes; bit-identical to
+//!   the per-node scalar sweep and across worker counts).
 //! * [`fast::PowerBlurring`] is the mask-based estimator used inside optimization loops.
 //! * [`transient`] provides a lumped transient model reproducing the time-scale gap between
 //!   power and temperature (Figure 1 of the paper), and [`TransientSolver`] — the spatial
@@ -46,6 +48,7 @@ pub mod batch;
 mod config;
 pub mod fast;
 mod solver;
+mod sor;
 pub mod transient;
 mod tsv;
 

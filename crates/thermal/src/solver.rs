@@ -9,21 +9,26 @@
 //!
 //! The SOR sweep uses a **red-black (checkerboard) ordering**: nodes are colored by the
 //! parity of `layer + row + col`, so every neighbour of a node has the other color and all
-//! updates within one color are mutually independent. That makes the sweep embarrassingly
-//! parallel *without* changing its result — [`SteadyStateSolver::solve_on`] distributes each
-//! half-sweep over a [`tsc3d_exec::Pool`] and produces **bit-identical** temperatures,
-//! iteration counts and residuals for any worker count (including the serial
-//! [`SteadyStateSolver::solve`], which performs the same arithmetic in the same per-node
-//! order; the residual is a `max` reduction and therefore order-insensitive).
+//! updates within one color are mutually independent. The sweep runs on a color-split
+//! structure-of-arrays copy of the network (`sor::Checkerboard`): per color and
+//! `(layer, row)` segment the node data is contiguous and zero-padded, so every neighbour
+//! read is a unit-stride load and the row loop vectorizes without a branch per node. It
+//! is exact, not approximate: the per-node arithmetic is the scalar per-node sweep's —
+//! same accumulation order, absent neighbours contribute an exact `+0`, the division is
+//! kept — so temperatures, iteration counts and residuals are those of the scalar sweep
+//! bit for bit (checked against it, kept as a test reference). Because a half-sweep only
+//! reads the other color, [`SteadyStateSolver::solve_on`] distributes each half-sweep
+//! over a [`tsc3d_exec::Pool`] and produces **bit-identical** results for any worker
+//! count (the residual is a `max` reduction and therefore order-insensitive).
 
 use crate::config::{StackLayerKind, ThermalConfig};
+use crate::sor::Checkerboard;
 use crate::tsv::TsvField;
 use crate::MaterialProperties;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
-use std::sync::Arc;
-use tsc3d_exec::{CancelToken, Interrupt, Pool};
+use tsc3d_exec::{CancelToken, Pool};
 use tsc3d_geometry::{Grid, GridMap};
 
 /// Errors raised by [`SteadyStateSolver::solve`].
@@ -45,6 +50,17 @@ pub enum SolveError {
     },
     /// Power maps / TSV fields are not all defined on the same grid.
     GridMismatch,
+    /// A power map or TSV density holds a NaN or infinite value. Checked before the
+    /// first sweep: a non-finite source would otherwise spread through the whole field
+    /// while the residual (a `max` that skips NaN) still reports convergence.
+    NonFiniteInput {
+        /// `"power"` or `"tsv density"`.
+        field: &'static str,
+        /// The die (power) or interface (TSV density) whose map holds the value.
+        index: usize,
+        /// Row-major bin index of its first non-finite value.
+        bin: usize,
+    },
     /// The iteration did not converge within the configured iteration budget.
     NotConverged {
         /// Residual (largest per-node temperature update) after the final iteration, in K.
@@ -77,6 +93,9 @@ impl fmt::Display for SolveError {
                 )
             }
             SolveError::GridMismatch => write!(f, "power maps and TSV fields use different grids"),
+            SolveError::NonFiniteInput { field, index, bin } => {
+                write!(f, "non-finite {field} in map {index} at bin {bin}")
+            }
             SolveError::NotConverged {
                 residual,
                 iterations,
@@ -219,8 +238,8 @@ impl SteadyStateSolver {
     ///
     /// # Errors
     ///
-    /// Returns [`SolveError`] when the inputs are inconsistent or the iteration fails to
-    /// converge.
+    /// Returns [`SolveError`] when the inputs are inconsistent or non-finite, or the
+    /// iteration fails to converge.
     pub fn solve(
         &self,
         power_per_die: &[GridMap],
@@ -254,9 +273,11 @@ impl SteadyStateSolver {
     /// Each color's node updates are mutually independent (every neighbour has the other
     /// color), so the sweep parallelizes without reordering any arithmetic: temperatures,
     /// iteration counts and residuals are bit-identical to the serial solve for every
-    /// worker count. A pool with zero threads degrades to the serial path. Parallelism
-    /// pays off on fine grids (≳ 64×64 bins); for coarse grids the per-sweep dispatch
-    /// overhead can outweigh the gain.
+    /// worker count. A pool with zero threads degrades to the serial path. Each sweep
+    /// dispatches two pool batches, and the vectorized serial half-sweep is cheap: on a
+    /// 2-vCPU host the pooled solve was slower than the serial one up to 96×96 bins, even
+    /// at 128×128, and ~10% faster at 192×192, so prefer [`SteadyStateSolver::solve`]
+    /// unless grids are that fine and spare cores exist.
     ///
     /// # Errors
     ///
@@ -321,18 +342,25 @@ impl SteadyStateSolver {
             return Err(SolveError::GridMismatch);
         }
 
+        let power = power_per_die.iter().map(|m| ("power", m));
+        let density = tsv_per_interface
+            .iter()
+            .map(|f| ("tsv density", f.density()));
+        for (index, (field, map)) in power.enumerate().chain(density.enumerate()) {
+            if let Some(bin) = map.values().iter().position(|v| !v.is_finite()) {
+                return Err(SolveError::NonFiniteInput { field, index, bin });
+            }
+        }
+
         let _span = tsc3d_obs::span!("thermal_solve");
         let network = Network::build(&self.config, grid, power_per_die, tsv_per_interface);
-        let swept = match pool {
-            Some(pool) if pool.threads() > 0 => Arc::new(network).solve_sor_parallel(
-                pool,
-                self.relaxation,
-                self.max_iterations,
-                self.tolerance,
-                cancel,
-            ),
-            _ => network.solve_sor(self.relaxation, self.max_iterations, self.tolerance, cancel),
-        };
+        let swept = Checkerboard::new(network).solve(
+            pool,
+            self.relaxation,
+            self.max_iterations,
+            self.tolerance,
+            cancel,
+        );
         let (temps, iterations, residual) = match swept {
             Ok(done) => done,
             Err((interrupt, iterations)) => {
@@ -517,14 +545,14 @@ impl Network {
             ambient: config.ambient,
         }
     }
+}
 
+/// The scalar per-node sweep the split kernel replaced, kept as its bit-for-bit
+/// reference.
+#[cfg(test)]
+impl Network {
     /// The relaxed value of one node given the current temperature field: returns the new
     /// temperature and the absolute update `|flow/g_sum - t|` (the residual contribution).
-    ///
-    /// During a red-black half-sweep every operand read here belongs to the *other* color
-    /// (or is the node's own pre-sweep value), so the same `(value, update)` pair results
-    /// whether the sweep runs in place serially or gathers into fresh storage in parallel.
-    #[inline]
     fn relaxed_value(&self, t: &[f64], l: usize, row: usize, col: usize, omega: f64) -> (f64, f64) {
         let bins = self.cols * self.rows;
         let b = row * self.cols + col;
@@ -572,24 +600,19 @@ impl Network {
         }
     }
 
-    /// One serial red-black SOR solve; returns (temperatures, iterations, final residual),
-    /// or the interrupt plus the sweeps completed when the per-sweep checkpoint fires.
-    fn solve_sor(
+    /// The serial in-place red-black SOR solve over [`Network::relaxed_value`]; returns
+    /// (temperatures, iterations, final residual).
+    fn solve_reference(
         &self,
         omega: f64,
         max_iterations: usize,
         tolerance: f64,
-        cancel: &CancelToken,
-    ) -> Result<(Vec<f64>, usize, f64), (Interrupt, usize)> {
+    ) -> (Vec<f64>, usize, f64) {
         let bins = self.cols * self.rows;
-        let n = self.layers * bins;
-        let mut t = vec![self.ambient; n];
+        let mut t = vec![self.ambient; self.layers * bins];
         let mut residual = f64::INFINITY;
         let mut iterations = 0;
-
         for iter in 0..max_iterations {
-            // One full-grid sweep dwarfs the checkpoint's two relaxed loads.
-            tsc3d_exec::checkpoint("solver-sweep", cancel).map_err(|i| (i, iterations))?;
             residual = 0.0;
             for color in 0..2usize {
                 for l in 0..self.layers {
@@ -605,114 +628,11 @@ impl Network {
                 }
             }
             iterations = iter + 1;
-            // Live sweep progress, thinned so a long solve cannot flood the event ring;
-            // with events disabled the cost is one relaxed load per 64 sweeps.
-            if iterations % 64 == 0 {
-                tsc3d_obs::emit(|| tsc3d_obs::EventKind::Progress {
-                    phase: "solver_sweeps",
-                    done: iterations as u64,
-                    total: max_iterations as u64,
-                });
-            }
             if residual < tolerance {
                 break;
             }
         }
-        Ok((t, iterations, residual))
-    }
-
-    /// The parallel red-black SOR solve: each half-sweep fans the `(layer, row)` pairs out
-    /// over the pool; workers gather new values for their rows against an immutable
-    /// snapshot of the field, and the caller writes them back between colors.
-    ///
-    /// Bit-identical to [`Network::solve_sor`]: per node the same [`Network::relaxed_value`]
-    /// arithmetic runs against the same operand values (same-color operands are untouched
-    /// within a half-sweep), and the residual is combined with the order-insensitive `max`.
-    fn solve_sor_parallel(
-        self: Arc<Network>,
-        pool: &Pool,
-        omega: f64,
-        max_iterations: usize,
-        tolerance: f64,
-        cancel: &CancelToken,
-    ) -> Result<(Vec<f64>, usize, f64), (Interrupt, usize)> {
-        let bins = self.cols * self.rows;
-        let n = self.layers * bins;
-        let rows = self.rows;
-        let cols = self.cols;
-
-        // Fixed contiguous (layer, row) chunks; the partition only affects scheduling,
-        // never values.
-        let lr_total = self.layers * rows;
-        let chunk_count = (pool.threads() * 3).clamp(1, lr_total);
-        let mut chunks = Vec::with_capacity(chunk_count);
-        for c in 0..chunk_count {
-            let lo = c * lr_total / chunk_count;
-            let hi = (c + 1) * lr_total / chunk_count;
-            if lo < hi {
-                chunks.push((lo, hi));
-            }
-        }
-
-        let mut t: Arc<Vec<f64>> = Arc::new(vec![self.ambient; n]);
-        let mut residual = f64::INFINITY;
-        let mut iterations = 0;
-
-        for iter in 0..max_iterations {
-            // Same per-sweep checkpoint as the serial solve, so interruption points
-            // (and fault-site hit counts) agree across worker counts.
-            tsc3d_exec::checkpoint("solver-sweep", cancel).map_err(|i| (i, iterations))?;
-            residual = 0.0;
-            for color in 0..2usize {
-                let network = Arc::clone(&self);
-                let snapshot = Arc::clone(&t);
-                let results = pool.run_batch(chunks.clone(), move |_, (lo, hi)| {
-                    let field: &[f64] = &snapshot;
-                    let mut values = Vec::with_capacity((hi - lo) * (cols / 2 + 1));
-                    let mut worst = 0.0f64;
-                    for lr in lo..hi {
-                        let l = lr / rows;
-                        let row = lr % rows;
-                        let first = (color + l + row) % 2;
-                        for col in (first..cols).step_by(2) {
-                            let (value, update) = network.relaxed_value(field, l, row, col, omega);
-                            values.push(value);
-                            worst = worst.max(update);
-                        }
-                    }
-                    (values, worst)
-                });
-
-                let field = Arc::make_mut(&mut t);
-                for (&(lo, hi), (values, worst)) in chunks.iter().zip(results) {
-                    residual = residual.max(worst);
-                    let mut v = values.into_iter();
-                    for lr in lo..hi {
-                        let l = lr / rows;
-                        let row = lr % rows;
-                        let first = (color + l + row) % 2;
-                        for col in (first..cols).step_by(2) {
-                            let idx = l * bins + row * cols + col;
-                            field[idx] = v.next().expect("one value per swept node");
-                        }
-                    }
-                }
-            }
-            iterations = iter + 1;
-            // Same thinned live progress as the serial sweep (see `solve_sor`).
-            if iterations % 64 == 0 {
-                tsc3d_obs::emit(|| tsc3d_obs::EventKind::Progress {
-                    phase: "solver_sweeps",
-                    done: iterations as u64,
-                    total: max_iterations as u64,
-                });
-            }
-            if residual < tolerance {
-                break;
-            }
-        }
-        let temps = Arc::try_unwrap(t).unwrap_or_else(|shared| (*shared).clone());
-        Ok((temps, iterations, residual))
+        (t, iterations, residual)
     }
 }
 
@@ -725,8 +645,9 @@ fn series_conductance(k_a: f64, k_b: f64, length: f64, cross_section: f64) -> f6
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::TsvPattern;
-    use tsc3d_geometry::{Outline, Rect, Stack};
+    use crate::{TsvPattern, TsvSite};
+    use tsc3d_exec::Interrupt;
+    use tsc3d_geometry::{GridPos, Outline, Point, Rect, Stack};
 
     fn setup(grid_n: usize) -> (ThermalConfig, Grid) {
         let stack = Stack::two_die(Outline::new(2000.0, 2000.0));
@@ -776,6 +697,22 @@ mod tests {
             .solve_cancellable(&power, &tsvs, &CancelToken::new())
             .unwrap();
         assert_eq!(clean, live);
+        // The pooled entry point interrupts at the same checkpoint and, live, solves alike.
+        for workers in [0usize, 1, 3] {
+            let pool = Pool::new(workers);
+            let err = solver.solve_on_cancellable(&pool, &power, &tsvs, &cancel);
+            assert_eq!(
+                err.unwrap_err(),
+                SolveError::Interrupted {
+                    interrupt: Interrupt::Cancelled(tsc3d_exec::CancelReason::User),
+                    iterations: 0,
+                },
+                "{workers} workers"
+            );
+            let live = solver.solve_on_cancellable(&pool, &power, &tsvs, &CancelToken::new());
+            assert_eq!(live.unwrap(), clean, "{workers} workers");
+            pool.shutdown();
+        }
     }
 
     #[test]
@@ -928,6 +865,18 @@ mod tests {
         assert!(matches!(err, SolveError::NotConverged { .. }));
         // Same typed payload (residual and iteration count) as the serial solve.
         assert_eq!(err, solver.solve(&power, &tsvs).unwrap_err());
+        // ... and as the scalar reference, on irregular stacks.
+        for (cols, dies) in [(7usize, 2usize), (12, 3), (48, 2)] {
+            let (solver, power, tsvs) = irregular_case(dies, cols, cols);
+            let solver = solver.with_max_iterations(9);
+            let (_, iterations, residual) = reference(&solver, &power, &tsvs);
+            let expected = SolveError::NotConverged {
+                residual,
+                iterations,
+            };
+            assert_eq!(solver.solve(&power, &tsvs).unwrap_err(), expected);
+            assert_eq!(solver.solve_on(&pool, &power, &tsvs).unwrap_err(), expected);
+        }
         pool.shutdown();
     }
 
@@ -976,5 +925,199 @@ mod tests {
     fn invalid_relaxation_panics() {
         let (cfg, _) = setup(4);
         let _ = SteadyStateSolver::new(cfg).with_relaxation(2.5);
+    }
+
+    /// `dies` dies on a `cols × rows` grid: a power floor plus two hotspots per die (one
+    /// moving with the die index) and two TSV islands per interface over a sparse
+    /// uniform background.
+    fn irregular_case(
+        dies: usize,
+        cols: usize,
+        rows: usize,
+    ) -> (SteadyStateSolver, Vec<GridMap>, Vec<TsvField>) {
+        let stack = Stack::new(dies, Outline::new(2000.0, 2000.0));
+        let grid = Grid::new(stack.outline().rect(), cols, rows);
+        let power = (0..dies)
+            .map(|d| {
+                let mut p = uniform_power(grid, 0.2);
+                let x = 100.0 + 300.0 * d as f64;
+                p.splat_power(&Rect::new(x, 200.0, 700.0, 500.0), 1.5 + d as f64);
+                p.splat_power(&Rect::new(1200.0, 900.0, 400.0, 800.0), 0.8);
+                p
+            })
+            .collect();
+        let tsvs = (0..dies - 1)
+            .map(|i| {
+                let mut f = TsvField::uniform(grid, 0.01);
+                f.add_site(TsvSite::island(
+                    Point::new(500.0 + 400.0 * i as f64, 1500.0),
+                    400,
+                ));
+                f.add_site(TsvSite::island(Point::new(1700.0, 300.0), 900));
+                f
+            })
+            .collect();
+        let solver = SteadyStateSolver::new(ThermalConfig::default_for(stack))
+            .with_tolerance(1e-4)
+            .with_max_iterations(4_000);
+        (solver, power, tsvs)
+    }
+
+    /// The scalar per-node sweep on the same inputs: (temperatures, iterations, residual).
+    fn reference(
+        solver: &SteadyStateSolver,
+        power: &[GridMap],
+        tsvs: &[TsvField],
+    ) -> (Vec<f64>, usize, f64) {
+        Network::build(&solver.config, power[0].grid(), power, tsvs).solve_reference(
+            solver.relaxation,
+            solver.max_iterations,
+            solver.tolerance,
+        )
+    }
+
+    fn bits<'a>(values: impl IntoIterator<Item = &'a f64>) -> Vec<u64> {
+        values.into_iter().map(|v| v.to_bits()).collect()
+    }
+
+    fn layer_bits(result: &ThermalResult) -> Vec<u64> {
+        bits(result.layer_temperatures().iter().flat_map(|m| m.values()))
+    }
+
+    #[test]
+    fn split_kernel_is_bit_identical_to_the_scalar_reference() {
+        let pools = [Pool::new(1), Pool::new(3)];
+        let square = [2usize, 3, 7, 12, 47, 48].map(|n| (n, n));
+        for (cols, rows) in square.into_iter().chain([(7, 12), (12, 7), (1, 5), (5, 1)]) {
+            for dies in 1..=3 {
+                let case = format!("{cols}x{rows}, {dies} dies");
+                let (solver, power, tsvs) = irregular_case(dies, cols, rows);
+                let (temps, iterations, residual) = reference(&solver, &power, &tsvs);
+                let serial = solver.solve(&power, &tsvs).unwrap();
+                assert_eq!(layer_bits(&serial), bits(&temps), "{case}");
+                assert_eq!(serial.iterations(), iterations, "{case}");
+                assert_eq!(serial.residual().to_bits(), residual.to_bits(), "{case}");
+                for pool in &pools {
+                    let pooled = solver.solve_on(pool, &power, &tsvs).unwrap();
+                    let case = format!("{case}, {} workers", pool.threads());
+                    assert_eq!(layer_bits(&pooled), bits(&temps), "{case}");
+                    assert_eq!(pooled.iterations(), iterations, "{case}");
+                    assert_eq!(pooled.residual().to_bits(), residual.to_bits(), "{case}");
+                    assert_eq!(pooled.die_temperatures(), serial.die_temperatures());
+                }
+            }
+        }
+        for pool in pools {
+            pool.shutdown();
+        }
+    }
+
+    #[test]
+    fn non_finite_power_or_density_is_rejected_before_sweeping() {
+        let (solver, power, tsvs) = irregular_case(2, 8, 8);
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let mut maps = power.clone();
+            maps[1].set(GridPos::new(5, 3), bad);
+            let expected = SolveError::NonFiniteInput {
+                field: "power",
+                index: 1,
+                bin: 3 * 8 + 5,
+            };
+            assert_eq!(solver.solve(&maps, &tsvs).unwrap_err(), expected, "{bad}");
+            let pool = Pool::new(2);
+            assert_eq!(solver.solve_on(&pool, &maps, &tsvs).unwrap_err(), expected);
+            pool.shutdown();
+        }
+        let grid = power[0].grid();
+        let err = solver
+            .solve(&power, &[TsvField::uniform(grid, f64::NAN)])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            SolveError::NonFiniteInput {
+                field: "tsv density",
+                index: 0,
+                bin: 0,
+            }
+        );
+        assert!(err.to_string().contains("non-finite tsv density"));
+    }
+
+    /// With laterally uniform power and TSV density no heat flows sideways, so every
+    /// column is the same 1-D resistor chain: secondary path → layer 0 → … → top layer →
+    /// heatsink. Its exact (tridiagonal) solution must match every node of every layer.
+    #[test]
+    fn laterally_uniform_stacks_match_the_exact_column_chain() {
+        for dies in 1..=3 {
+            let stack = Stack::new(dies, Outline::new(2000.0, 2000.0));
+            let grid = Grid::new(stack.outline().rect(), 6, 5);
+            let cfg = ThermalConfig::default_for(stack);
+            let density = 0.08;
+            let power: Vec<GridMap> = (0..dies)
+                .map(|d| uniform_power(grid, 1.0 + d as f64))
+                .collect();
+            let tsvs = vec![TsvField::uniform(grid, density); dies - 1];
+            let result = SteadyStateSolver::new(cfg.clone())
+                .with_tolerance(1e-11)
+                .with_max_iterations(100_000)
+                .solve(&power, &tsvs)
+                .unwrap();
+
+            // The chain, from the stack description alone (per bin, in K/W and W/K).
+            let area = grid.bin_width() * 1e-6 * grid.bin_height() * 1e-6;
+            let half: Vec<f64> = cfg
+                .layers
+                .iter()
+                .map(|layer| {
+                    let k = match layer.kind {
+                        StackLayerKind::Bond { .. } => {
+                            layer.material.conductivity * (1.0 - density)
+                                + MaterialProperties::COPPER.conductivity * density
+                        }
+                        _ => layer.material.conductivity,
+                    };
+                    layer.thickness / (2.0 * k * area)
+                })
+                .collect();
+            let n = half.len();
+            let up: Vec<f64> = (0..n - 1).map(|l| 1.0 / (half[l] + half[l + 1])).collect();
+            let mut boundary = vec![0.0; n];
+            boundary[0] += 1.0 / (half[0] + 1.0 / (cfg.secondary_conductance * area));
+            boundary[n - 1] += 1.0 / (half[n - 1] + 1.0 / (cfg.heatsink_conductance * area));
+            let mut source = vec![0.0; n];
+            for (d, map) in power.iter().enumerate() {
+                source[cfg.active_layer_of(d).unwrap()] = map.values()[0];
+            }
+            // Thomas algorithm on the rise above ambient:
+            // (boundary + up[l-1] + up[l]) θ_l − up[l-1] θ_{l-1} − up[l] θ_{l+1} = source_l.
+            let below = |l: usize| if l > 0 { up[l - 1] } else { 0.0 };
+            let above = |l: usize| up.get(l).copied().unwrap_or(0.0);
+            let (mut c, mut d) = (vec![0.0; n], vec![0.0; n]);
+            for l in 0..n {
+                let (c_prev, d_prev) = if l > 0 {
+                    (c[l - 1], d[l - 1])
+                } else {
+                    (0.0, 0.0)
+                };
+                let pivot = boundary[l] + below(l) + above(l) - below(l) * c_prev;
+                c[l] = above(l) / pivot;
+                d[l] = (source[l] + below(l) * d_prev) / pivot;
+            }
+            let mut rise = vec![0.0; n];
+            for l in (0..n).rev() {
+                rise[l] = d[l] + if l + 1 < n { c[l] * rise[l + 1] } else { 0.0 };
+            }
+
+            for (l, map) in result.layer_temperatures().iter().enumerate() {
+                let exact = cfg.ambient + rise[l];
+                for &t in map.values() {
+                    assert!(
+                        (t - exact).abs() <= 1e-8,
+                        "{dies} dies, layer {l}: {t} vs exact {exact}"
+                    );
+                }
+            }
+            assert!(rise[0] > 0.1, "the chain carries real heat: {rise:?}");
+        }
     }
 }
