@@ -48,13 +48,13 @@ use std::time::Instant;
 
 use tsc3d::{FlowConfig, FlowResult, Setup, TscFlow};
 use tsc3d_bench::{arg_present, arg_usize, arg_value};
-use tsc3d_campaign::json::Json;
 use tsc3d_floorplan::{
     ObjectiveWeights, PackScratch, SaSchedule, SequencePair3d, SimulatedAnnealing,
 };
 use tsc3d_geometry::{Grid, GridMap, Outline, Rect, Stack};
 use tsc3d_netlist::suite::{generate, Benchmark};
 use tsc3d_netlist::Design;
+use tsc3d_obs::json::Json;
 use tsc3d_sca::{run_on_flow_with, AttackConfig, Mitigation, TraceEngine};
 use tsc3d_thermal::{SteadyStateSolver, ThermalConfig, TransientSolver, TsvField};
 

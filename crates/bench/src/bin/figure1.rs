@@ -13,8 +13,8 @@
 //! can archive the figure's data as an artifact.
 
 use tsc3d_bench::{arg_value, write_csv};
-use tsc3d_campaign::json::Json;
 use tsc3d_geometry::{GridPos, Outline, Stack};
+use tsc3d_obs::json::Json;
 use tsc3d_thermal::{transient::TransientSolver, LumpedTransient, ThermalConfig};
 
 fn main() {

@@ -1,30 +1,34 @@
-//! The `campaign` CLI: run, resume and report sharded batch experiments.
+//! The `campaign` CLI: run, resume and report sharded batch experiments of either job
+//! kind.
 //!
 //! ```text
-//! campaign run    --benchmarks n100,ibm01 --seeds 1,2,3 --out results.jsonl [--workers 8]
-//!                 [--shard 0/4] [--stages N] [--moves N] [--grid-bins N]
-//!                 [--verification-bins N] [--paper] [--smoke] [--sweep-tsv-budget a,b]
-//! campaign resume --out results.jsonl [--workers 8] [--shard 0/4]
-//! campaign report --out results.jsonl [--csv table.csv]
+//! campaign run     --benchmarks n100,ibm01 --seeds 1,2,3 --out results.jsonl [--workers 8]
+//!                  [--shard 0/4] [--stages N] [--moves N] [--grid-bins N]
+//!                  [--verification-bins N] [--paper] [--smoke] [--sweep-tsv-budget a,b]
+//! campaign sca-run --benchmarks n200 --seeds 1 --key-seeds 11,12 --noise 0.5,0.7 --out sca.jsonl
+//! campaign resume  --out results.jsonl [--workers 8] [--shard 0/4]
+//! campaign report  --out results.jsonl [--csv table.csv] [--report-out report.txt]
 //! ```
 //!
-//! `run` writes a self-describing results file (first line: the spec), streams one JSON
-//! line per finished job, and prints the aggregated Table-2-style report. `resume`
-//! rebuilds the spec from the file and executes only the jobs without a record. `report`
-//! aggregates the file without running anything. `--smoke` is the CI preset: a small
-//! multi-design, multi-setup, multi-seed campaign on 4 workers.
+//! `run` (flow jobs) and `sca-run` (side-channel jobs) write a self-describing results
+//! file (first line: the spec under its kind's header key), stream one JSON line per
+//! finished job, and print the aggregated report. `resume` and `report` read the kind
+//! from that header: `resume` rebuilds the spec and executes only the jobs without a
+//! record, `report` aggregates the file without running anything. `--smoke` is the CI
+//! preset of either kind, on 4 workers.
 
-use std::path::PathBuf;
+use std::io::BufRead as _;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use tsc3d::{FlowConfig, Setup};
 use tsc3d_campaign::{
-    aggregate, aggregate_sca, read_campaign_file, read_sca_file, render_csv, render_report,
-    render_sca_report, resume_from_file, resume_sca_from_file, run_campaign, run_sca_campaign,
-    CampaignOptions, CampaignSpec, CampaignSummary, JobRetryPolicy, OverrideSet, ScaCampaignSpec,
-    ScaSensorSet, Shard,
+    aggregate, aggregate_sca, read_results_file, render_csv, render_report, render_sca_report,
+    resume_results_file, run_campaign, CampaignOptions, CampaignOutcome, CampaignSpec, JobKind,
+    JobRetryPolicy, OverrideSet, ScaCampaignSpec, ScaSensorSet, Shard,
 };
 use tsc3d_floorplan::SaSchedule;
 use tsc3d_netlist::suite::Benchmark;
+use tsc3d_obs::json::Json;
 use tsc3d_obs::{log_error, log_info, log_warn};
 
 fn main() -> ExitCode {
@@ -68,13 +72,24 @@ fn main() -> ExitCode {
             }
         }
     }
+    let args = &args[1..];
     let result = match command {
-        "run" => cmd_run(&args[1..], false),
-        "resume" => cmd_run(&args[1..], true),
-        "report" => cmd_report(&args[1..]),
-        "sca-run" => cmd_sca_run(&args[1..], false),
-        "sca-resume" => cmd_sca_run(&args[1..], true),
-        "sca-report" => cmd_sca_report(&args[1..]),
+        "run" => parse_spec(args).and_then(|spec| cmd_run(args, &spec)),
+        "sca-run" => parse_sca_spec(args).and_then(|spec| cmd_run(args, &spec)),
+        "resume" => results_file(args).and_then(|(path, sca)| {
+            if sca {
+                cmd_resume::<ScaCampaignSpec>(args, &path)
+            } else {
+                cmd_resume::<CampaignSpec>(args, &path)
+            }
+        }),
+        "report" => results_file(args).and_then(|(path, sca)| {
+            if sca {
+                cmd_report::<ScaCampaignSpec>(args, &path)
+            } else {
+                cmd_report::<CampaignSpec>(args, &path)
+            }
+        }),
         "--help" | "-h" | "help" => {
             println!("{USAGE}");
             return ExitCode::SUCCESS;
@@ -159,26 +174,26 @@ fn write_trace(path: &PathBuf) {
 }
 
 const USAGE: &str = "usage:
-  campaign run        [--benchmarks a,b] [--setups pa,tsc] [--seeds 1,2,3 | --runs N [--seed-base S]]
-                      [--out FILE] [--workers N] [--shard K/N]
-                      [--stages N] [--moves N] [--grid-bins N] [--verification-bins N]
-                      [--sweep-tsv-budget a,b] [--paper] [--smoke] [--csv PATH]
-                      [--retries N] [--retry-on kinds] [--job-deadline-ms MS] [--fsync]
-                      [--fault-plan SPEC] [--fault-log PATH]
-                      [--trace-out PATH] [--progress] [--events-out PATH]
-  campaign resume     --out FILE [--workers N] [--shard K/N] [--csv PATH] [--trace-out PATH]
-                      [--progress] [--events-out PATH]
-  campaign report     --out FILE [--csv PATH]
-  campaign sca-run    [--benchmarks a,b] [--seeds 1,2] [--key-seeds 11,12] [--traces N]
-                      [--noise a,b] [--stages N] [--moves N] [--grid-bins N]
-                      [--verification-bins N] [--paper] [--out FILE] [--workers N]
-                      [--shard K/N] [--smoke] [--report-out PATH]
-                      [--retries N] [--retry-on kinds] [--job-deadline-ms MS] [--fsync]
-                      [--fault-plan SPEC] [--fault-log PATH] [--trace-out PATH]
-                      [--progress] [--events-out PATH]
-  campaign sca-resume --out FILE [--workers N] [--shard K/N] [--report-out PATH]
-                      [--trace-out PATH] [--progress] [--events-out PATH]
-  campaign sca-report --out FILE [--report-out PATH]
+  campaign run     [--benchmarks a,b] [--setups pa,tsc] [--seeds 1,2,3 | --runs N [--seed-base S]]
+                   [--stages N] [--moves N] [--grid-bins N] [--verification-bins N]
+                   [--sweep-tsv-budget a,b] [--paper] [--smoke] [--csv PATH]
+                   [--out FILE] [--workers N] [--shard K/N] [--report-out PATH]
+                   [--retries N] [--retry-on kinds] [--job-deadline-ms MS] [--fsync]
+                   [--fault-plan SPEC] [--fault-log PATH]
+                   [--trace-out PATH] [--progress] [--events-out PATH]
+  campaign sca-run [--benchmarks a,b] [--seeds 1,2] [--key-seeds 11,12] [--traces N]
+                   [--noise a,b] [--stages N] [--moves N] [--grid-bins N]
+                   [--verification-bins N] [--paper] [--smoke]
+                   [--out FILE] [--workers N] [--shard K/N] [--report-out PATH]
+                   [--retries N] [--retry-on kinds] [--job-deadline-ms MS] [--fsync]
+                   [--fault-plan SPEC] [--fault-log PATH]
+                   [--trace-out PATH] [--progress] [--events-out PATH]
+  campaign resume  --out FILE [--workers N] [--shard K/N] [--csv PATH] [--report-out PATH]
+                   [--trace-out PATH] [--progress] [--events-out PATH]
+  campaign report  --out FILE [--csv PATH] [--report-out PATH]
+
+  resume and report take the job kind (flow or sca) from the results file's header;
+  --csv writes the aggregate table of a flow campaign, --report-out the printed report.
 
   --progress renders a live one-line status on stderr; --events-out PATH writes the
   full progress-event stream (job/stage/progress/checkpoint/eta) as JSONL.
@@ -210,7 +225,7 @@ fn parse_usize(args: &[String], flag: &str) -> Result<Option<usize>, String> {
         .transpose()
 }
 
-fn parse_options(args: &[String], resume: bool) -> Result<CampaignOptions, String> {
+fn parse_options(args: &[String]) -> Result<CampaignOptions, String> {
     let workers =
         parse_usize(args, "--workers")?.unwrap_or_else(tsc3d::experiment::default_workers);
     let shard = match arg_value(args, "--shard") {
@@ -238,7 +253,6 @@ fn parse_options(args: &[String], resume: bool) -> Result<CampaignOptions, Strin
     let mut options = CampaignOptions::in_memory(workers);
     options.shard = shard;
     options.results_path = arg_value(args, "--out").map(PathBuf::from);
-    options.resume = resume;
     options.retry = retry;
     options.fsync = arg_present(args, "--fsync");
     Ok(options)
@@ -366,59 +380,128 @@ fn smoke_spec() -> CampaignSpec {
     spec
 }
 
-fn print_spec(spec: &CampaignSpec, options: &CampaignOptions) {
+/// What the CLI prints for one job kind.
+trait CliKind: JobKind {
+    /// The default results file of the `--smoke` preset.
+    const SMOKE_OUT: &'static str;
+
+    /// The spec's axes, for the log.
+    fn describe(&self) -> String;
+
+    /// The aggregated report of the records; writes `--csv` where the kind has a table.
+    fn report(args: &[String], records: &[Self::Record]) -> Result<String, String>;
+}
+
+impl CliKind for CampaignSpec {
+    const SMOKE_OUT: &'static str = "target/campaign/smoke.jsonl";
+
+    fn describe(&self) -> String {
+        format!(
+            "{} jobs ({} benchmarks × {} setups × {} seeds × {} overrides)",
+            self.job_count(),
+            self.benchmarks.len(),
+            self.setups.len(),
+            self.seeds.len(),
+            self.overrides.len(),
+        )
+    }
+
+    fn report(args: &[String], records: &[Self::Record]) -> Result<String, String> {
+        let summary = aggregate(records);
+        write_if_requested(args, "--csv", &render_csv(&summary))?;
+        Ok(render_report(&summary))
+    }
+}
+
+impl CliKind for ScaCampaignSpec {
+    const SMOKE_OUT: &'static str = "target/campaign/sca-smoke.jsonl";
+
+    fn describe(&self) -> String {
+        format!(
+            "sca: {} jobs ({} benchmarks × {} seeds × {} keys × {} sensors × {} mitigations)",
+            self.job_count(),
+            self.benchmarks.len(),
+            self.seeds.len(),
+            self.key_seeds.len(),
+            self.sensors.len(),
+            self.mitigations.len(),
+        )
+    }
+
+    fn report(args: &[String], records: &[Self::Record]) -> Result<String, String> {
+        if arg_present(args, "--csv") {
+            return Err("--csv applies to flow campaigns only".into());
+        }
+        Ok(render_sca_report(&aggregate_sca(records)))
+    }
+}
+
+fn cmd_run<K: CliKind>(args: &[String], spec: &K) -> Result<(), String> {
+    let mut options = parse_options(args)?;
+    if arg_present(args, "--smoke") {
+        if options.results_path.is_none() {
+            // The smoke preset must be re-runnable in CI without manual cleanup, so its
+            // *default* results file is disposable; a user-supplied --out is never
+            // deleted (an existing file is refused like any other run).
+            let _ = std::fs::remove_file(K::SMOKE_OUT);
+            options.results_path = Some(PathBuf::from(K::SMOKE_OUT));
+        }
+        if parse_usize(args, "--workers")?.is_none() {
+            options.workers = 4;
+        }
+    }
+    log_spec(spec, &options);
+    let outcome = run_campaign(spec, &options).map_err(|e| e.to_string())?;
+    finish(args, &options, &outcome)
+}
+
+/// The `--out` file of `resume`/`report`, and whether its header is an sca campaign's
+/// (anything else reads as a flow campaign, whose reader reports a missing header).
+fn results_file(args: &[String]) -> Result<(PathBuf, bool), String> {
+    let path = PathBuf::from(arg_value(args, "--out").ok_or("--out FILE is required")?);
+    let file =
+        std::fs::File::open(&path).map_err(|e| format!("results file {}: {e}", path.display()))?;
+    let mut header = String::new();
+    std::io::BufReader::new(file)
+        .read_line(&mut header)
+        .map_err(|e| format!("results file {}: {e}", path.display()))?;
+    let sca = Json::parse(header.trim())
+        .is_ok_and(|header| header.get(ScaCampaignSpec::HEADER_KEY).is_some());
+    Ok((path, sca))
+}
+
+/// One read of the results file: spec from the header, completed jobs skipped, torn
+/// tail repaired. Without an explicit --shard the file's own shard is restored, so a
+/// sharded campaign never resumes into the other shards' jobs.
+fn cmd_resume<K: CliKind>(args: &[String], path: &Path) -> Result<(), String> {
+    let mut options = parse_options(args)?;
+    let shard_override = arg_value(args, "--shard").map(|_| options.shard);
+    let (spec, outcome) = resume_results_file::<K>(path, options.workers, shard_override)
+        .map_err(|e| e.to_string())?;
+    options.shard = outcome.shard;
+    log_spec(&spec, &options);
+    finish(args, &options, &outcome)
+}
+
+fn log_spec<K: CliKind>(spec: &K, options: &CampaignOptions) {
     log_info!(
         "campaign",
-        "{} jobs ({} benchmarks × {} setups × {} seeds × {} overrides), shard {}, {} workers",
-        spec.job_count(),
-        spec.benchmarks.len(),
-        spec.setups.len(),
-        spec.seeds.len(),
-        spec.overrides.len(),
+        "{}, shard {}, {} workers",
+        spec.describe(),
         options.shard,
         options.workers,
     );
 }
 
-fn cmd_run(args: &[String], resume: bool) -> Result<(), String> {
-    let mut options = parse_options(args, resume)?;
-    let outcome = if resume {
-        // One read of the results file: spec from the header, completed jobs skipped,
-        // torn tail repaired. Without an explicit --shard the file's own shard is
-        // restored, so a sharded campaign never resumes into the other shards' jobs.
-        let path = options
-            .results_path
-            .clone()
-            .ok_or("resume requires --out FILE")?;
-        let shard_override = arg_value(args, "--shard").map(|_| options.shard);
-        let (spec, outcome) =
-            resume_from_file(&path, options.workers, shard_override).map_err(|e| e.to_string())?;
-        options.shard = outcome.shard;
-        print_spec(&spec, &options);
-        outcome
-    } else {
-        if arg_present(args, "--smoke") {
-            if options.results_path.is_none() {
-                // The smoke preset must be re-runnable in CI without manual cleanup, so
-                // its *default* results file is disposable; a user-supplied --out is
-                // never deleted (an existing file is refused like any other run).
-                options.results_path = Some(PathBuf::from("target/campaign/smoke.jsonl"));
-                if let Some(path) = options.results_path.as_deref() {
-                    let _ = std::fs::remove_file(path);
-                }
-            }
-            if parse_usize(args, "--workers")?.is_none() {
-                options.workers = 4;
-            }
-        }
-        let spec = parse_spec(args)?;
-        print_spec(&spec, &options);
-        run_campaign(&spec, &options).map_err(|e| e.to_string())?
-    };
-
+fn finish<K: CliKind>(
+    args: &[String],
+    options: &CampaignOptions,
+    outcome: &CampaignOutcome<K>,
+) -> Result<(), String> {
     log_info!(
         "campaign",
-        "executed {} job(s), resumed {} from file, {} outside this shard",
+        "{}: executed {} job(s), resumed {} from file, {} outside this shard",
+        K::LABEL,
         outcome.executed,
         outcome.resumed,
         outcome.out_of_shard
@@ -426,24 +509,24 @@ fn cmd_run(args: &[String], resume: bool) -> Result<(), String> {
     if let Some(path) = &options.results_path {
         log_info!("campaign", "results: {}", path.display());
     }
-    let summary = aggregate(&outcome.records);
-    write_csv_if_requested(args, &summary)?;
-    print!("\n{}", render_report(&summary));
+    let report = K::report(args, &outcome.records)?;
+    write_if_requested(args, "--report-out", &report)?;
+    print!("\n{report}");
     Ok(())
 }
 
-fn cmd_report(args: &[String]) -> Result<(), String> {
-    let path = arg_value(args, "--out").ok_or("report requires --out FILE")?;
-    let file = read_campaign_file(PathBuf::from(&path).as_path()).map_err(|e| e.to_string())?;
+fn cmd_report<K: CliKind>(args: &[String], path: &Path) -> Result<(), String> {
+    let file = read_results_file::<K>(path).map_err(|e| e.to_string())?;
     if file.truncated_tail {
         log_warn!(
             "campaign",
-            "{path} ends in a truncated line (killed campaign?); resume will rerun that job"
+            "{} ends in a truncated line (killed campaign?); resume will rerun that job",
+            path.display()
         );
     }
-    let summary = aggregate(&file.records);
-    write_csv_if_requested(args, &summary)?;
-    print!("{}", render_report(&summary));
+    let report = K::report(args, &file.records)?;
+    write_if_requested(args, "--report-out", &report)?;
+    print!("{report}");
     Ok(())
 }
 
@@ -535,97 +618,10 @@ fn parse_sca_spec(args: &[String]) -> Result<ScaCampaignSpec, String> {
     Ok(spec)
 }
 
-fn cmd_sca_run(args: &[String], resume: bool) -> Result<(), String> {
-    let mut options = parse_options(args, resume)?;
-    let outcome = if resume {
-        let path = options
-            .results_path
-            .clone()
-            .ok_or("sca-resume requires --out FILE")?;
-        let shard_override = arg_value(args, "--shard").map(|_| options.shard);
-        let (spec, outcome) = resume_sca_from_file(&path, options.workers, shard_override)
-            .map_err(|e| e.to_string())?;
-        options.shard = outcome.shard;
-        log_info!(
-            "campaign",
-            "sca: {} jobs ({} benchmarks × {} seeds × {} keys × {} sensors × {} \
-             mitigations), shard {}, {} workers",
-            spec.job_count(),
-            spec.benchmarks.len(),
-            spec.seeds.len(),
-            spec.key_seeds.len(),
-            spec.sensors.len(),
-            spec.mitigations.len(),
-            options.shard,
-            options.workers,
-        );
-        outcome
-    } else {
-        if arg_present(args, "--smoke") {
-            if options.results_path.is_none() {
-                // Like `run --smoke`: the default results file is disposable so CI can
-                // re-run without manual cleanup; a user-supplied --out is never deleted.
-                options.results_path = Some(PathBuf::from("target/campaign/sca-smoke.jsonl"));
-                if let Some(path) = options.results_path.as_deref() {
-                    let _ = std::fs::remove_file(path);
-                }
-            }
-            if parse_usize(args, "--workers")?.is_none() {
-                options.workers = 4;
-            }
-        }
-        let spec = parse_sca_spec(args)?;
-        log_info!(
-            "campaign",
-            "sca: {} jobs ({} benchmarks × {} seeds × {} keys × {} sensors × {} \
-             mitigations), shard {}, {} workers",
-            spec.job_count(),
-            spec.benchmarks.len(),
-            spec.seeds.len(),
-            spec.key_seeds.len(),
-            spec.sensors.len(),
-            spec.mitigations.len(),
-            options.shard,
-            options.workers,
-        );
-        run_sca_campaign(&spec, &options).map_err(|e| e.to_string())?
-    };
-
-    log_info!(
-        "campaign",
-        "sca: executed {} job(s), resumed {} from file, {} outside this shard",
-        outcome.executed,
-        outcome.resumed,
-        outcome.out_of_shard
-    );
-    if let Some(path) = &options.results_path {
-        log_info!("campaign", "results: {}", path.display());
-    }
-    let report = render_sca_report(&aggregate_sca(&outcome.records));
-    write_report_if_requested(args, &report)?;
-    print!("\n{report}");
-    Ok(())
-}
-
-fn cmd_sca_report(args: &[String]) -> Result<(), String> {
-    let path = arg_value(args, "--out").ok_or("sca-report requires --out FILE")?;
-    let file = read_sca_file(PathBuf::from(&path).as_path()).map_err(|e| e.to_string())?;
-    if file.truncated_tail {
-        log_warn!(
-            "campaign",
-            "{path} ends in a truncated line (killed campaign?); resume will rerun that job"
-        );
-    }
-    let report = render_sca_report(&aggregate_sca(&file.records));
-    write_report_if_requested(args, &report)?;
-    print!("{report}");
-    Ok(())
-}
-
-/// Writes the rendered sca report to `--report-out PATH` (if given) alongside stdout —
-/// the CI-artifact path.
-fn write_report_if_requested(args: &[String], report: &str) -> Result<(), String> {
-    let Some(path) = arg_value(args, "--report-out") else {
+/// Writes `content` to the path given with `flag` (if any) alongside stdout — the
+/// CI-artifact path of `--report-out` and `--csv`.
+fn write_if_requested(args: &[String], flag: &str, content: &str) -> Result<(), String> {
+    let Some(path) = arg_value(args, flag) else {
         return Ok(());
     };
     let path = PathBuf::from(path);
@@ -635,26 +631,8 @@ fn write_report_if_requested(args: &[String], report: &str) -> Result<(), String
                 .map_err(|e| format!("could not create {}: {e}", parent.display()))?;
         }
     }
-    std::fs::write(&path, report)
+    std::fs::write(&path, content)
         .map_err(|e| format!("could not write {}: {e}", path.display()))?;
-    log_info!("campaign", "report: {}", path.display());
-    Ok(())
-}
-
-/// Writes the aggregate table to `--csv PATH` (if given) alongside the printed report.
-fn write_csv_if_requested(args: &[String], summary: &CampaignSummary) -> Result<(), String> {
-    let Some(path) = arg_value(args, "--csv") else {
-        return Ok(());
-    };
-    let path = PathBuf::from(path);
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
-            std::fs::create_dir_all(parent)
-                .map_err(|e| format!("could not create {}: {e}", parent.display()))?;
-        }
-    }
-    std::fs::write(&path, render_csv(summary))
-        .map_err(|e| format!("could not write {}: {e}", path.display()))?;
-    log_info!("campaign", "csv: {}", path.display());
+    log_info!("campaign", "{flag}: {}", path.display());
     Ok(())
 }

@@ -6,11 +6,11 @@
 //! command line to be repeated.
 
 use crate::job::{CampaignSpec, OverrideSet};
-use crate::json::Json;
 use tsc3d::postprocess::{PostProcessConfig, ThermalEngine};
 use tsc3d::{FlowConfig, OutlinePolicy, RetryPolicy, Setup, SolverSettings};
 use tsc3d_floorplan::{ObjectiveWeights, SaSchedule};
 use tsc3d_netlist::suite::Benchmark;
+use tsc3d_obs::json::Json;
 
 /// Error of a decode: a human-readable description of the first mismatch.
 #[derive(Debug, Clone, PartialEq)]
@@ -34,7 +34,7 @@ fn field<'a>(value: &'a Json, key: &str) -> Result<&'a Json, DecodeError> {
 /// null-means-NaN convention exists for the metrics round trip), a `null` here is a
 /// malformed config — a NaN cooling factor or objective weight would silently break
 /// every annealer cost comparison downstream.
-fn f64_field(value: &Json, key: &str) -> Result<f64, DecodeError> {
+pub(crate) fn f64_field(value: &Json, key: &str) -> Result<f64, DecodeError> {
     match field(value, key)? {
         Json::Num(x) => Ok(*x),
         Json::UInt(u) => Ok(*u as f64),
@@ -48,11 +48,11 @@ fn u64_field(value: &Json, key: &str) -> Result<u64, DecodeError> {
         .ok_or_else(|| DecodeError(format!("field '{key}' is not an integer")))
 }
 
-fn usize_field(value: &Json, key: &str) -> Result<usize, DecodeError> {
+pub(crate) fn usize_field(value: &Json, key: &str) -> Result<usize, DecodeError> {
     Ok(u64_field(value, key)? as usize)
 }
 
-fn str_field<'a>(value: &'a Json, key: &str) -> Result<&'a str, DecodeError> {
+pub(crate) fn str_field<'a>(value: &'a Json, key: &str) -> Result<&'a str, DecodeError> {
     field(value, key)?
         .as_str()
         .ok_or_else(|| DecodeError(format!("field '{key}' is not a string")))

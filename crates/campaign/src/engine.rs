@@ -1,18 +1,18 @@
-//! The campaign engine: expands a spec into jobs, filters them by shard, skips jobs that
-//! already have a record (resume), executes the rest on the shared work-stealing pool
-//! ([`tsc3d::exec`]) and streams every finished job to the results sink.
+//! The campaign engine: expands a spec of any [`JobKind`] into jobs, filters them by
+//! shard, skips jobs that already have a record (resume), executes the rest on the
+//! shared work-stealing pool ([`tsc3d::exec`]) and streams every finished job to the
+//! results sink.
 
-use crate::job::{CampaignJob, CampaignSpec, Shard};
-use crate::record::{JobOutcome, JobRecord};
+use crate::job::{CampaignSpec, Shard};
+use crate::kind::JobKind;
 use crate::retry::{is_cancellation_kind, JobRetryPolicy};
-use crate::sink::{read_campaign_file, repair_torn_tail, CampaignFile, ResultSink, SinkError};
+use crate::sca::ScaCampaignSpec;
+use crate::sink::{read_results_file, repair_torn_tail, CampaignFile, ResultSink, SinkError};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use tsc3d::exec::{CancelToken, Pool};
-use tsc3d::TscFlow;
-use tsc3d_netlist::suite::generate;
 
 /// Execution options of a campaign run.
 #[derive(Debug, Clone)]
@@ -53,11 +53,11 @@ impl CampaignOptions {
     }
 }
 
-/// Outcome of a campaign run.
+/// Outcome of a campaign run of kind `K`.
 #[derive(Debug)]
-pub struct CampaignOutcome {
+pub struct CampaignOutcome<K: JobKind> {
     /// All records of this shard — prior (resumed) and newly executed — sorted by job id.
-    pub records: Vec<JobRecord>,
+    pub records: Vec<K::Record>,
     /// Number of jobs executed by this run.
     pub executed: usize,
     /// Number of jobs skipped because the results file already had their record.
@@ -120,34 +120,22 @@ impl From<SinkError> for CampaignError {
     }
 }
 
-/// Executes one job: generates the design instance and runs the flow.
-pub fn execute_job(job: &CampaignJob) -> JobRecord {
-    execute_job_with_cancel(job, &CancelToken::new())
-}
-
-/// [`execute_job`] polling `cancel` at the flow's stage/epoch/sweep checkpoints; an
-/// interrupt lands as a typed [`JobOutcome::Failure`] (kind `cancelled`, `shutdown`,
-/// `deadline` or `fault-injected`).
-pub fn execute_job_with_cancel(job: &CampaignJob, cancel: &CancelToken) -> JobRecord {
-    let _span = tsc3d_obs::span!("campaign_job");
+/// Runs one attempt of a job and keeps the job lifecycle metrics.
+fn execute_attempt<K: JobKind>(
+    spec: &K,
+    job: &K::Job,
+    context: &K::Context,
+    cancel: &CancelToken,
+) -> K::Record {
     let metrics = crate::obs_metrics::get();
     let running = crate::obs_metrics::RunningGuard::enter();
-    let design = generate(job.benchmark, job.seed);
-    let result = TscFlow::new(job.config).run_with_cancel(&design, job.run_seed(), cancel);
+    let record = spec.execute(job, context, cancel);
     drop(running);
     metrics.done.inc();
-    let outcome = JobOutcome::from_flow(&result);
-    if let JobOutcome::Failure { kind, .. } = &outcome {
+    if let Some(kind) = K::failure_kind(&record) {
         crate::obs_metrics::record_failure(kind);
     }
-    JobRecord {
-        job_id: job.id,
-        benchmark: job.benchmark,
-        setup: job.setup,
-        override_name: job.override_name.clone(),
-        seed: job.seed,
-        outcome,
-    }
+    record
 }
 
 /// Executes one job under a [`JobRetryPolicy`]: panics are contained as typed `panic`
@@ -156,63 +144,42 @@ pub fn execute_job_with_cancel(job: &CampaignJob, cancel: &CancelToken) -> JobRe
 ///
 /// A retried-then-succeeded job re-runs the identical seeded computation, so its record
 /// is indistinguishable from a first-try success.
-pub fn execute_job_with_retry(
-    job: &CampaignJob,
+fn execute_with_retry<K: JobKind>(
+    spec: &K,
+    job: &K::Job,
+    context: &K::Context,
     policy: &JobRetryPolicy,
     cancel: &CancelToken,
-) -> JobRecord {
+) -> K::Record {
     let (record, _attempts) = crate::retry::run_attempts(
         policy,
-        job.run_seed(),
+        K::run_seed(job),
         cancel,
-        |token| execute_job_with_cancel(job, token),
-        |record| match &record.outcome {
-            JobOutcome::Failure { kind, .. } => Some(kind.clone()),
-            JobOutcome::Success(_) => None,
-        },
+        |token| execute_attempt(spec, job, context, token),
+        |record| K::failure_kind(record).map(str::to_string),
         |message| {
             crate::obs_metrics::record_failure("panic");
-            JobRecord {
-                job_id: job.id,
-                benchmark: job.benchmark,
-                setup: job.setup,
-                override_name: job.override_name.clone(),
-                seed: job.seed,
-                outcome: JobOutcome::Failure {
-                    kind: "panic".to_string(),
-                    message,
-                },
-            }
+            K::panic_record(job, message)
         },
     );
     record
 }
 
-/// Checks that a record loaded from disk matches the job the spec expands to under the
-/// same id — the guard against resuming with a different spec than the one that wrote
-/// the file.
-fn record_matches(record: &JobRecord, job: &CampaignJob) -> bool {
-    record.benchmark == job.benchmark
-        && record.setup == job.setup
-        && record.seed == job.seed
-        && record.override_name == job.override_name
-}
-
-/// Runs (or resumes) a campaign.
+/// Runs (or resumes) a campaign of the spec's kind.
 ///
 /// Completed jobs stream to the results file as they finish; the returned outcome holds
-/// every record of this shard sorted by job id. Job failures ([`JobOutcome::Failure`])
-/// are *data*, not errors — the campaign always runs to completion and the aggregation
-/// layer counts failures per kind.
+/// every record of this shard sorted by job id. Job failures are *data*, not errors —
+/// the campaign always runs to completion and the aggregation layer counts failures per
+/// kind.
 ///
 /// # Errors
 ///
 /// Returns a [`CampaignError`] when the spec is empty, the results file cannot be
 /// read/written, it already exists without `resume`, or it belongs to a different spec.
-pub fn run_campaign(
-    spec: &CampaignSpec,
+pub fn run_campaign<K: JobKind>(
+    spec: &K,
     options: &CampaignOptions,
-) -> Result<CampaignOutcome, CampaignError> {
+) -> Result<CampaignOutcome<K>, CampaignError> {
     let pool = Pool::with_batch_workers(options.workers);
     let outcome = run_campaign_on(&pool, spec, options);
     pool.shutdown();
@@ -226,11 +193,11 @@ pub fn run_campaign(
 /// # Errors
 ///
 /// Same contract as [`run_campaign`].
-pub fn run_campaign_on(
+pub fn run_campaign_on<K: JobKind>(
     pool: &Pool,
-    spec: &CampaignSpec,
+    spec: &K,
     options: &CampaignOptions,
-) -> Result<CampaignOutcome, CampaignError> {
+) -> Result<CampaignOutcome<K>, CampaignError> {
     // A killed campaign can leave a torn final line; cut it off *before* reading so the
     // prior-record set and the file agree (a torn fragment that happens to parse must not
     // count as completed and then be truncated), and so appended records start on a
@@ -238,7 +205,7 @@ pub fn run_campaign_on(
     let prior_file = match options.results_path.as_deref() {
         Some(path) if options.resume && path.exists() => {
             repair_torn_tail(path)?;
-            Some(read_campaign_file(path)?)
+            Some(read_results_file(path)?)
         }
         _ => None,
     };
@@ -255,26 +222,55 @@ pub fn run_campaign_on(
     run_with_prior(pool, spec, &options, prior_file)
 }
 
-/// Resumes a campaign from its self-describing results file: repairs a torn tail, reads
-/// the file once, rebuilds the spec from the header and runs the jobs without a record.
-/// Returns the spec alongside the outcome.
+/// Resumes a flow campaign from its results file ([`resume_results_file`] for
+/// [`CampaignSpec`]).
 ///
 /// # Errors
 ///
-/// Returns a [`CampaignError`] when the file cannot be read/repaired, has no campaign
-/// header, or its records do not match the header's spec.
+/// Same contract as [`resume_results_file`].
 pub fn resume_from_file(
     path: &Path,
     workers: usize,
     shard_override: Option<Shard>,
-) -> Result<(CampaignSpec, CampaignOutcome), CampaignError> {
+) -> Result<(CampaignSpec, CampaignOutcome<CampaignSpec>), CampaignError> {
+    resume_results_file(path, workers, shard_override)
+}
+
+/// Resumes an sca campaign from its results file ([`resume_results_file`] for
+/// [`ScaCampaignSpec`]).
+///
+/// # Errors
+///
+/// Same contract as [`resume_results_file`].
+pub fn resume_sca_from_file(
+    path: &Path,
+    workers: usize,
+    shard_override: Option<Shard>,
+) -> Result<(ScaCampaignSpec, CampaignOutcome<ScaCampaignSpec>), CampaignError> {
+    resume_results_file(path, workers, shard_override)
+}
+
+/// Resumes a campaign of kind `K` from its self-describing results file: repairs a torn
+/// tail, reads the file once, rebuilds the spec from the header and runs the jobs without
+/// a record. Returns the spec alongside the outcome.
+///
+/// # Errors
+///
+/// Returns a [`CampaignError`] when the file cannot be read/repaired, has no `K` header
+/// (a file of another kind is corrupt as a `K` file), or its records do not match the
+/// header's spec.
+pub fn resume_results_file<K: JobKind>(
+    path: &Path,
+    workers: usize,
+    shard_override: Option<Shard>,
+) -> Result<(K, CampaignOutcome<K>), CampaignError> {
     repair_torn_tail(path)?;
-    let file = read_campaign_file(path)?;
+    let file = read_results_file::<K>(path)?;
     let spec = file
         .spec
         .clone()
         .ok_or_else(|| CampaignError::SpecMismatch {
-            reason: format!("{} has no campaign header", path.display()),
+            reason: format!("{} has no `{}` header", path.display(), K::HEADER_KEY),
         })?;
     // Without an explicit override, a sharded file resumes its own shard — never the
     // other shards' jobs (those belong to the other machines' files).
@@ -291,48 +287,47 @@ pub fn resume_from_file(
     Ok((spec, outcome?))
 }
 
-/// The execution core shared by [`run_campaign`], [`run_campaign_on`] and
-/// [`resume_from_file`]; `prior_file` is the already-read (and tail-repaired) results
-/// file of a resume, `None` for a fresh run.
-fn run_with_prior(
+/// The execution core shared by [`run_campaign_on`] and [`resume_results_file`];
+/// `prior_file` is the already-read (and tail-repaired) results file of a resume, `None`
+/// for a fresh run.
+fn run_with_prior<K: JobKind>(
     pool: &Pool,
-    spec: &CampaignSpec,
+    spec: &K,
     options: &CampaignOptions,
-    prior_file: Option<CampaignFile>,
-) -> Result<CampaignOutcome, CampaignError> {
+    prior_file: Option<CampaignFile<K>>,
+) -> Result<CampaignOutcome<K>, CampaignError> {
     let jobs = spec.expand();
     if jobs.is_empty() {
         return Err(CampaignError::EmptySpec);
     }
     let total = jobs.len();
-    let sharded: Vec<CampaignJob> = jobs
+    let sharded: Vec<K::Job> = jobs
         .into_iter()
-        .filter(|job| options.shard.contains(job.id))
+        .filter(|job| options.shard.contains(K::job_id(job)))
         .collect();
     let out_of_shard = total - sharded.len();
 
     // Resume: retain the prior records matching this spec's jobs.
-    let prior: BTreeMap<u64, JobRecord> = match &prior_file {
+    let prior: BTreeMap<u64, K::Record> = match &prior_file {
         Some(file) => load_prior_records(file, spec, &sharded)?,
         None => BTreeMap::new(),
     };
 
-    let pending: Vec<CampaignJob> = sharded
-        .iter()
-        .filter(|job| !prior.contains_key(&job.id))
-        .cloned()
+    let pending: Vec<K::Job> = sharded
+        .into_iter()
+        .filter(|job| !prior.contains_key(&K::job_id(job)))
         .collect();
 
     let sink: Arc<Option<ResultSink>> = Arc::new(match options.results_path.as_deref() {
         None => None,
         Some(path) => Some(if prior_file.is_some() {
-            ResultSink::append_to_with(path, options.fsync)?
+            ResultSink::append_to(path, options.fsync)?
         } else if path.exists() {
             return Err(CampaignError::WouldOverwrite {
                 path: path.to_path_buf(),
             });
         } else {
-            ResultSink::create_with(path, spec, options.shard, options.fsync)?
+            ResultSink::create(path, spec, options.shard, options.fsync)?
         }),
     });
 
@@ -351,6 +346,8 @@ fn run_with_prior(
         let sink_error = Arc::clone(&sink_error);
         let abort = Arc::clone(&abort);
         let eta = Arc::clone(&eta);
+        let spec = spec.clone();
+        let context = K::Context::default();
         let retry = options.retry.clone();
         let cancel = options.cancel.clone();
         pool.run_batch(pending, move |_, job| {
@@ -360,22 +357,22 @@ fn run_with_prior(
                 return None;
             }
             let record = crate::progress::run_job_instrumented(
-                job.id,
-                "flow",
+                K::job_id(&job),
+                K::LABEL,
                 &eta,
-                || execute_job_with_retry(&job, &retry, &cancel),
-                |record| matches!(record.outcome, JobOutcome::Failure { .. }),
+                || execute_with_retry(&spec, &job, &context, &retry, &cancel),
+                |record| K::failure_kind(record).is_some(),
             );
             // An in-flight job interrupted by the campaign token is also left
             // record-less: persisting its `cancelled` failure would make the resume
             // skip it forever.
-            if let JobOutcome::Failure { kind, .. } = &record.outcome {
+            if let Some(kind) = K::failure_kind(&record) {
                 if cancel.is_cancelled().is_some() && is_cancellation_kind(kind) {
                     return None;
                 }
             }
             if let Some(sink) = sink.as_ref() {
-                if let Err(e) = sink.append(&record) {
+                if let Err(e) = sink.append_line(&K::record_to_line(&record)) {
                     sink_error.lock().expect("sink error slot").get_or_insert(e);
                     abort.store(true, Ordering::Relaxed);
                 }
@@ -389,8 +386,8 @@ fn run_with_prior(
     let new_records = new_records.into_iter().flatten();
 
     let resumed = prior.len();
-    let mut records: Vec<JobRecord> = prior.into_values().chain(new_records).collect();
-    records.sort_by_key(|r| r.job_id);
+    let mut records: Vec<K::Record> = prior.into_values().chain(new_records).collect();
+    records.sort_by_key(K::record_id);
     Ok(CampaignOutcome {
         records,
         executed,
@@ -401,34 +398,32 @@ fn run_with_prior(
 }
 
 /// Validates the prior records of a resumed campaign against the spec's expansion.
-fn load_prior_records(
-    file: &CampaignFile,
-    spec: &CampaignSpec,
-    sharded: &[CampaignJob],
-) -> Result<BTreeMap<u64, JobRecord>, CampaignError> {
-    if let Some(file_spec) = &file.spec {
-        if file_spec != spec {
-            return Err(CampaignError::SpecMismatch {
-                reason: "the file header's spec differs from the requested spec".into(),
-            });
-        }
+fn load_prior_records<K: JobKind>(
+    file: &CampaignFile<K>,
+    spec: &K,
+    sharded: &[K::Job],
+) -> Result<BTreeMap<u64, K::Record>, CampaignError> {
+    if file
+        .spec
+        .as_ref()
+        .is_some_and(|file_spec| file_spec != spec)
+    {
+        return Err(CampaignError::SpecMismatch {
+            reason: "the file header's spec differs from the requested spec".into(),
+        });
     }
-    let by_id: BTreeMap<u64, &CampaignJob> = sharded.iter().map(|j| (j.id, j)).collect();
+    let by_id: BTreeMap<u64, &K::Job> = sharded.iter().map(|j| (K::job_id(j), j)).collect();
     let mut prior = BTreeMap::new();
-    for record in file.records.iter().cloned() {
-        match by_id.get(&record.job_id) {
-            Some(job) if record_matches(&record, job) => {
-                prior.insert(record.job_id, record);
+    for record in &file.records {
+        let id = K::record_id(record);
+        match by_id.get(&id) {
+            Some(job) if K::record_matches(record, job) => {
+                prior.insert(id, record.clone());
             }
             Some(_) => {
                 return Err(CampaignError::SpecMismatch {
                     reason: format!(
-                        "record of job {} (benchmark {}, setup {}, seed {}) does not match \
-                         the spec's expansion of that id",
-                        record.job_id,
-                        record.benchmark.name(),
-                        record.setup.label(),
-                        record.seed
+                        "record of job {id} does not match the spec's expansion of that id"
                     ),
                 });
             }
@@ -475,6 +470,33 @@ mod tests {
         spec.seeds.clear();
         let err = run_campaign(&spec, &CampaignOptions::in_memory(1)).unwrap_err();
         assert!(matches!(err, CampaignError::EmptySpec));
+    }
+
+    #[test]
+    fn resuming_a_file_of_the_other_kind_is_a_typed_error() {
+        use crate::sink::tests::results_file;
+        let flow_file = results_file::<CampaignSpec>("other-kind", &[0]);
+        let sca_file = results_file::<ScaCampaignSpec>("other-kind", &[0]);
+        let before = [&flow_file, &sca_file].map(|p| std::fs::read(p).unwrap());
+        let errors = [
+            resume_sca_from_file(&flow_file, 1, None).map(|_| ()),
+            resume_from_file(&sca_file, 1, None).map(|_| ()),
+        ];
+        for err in errors {
+            let err = err.unwrap_err();
+            assert!(
+                matches!(err, CampaignError::Sink(SinkError::Corrupt { line: 1, .. })),
+                "{err}"
+            );
+            assert!(err.to_string().contains("another job kind"), "{err}");
+        }
+        // Nothing ran and nothing was appended.
+        assert_eq!(
+            [&flow_file, &sca_file].map(|p| std::fs::read(p).unwrap()),
+            before
+        );
+        std::fs::remove_file(&flow_file).unwrap();
+        std::fs::remove_file(&sca_file).unwrap();
     }
 
     #[test]

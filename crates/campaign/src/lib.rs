@@ -18,12 +18,18 @@
 //!   summaries — mean/min/max/stddev per metric plus failure counts by
 //!   [`tsc3d::FlowError::kind`] — rendered as a Table-2-style report that is
 //!   byte-identical regardless of worker count, sharding or resume boundaries.
+//! * **Job kinds** ([`kind`]): the engine and the results file are generic over a
+//!   [`JobKind`] — the header key, spec codec, expansion, one-job execution under a
+//!   cancel token (with a per-run context), record codec and resume identity check of a
+//!   kind of job. [`CampaignSpec`] (flow runs, header `campaign`) and
+//!   [`ScaCampaignSpec`] (header `sca_campaign`) are the two kinds.
 //! * **Trace-level side-channel jobs** ([`mod@sca`]): an [`ScaCampaignSpec`] expands
 //!   benchmarks × keys × sensor configurations × mitigation on/off into seeded CPA
 //!   evaluations (`tsc3d-sca`) with measurements-to-disclosure aggregated per group and
 //!   an explicit mitigation verdict in the report.
-//! * **CLI**: the `campaign` binary wires it together (`run`, `resume`, `report`,
-//!   `sca-run`, `sca-resume`, `sca-report`, `--smoke` for CI).
+//! * **CLI**: the `campaign` binary wires it together with four verbs: `run` (flow) and
+//!   `sca-run` start a campaign, `resume` and `report` take the kind from the results
+//!   file's header, and `--smoke` selects either kind's CI preset.
 //!
 //! ```no_run
 //! use tsc3d_campaign::{aggregate, render_report, run_campaign, CampaignOptions, CampaignSpec};
@@ -40,7 +46,7 @@ pub mod aggregate;
 pub mod codec;
 pub mod engine;
 pub mod job;
-pub mod json;
+pub mod kind;
 pub mod progress;
 pub mod record;
 pub mod retry;
@@ -128,16 +134,19 @@ pub(crate) mod obs_metrics {
 }
 
 pub use aggregate::{aggregate, render_csv, render_report, CampaignSummary, GroupSummary, Stat};
+/// [`run_campaign_on`] under the sca name existing callers use; the spec argument pins
+/// the kind either way.
+pub use engine::run_campaign_on as run_sca_campaign_on;
 pub use engine::{
-    execute_job, execute_job_with_cancel, execute_job_with_retry, resume_from_file, run_campaign,
-    run_campaign_on, CampaignError, CampaignOptions, CampaignOutcome,
+    resume_from_file, resume_results_file, resume_sca_from_file, run_campaign, run_campaign_on,
+    CampaignError, CampaignOptions, CampaignOutcome,
 };
 pub use job::{CampaignJob, CampaignSpec, OverrideSet, Shard};
+pub use kind::JobKind;
 pub use record::{JobMetrics, JobOutcome, JobRecord};
 pub use retry::JobRetryPolicy;
 pub use sca::{
-    aggregate_sca, execute_sca_job, read_sca_file, render_sca_report, resume_sca_from_file,
-    run_sca_campaign, run_sca_campaign_on, ScaCampaignOutcome, ScaCampaignSpec, ScaCampaignSummary,
+    aggregate_sca, render_sca_report, FlowCache, ScaCampaignSpec, ScaCampaignSummary,
     ScaGroupSummary, ScaJob, ScaJobMetrics, ScaJobOutcome, ScaJobRecord, ScaSensorSet,
 };
-pub use sink::{read_campaign_file, repair_torn_tail, CampaignFile, ResultSink, SinkError};
+pub use sink::{read_results_file, repair_torn_tail, CampaignFile, ResultSink, SinkError};

@@ -3,8 +3,8 @@
 //! [`EtaTracker`] turns per-job completions into [`tsc3d_obs::EventKind::Eta`]
 //! snapshots on the event bus: it keeps an exponentially weighted moving average of
 //! job wall time and projects the remaining runtime from it, divided across the
-//! worker count. [`run_job_instrumented`] is the shared wrapper both the flow and
-//! sca campaign executors use to scope a job's events to its id and bracket it with
+//! worker count. [`run_job_instrumented`] is the wrapper the campaign engine runs every
+//! job of every kind in, to scope a job's events to its id and bracket it with
 //! `Job Started`/`Finished`/`Failed` records.
 //!
 //! All emission goes through [`tsc3d_obs::emit`], so when events are disabled the

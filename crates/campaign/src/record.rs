@@ -1,9 +1,9 @@
 //! Per-job result records: the unit streamed to the JSONL results file.
 
 use crate::codec::{benchmark_from_json, setup_from_json, setup_to_json, DecodeError};
-use crate::json::Json;
 use tsc3d::{display_chain, FlowError, FlowResult, Setup};
 use tsc3d_netlist::suite::Benchmark;
+use tsc3d_obs::json::Json;
 
 /// The scalar metrics of one successful flow run (the campaign analogue of one summand of
 /// [`tsc3d::experiment::SetupAverages`]).

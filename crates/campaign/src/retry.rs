@@ -1,5 +1,5 @@
-//! Per-job retry/backoff policy and the supervised attempt loop shared by the flow and
-//! sca campaign executors.
+//! Per-job retry/backoff policy and the supervised attempt loop the campaign engine runs
+//! every job of every kind under.
 //!
 //! A campaign job can fail *transiently* — a worker panic, an injected fault, an
 //! attempt-deadline miss — without the inputs being bad. [`JobRetryPolicy`] describes

@@ -4,30 +4,27 @@
 //! An [`ScaCampaignSpec`] expands benchmarks × design seeds × key seeds × sensor
 //! configurations × mitigation on/off into deterministic, individually-seeded
 //! [`ScaJob`]s. Each job runs the TSC-aware flow, then mounts the CPA attack of
-//! `tsc3d-sca` against the chosen mitigation state of the *same* flow result, and
-//! streams an [`ScaJobRecord`] — recovered key bytes, guessing entropy and
-//! measurements-to-disclosure — to a self-describing JSONL results file with the same
-//! torn-tail-tolerant resume semantics as the flow campaign. The aggregation layer folds
-//! records into per-(benchmark, sensor, mitigation) groups and renders an MTD report
-//! whose verdict line states whether the dummy-TSV mitigation measurably hurt the
-//! attacker, byte-identical across worker counts, shards and resume boundaries.
+//! `tsc3d-sca` against the chosen mitigation state of the *same* flow result. The spec
+//! is a [`JobKind`] (header key `sca_campaign`), so the one campaign engine shards,
+//! resumes, retries and streams its [`ScaJobRecord`]s — recovered key bytes, guessing
+//! entropy and measurements-to-disclosure — exactly as it does flow records. The
+//! aggregation layer folds records into per-(benchmark, sensor, mitigation) groups and
+//! renders an MTD report whose verdict line states whether the dummy-TSV mitigation
+//! measurably hurt the attacker, byte-identical across worker counts, shards and resume
+//! boundaries.
 
-use crate::codec::{flow_config_from_json, flow_config_to_json, DecodeError};
-use crate::engine::{CampaignError, CampaignOptions};
-use crate::job::{fnv1a, splitmix64, Shard};
-use crate::json::Json;
-use crate::retry::{is_cancellation_kind, JobRetryPolicy};
-use crate::sink::{repair_torn_tail, SinkError};
+use crate::codec::{
+    f64_field, flow_config_from_json, flow_config_to_json, str_field, usize_field, DecodeError,
+};
+use crate::job::{fnv1a, splitmix64};
+use crate::kind::JobKind;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::fs::{File, OpenOptions};
-use std::io::{BufWriter, Write as _};
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use tsc3d::exec::{CancelToken, Pool};
+use tsc3d::exec::CancelToken;
 use tsc3d::{display_chain, FlowConfig, Setup, TscFlow};
 use tsc3d_netlist::suite::Benchmark;
+use tsc3d_obs::json::Json;
 use tsc3d_sca::{
     run_on_flow_with_cancel, AttackConfig, LeakageModel, Mitigation, ScaOutcome, SensorConfig,
     TargetPolicy, WorkloadConfig,
@@ -429,29 +426,6 @@ fn sensor_config_to_json(config: &SensorConfig) -> Json {
     ])
 }
 
-fn num_field(value: &Json, key: &str) -> Result<f64, DecodeError> {
-    match value.get(key) {
-        Some(Json::Num(x)) => Ok(*x),
-        Some(Json::UInt(u)) => Ok(*u as f64),
-        _ => Err(DecodeError(format!("sca field '{key}' is not a number"))),
-    }
-}
-
-fn usize_field(value: &Json, key: &str) -> Result<usize, DecodeError> {
-    value
-        .get(key)
-        .and_then(Json::as_u64)
-        .map(|u| u as usize)
-        .ok_or_else(|| DecodeError(format!("sca field '{key}' is not an integer")))
-}
-
-fn str_field<'a>(value: &'a Json, key: &str) -> Result<&'a str, DecodeError> {
-    value
-        .get(key)
-        .and_then(Json::as_str)
-        .ok_or_else(|| DecodeError(format!("sca field '{key}' is not a string")))
-}
-
 /// Decodes a sensor configuration (the inverse of the encoding in sca spec headers and
 /// serve submissions).
 pub fn sensor_config_from_json(value: &Json) -> Result<SensorConfig, DecodeError> {
@@ -459,9 +433,9 @@ pub fn sensor_config_from_json(value: &Json) -> Result<SensorConfig, DecodeError
         die: usize_field(value, "die")?,
         sensors_per_axis: usize_field(value, "sensors_per_axis")?,
         samples_per_trace: usize_field(value, "samples_per_trace")?,
-        dwell_s: num_field(value, "dwell_s")?,
-        sigma_k: num_field(value, "sigma_k")?,
-        quantization_k: num_field(value, "quantization_k")?,
+        dwell_s: f64_field(value, "dwell_s")?,
+        sigma_k: f64_field(value, "sigma_k")?,
+        quantization_k: f64_field(value, "quantization_k")?,
     })
 }
 
@@ -508,8 +482,8 @@ pub fn attack_config_from_json(value: &Json) -> Result<AttackConfig, DecodeError
             key_bytes: usize_field(value, "key_bytes")?,
             leakage: LeakageModel::from_label(leakage_label)
                 .ok_or_else(|| DecodeError(format!("unknown leakage model '{leakage_label}'")))?,
-            watts_per_hw: num_field(value, "watts_per_hw")?,
-            background_sigma: num_field(value, "background_sigma")?,
+            watts_per_hw: f64_field(value, "watts_per_hw")?,
+            background_sigma: f64_field(value, "background_sigma")?,
         },
         sensors: sensor_config_from_json(
             value
@@ -638,16 +612,17 @@ struct FlowProduct {
     flow: Result<tsc3d::FlowResult, (String, String)>,
 }
 
-/// Memo of flow results within one campaign run: [`ScaJob::run_seed`] depends only on
-/// (benchmark, seed), so the key/sensor/mitigation axes all attack the *identical*
-/// floorplan — computing it once per group keeps the 8-job smoke from re-annealing the
-/// same design 8 times. Per-group mutexes let distinct groups anneal in parallel while
-/// same-group jobs wait for (and then share) the first computation.
 /// One lazily filled, independently lockable cache slot.
 type FlowSlot = Arc<Mutex<Option<Arc<FlowProduct>>>>;
 
+/// Memo of flow results within one campaign run (the sca kind's per-run context):
+/// [`ScaJob::run_seed`] depends only on (benchmark, seed), so the key/sensor/mitigation
+/// axes all attack the *identical* floorplan — computing it once per group keeps the
+/// 8-job smoke from re-annealing the same design 8 times. Per-group mutexes let distinct
+/// groups anneal in parallel while same-group jobs wait for (and then share) the first
+/// computation.
 #[derive(Default)]
-pub(crate) struct FlowCache {
+pub struct FlowCache {
     slots: Mutex<std::collections::HashMap<(Benchmark, u64), FlowSlot>>,
 }
 
@@ -674,532 +649,121 @@ impl FlowCache {
     }
 }
 
-/// Executes one sca job: flow (or its memoized result), then the attack against the
-/// job's mitigation state. `runtime_s` covers the work this job actually performed — the
-/// flow is included only for the job that computed it.
-pub fn execute_sca_job(spec: &ScaCampaignSpec, job: &ScaJob) -> ScaJobRecord {
-    execute_with_flows(spec, job, &FlowCache::default(), &CancelToken::new())
-}
-
-fn execute_with_flows(
-    spec: &ScaCampaignSpec,
-    job: &ScaJob,
-    flows: &FlowCache,
-    cancel: &CancelToken,
-) -> ScaJobRecord {
-    let _span = tsc3d_obs::span!("campaign_sca_job");
-    let metrics = crate::obs_metrics::get();
-    let running = crate::obs_metrics::RunningGuard::enter();
-    let started = std::time::Instant::now();
-    // The memoized flow is a shared product (other jobs of the same (benchmark, seed)
-    // group attack it), so it runs uncancellable; only this job's own attack polls the
-    // token at the `sca-batch` checkpoint.
-    let product = flows.get(spec, job);
-    let outcome = match &product.flow {
-        Err((kind, message)) => ScaJobOutcome::Failure {
-            kind: kind.clone(),
-            message: message.clone(),
-        },
-        Ok(flow) => {
-            let mut attack = spec.attack;
-            attack.sensors = job.sensor.config;
-            match run_on_flow_with_cancel(
-                &product.design,
-                flow,
-                &attack,
-                job.trace_seed(),
-                job.key_seed,
-                job.mitigation,
-                None,
-                cancel,
-            ) {
-                Err(error) => ScaJobOutcome::Failure {
-                    kind: error.kind().to_string(),
-                    message: display_chain(&error),
-                },
-                Ok(outcome) => ScaJobOutcome::Success(ScaJobMetrics::from_outcome(
-                    &outcome,
-                    flow.dummy_tsvs(),
-                    started.elapsed().as_secs_f64(),
-                )),
-            }
+impl ScaJobRecord {
+    fn of(job: &ScaJob, outcome: ScaJobOutcome) -> Self {
+        Self {
+            job_id: job.id,
+            benchmark: job.benchmark,
+            seed: job.seed,
+            key_seed: job.key_seed,
+            sensor_name: job.sensor.name.clone(),
+            mitigation: job.mitigation,
+            outcome,
         }
-    };
-    drop(running);
-    metrics.done.inc();
-    if let ScaJobOutcome::Failure { kind, .. } = &outcome {
-        crate::obs_metrics::record_failure(kind);
-    }
-    ScaJobRecord {
-        job_id: job.id,
-        benchmark: job.benchmark,
-        seed: job.seed,
-        key_seed: job.key_seed,
-        sensor_name: job.sensor.name.clone(),
-        mitigation: job.mitigation,
-        outcome,
     }
 }
 
-/// [`execute_sca_job`] under a [`JobRetryPolicy`]: panics are contained as typed `panic`
-/// failures, retryable kinds re-run with seeded backoff, and the final record is returned
-/// once the job succeeds or exhausts its attempts (quarantine).
-pub(crate) fn execute_sca_with_retry(
-    spec: &ScaCampaignSpec,
-    job: &ScaJob,
-    flows: &FlowCache,
-    policy: &JobRetryPolicy,
-    cancel: &CancelToken,
-) -> ScaJobRecord {
-    let (record, _attempts) = crate::retry::run_attempts(
-        policy,
-        job.run_seed(),
-        cancel,
-        |token| execute_with_flows(spec, job, flows, token),
-        |record| match &record.outcome {
-            ScaJobOutcome::Failure { kind, .. } => Some(kind.clone()),
-            ScaJobOutcome::Success(_) => None,
-        },
-        |message| {
-            crate::obs_metrics::record_failure("panic");
-            ScaJobRecord {
-                job_id: job.id,
-                benchmark: job.benchmark,
-                seed: job.seed,
-                key_seed: job.key_seed,
-                sensor_name: job.sensor.name.clone(),
-                mitigation: job.mitigation,
-                outcome: ScaJobOutcome::Failure {
-                    kind: "panic".to_string(),
-                    message,
-                },
-            }
-        },
-    );
-    record
-}
+impl JobKind for ScaCampaignSpec {
+    const HEADER_KEY: &'static str = "sca_campaign";
+    const LABEL: &'static str = "sca";
+    type Job = ScaJob;
+    type Record = ScaJobRecord;
+    type Context = FlowCache;
 
-// --- Results file -----------------------------------------------------------------
+    fn to_json(&self) -> Json {
+        sca_spec_to_json(self)
+    }
 
-/// The parsed content of an sca results file.
-#[derive(Debug)]
-pub struct ScaCampaignFile {
-    /// The spec from the header line, when present.
-    pub spec: Option<ScaCampaignSpec>,
-    /// The shard recorded in the header, when present.
-    pub shard: Option<Shard>,
-    /// All intact records, in file order.
-    pub records: Vec<ScaJobRecord>,
-    /// Whether a torn (unterminated) final line was ignored.
-    pub truncated_tail: bool,
-}
+    fn from_json(value: &Json) -> Result<Self, DecodeError> {
+        sca_spec_from_json(value)
+    }
 
-/// Reads an sca results file, tolerating a torn final line (same contract as
-/// [`crate::read_campaign_file`]; the header key is `sca_campaign`).
-///
-/// # Errors
-///
-/// Returns [`SinkError`] on I/O failures or interior corruption.
-pub fn read_sca_file(path: &Path) -> Result<ScaCampaignFile, SinkError> {
-    let content = std::fs::read_to_string(path).map_err(|e| SinkError::Io {
-        path: path.to_path_buf(),
-        source: e,
-    })?;
-    let has_torn_tail = !content.is_empty() && !content.ends_with('\n');
-    let lines: Vec<&str> = content
-        .lines()
-        .map(str::trim)
-        .filter(|l| !l.is_empty())
-        .collect();
-    let mut spec = None;
-    let mut shard = None;
-    let mut records = Vec::new();
-    let mut truncated_tail = false;
-    let last = lines.len().saturating_sub(1);
-    for (i, line) in lines.iter().enumerate() {
-        let parsed: Result<(), String> = match Json::parse(line) {
-            Err(e) => Err(e.to_string()),
-            Ok(value) => {
-                if let Some(header) = value.get("sca_campaign") {
-                    if i != 0 {
-                        return Err(SinkError::Corrupt {
-                            path: path.to_path_buf(),
-                            line: i + 1,
-                            reason: "sca campaign header not on the first line".into(),
-                        });
-                    }
-                    match sca_spec_from_json(header) {
-                        Ok(parsed_spec) => {
-                            spec = Some(parsed_spec);
-                            shard = value
-                                .get("shard")
-                                .and_then(Json::as_str)
-                                .and_then(Shard::parse);
-                            Ok(())
-                        }
-                        Err(e) => Err(e.to_string()),
-                    }
-                } else {
-                    match ScaJobRecord::from_json(&value) {
-                        Ok(record) => {
-                            records.push(record);
-                            Ok(())
-                        }
-                        Err(e) => Err(e.to_string()),
-                    }
+    fn expand(&self) -> Vec<ScaJob> {
+        ScaCampaignSpec::expand(self)
+    }
+
+    fn job_id(job: &ScaJob) -> u64 {
+        job.id
+    }
+
+    fn run_seed(job: &ScaJob) -> u64 {
+        job.run_seed()
+    }
+
+    /// Runs the flow (or takes its memoized result), then the attack against the job's
+    /// mitigation state. `runtime_s` covers the work this job actually performed — the
+    /// flow is included only for the job that computed it.
+    fn execute(&self, job: &ScaJob, flows: &FlowCache, cancel: &CancelToken) -> ScaJobRecord {
+        let _span = tsc3d_obs::span!("campaign_sca_job");
+        let started = std::time::Instant::now();
+        // The memoized flow is a shared product (other jobs of the same (benchmark, seed)
+        // group attack it), so it runs uncancellable; only this job's own attack polls
+        // the token at the `sca-batch` checkpoint.
+        let product = flows.get(self, job);
+        let outcome = match &product.flow {
+            Err((kind, message)) => ScaJobOutcome::Failure {
+                kind: kind.clone(),
+                message: message.clone(),
+            },
+            Ok(flow) => {
+                let mut attack = self.attack;
+                attack.sensors = job.sensor.config;
+                match run_on_flow_with_cancel(
+                    &product.design,
+                    flow,
+                    &attack,
+                    job.trace_seed(),
+                    job.key_seed,
+                    job.mitigation,
+                    None,
+                    cancel,
+                ) {
+                    Err(error) => ScaJobOutcome::Failure {
+                        kind: error.kind().to_string(),
+                        message: display_chain(&error),
+                    },
+                    Ok(outcome) => ScaJobOutcome::Success(ScaJobMetrics::from_outcome(
+                        &outcome,
+                        flow.dummy_tsvs(),
+                        started.elapsed().as_secs_f64(),
+                    )),
                 }
             }
         };
-        match parsed {
-            Ok(()) => {}
-            Err(_) if i == last && has_torn_tail => truncated_tail = true,
-            Err(reason) => {
-                return Err(SinkError::Corrupt {
-                    path: path.to_path_buf(),
-                    line: i + 1,
-                    reason,
-                })
-            }
+        ScaJobRecord::of(job, outcome)
+    }
+
+    fn panic_record(job: &ScaJob, message: String) -> ScaJobRecord {
+        let kind = "panic".to_string();
+        ScaJobRecord::of(job, ScaJobOutcome::Failure { kind, message })
+    }
+
+    fn failure_kind(record: &ScaJobRecord) -> Option<&str> {
+        match &record.outcome {
+            ScaJobOutcome::Failure { kind, .. } => Some(kind),
+            ScaJobOutcome::Success(_) => None,
         }
     }
-    Ok(ScaCampaignFile {
-        spec,
-        shard,
-        records,
-        truncated_tail,
-    })
-}
 
-/// A thread-safe appending writer of the sca results file (the sca analogue of
-/// [`crate::ResultSink`]).
-#[derive(Debug)]
-pub struct ScaResultSink {
-    path: PathBuf,
-    writer: Mutex<BufWriter<File>>,
-    fsync: bool,
-}
-
-impl ScaResultSink {
-    /// Creates the file and writes the `sca_campaign` header line. The header is
-    /// installed atomically (temp file + fsync + rename), so a crash during creation
-    /// cannot leave a torn header behind.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SinkError`] on I/O failure.
-    pub fn create(path: &Path, spec: &ScaCampaignSpec, shard: Shard) -> Result<Self, SinkError> {
-        Self::create_with(path, spec, shard, false)
+    fn record_id(record: &ScaJobRecord) -> u64 {
+        record.job_id
     }
 
-    /// [`ScaResultSink::create`] with optional per-line fsync durability.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SinkError`] on I/O failure.
-    pub fn create_with(
-        path: &Path,
-        spec: &ScaCampaignSpec,
-        shard: Shard,
-        fsync: bool,
-    ) -> Result<Self, SinkError> {
-        let header = Json::Obj(vec![
-            ("sca_campaign".into(), sca_spec_to_json(spec)),
-            ("shard".into(), Json::Str(shard.to_string())),
-        ])
-        .render();
-        crate::sink::write_header_atomically(path, &header)?;
-        Self::append_to_with(path, fsync)
+    fn record_matches(record: &ScaJobRecord, job: &ScaJob) -> bool {
+        record.benchmark == job.benchmark
+            && record.seed == job.seed
+            && record.key_seed == job.key_seed
+            && record.sensor_name == job.sensor.name
+            && record.mitigation == job.mitigation
     }
 
-    /// Opens an existing file for appending (the resume path).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SinkError`] on I/O failure.
-    pub fn append_to(path: &Path) -> Result<Self, SinkError> {
-        Self::append_to_with(path, false)
+    fn record_to_line(record: &ScaJobRecord) -> String {
+        record.to_json_line()
     }
 
-    /// [`ScaResultSink::append_to`] with optional per-line fsync durability.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SinkError`] on I/O failure.
-    pub fn append_to_with(path: &Path, fsync: bool) -> Result<Self, SinkError> {
-        let file = OpenOptions::new()
-            .append(true)
-            .open(path)
-            .map_err(|e| SinkError::Io {
-                path: path.to_path_buf(),
-                source: e,
-            })?;
-        Ok(Self {
-            path: path.to_path_buf(),
-            writer: Mutex::new(BufWriter::new(file)),
-            fsync,
-        })
+    fn record_from_json(value: &Json) -> Result<ScaJobRecord, DecodeError> {
+        ScaJobRecord::from_json(value)
     }
-
-    /// Appends one record and flushes (plus fsyncs, when enabled).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SinkError`] on I/O failure.
-    pub fn append(&self, record: &ScaJobRecord) -> Result<(), SinkError> {
-        self.append_line(&record.to_json_line())
-    }
-
-    fn append_line(&self, line: &str) -> Result<(), SinkError> {
-        let mut writer = self.writer.lock().expect("sca sink writer poisoned");
-        writeln!(writer, "{line}")
-            .and_then(|()| writer.flush())
-            .and_then(|()| {
-                if self.fsync {
-                    writer.get_ref().sync_data()
-                } else {
-                    Ok(())
-                }
-            })
-            .map_err(|e| SinkError::Io {
-                path: self.path.clone(),
-                source: e,
-            })
-    }
-}
-
-// --- Engine -----------------------------------------------------------------------
-
-/// Outcome of an sca campaign run.
-#[derive(Debug)]
-pub struct ScaCampaignOutcome {
-    /// All records of this shard — prior (resumed) and newly executed — sorted by job id.
-    pub records: Vec<ScaJobRecord>,
-    /// Jobs executed by this run.
-    pub executed: usize,
-    /// Jobs skipped because the results file already had their record.
-    pub resumed: usize,
-    /// Jobs outside this shard.
-    pub out_of_shard: usize,
-    /// The shard the run actually executed.
-    pub shard: Shard,
-}
-
-/// Runs (or resumes) an sca campaign on an internally managed pool.
-///
-/// # Errors
-///
-/// Same contract as [`crate::run_campaign`].
-pub fn run_sca_campaign(
-    spec: &ScaCampaignSpec,
-    options: &CampaignOptions,
-) -> Result<ScaCampaignOutcome, CampaignError> {
-    let pool = Pool::with_batch_workers(options.workers);
-    let outcome = run_sca_campaign_on(&pool, spec, options);
-    pool.shutdown();
-    outcome
-}
-
-/// [`run_sca_campaign`] on a caller-provided (typically shared) pool.
-///
-/// # Errors
-///
-/// Same contract as [`crate::run_campaign`].
-pub fn run_sca_campaign_on(
-    pool: &Pool,
-    spec: &ScaCampaignSpec,
-    options: &CampaignOptions,
-) -> Result<ScaCampaignOutcome, CampaignError> {
-    let prior_file = match options.results_path.as_deref() {
-        Some(path) if options.resume && path.exists() => {
-            repair_torn_tail(path)?;
-            Some(read_sca_file(path)?)
-        }
-        _ => None,
-    };
-    let mut options = options.clone();
-    if options.shard == Shard::full() {
-        if let Some(file_shard) = prior_file.as_ref().and_then(|f| f.shard) {
-            options.shard = file_shard;
-        }
-    }
-    run_sca_with_prior(pool, spec, &options, prior_file)
-}
-
-/// Resumes an sca campaign from its self-describing results file.
-///
-/// # Errors
-///
-/// Same contract as [`crate::resume_from_file`].
-pub fn resume_sca_from_file(
-    path: &Path,
-    workers: usize,
-    shard_override: Option<Shard>,
-) -> Result<(ScaCampaignSpec, ScaCampaignOutcome), CampaignError> {
-    repair_torn_tail(path)?;
-    let file = read_sca_file(path)?;
-    let spec = file
-        .spec
-        .clone()
-        .ok_or_else(|| CampaignError::SpecMismatch {
-            reason: format!("{} has no sca campaign header", path.display()),
-        })?;
-    let shard = shard_override.or(file.shard).unwrap_or_else(Shard::full);
-    let options = CampaignOptions {
-        shard,
-        results_path: Some(path.to_path_buf()),
-        resume: true,
-        ..CampaignOptions::in_memory(workers)
-    };
-    let pool = Pool::with_batch_workers(workers);
-    let outcome = run_sca_with_prior(&pool, &spec, &options, Some(file));
-    pool.shutdown();
-    Ok((spec, outcome?))
-}
-
-fn record_matches(record: &ScaJobRecord, job: &ScaJob) -> bool {
-    record.benchmark == job.benchmark
-        && record.seed == job.seed
-        && record.key_seed == job.key_seed
-        && record.sensor_name == job.sensor.name
-        && record.mitigation == job.mitigation
-}
-
-fn run_sca_with_prior(
-    pool: &Pool,
-    spec: &ScaCampaignSpec,
-    options: &CampaignOptions,
-    prior_file: Option<ScaCampaignFile>,
-) -> Result<ScaCampaignOutcome, CampaignError> {
-    let jobs = spec.expand();
-    if jobs.is_empty() {
-        return Err(CampaignError::EmptySpec);
-    }
-    let total = jobs.len();
-    let sharded: Vec<ScaJob> = jobs
-        .into_iter()
-        .filter(|job| options.shard.contains(job.id))
-        .collect();
-    let out_of_shard = total - sharded.len();
-
-    let prior: BTreeMap<u64, ScaJobRecord> = match &prior_file {
-        Some(file) => {
-            if let Some(file_spec) = &file.spec {
-                if file_spec != spec {
-                    return Err(CampaignError::SpecMismatch {
-                        reason: "the sca file header's spec differs from the requested spec".into(),
-                    });
-                }
-            }
-            let by_id: BTreeMap<u64, &ScaJob> = sharded.iter().map(|j| (j.id, j)).collect();
-            let mut prior = BTreeMap::new();
-            for record in file.records.iter().cloned() {
-                match by_id.get(&record.job_id) {
-                    Some(job) if record_matches(&record, job) => {
-                        prior.insert(record.job_id, record);
-                    }
-                    Some(_) => {
-                        return Err(CampaignError::SpecMismatch {
-                            reason: format!(
-                                "sca record of job {} does not match the spec's expansion of \
-                                 that id",
-                                record.job_id
-                            ),
-                        });
-                    }
-                    None => {}
-                }
-            }
-            prior
-        }
-        None => BTreeMap::new(),
-    };
-
-    let pending: Vec<ScaJob> = sharded
-        .iter()
-        .filter(|job| !prior.contains_key(&job.id))
-        .cloned()
-        .collect();
-
-    let sink: Arc<Option<ScaResultSink>> = Arc::new(match options.results_path.as_deref() {
-        None => None,
-        Some(path) => Some(if prior_file.is_some() {
-            ScaResultSink::append_to_with(path, options.fsync)?
-        } else if path.exists() {
-            return Err(CampaignError::WouldOverwrite {
-                path: path.to_path_buf(),
-            });
-        } else {
-            ScaResultSink::create_with(path, spec, options.shard, options.fsync)?
-        }),
-    });
-
-    let sink_error: Arc<Mutex<Option<SinkError>>> = Arc::new(Mutex::new(None));
-    let abort = Arc::new(AtomicBool::new(false));
-    let executed = pending.len();
-    crate::obs_metrics::get().queued.add(executed as u64);
-    crate::obs_metrics::get().resumed.add(prior.len() as u64);
-    let spec_for_jobs = Arc::new(spec.clone());
-    let flows = Arc::new(FlowCache::default());
-    let eta = Arc::new(crate::progress::EtaTracker::new(executed, pool.threads()));
-    let new_records = {
-        let sink = Arc::clone(&sink);
-        let sink_error = Arc::clone(&sink_error);
-        let abort = Arc::clone(&abort);
-        let spec = Arc::clone(&spec_for_jobs);
-        let flows = Arc::clone(&flows);
-        let eta = Arc::clone(&eta);
-        let retry = options.retry.clone();
-        let cancel = options.cancel.clone();
-        pool.run_batch(pending, move |_, job| {
-            // A fired campaign token drops queued jobs without a record, so a later
-            // resume re-runs them — same contract as a killed process.
-            if abort.load(Ordering::Relaxed) || cancel.is_cancelled().is_some() {
-                return None;
-            }
-            let record = crate::progress::run_job_instrumented(
-                job.id,
-                "sca",
-                &eta,
-                || execute_sca_with_retry(&spec, &job, &flows, &retry, &cancel),
-                |record| matches!(record.outcome, ScaJobOutcome::Failure { .. }),
-            );
-            // An in-flight job interrupted by the campaign token is also left
-            // record-less: persisting its `cancelled` failure would make the resume
-            // skip it forever.
-            if let ScaJobOutcome::Failure { kind, .. } = &record.outcome {
-                if cancel.is_cancelled().is_some() && is_cancellation_kind(kind) {
-                    return None;
-                }
-            }
-            if let Some(sink) = sink.as_ref() {
-                if let Err(e) = sink.append(&record) {
-                    sink_error
-                        .lock()
-                        .expect("sca sink error slot")
-                        .get_or_insert(e);
-                    abort.store(true, Ordering::Relaxed);
-                }
-            }
-            Some(record)
-        })
-    };
-    if let Some(e) = sink_error.lock().expect("sca sink error slot").take() {
-        return Err(e.into());
-    }
-
-    let resumed = prior.len();
-    let mut records: Vec<ScaJobRecord> = prior
-        .into_values()
-        .chain(new_records.into_iter().flatten())
-        .collect();
-    records.sort_by_key(|r| r.job_id);
-    Ok(ScaCampaignOutcome {
-        records,
-        executed,
-        resumed,
-        out_of_shard,
-        shard: options.shard,
-    })
 }
 
 // --- Aggregation ------------------------------------------------------------------

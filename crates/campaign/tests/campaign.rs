@@ -7,7 +7,7 @@
 
 use std::path::PathBuf;
 use tsc3d_campaign::{
-    aggregate, read_campaign_file, render_report, run_campaign, run_campaign_on, CampaignOptions,
+    aggregate, read_results_file, render_report, run_campaign, run_campaign_on, CampaignOptions,
     CampaignSpec, JobOutcome, JobRecord, OverrideSet, Shard,
 };
 use tsc3d_netlist::suite::Benchmark;
@@ -142,7 +142,7 @@ fn killed_campaigns_resume_to_identical_aggregates() {
     truncated.extend(lines.take(k).map(str::to_string));
     let kept: Vec<JobRecord> = truncated[1..]
         .iter()
-        .map(|l| JobRecord::from_json(&tsc3d_campaign::json::Json::parse(l).unwrap()).unwrap())
+        .map(|l| JobRecord::from_json(&tsc3d_obs::json::Json::parse(l).unwrap()).unwrap())
         .collect();
     let mut torn = truncated.join("\n");
     torn.push_str("\n{\"job_id\":99,\"bench");
@@ -151,7 +151,7 @@ fn killed_campaigns_resume_to_identical_aggregates() {
 
     // Resume: the spec comes from the file header, exactly as the CLI does it (one read,
     // torn tail repaired, completed jobs skipped).
-    let file = read_campaign_file(&resume_path).unwrap();
+    let file = read_results_file::<CampaignSpec>(&resume_path).unwrap();
     assert!(file.truncated_tail);
     let (resumed_spec, resumed) = tsc3d_campaign::resume_from_file(&resume_path, 4, None).unwrap();
     assert_eq!(resumed_spec, spec);
@@ -172,7 +172,7 @@ fn killed_campaigns_resume_to_identical_aggregates() {
 
     // And the resumed *file* now contains every record: a plain `report` run sees the
     // full campaign.
-    let final_file = read_campaign_file(&resume_path).unwrap();
+    let final_file = read_results_file::<CampaignSpec>(&resume_path).unwrap();
     assert_eq!(final_file.records.len(), spec.job_count());
     assert!(!final_file.truncated_tail, "resume repaired the torn tail");
 
@@ -318,9 +318,9 @@ mod expansion_properties {
 
 mod json_properties {
     use proptest::prelude::*;
-    use tsc3d_campaign::json::Json;
     use tsc3d_campaign::{JobMetrics, JobOutcome};
     use tsc3d_netlist::suite::Benchmark;
+    use tsc3d_obs::json::Json;
 
     /// `true` when the two floats are the same number for round-trip purposes: bitwise
     /// identical for finite values and infinities, NaN-for-NaN otherwise (the sentinel

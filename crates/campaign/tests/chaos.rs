@@ -8,7 +8,7 @@
 
 use std::path::PathBuf;
 use tsc3d_campaign::{
-    read_campaign_file, resume_from_file, run_campaign, CampaignOptions, CampaignSpec, JobOutcome,
+    read_results_file, resume_from_file, run_campaign, CampaignOptions, CampaignSpec, JobOutcome,
     JobRecord, JobRetryPolicy,
 };
 use tsc3d_exec::fault::{self, FaultAction, FaultPlan};
@@ -171,7 +171,7 @@ fn cancelled_campaigns_leave_no_records_and_resume_reruns_the_jobs() {
         cancelled.records.is_empty(),
         "cancelled jobs must not persist records (a resume would skip them forever)"
     );
-    let on_disk = read_campaign_file(&path).unwrap();
+    let on_disk = read_results_file::<CampaignSpec>(&path).unwrap();
     assert!(on_disk.records.is_empty());
 
     let (_, resumed) = resume_from_file(&path, 2, None).unwrap();

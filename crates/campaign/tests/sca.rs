@@ -8,7 +8,7 @@
 
 use std::path::PathBuf;
 use tsc3d_campaign::{
-    aggregate_sca, read_sca_file, render_sca_report, resume_sca_from_file, run_sca_campaign,
+    aggregate_sca, read_results_file, render_sca_report, resume_sca_from_file, run_campaign,
     CampaignOptions, ScaCampaignSpec, ScaJobOutcome, ScaJobRecord,
 };
 use tsc3d_netlist::suite::Benchmark;
@@ -50,7 +50,7 @@ fn temp_file(name: &str) -> PathBuf {
 #[test]
 fn sca_smoke_shows_strictly_higher_mtd_under_mitigation_for_any_worker_count() {
     let spec = test_spec();
-    let single = run_sca_campaign(&spec, &CampaignOptions::in_memory(1)).unwrap();
+    let single = run_campaign(&spec, &CampaignOptions::in_memory(1)).unwrap();
     assert_eq!(single.records.len(), spec.job_count());
 
     // The acceptance property: every job succeeded, both keys disclosed, and the
@@ -82,7 +82,7 @@ fn sca_smoke_shows_strictly_higher_mtd_under_mitigation_for_any_worker_count() {
     assert!(mitigated.dummy_tsvs.mean > 0.0);
 
     // Bit-identical records and byte-identical report across worker counts.
-    let pooled = run_sca_campaign(&spec, &CampaignOptions::in_memory(3)).unwrap();
+    let pooled = run_campaign(&spec, &CampaignOptions::in_memory(3)).unwrap();
     assert_eq!(normalized(&single.records), normalized(&pooled.records));
     assert_eq!(
         render_sca_report(&aggregate_sca(&normalized(&single.records))),
@@ -98,9 +98,9 @@ fn sca_campaigns_resume_across_a_kill_boundary_byte_identically() {
     // The reference: one uninterrupted run.
     let mut options = CampaignOptions::in_memory(2);
     options.results_path = Some(path.clone());
-    let full = run_sca_campaign(&spec, &options).unwrap();
+    let full = run_campaign(&spec, &options).unwrap();
     assert_eq!(full.executed, spec.job_count());
-    let file = read_sca_file(&path).unwrap();
+    let file = read_results_file::<ScaCampaignSpec>(&path).unwrap();
     assert_eq!(file.records.len(), spec.job_count());
     assert_eq!(file.spec.as_ref(), Some(&spec));
 
@@ -126,7 +126,7 @@ fn sca_campaigns_resume_across_a_kill_boundary_byte_identically() {
     );
 
     // The re-read file holds every record exactly once.
-    let file = read_sca_file(&path).unwrap();
+    let file = read_results_file::<ScaCampaignSpec>(&path).unwrap();
     assert_eq!(file.records.len(), spec.job_count());
     assert!(!file.truncated_tail);
     std::fs::remove_file(&path).unwrap();
@@ -139,20 +139,20 @@ fn sca_results_files_refuse_silent_overwrites_and_wrong_specs() {
     std::fs::write(&path, "{}\n").unwrap();
     let mut options = CampaignOptions::in_memory(1);
     options.results_path = Some(path.clone());
-    let err = run_sca_campaign(&spec, &options).unwrap_err();
+    let err = run_campaign(&spec, &options).unwrap_err();
     assert!(err.to_string().contains("already exists"), "{err}");
     std::fs::remove_file(&path).unwrap();
 
     // A resumed file with a different spec is refused.
     let mut options = CampaignOptions::in_memory(1);
     options.results_path = Some(path.clone());
-    run_sca_campaign(&spec, &options).unwrap();
+    run_campaign(&spec, &options).unwrap();
     let mut other = spec.clone();
     other.key_seeds = vec![99];
     let mut resume_options = CampaignOptions::in_memory(1);
     resume_options.results_path = Some(path.clone());
     resume_options.resume = true;
-    let err = run_sca_campaign(&other, &resume_options).unwrap_err();
+    let err = run_campaign(&other, &resume_options).unwrap_err();
     assert!(err.to_string().contains("spec"), "{err}");
     std::fs::remove_file(&path).unwrap();
 }

@@ -12,8 +12,8 @@ use std::process::ExitCode;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
-use tsc3d_campaign::json::Json;
 use tsc3d_loadgen::{mix::Mix, report, run, schedule};
+use tsc3d_obs::json::Json;
 use tsc3d_serve::{Server, ServerConfig};
 
 const USAGE: &str = "\

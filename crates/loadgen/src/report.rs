@@ -10,7 +10,7 @@
 
 use crate::run::{Mode, RunResult};
 use std::sync::atomic::Ordering;
-use tsc3d_campaign::json::Json;
+use tsc3d_obs::json::Json;
 
 /// The schema string written at the top of `BENCH_serve.json`.
 pub const SCHEMA: &str = "tsc3d-bench-serve/v1";

@@ -31,213 +31,9 @@
 //! * [`render_trajectory`] — every label in file order, each rate with its
 //!   delta against the *previous* label, the full performance story of the
 //!   repo in one table.
-//!
-//! `tsc3d-obs` has no dependencies, so this module carries its own minimal
-//! recursive-descent JSON parser ([`JsonValue::parse`]); the campaign crate's
-//! richer codec sits higher in the dependency graph and cannot be used here.
 
+use crate::json::Json;
 use std::fmt::Write as _;
-
-// --- Minimal JSON ------------------------------------------------------------------
-
-/// A parsed JSON value (just enough for the bench file: no number fidelity
-/// beyond `f64`, object keys kept in file order).
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number.
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, keys in file order.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Parses one JSON document (trailing whitespace allowed, nothing else).
-    ///
-    /// # Errors
-    ///
-    /// Returns a message with the byte offset of the first syntax error.
-    pub fn parse(text: &str) -> Result<JsonValue, String> {
-        let bytes = text.as_bytes();
-        let mut pos = 0usize;
-        let value = parse_value(bytes, &mut pos)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing content at byte {pos}"));
-        }
-        Ok(value)
-    }
-
-    /// The member `name` of an object, or `None`.
-    pub fn get(&self, name: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(members) => members.iter().find(|(k, _)| k == name).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string content, or `None`.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s.as_str()),
-            _ => None,
-        }
-    }
-
-    /// The numeric value, or `None`.
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
-    while *pos < bytes.len() && matches!(bytes[*pos], b' ' | b'\t' | b'\r' | b'\n') {
-        *pos += 1;
-    }
-}
-
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
-    skip_ws(bytes, pos);
-    match bytes.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => {
-            *pos += 1;
-            let mut members = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b'}') {
-                *pos += 1;
-                return Ok(JsonValue::Obj(members));
-            }
-            loop {
-                skip_ws(bytes, pos);
-                let key = match parse_value(bytes, pos)? {
-                    JsonValue::Str(key) => key,
-                    _ => return Err(format!("object key is not a string at byte {pos}")),
-                };
-                skip_ws(bytes, pos);
-                if bytes.get(*pos) != Some(&b':') {
-                    return Err(format!("expected ':' at byte {pos}"));
-                }
-                *pos += 1;
-                members.push((key, parse_value(bytes, pos)?));
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b'}') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Obj(members));
-                    }
-                    _ => return Err(format!("expected ',' or '}}' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'[') => {
-            *pos += 1;
-            let mut items = Vec::new();
-            skip_ws(bytes, pos);
-            if bytes.get(*pos) == Some(&b']') {
-                *pos += 1;
-                return Ok(JsonValue::Arr(items));
-            }
-            loop {
-                items.push(parse_value(bytes, pos)?);
-                skip_ws(bytes, pos);
-                match bytes.get(*pos) {
-                    Some(b',') => *pos += 1,
-                    Some(b']') => {
-                        *pos += 1;
-                        return Ok(JsonValue::Arr(items));
-                    }
-                    _ => return Err(format!("expected ',' or ']' at byte {pos}")),
-                }
-            }
-        }
-        Some(b'"') => parse_string(bytes, pos).map(JsonValue::Str),
-        Some(b't') if bytes[*pos..].starts_with(b"true") => {
-            *pos += 4;
-            Ok(JsonValue::Bool(true))
-        }
-        Some(b'f') if bytes[*pos..].starts_with(b"false") => {
-            *pos += 5;
-            Ok(JsonValue::Bool(false))
-        }
-        Some(b'n') if bytes[*pos..].starts_with(b"null") => {
-            *pos += 4;
-            Ok(JsonValue::Null)
-        }
-        Some(_) => {
-            let start = *pos;
-            while *pos < bytes.len()
-                && matches!(bytes[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-            {
-                *pos += 1;
-            }
-            let text = std::str::from_utf8(&bytes[start..*pos])
-                .map_err(|_| format!("invalid number at byte {start}"))?;
-            text.parse::<f64>()
-                .map(JsonValue::Num)
-                .map_err(|_| format!("invalid number '{text}' at byte {start}"))
-        }
-    }
-}
-
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(bytes.get(*pos), Some(&b'"'));
-    *pos += 1;
-    let mut out = Vec::new();
-    while let Some(&b) = bytes.get(*pos) {
-        *pos += 1;
-        match b {
-            b'"' => {
-                return String::from_utf8(out).map_err(|_| "invalid UTF-8 in string".to_string())
-            }
-            b'\\' => {
-                let escape = bytes
-                    .get(*pos)
-                    .ok_or_else(|| "unterminated escape".to_string())?;
-                *pos += 1;
-                match escape {
-                    b'"' => out.push(b'"'),
-                    b'\\' => out.push(b'\\'),
-                    b'/' => out.push(b'/'),
-                    b'n' => out.push(b'\n'),
-                    b't' => out.push(b'\t'),
-                    b'r' => out.push(b'\r'),
-                    b'b' => out.push(0x08),
-                    b'f' => out.push(0x0C),
-                    b'u' => {
-                        let hex = bytes
-                            .get(*pos..*pos + 4)
-                            .ok_or_else(|| "truncated \\u escape".to_string())?;
-                        let hex = std::str::from_utf8(hex)
-                            .map_err(|_| "invalid \\u escape".to_string())?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| format!("invalid \\u escape '{hex}'"))?;
-                        *pos += 4;
-                        // Surrogate pairs are not worth the code here: bench
-                        // labels and notes are ASCII. Map them to U+FFFD.
-                        let c = char::from_u32(code).unwrap_or('\u{FFFD}');
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(c.encode_utf8(&mut buf).as_bytes());
-                    }
-                    other => return Err(format!("unknown escape '\\{}'", *other as char)),
-                }
-            }
-            other => out.push(other),
-        }
-    }
-    Err("unterminated string".into())
-}
 
 // --- Bench model -------------------------------------------------------------------
 
@@ -305,35 +101,34 @@ impl BenchFile {
 ///
 /// Returns a message on JSON syntax errors or a missing/empty `entries` array.
 pub fn parse_bench(text: &str) -> Result<BenchFile, String> {
-    let root = JsonValue::parse(text)?;
+    let root = Json::parse(text).map_err(|e| e.to_string())?;
     let schema = root
         .get("schema")
-        .and_then(JsonValue::as_str)
+        .and_then(Json::as_str)
         .unwrap_or("(unknown)")
         .to_string();
-    let Some(JsonValue::Arr(raw_entries)) = root.get("entries") else {
+    let Some(raw_entries) = root.get("entries").and_then(Json::as_array) else {
         return Err("no 'entries' array at the top level".into());
     };
     let mut entries = Vec::with_capacity(raw_entries.len());
     for raw in raw_entries {
-        let JsonValue::Obj(members) = raw else {
+        let Json::Obj(members) = raw else {
             return Err("an entry is not an object".into());
         };
         let label = raw
             .get("label")
-            .and_then(JsonValue::as_str)
+            .and_then(Json::as_str)
             .ok_or("an entry has no 'label'")?
             .to_string();
         let mut sections = Vec::new();
         for (name, value) in members {
-            let JsonValue::Arr(items) = value else {
+            let Some(items) = value.as_array() else {
                 continue;
             };
-            if !items.iter().all(|i| matches!(i, JsonValue::Obj(_))) {
-                continue;
+            let rows: Option<Vec<BenchRow>> = items.iter().map(parse_row).collect();
+            if let Some(rows) = rows {
+                sections.push((name.clone(), rows));
             }
-            let rows = items.iter().map(parse_row).collect();
-            sections.push((name.clone(), rows));
         }
         entries.push(BenchEntry { label, sections });
     }
@@ -343,31 +138,36 @@ pub fn parse_bench(text: &str) -> Result<BenchFile, String> {
     Ok(BenchFile { schema, entries })
 }
 
-fn parse_row(item: &JsonValue) -> BenchRow {
-    let JsonValue::Obj(members) = item else {
-        unreachable!("caller checked every item is an object");
+/// The row of an object item, `None` for any other value (its array is no section).
+fn parse_row(item: &Json) -> Option<BenchRow> {
+    let Json::Obj(members) = item else {
+        return None;
     };
     let mut key = String::new();
     let mut rates = Vec::new();
     for (name, value) in members {
+        let sep = if key.is_empty() { "" } else { " " };
         match value {
-            JsonValue::Num(n) => {
-                if let Some(polarity) = metric_polarity(name) {
-                    rates.push((name.clone(), *n, polarity));
-                    continue;
+            Json::Num(_) | Json::UInt(_) => {
+                // Integers widen to f64, so `seed=3` keys the same row as `"seed":3.0`.
+                let n = value.as_f64().expect("numbers widen to f64");
+                match metric_polarity(name) {
+                    Some(polarity) => rates.push((name.clone(), n, polarity)),
+                    None => {
+                        let _ = write!(key, "{sep}{name}={n}");
+                    }
                 }
-                let _ = write!(key, "{}{name}={n}", if key.is_empty() { "" } else { " " });
             }
-            JsonValue::Str(s) => {
-                let _ = write!(key, "{}{name}={s}", if key.is_empty() { "" } else { " " });
+            Json::Str(s) => {
+                let _ = write!(key, "{sep}{name}={s}");
             }
-            JsonValue::Bool(b) => {
-                let _ = write!(key, "{}{name}={b}", if key.is_empty() { "" } else { " " });
+            Json::Bool(b) => {
+                let _ = write!(key, "{sep}{name}={b}");
             }
             _ => {}
         }
     }
-    BenchRow { key, rates }
+    Some(BenchRow { key, rates })
 }
 
 // --- Rendering ---------------------------------------------------------------------
@@ -621,12 +421,11 @@ mod tests {
 
     #[test]
     fn parses_escapes_and_rejects_trailing_garbage() {
-        assert_eq!(
-            JsonValue::parse(r#""a\n\"b\"""#).unwrap(),
-            JsonValue::Str("a\n\"b\"".into())
-        );
-        assert!(JsonValue::parse("{} garbage").is_err());
-        assert!(JsonValue::parse("[1, 2e3, -0.5]").is_ok());
+        let escaped = SAMPLE.replace(r#""label":"a""#, r#""label":"a\n\"b\"""#);
+        let file = parse_bench(&escaped).unwrap();
+        assert_eq!(file.entries[0].label, "a\n\"b\"");
+        let err = parse_bench(&format!("{SAMPLE} garbage")).unwrap_err();
+        assert!(err.contains("trailing"), "{err}");
     }
 
     #[test]

@@ -51,6 +51,7 @@ use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
+use crate::json::write_string;
 use crate::metrics::Counter;
 
 /// Number of ring shards. Writers map onto shards by sequence number, so two
@@ -192,33 +193,23 @@ impl Event {
         );
         match &self.kind {
             EventKind::Job { state, label } => {
-                let _ = write!(
-                    out,
-                    ",\"state\":\"{}\",\"label\":\"{}\"",
-                    state.as_str(),
-                    crate::report::escape_json(label)
-                );
+                let _ = write!(out, ",\"state\":\"{}\",\"label\":", state.as_str());
+                write_string(label, &mut out);
             }
             EventKind::Stage { name, enter } => {
-                let _ = write!(
-                    out,
-                    ",\"name\":\"{}\",\"enter\":{enter}",
-                    crate::report::escape_json(name)
-                );
+                out.push_str(",\"name\":");
+                write_string(name, &mut out);
+                let _ = write!(out, ",\"enter\":{enter}");
             }
             EventKind::Progress { phase, done, total } => {
-                let _ = write!(
-                    out,
-                    ",\"phase\":\"{}\",\"done\":{done},\"total\":{total}",
-                    crate::report::escape_json(phase)
-                );
+                out.push_str(",\"phase\":");
+                write_string(phase, &mut out);
+                let _ = write!(out, ",\"done\":{done},\"total\":{total}");
             }
             EventKind::Checkpoint { name, value } => {
-                let _ = write!(
-                    out,
-                    ",\"name\":\"{}\",\"value\":{value}",
-                    crate::report::escape_json(name)
-                );
+                out.push_str(",\"name\":");
+                write_string(name, &mut out);
+                let _ = write!(out, ",\"value\":{value}");
             }
             EventKind::Eta {
                 done,

@@ -1,12 +1,17 @@
-//! A minimal JSON tree, writer and parser for the campaign's JSONL result files.
+//! The workspace's JSON codec: a small [`Json`] tree with a one-line writer and a
+//! recursive-descent parser, shared by every JSONL file, bench file, span export, event
+//! line and HTTP body the workspace reads or writes.
 //!
-//! The workspace's vendored `serde` is an offline API stand-in whose traits carry no data
-//! model (see `vendor/README.md`), so the campaign crate owns its serialization format
-//! concretely: a small [`Json`] tree with a writer and a recursive-descent parser. The
-//! important property for resumability is an exact `f64` round trip — finite numbers are
-//! written with Rust's shortest-round-trip `Display` and re-parsed with `str::parse`,
-//! which is correctly rounded, so a metric read back from disk is bit-identical to the
-//! one written.
+//! The vendored `serde` is an offline API stand-in whose traits carry no data model (see
+//! `vendor/README.md`), so the format is owned concretely here, at the bottom of the
+//! dependency graph. The important property for resumability is an exact `f64` round
+//! trip — finite numbers are written with Rust's shortest-round-trip `Display` and
+//! re-parsed with `str::parse`, which is correctly rounded, so a metric read back from
+//! disk is bit-identical to the one written.
+//!
+//! The parser is total: any input yields a value or a [`JsonError`], never a panic.
+//! Nesting deeper than [`MAX_DEPTH`] is an error rather than a stack overflow, and
+//! string parsing is linear in the input length.
 //!
 //! # Non-finite numbers
 //!
@@ -20,6 +25,11 @@
 
 use std::error::Error;
 use std::fmt;
+
+/// The deepest array/object nesting [`Json::parse`] accepts. The deepest document the
+/// workspace writes nests 5 levels; the bound keeps hostile input (a request body of
+/// `[[[[…`) from overflowing a handler thread's stack.
+pub const MAX_DEPTH: usize = 128;
 
 /// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -157,8 +167,10 @@ impl Json {
     /// Parses one JSON document; trailing non-whitespace input is an error.
     pub fn parse(input: &str) -> Result<Json, JsonError> {
         let mut parser = Parser {
+            text: input,
             bytes: input.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         parser.skip_whitespace();
         let value = parser.parse_value()?;
@@ -170,7 +182,9 @@ impl Json {
     }
 }
 
-fn write_string(s: &str, out: &mut String) {
+/// Appends `s` to `out` as a quoted JSON string, escaping quotes, backslashes and
+/// control characters.
+pub fn write_string(s: &str, out: &mut String) {
     out.push('"');
     for c in s.chars() {
         match c {
@@ -206,8 +220,11 @@ impl fmt::Display for JsonError {
 impl Error for JsonError {}
 
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -253,8 +270,19 @@ impl<'a> Parser<'a> {
             Some(b't') if self.consume_literal("true") => Ok(Json::Bool(true)),
             Some(b'f') if self.consume_literal("false") => Ok(Json::Bool(false)),
             Some(b'"') => self.parse_string().map(Json::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.error("nesting deeper than MAX_DEPTH"));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(c) if c == b'-' || c.is_ascii_digit() => self.parse_number(),
             _ => Err(self.error("expected a JSON value")),
         }
@@ -357,13 +385,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (the input is a &str, so boundaries exist).
-                    let rest = &self.bytes[self.pos..];
-                    let text = std::str::from_utf8(rest)
-                        .map_err(|_| self.error("invalid UTF-8 inside string"))?;
-                    let c = text.chars().next().expect("peeked byte implies a char");
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the whole run up to the next quote or backslash in one step.
+                    // Both are ASCII, so the run ends on a char boundary of the input.
+                    let run = self.bytes[self.pos..]
+                        .iter()
+                        .position(|&b| b == b'"' || b == b'\\')
+                        .unwrap_or(self.bytes.len() - self.pos);
+                    out.push_str(&self.text[self.pos..self.pos + run]);
+                    self.pos += run;
                 }
             }
         }
@@ -375,9 +404,13 @@ impl<'a> Parser<'a> {
         if end > self.bytes.len() {
             return Err(self.error("truncated \\u escape"));
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.error("invalid \\u escape"))?;
-        let value = u32::from_str_radix(hex, 16).map_err(|_| self.error("invalid \\u escape"))?;
+        let digits = &self.bytes[self.pos..end];
+        // `from_str_radix` alone would also take a leading `+`.
+        if !digits.iter().all(u8::is_ascii_hexdigit) {
+            return Err(self.error("invalid \\u escape"));
+        }
+        let hex = std::str::from_utf8(digits).expect("hex digits are ASCII");
+        let value = u32::from_str_radix(hex, 16).expect("four hex digits fit a u32");
         self.pos = end;
         Ok(value)
     }
@@ -474,6 +507,56 @@ mod tests {
             Json::parse("\"\\ud83d\\ude00\"").unwrap().as_str(),
             Some("\u{1F600}")
         );
+    }
+
+    #[test]
+    fn exponents_and_signed_numbers_parse() {
+        let value = Json::parse("[1, 2e3, -0.5, 1E-2]").unwrap();
+        let numbers: Vec<f64> = value
+            .as_array()
+            .unwrap()
+            .iter()
+            .map(|n| n.as_f64().unwrap())
+            .collect();
+        assert_eq!(numbers, vec![1.0, 2000.0, -0.5, 0.01]);
+        assert!(Json::parse("+1").is_err());
+        assert!(Json::parse("\"\\u+123\"").is_err());
+    }
+
+    #[test]
+    fn nesting_beyond_the_depth_limit_is_a_typed_error() {
+        let at_limit = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&at_limit).is_ok());
+        let nested_objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&nested_objects).is_ok());
+
+        let over = format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1));
+        let err = Json::parse(&over).unwrap_err();
+        assert_eq!(err.offset, MAX_DEPTH);
+        assert!(err.message.contains("MAX_DEPTH"), "{err}");
+        // Unterminated chains far past the limit (what a hostile body looks like) fail
+        // the same way instead of exhausting the stack.
+        for chain in ["[".repeat(64 * 1024), "{\"a\":".repeat(64 * 1024)] {
+            let err = Json::parse(&chain).unwrap_err();
+            assert!(err.message.contains("MAX_DEPTH"), "{err}");
+        }
+    }
+
+    #[test]
+    fn mebibyte_strings_round_trip() {
+        let s: String = "ab\u{e9}\"\\\n\u{1F600}"
+            .chars()
+            .cycle()
+            .take(1 << 20)
+            .collect();
+        let text = Json::Obj(vec![("s".into(), Json::Str(s.clone()))]).render();
+        assert_eq!(
+            Json::parse(&text).unwrap().get("s").and_then(Json::as_str),
+            Some(s.as_str())
+        );
+        let plain = "x".repeat(1 << 20);
+        let text = Json::Str(plain.clone()).render();
+        assert_eq!(Json::parse(&text).unwrap(), Json::Str(plain));
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! enough to live inside the SA/trace hot loops.
 //!
 //! The crate sits at the bottom of the workspace (next to `tsc3d-exec`) so every
-//! analysis crate can instrument itself without dependency cycles. Three
+//! analysis crate can instrument itself without dependency cycles. These
 //! independent facilities share it:
 //!
 //! * **Tracing** ([`trace`], [`span!`]): RAII span guards on a thread-local
@@ -33,6 +33,8 @@
 //!   [`log_debug!`]): timestamped leveled lines on stderr, filtered by the
 //!   `TSC3D_LOG` environment variable, so diagnostics never pollute the report
 //!   and table output the binaries print on stdout.
+//! * **JSON** ([`json`]): the workspace's one JSON codec — results files, bench
+//!   files, span exports, event lines and HTTP bodies all go through [`json::Json`].
 //!
 //! ```
 //! use tsc3d_obs as obs;
@@ -62,6 +64,7 @@ pub mod bench;
 pub mod event;
 pub mod flame;
 pub mod hdr;
+pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod report;

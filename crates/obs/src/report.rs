@@ -17,54 +17,35 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::json::Json;
 use crate::trace::SpanRecord;
 
 /// Encode spans as JSONL (one object per line, trailing newline).
 pub fn spans_to_jsonl(spans: &[SpanRecord]) -> String {
     let mut out = String::new();
     for span in spans {
-        let _ = write!(
-            out,
-            "{{\"id\":{},\"parent\":{},\"thread\":{},\"name\":\"{}\",\"start_ns\":{},\"dur_ns\":{}",
-            span.id,
-            span.parent,
-            span.thread,
-            escape_json(&span.name),
-            span.start_ns,
-            span.dur_ns
-        );
-        out.push_str(",\"counters\":{");
-        for (i, (key, value)) in span.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{}", escape_json(key), value);
-        }
-        out.push_str("}}\n");
+        let counters = span
+            .counters
+            .iter()
+            .map(|(key, value)| (key.clone(), Json::UInt(*value)))
+            .collect();
+        let line = Json::Obj(vec![
+            ("id".into(), Json::UInt(span.id)),
+            ("parent".into(), Json::UInt(span.parent)),
+            ("thread".into(), Json::UInt(span.thread)),
+            ("name".into(), Json::Str(span.name.clone())),
+            ("start_ns".into(), Json::UInt(span.start_ns)),
+            ("dur_ns".into(), Json::UInt(span.dur_ns)),
+            ("counters".into(), Json::Obj(counters)),
+        ]);
+        out.push_str(&line.render());
+        out.push('\n');
     }
     out
 }
 
-pub(crate) fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Parse a JSONL span export back into records. Unknown keys are ignored;
-/// malformed lines abort with a message naming the line number.
+/// Parse a JSONL span export back into records. Keys outside the span schema
+/// are rejected; a malformed line aborts with a message naming its line number.
 pub fn parse_jsonl(text: &str) -> Result<Vec<SpanRecord>, String> {
     let mut spans = Vec::new();
     for (index, line) in text.lines().enumerate() {
@@ -78,16 +59,9 @@ pub fn parse_jsonl(text: &str) -> Result<Vec<SpanRecord>, String> {
     Ok(spans)
 }
 
-/// A minimal recursive-descent parser for the flat span-object schema above.
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
 fn parse_span(line: &str) -> Result<SpanRecord, String> {
-    let mut parser = Parser {
-        bytes: line.as_bytes(),
-        pos: 0,
+    let Json::Obj(members) = Json::parse(line).map_err(|e| e.to_string())? else {
+        return Err("a span line is not a JSON object".to_string());
     };
     let mut span = SpanRecord {
         id: 0,
@@ -98,145 +72,33 @@ fn parse_span(line: &str) -> Result<SpanRecord, String> {
         dur_ns: 0,
         counters: Vec::new(),
     };
-    parser.expect(b'{')?;
-    loop {
-        parser.skip_ws();
-        if parser.eat(b'}') {
-            break;
-        }
-        let key = parser.string()?;
-        parser.skip_ws();
-        parser.expect(b':')?;
-        parser.skip_ws();
-        match key.as_str() {
-            "id" => span.id = parser.number()?,
-            "parent" => span.parent = parser.number()?,
-            "thread" => span.thread = parser.number()?,
-            "start_ns" => span.start_ns = parser.number()?,
-            "dur_ns" => span.dur_ns = parser.number()?,
-            "name" => span.name = parser.string()?,
-            "counters" => {
-                parser.expect(b'{')?;
-                loop {
-                    parser.skip_ws();
-                    if parser.eat(b'}') {
-                        break;
-                    }
-                    let counter = parser.string()?;
-                    parser.skip_ws();
-                    parser.expect(b':')?;
-                    parser.skip_ws();
-                    let value = parser.number()?;
+    let count = |key: &str, value: &Json| {
+        value
+            .as_u64()
+            .ok_or_else(|| format!("'{key}' is not a non-negative integer"))
+    };
+    for (key, value) in members {
+        match (key.as_str(), value) {
+            ("id", value) => span.id = count(&key, &value)?,
+            ("parent", value) => span.parent = count(&key, &value)?,
+            ("thread", value) => span.thread = count(&key, &value)?,
+            ("start_ns", value) => span.start_ns = count(&key, &value)?,
+            ("dur_ns", value) => span.dur_ns = count(&key, &value)?,
+            ("name", Json::Str(name)) => span.name = name,
+            ("counters", Json::Obj(counters)) => {
+                for (counter, value) in counters {
+                    let value = count(&counter, &value)?;
                     span.counters.push((counter, value));
-                    parser.skip_ws();
-                    if !parser.eat(b',') {
-                        parser.expect(b'}')?;
-                        break;
-                    }
                 }
             }
-            other => return Err(format!("unknown key '{other}'")),
-        }
-        parser.skip_ws();
-        if !parser.eat(b',') {
-            parser.expect(b'}')?;
-            break;
+            ("name" | "counters", _) => return Err(format!("'{key}' has the wrong type")),
+            (other, _) => return Err(format!("unknown key '{other}'")),
         }
     }
     if span.id == 0 {
         return Err("span object has no id".to_string());
     }
     Ok(span)
-}
-
-impl Parser<'_> {
-    fn skip_ws(&mut self) {
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| b.is_ascii_whitespace())
-        {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, byte: u8) -> bool {
-        if self.bytes.get(self.pos) == Some(&byte) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, byte: u8) -> Result<(), String> {
-        if self.eat(byte) {
-            Ok(())
-        } else {
-            Err(format!("expected '{}' at byte {}", byte as char, self.pos))
-        }
-    }
-
-    fn number(&mut self) -> Result<u64, String> {
-        let start = self.pos;
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_digit()) {
-            self.pos += 1;
-        }
-        if self.pos == start {
-            return Err(format!("expected a number at byte {start}"));
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .unwrap()
-            .parse()
-            .map_err(|e| format!("bad number at byte {start}: {e}"))
-    }
-
-    fn string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bytes.get(self.pos) {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.bytes.get(self.pos) {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            let hex = self
-                                .bytes
-                                .get(self.pos + 1..self.pos + 5)
-                                .ok_or("truncated \\u escape")?;
-                            let code = u32::from_str_radix(
-                                std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                                16,
-                            )
-                            .map_err(|_| "bad \\u escape")?;
-                            out.push(char::from_u32(code).ok_or("bad \\u code point")?);
-                            self.pos += 4;
-                        }
-                        _ => return Err("bad escape".to_string()),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input came from a &str).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..])
-                        .map_err(|_| "invalid UTF-8")?;
-                    let c = rest.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
 }
 
 /// One node of the aggregated span tree (all spans sharing a name path).
@@ -446,6 +308,28 @@ mod tests {
     fn parse_rejects_garbage_with_line_number() {
         let err = parse_jsonl("{\"id\":1,\"name\":\"x\"}\nnot json\n").unwrap_err();
         assert!(err.starts_with("line 2:"), "{err}");
+    }
+
+    #[test]
+    fn parse_rejects_unknown_keys_and_ill_typed_fields() {
+        let err = parse_jsonl("{\"id\":1,\"extra\":2}").unwrap_err();
+        assert!(err.contains("unknown key 'extra'"), "{err}");
+        let err = parse_jsonl("{\"id\":1,\"dur_ns\":-3}").unwrap_err();
+        assert!(err.contains("'dur_ns'"), "{err}");
+        let err = parse_jsonl("{\"id\":1,\"name\":7}").unwrap_err();
+        assert!(err.contains("'name'"), "{err}");
+        assert!(parse_jsonl("{\"parent\":1}").is_err(), "a span needs an id");
+    }
+
+    #[test]
+    fn jsonl_bytes_match_the_documented_format() {
+        let mut a = span(7, 3, "sa_epoch", 1200, 880);
+        a.counters.push(("evaluations".to_string(), 4800));
+        assert_eq!(
+            spans_to_jsonl(&[a]),
+            "{\"id\":7,\"parent\":3,\"thread\":1,\"name\":\"sa_epoch\",\"start_ns\":1200,\
+             \"dur_ns\":880,\"counters\":{\"evaluations\":4800}}\n"
+        );
     }
 
     #[test]

@@ -7,7 +7,7 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
-use tsc3d_campaign::json::Json;
+use tsc3d_obs::json::Json;
 
 /// Upper bound on the request head (request line + headers). Requests with a larger head
 /// are refused with `431`.

@@ -16,12 +16,12 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use tsc3d::exec::{CancelReason, CancelToken, Pool};
 use tsc3d::{display_chain, TscFlow};
-use tsc3d_campaign::json::Json;
 use tsc3d_campaign::{
     aggregate, render_report, run_campaign_on, CampaignOptions, JobOutcome, JobRecord,
     ScaJobMetrics,
 };
 use tsc3d_netlist::suite::generate;
+use tsc3d_obs::json::Json;
 use tsc3d_sca::run_verdict_with_cancel;
 
 /// Lifecycle of one submitted job.
@@ -686,7 +686,7 @@ impl JobService {
                                                                  // remaining jobs without recording them.
                 options.cancel = cancel.clone();
                 let outcome =
-                    run_campaign_on(&self.pool, spec, &options).map_err(|e| e.to_string())?;
+                    run_campaign_on(&self.pool, &**spec, &options).map_err(|e| e.to_string())?;
                 // A fired token means the outcome is partial — refuse to cache it.
                 if let Some(reason) = cancel.is_cancelled() {
                     return Err(RunError::Interrupted {

@@ -27,9 +27,9 @@
 
 use tsc3d::{FlowConfig, Setup};
 use tsc3d_campaign::codec::spec_from_json;
-use tsc3d_campaign::json::Json;
 use tsc3d_campaign::{CampaignJob, CampaignSpec, ScaCampaignSpec, ScaJob, ScaSensorSet};
 use tsc3d_netlist::suite::Benchmark;
+use tsc3d_obs::json::Json;
 use tsc3d_sca::Mitigation;
 
 /// A validated sca submission: the flow/attack configuration plus the job identity,

@@ -15,7 +15,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 use tsc3d::exec::Pool;
-use tsc3d_campaign::json::Json;
+use tsc3d_obs::json::Json;
 
 /// Configuration of the serve daemon.
 #[derive(Debug, Clone)]

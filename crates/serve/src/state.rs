@@ -16,8 +16,8 @@ use std::fs::{File, OpenOptions};
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex};
-use tsc3d_campaign::json::Json;
 use tsc3d_campaign::repair_torn_tail;
+use tsc3d_obs::json::Json;
 
 /// Errors of the state file.
 #[derive(Debug)]

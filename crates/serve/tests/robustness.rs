@@ -7,12 +7,14 @@
 //! * a full queue answers `429` with a `Retry-After` header and the rejection counter
 //!   family records it,
 //! * graceful shutdown is bounded: the drain watchdog cancels a long-running job
-//!   instead of waiting for it.
+//!   instead of waiting for it,
+//! * hostile bodies cost bounded work: nesting far past the JSON codec's depth limit
+//!   and a 1 MiB string field both answer `400`, and the daemon keeps answering.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
-use tsc3d_campaign::json::Json;
+use tsc3d_obs::json::Json;
 use tsc3d_serve::{Server, ServerConfig};
 
 /// A flow submission that runs in well under a second.
@@ -259,6 +261,37 @@ fn full_queue_answers_retry_after() {
     let (status, _, _) = request(addr, "POST", "/v1/jobs", QUICK_FLOW);
     assert_eq!(status, 202);
 
+    server.shutdown();
+}
+
+/// A body of 64 KiB of `[` (which used to overflow a handler thread's stack) and
+/// a chain of `{"a":` objects answer 400 with the codec's typed depth error; a body
+/// with a 1 MiB string field parses in one linear pass and answers 400 for the unknown
+/// benchmark it names. `GET /v1/stats` still answers afterwards.
+#[test]
+fn deep_and_huge_bodies_answer_400_and_the_daemon_keeps_serving() {
+    let config = ServerConfig {
+        max_body_bytes: 2 * 1024 * 1024,
+        ..test_config()
+    };
+    let server = Server::start(config).expect("server boots");
+    let addr = server.local_addr();
+
+    for deep in ["[".repeat(64 * 1024), "{\"a\":".repeat(16 * 1024)] {
+        let (status, _, payload) = request(addr, "POST", "/v1/jobs", &deep);
+        assert_eq!(status, 400, "{payload}");
+        assert!(payload.contains("MAX_DEPTH"), "{payload}");
+    }
+    let name = "x".repeat(1 << 20);
+    let huge = format!("{{\"type\":\"flow\",\"benchmark\":\"{name}\",\"seed\":1}}");
+    let (status, _, payload) = request(addr, "POST", "/v1/jobs", &huge);
+    assert_eq!(status, 400, "a 1 MiB benchmark name is no benchmark");
+    let head: String = payload.chars().take(200).collect();
+    assert!(payload.contains("benchmark"), "{head}");
+
+    let (status, _, payload) = request(addr, "GET", "/v1/stats", "");
+    assert_eq!(status, 200, "{payload}");
+    Json::parse(&payload).expect("stats body is JSON");
     server.shutdown();
 }
 

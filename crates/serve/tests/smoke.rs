@@ -12,7 +12,7 @@ use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
-use tsc3d_campaign::json::Json;
+use tsc3d_obs::json::Json;
 use tsc3d_serve::{Server, ServerConfig};
 
 /// A tiny flow submission (quick schedule shrunk further) that runs in well under a

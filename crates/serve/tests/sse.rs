@@ -19,7 +19,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::{Duration, Instant};
-use tsc3d_campaign::json::Json;
+use tsc3d_obs::json::Json;
 use tsc3d_serve::{Server, ServerConfig};
 
 fn lock() -> MutexGuard<'static, ()> {
