@@ -1,6 +1,6 @@
 //! `bench` — the measured-perf harness of the floorplanning hot path.
 //!
-//! Measures the three throughput numbers every layer of the system bottoms out in and
+//! Measures the throughput numbers every layer of the system bottoms out in and
 //! records them as one entry of the committed perf trajectory (`BENCH_flow.json`):
 //!
 //! * **evaluations/sec** of the simulated-annealing hot loop (`SimulatedAnnealing::
@@ -27,22 +27,22 @@
 //! ```text
 //! bench [--smoke] [--reps N] [--label NAME] [--note TEXT] \
 //!       [--only sa,packs,solver,transient,traces]  # run a subset of the sections
-//!       [--json PATH]         # write a fresh single-entry trajectory document
-//!       [--append PATH]       # append this run as a new entry to an existing trajectory
-//!       [--baseline PATH]     # print a delta table against the last entry of PATH
-//!       [--gate-traces FRAC]  # exit 1 when kernel traces/sec regresses by more than
-//!                             # FRAC vs the baseline's last entry with a traces section
+//!       [--append PATH]       # append this run as a new entry (created if missing)
 //! ```
 //!
-//! CI runs two passes: a full informational sweep (`bench --smoke --json
-//! target/bench/BENCH_flow.json --baseline BENCH_flow.json`) and a gating pass
-//! (`bench --smoke --only traces --reps 4 --baseline BENCH_flow.json --gate-traces
-//! 0.25`). Only the traces/sec section gates (the default sca engine is this repo's
-//! headline perf claim), and the gating pass runs it alone at best-of-4 so one noisy
-//! timing sample on a loaded runner cannot flake the check; every other section stays
-//! informational because seeded end-to-end numbers on shared runners are too noisy to
-//! gate on. Releases regenerate the committed file with `bench --smoke --append
-//! BENCH_flow.json --label prN`.
+//! The harness only measures and records. `--append` goes through the one bench-file
+//! writer ([`tsc3d_obs::bench::append_entry`]), which refuses a file of another schema
+//! instead of overwriting it; every comparison and gate is `obs bench-diff`, which by
+//! default compares the newest entry with the newest earlier entry sharing a section.
+//! CI appends onto copies of the committed `BENCH_flow.json`: a full informational sweep
+//! (`bench --smoke --append <copy> --label ci`, then `obs bench-diff <copy>`) and a
+//! gating pass (`bench --smoke --only traces --reps 4 --append <copy2>`, then `obs
+//! bench-diff <copy2> --gate`), which fails when traces/sec drops more than 25% below the
+//! last committed traces section in any (grid, batch) cell. Only traces/sec gates (the
+//! default sca engine is this repo's headline perf claim) and that pass runs it alone at
+//! best-of-4, so one noisy sample on a loaded runner cannot flake the check. Releases
+//! extend the committed file with `bench --smoke --append BENCH_flow.json --label prN`.
+//! End-to-end and per-layer timings of whole operations live in `perfbench/`.
 
 use std::time::Instant;
 
@@ -54,6 +54,7 @@ use tsc3d_floorplan::{
 use tsc3d_geometry::{Grid, GridMap, Outline, Rect, Stack};
 use tsc3d_netlist::suite::{generate, Benchmark};
 use tsc3d_netlist::Design;
+use tsc3d_obs::bench::FLOW_SCHEMA;
 use tsc3d_obs::json::Json;
 use tsc3d_sca::{run_on_flow_with, AttackConfig, Mitigation, TraceEngine};
 use tsc3d_thermal::{SteadyStateSolver, ThermalConfig, TransientSolver, TsvField};
@@ -258,102 +259,14 @@ fn main() {
         &trace_samples,
     );
 
-    if let Some(path) = arg_value("--json") {
-        let doc = Json::Obj(vec![
-            ("schema".into(), Json::Str("tsc3d-bench-flow/v1".into())),
-            ("entries".into(), Json::Arr(vec![entry.clone()])),
-        ]);
-        write_doc(&path, &doc);
-        println!("bench: wrote {path}");
-    }
-
     if let Some(path) = arg_value("--append") {
-        let mut doc = read_doc(&path).unwrap_or_else(|| {
-            Json::Obj(vec![
-                ("schema".into(), Json::Str("tsc3d-bench-flow/v1".into())),
-                ("entries".into(), Json::Arr(Vec::new())),
-            ])
-        });
-        if let Json::Obj(members) = &mut doc {
-            if let Some((_, Json::Arr(entries))) = members.iter_mut().find(|(k, _)| k == "entries")
-            {
-                entries.push(entry.clone());
-            }
+        let path = std::path::Path::new(&path);
+        if let Err(err) = tsc3d_obs::bench::append_entry(path, FLOW_SCHEMA, entry) {
+            tsc3d_obs::log_error!("bench", "could not append to {}: {err}", path.display());
+            std::process::exit(1);
         }
-        write_doc(&path, &doc);
-        println!("bench: appended entry '{label}' to {path}");
+        println!("bench: appended entry '{label}' to {}", path.display());
     }
-
-    if let Some(path) = arg_value("--baseline") {
-        match read_doc(&path) {
-            Some(doc) => {
-                print_delta(&doc, &entry, &path);
-                if let Some(frac) = arg_value("--gate-traces") {
-                    let frac: f64 = frac.parse().expect("--gate-traces takes a fraction");
-                    if !gate_traces(&doc, &trace_samples, frac) {
-                        std::process::exit(1);
-                    }
-                }
-            }
-            None => println!("bench: no baseline at {path}; skipping delta table"),
-        }
-    } else if arg_present("--gate-traces") {
-        println!("bench: --gate-traces requires --baseline; skipping gate");
-    }
-}
-
-/// The gating check of the traces/sec section: every (grid, batch) cell must stay
-/// within `frac` of the baseline's last entry that has a traces section. Returns `true`
-/// (pass) when the baseline has no traces section yet — the first gated run establishes
-/// the trajectory rather than failing on its absence.
-fn gate_traces(baseline_doc: &Json, samples: &[TraceSample], frac: f64) -> bool {
-    let Some(entries) = baseline_doc.get("entries").and_then(Json::as_array) else {
-        println!("bench: baseline holds no entries; traces gate skipped");
-        return true;
-    };
-    let Some((base_label, base_traces)) = entries.iter().rev().find_map(|entry| {
-        let traces = entry.get("traces").and_then(Json::as_array)?;
-        let label = entry.get("label").and_then(Json::as_str).unwrap_or("?");
-        Some((label, traces))
-    }) else {
-        println!("bench: baseline has no traces section yet; traces gate skipped");
-        return true;
-    };
-    let mut pass = true;
-    for sample in samples {
-        let base = base_traces.iter().find(|item| {
-            item.get("grid").and_then(Json::as_u64) == Some(sample.grid as u64)
-                && item.get("batch").and_then(Json::as_u64) == Some(sample.batch as u64)
-        });
-        let Some(base_rate) = base
-            .and_then(|b| b.get("traces_per_sec"))
-            .and_then(Json::as_f64)
-        else {
-            continue;
-        };
-        let floor = base_rate * (1.0 - frac);
-        if sample.traces_per_sec < floor {
-            println!(
-                "bench: GATE FAIL traces grid {} batch {}: {:.0} traces/s is below {:.0} \
-                 ({}% under baseline '{base_label}' at {:.0})",
-                sample.grid,
-                sample.batch,
-                sample.traces_per_sec,
-                floor,
-                (frac * 100.0) as u64,
-                base_rate
-            );
-            pass = false;
-        }
-    }
-    if pass && !samples.is_empty() {
-        println!(
-            "bench: traces gate passed (all {} cells within {}% of baseline '{base_label}')",
-            samples.len(),
-            (frac * 100.0) as u64
-        );
-    }
-    pass
 }
 
 /// The shared quick flow for the traces section (the flow is timed separately from the
@@ -562,7 +475,7 @@ fn render_entry(
         members.push(("note".into(), Json::Str(note.into())));
     }
     // Sections skipped via --only are omitted entirely (an empty array would read as "this
-    // section was measured and found nothing" to delta/gate consumers).
+    // section was measured and found nothing" to `obs bench-diff`).
     let sections: Vec<(String, Json)> = vec![
         (
             "sa".into(),
@@ -658,138 +571,4 @@ fn render_entry(
         members.push((name, section));
     }
     Json::Obj(members)
-}
-
-fn write_doc(path: &str, doc: &Json) {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    if let Err(err) = std::fs::write(path, format!("{}\n", doc.render())) {
-        tsc3d_obs::log_error!("bench", "could not write {path}: {err}");
-        std::process::exit(1);
-    }
-}
-
-fn read_doc(path: &str) -> Option<Json> {
-    let text = std::fs::read_to_string(path).ok()?;
-    Json::parse(&text).ok()
-}
-
-/// Prints a delta table of this run against the last entry of the baseline trajectory.
-fn print_delta(baseline_doc: &Json, current: &Json, path: &str) {
-    let Some(baseline) = baseline_doc
-        .get("entries")
-        .and_then(Json::as_array)
-        .and_then(<[Json]>::last)
-    else {
-        println!("bench: baseline {path} holds no entries; skipping delta table");
-        return;
-    };
-    let base_label = baseline.get("label").and_then(Json::as_str).unwrap_or("?");
-    println!("\ndelta vs baseline '{base_label}' ({path}):");
-    println!(
-        "{:<34} {:>12} {:>12} {:>9}",
-        "metric", "baseline", "now", "ratio"
-    );
-
-    let row = |name: String, base: Option<f64>, now: Option<f64>| {
-        if let (Some(base), Some(now)) = (base, now) {
-            println!("{name:<34} {base:>12.0} {now:>12.0} {:>8.2}x", now / base);
-        }
-    };
-
-    for section in ["sa", "packs", "solver", "transient", "traces"] {
-        let (Some(base_items), Some(now_items)) = (
-            baseline.get(section).and_then(Json::as_array),
-            current.get(section).and_then(Json::as_array),
-        ) else {
-            continue;
-        };
-        for now_item in now_items {
-            let matches = |candidate: &&Json| match section {
-                "solver" | "transient" => {
-                    candidate.get("grid").and_then(Json::as_u64)
-                        == now_item.get("grid").and_then(Json::as_u64)
-                }
-                "traces" => {
-                    candidate.get("grid").and_then(Json::as_u64)
-                        == now_item.get("grid").and_then(Json::as_u64)
-                        && candidate.get("batch").and_then(Json::as_u64)
-                            == now_item.get("batch").and_then(Json::as_u64)
-                }
-                _ => {
-                    candidate.get("benchmark").and_then(Json::as_str)
-                        == now_item.get("benchmark").and_then(Json::as_str)
-                        && candidate.get("seed").and_then(Json::as_u64)
-                            == now_item.get("seed").and_then(Json::as_u64)
-                }
-            };
-            let Some(base_item) = base_items.iter().find(matches) else {
-                continue;
-            };
-            let (key, name) = match section {
-                "sa" => (
-                    "evals_per_sec",
-                    format!(
-                        "sa {} seed {} evals/s",
-                        now_item
-                            .get("benchmark")
-                            .and_then(Json::as_str)
-                            .unwrap_or("?"),
-                        now_item.get("seed").and_then(Json::as_u64).unwrap_or(0)
-                    ),
-                ),
-                "packs" => (
-                    "packs_per_sec",
-                    format!(
-                        "pack {} packs/s",
-                        now_item
-                            .get("benchmark")
-                            .and_then(Json::as_str)
-                            .unwrap_or("?")
-                    ),
-                ),
-                "transient" => (
-                    "steps_per_sec",
-                    format!(
-                        "transient grid {} steps/s",
-                        now_item.get("grid").and_then(Json::as_u64).unwrap_or(0)
-                    ),
-                ),
-                "traces" => (
-                    "traces_per_sec",
-                    format!(
-                        "traces grid {} batch {} traces/s",
-                        now_item.get("grid").and_then(Json::as_u64).unwrap_or(0),
-                        now_item.get("batch").and_then(Json::as_u64).unwrap_or(0)
-                    ),
-                ),
-                _ => (
-                    "sweeps_per_sec",
-                    format!(
-                        "solver grid {} sweeps/s",
-                        now_item.get("grid").and_then(Json::as_u64).unwrap_or(0)
-                    ),
-                ),
-            };
-            row(
-                name,
-                base_item.get(key).and_then(Json::as_f64),
-                now_item.get(key).and_then(Json::as_f64),
-            );
-            // Seeded costs are part of the contract: flag any drift loudly (non-gating).
-            if section == "sa" {
-                let base_cost = base_item.get("cost").and_then(Json::as_f64);
-                let now_cost = now_item.get("cost").and_then(Json::as_f64);
-                if let (Some(b), Some(n)) = (base_cost, now_cost) {
-                    if b != n {
-                        println!(
-                            "  WARNING: seeded cost changed ({b} -> {n}) — seeded results \
-                             are expected to be stable across perf PRs"
-                        );
-                    }
-                }
-            }
-        }
-    }
 }

@@ -66,7 +66,6 @@ fn config() -> ExperimentConfig {
         runs,
         power_aware,
         tsc_aware,
-        parallel: true,
     }
 }
 
@@ -148,11 +147,7 @@ fn main() -> ExitCode {
     };
     // Worker count: `--workers N` wins, otherwise the machine's available parallelism
     // (threaded through to the shared execution pool, like `campaign run --workers`).
-    let mut options = CampaignOptions::in_memory(if config.parallel {
-        arg_usize("--workers", default_workers())
-    } else {
-        1
-    });
+    let mut options = CampaignOptions::in_memory(arg_usize("--workers", default_workers()));
     options.results_path = arg_value("--out").map(std::path::PathBuf::from);
 
     let outcome = match run_campaign(&spec, &options) {

@@ -6,11 +6,10 @@
 //!   `figure2`, `figure4`, `table2` — the latter also produces the data behind Figure 5),
 //!   each printing the same row/series structure the paper reports and writing CSV under
 //!   `target/experiments/`, and
-//! * **Criterion micro-benches** for the computational kernels (thermal solvers, leakage
-//!   metrics, floorplanning moves, voltage assignment) plus ablation benches comparing the
-//!   fast and detailed engines.
+//! * the **`bench` throughput harness** of the hot loops (annealing, packing, steady
+//!   solve, transient stepping, sca traces), appending entries to `BENCH_flow.json`.
 //!
-//! See the root `README.md` for how to run the experiment binaries and benches.
+//! See the root `README.md` for how to run the experiment binaries and the harness.
 
 #![warn(missing_docs)]
 

@@ -43,8 +43,8 @@ pub struct JobMetrics {
 }
 
 impl JobMetrics {
-    /// Extracts the metrics from a flow result (same definitions as
-    /// [`tsc3d::experiment::SetupAverages::accumulate`]).
+    /// Extracts the metrics from a flow result (the summands behind the means of
+    /// [`tsc3d::experiment::SetupAverages`]).
     pub fn from_result(result: &FlowResult) -> Self {
         Self {
             s1: result.spatial_entropies.first().copied().unwrap_or(0.0),

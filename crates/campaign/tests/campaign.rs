@@ -72,6 +72,39 @@ fn one_and_many_workers_produce_identical_campaigns() {
     );
 }
 
+/// The PA-vs-TSC comparison of Table 2, built from a campaign's aggregate.
+#[test]
+fn benchmark_comparison_produces_both_setups() {
+    let mut spec = CampaignSpec::new(vec![Benchmark::N100], vec![9, 10]);
+    for template in [&mut spec.power_aware, &mut spec.tsc_aware] {
+        template.schedule.stages = 4;
+        template.schedule.moves_per_stage = 8;
+        template.schedule.cooling = 0.8;
+        template.schedule.initial_acceptance = 0.8;
+        template.schedule.grid_bins = 10;
+        template.verification_bins = 10;
+    }
+    let outcome = run_campaign(&spec, &CampaignOptions::in_memory(2)).unwrap();
+    let summary = aggregate(&outcome.records);
+    assert!(summary.failures().is_empty(), "{:?}", summary.failures());
+    let comparison = summary
+        .comparison(Benchmark::N100, "base")
+        .expect("both setups succeeded");
+    assert_eq!(comparison.runs, 2);
+    assert!(comparison.power_aware.power_w > 0.0);
+    assert!(comparison.tsc_aware.power_w > 0.0);
+    assert!(comparison.power_aware.r1.abs() <= 1.0);
+    assert!(comparison.tsc_aware.r1.abs() <= 1.0);
+    assert!(comparison.power_aware.signal_tsvs > 0.0);
+    // Only the TSC-aware setup may insert dummy TSVs.
+    assert_eq!(comparison.power_aware.dummy_tsvs, 0.0);
+    // Derived percentages are finite.
+    assert!(comparison.r1_reduction_percent().is_finite());
+    assert!(comparison.power_increase_percent().is_finite());
+    assert!(comparison.peak_temperature_reduction_percent().is_finite());
+    assert!(comparison.voltage_volume_increase_percent().is_finite());
+}
+
 #[test]
 fn a_shared_long_lived_pool_matches_ephemeral_pools() {
     // The serve daemon runs campaigns on one persistent pool (`run_campaign_on`); records

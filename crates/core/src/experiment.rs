@@ -1,10 +1,14 @@
 //! The paper's main evaluation: power-aware vs TSC-aware floorplanning over the benchmark
 //! suite (Figure 5 and Table 2).
+//!
+//! The types here describe one comparison; the runs themselves execute as a campaign
+//! (`tsc3d-campaign`), whose aggregate bridges back into [`SetupAverages`] and
+//! [`BenchmarkComparison`].
 
 use serde::{Deserialize, Serialize};
-use tsc3d_netlist::suite::{generate, Benchmark};
+use tsc3d_netlist::suite::Benchmark;
 
-use crate::{FlowConfig, FlowError, FlowResult, Setup, TscFlow};
+use crate::{FlowConfig, Setup};
 
 /// Configuration of one benchmark comparison.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -15,28 +19,15 @@ pub struct ExperimentConfig {
     pub power_aware: FlowConfig,
     /// Flow configuration template for the TSC-aware setup.
     pub tsc_aware: FlowConfig,
-    /// Run the independent runs on worker threads.
-    pub parallel: bool,
 }
 
 impl ExperimentConfig {
-    /// A quick configuration (few runs, quick schedules) for tests and smoke experiments.
-    pub fn quick(runs: usize) -> Self {
-        Self {
-            runs,
-            power_aware: FlowConfig::quick(Setup::PowerAware),
-            tsc_aware: FlowConfig::quick(Setup::TscAware),
-            parallel: true,
-        }
-    }
-
     /// The paper-style configuration (50 runs, standard schedules).
     pub fn paper() -> Self {
         Self {
             runs: 50,
             power_aware: FlowConfig::paper(Setup::PowerAware),
             tsc_aware: FlowConfig::paper(Setup::TscAware),
-            parallel: true,
         }
     }
 }
@@ -71,22 +62,6 @@ pub struct SetupAverages {
 }
 
 impl SetupAverages {
-    /// Accumulates one flow result (call [`SetupAverages::finalize`] after the last one).
-    pub fn accumulate(&mut self, result: &FlowResult) {
-        self.s1 += result.spatial_entropies.first().copied().unwrap_or(0.0);
-        self.s2 += result.spatial_entropies.get(1).copied().unwrap_or(0.0);
-        self.r1 += result.final_correlations.first().copied().unwrap_or(0.0);
-        self.r2 += result.final_correlations.get(1).copied().unwrap_or(0.0);
-        self.power_w += result.scaled_powers.iter().sum::<f64>();
-        self.critical_delay_ns += result.sa.breakdown.critical_delay;
-        self.wirelength_m += result.sa.breakdown.wirelength * 1e-6;
-        self.peak_temperature_k += result.verification.peak_temperature;
-        self.signal_tsvs += result.signal_tsvs() as f64;
-        self.dummy_tsvs += result.dummy_tsvs() as f64;
-        self.voltage_volumes += result.assignment.volume_count() as f64;
-        self.runtime_s += result.runtime_seconds;
-    }
-
     /// Divides every accumulated sum by the run count.
     pub fn finalize(&mut self, runs: usize) {
         let n = runs.max(1) as f64;
@@ -165,75 +140,6 @@ impl BenchmarkComparison {
     }
 }
 
-/// Runs the PA-vs-TSC comparison for one benchmark.
-///
-/// Run `i` of either setup floorplans the same generated design instance (`seed + i`), so
-/// the two setups are compared on identical inputs.
-///
-/// # Errors
-///
-/// Propagates the first [`FlowError`] of any run (either setup): a comparison built from
-/// partially failed runs would silently skew the reported averages.
-pub fn run_benchmark(
-    benchmark: Benchmark,
-    config: &ExperimentConfig,
-    seed: u64,
-) -> Result<BenchmarkComparison, FlowError> {
-    let mut pa = SetupAverages::default();
-    let mut tsc = SetupAverages::default();
-
-    fn run_one(
-        benchmark: Benchmark,
-        config: &ExperimentConfig,
-        seed: u64,
-        run: usize,
-    ) -> Result<(FlowResult, FlowResult), FlowError> {
-        let design = generate(benchmark, seed.wrapping_add(run as u64));
-        let run_seed = seed.wrapping_add(1_000 + run as u64);
-        let pa_result = TscFlow::new(config.power_aware).run(&design, run_seed)?;
-        let tsc_result = TscFlow::new(config.tsc_aware).run(&design, run_seed)?;
-        Ok((pa_result, tsc_result))
-    }
-
-    // The parallel path executes on the same long-lived work-stealing pool the campaign
-    // engine (`tsc3d-campaign`) and the serve daemon use, so every batch path shares one
-    // execution core. Results come back in run order regardless of worker count, keeping
-    // the averages deterministic. The sequential path keeps its short-circuit: the first
-    // failed run aborts the comparison without paying for the remaining runs.
-    let results: Vec<Result<(FlowResult, FlowResult), FlowError>> = if config.parallel {
-        let runs: Vec<usize> = (0..config.runs).collect();
-        let config = *config;
-        crate::exec::run_jobs(runs, default_workers(), move |_, run| {
-            run_one(benchmark, &config, seed, run)
-        })
-    } else {
-        let mut results = Vec::with_capacity(config.runs);
-        for run in 0..config.runs {
-            let result = run_one(benchmark, config, seed, run);
-            let failed = result.is_err();
-            results.push(result);
-            if failed {
-                break;
-            }
-        }
-        results
-    };
-    for result in results {
-        let (pa_result, tsc_result) = result?;
-        pa.accumulate(&pa_result);
-        tsc.accumulate(&tsc_result);
-    }
-
-    pa.finalize(config.runs);
-    tsc.finalize(config.runs);
-    Ok(BenchmarkComparison {
-        benchmark,
-        runs: config.runs,
-        power_aware: pa,
-        tsc_aware: tsc,
-    })
-}
-
 /// Worker count used by parallel experiment runs: the machine's available parallelism.
 pub fn default_workers() -> usize {
     std::thread::available_parallelism()
@@ -241,73 +147,9 @@ pub fn default_workers() -> usize {
         .unwrap_or(1)
 }
 
-/// Runs the comparison over a set of benchmarks, returning one comparison per benchmark.
-///
-/// # Errors
-///
-/// Propagates the first [`FlowError`] of any benchmark's runs.
-pub fn run_suite(
-    benchmarks: &[Benchmark],
-    config: &ExperimentConfig,
-    seed: u64,
-) -> Result<Vec<BenchmarkComparison>, FlowError> {
-    benchmarks
-        .iter()
-        .map(|&b| run_benchmark(b, config, seed))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsc3d_floorplan::SaSchedule;
-
-    fn tiny_config() -> ExperimentConfig {
-        let mut config = ExperimentConfig::quick(2);
-        let schedule = SaSchedule {
-            stages: 4,
-            moves_per_stage: 8,
-            cooling: 0.8,
-            initial_acceptance: 0.8,
-            grid_bins: 10,
-        };
-        config.power_aware.schedule = schedule;
-        config.tsc_aware.schedule = schedule;
-        config.power_aware.verification_bins = 10;
-        config.tsc_aware.verification_bins = 10;
-        config
-    }
-
-    #[test]
-    fn benchmark_comparison_produces_both_setups() {
-        let comparison =
-            run_benchmark(Benchmark::N100, &tiny_config(), 9).expect("tiny comparison runs");
-        assert_eq!(comparison.runs, 2);
-        assert!(comparison.power_aware.power_w > 0.0);
-        assert!(comparison.tsc_aware.power_w > 0.0);
-        assert!(comparison.power_aware.r1.abs() <= 1.0);
-        assert!(comparison.tsc_aware.r1.abs() <= 1.0);
-        assert!(comparison.power_aware.signal_tsvs > 0.0);
-        // Only the TSC-aware setup may insert dummy TSVs.
-        assert_eq!(comparison.power_aware.dummy_tsvs, 0.0);
-        // Derived percentages are finite.
-        assert!(comparison.r1_reduction_percent().is_finite());
-        assert!(comparison.power_increase_percent().is_finite());
-        assert!(comparison.peak_temperature_reduction_percent().is_finite());
-        assert!(comparison.voltage_volume_increase_percent().is_finite());
-    }
-
-    #[test]
-    fn sequential_and_parallel_execution_agree() {
-        let mut config = tiny_config();
-        config.runs = 1;
-        config.parallel = false;
-        let sequential = run_benchmark(Benchmark::N100, &config, 4).expect("sequential run");
-        config.parallel = true;
-        let parallel = run_benchmark(Benchmark::N100, &config, 4).expect("parallel run");
-        assert!((sequential.power_aware.r1 - parallel.power_aware.r1).abs() < 1e-12);
-        assert!((sequential.tsc_aware.power_w - parallel.tsc_aware.power_w).abs() < 1e-12);
-    }
 
     #[test]
     fn averages_accumulate_and_finalize() {

@@ -634,37 +634,6 @@ where
     })
 }
 
-/// Runs `jobs` on an ephemeral pool of `workers` threads (counting the calling thread,
-/// which helps) and returns one result per job, in job order.
-///
-/// The one-shot convenience wrapper around [`Pool::run_batch`] used by the offline batch
-/// paths; `workers == 0` is treated as 1, and with a single worker (or at most one job)
-/// everything runs inline on the calling thread without spawning.
-///
-/// # Panics
-///
-/// Propagates a panic raised by `f` (the batch completes first).
-pub fn run_jobs<J, R, F>(jobs: Vec<J>, workers: usize, f: F) -> Vec<R>
-where
-    J: Send + 'static,
-    R: Send + 'static,
-    F: Fn(usize, J) -> R + Send + Sync + 'static,
-{
-    // Nothing to parallelize: skip the pool entirely (run_batch would also inline these
-    // cases, but only after spawning and joining workers for no work).
-    if workers <= 1 || jobs.len() <= 1 {
-        return jobs
-            .into_iter()
-            .enumerate()
-            .map(|(index, job)| f(index, job))
-            .collect();
-    }
-    let pool = Pool::with_batch_workers(workers);
-    let results = pool.run_batch(jobs, f);
-    pool.shutdown();
-    results
-}
-
 /// Splits `0..total` into at most `parts` contiguous, non-empty `(lo, hi)` ranges whose
 /// sizes differ by at most one — the canonical work partition every parallel fan-out of
 /// the workspace uses (solver sweeps, transient node chunks, trace batches).
@@ -694,10 +663,23 @@ mod tests {
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::time::Duration;
 
+    /// One batch on a fresh pool of `workers` batch workers (the caller included).
+    fn run_on<J, R, F>(workers: usize, jobs: Vec<J>, f: F) -> Vec<R>
+    where
+        J: Send + 'static,
+        R: Send + 'static,
+        F: Fn(usize, J) -> R + Send + Sync + 'static,
+    {
+        let pool = Pool::with_batch_workers(workers);
+        let results = pool.run_batch(jobs, f);
+        pool.shutdown();
+        results
+    }
+
     #[test]
     fn results_are_in_job_order() {
         let jobs: Vec<u64> = (0..100).collect();
-        let results = run_jobs(jobs, 4, |index, job| {
+        let results = run_on(4, jobs, |index, job| {
             assert_eq!(index as u64, job);
             job * job
         });
@@ -709,19 +691,24 @@ mod tests {
 
     #[test]
     fn single_worker_runs_inline() {
-        let results = run_jobs(vec![1, 2, 3], 1, |_, job| job + 1);
+        let caller = std::thread::current().id();
+        let results = run_on(1, vec![1, 2, 3], move |_, job| {
+            assert_eq!(std::thread::current().id(), caller);
+            job + 1
+        });
         assert_eq!(results, vec![2, 3, 4]);
     }
 
     #[test]
     fn zero_workers_is_treated_as_one() {
-        let results = run_jobs(vec![5], 0, |_, job| job * 2);
+        assert_eq!(Pool::with_batch_workers(0).threads(), 0);
+        let results = run_on(0, vec![5], |_, job| job * 2);
         assert_eq!(results, vec![10]);
     }
 
     #[test]
     fn empty_job_list_is_fine() {
-        let results: Vec<i32> = run_jobs(Vec::<i32>::new(), 8, |_, job| job);
+        let results: Vec<i32> = run_on(8, Vec::<i32>::new(), |_, job| job);
         assert!(results.is_empty());
     }
 
@@ -731,7 +718,7 @@ mod tests {
             Arc::new((0..200).map(|_| AtomicUsize::new(0)).collect());
         let jobs: Vec<usize> = (0..200).collect();
         let observed = Arc::clone(&counters);
-        run_jobs(jobs, 8, move |_, job| {
+        run_on(8, jobs, move |_, job| {
             observed[job].fetch_add(1, Ordering::SeqCst);
         });
         for counter in counters.iter() {
@@ -742,8 +729,8 @@ mod tests {
     #[test]
     fn worker_counts_agree() {
         let jobs: Vec<u64> = (0..50).collect();
-        let one = run_jobs(jobs.clone(), 1, |_, job| job.wrapping_mul(0x9E37_79B9));
-        let many = run_jobs(jobs, 7, |_, job| job.wrapping_mul(0x9E37_79B9));
+        let one = run_on(1, jobs.clone(), |_, job| job.wrapping_mul(0x9E37_79B9));
+        let many = run_on(7, jobs, |_, job| job.wrapping_mul(0x9E37_79B9));
         assert_eq!(one, many);
     }
 

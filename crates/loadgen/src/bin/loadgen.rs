@@ -13,7 +13,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 use tsc3d_loadgen::{mix::Mix, report, run, schedule};
-use tsc3d_obs::json::Json;
+use tsc3d_obs::bench::SERVE_SCHEMA;
 use tsc3d_serve::{Server, ServerConfig};
 
 const USAGE: &str = "\
@@ -40,8 +40,8 @@ WORKLOAD:
 OUTPUT:
     --label LABEL           bench entry label                       [dev]
     --note TEXT             free-form note stored on the entry
-    --json PATH             write a fresh BENCH_serve.json with this run
-    --append PATH           append this run to an existing BENCH_serve.json
+    --append PATH           append this run to a BENCH_serve.json (created if
+                            missing; a file of another schema is refused)
     --schedule-out PATH     dump the generated schedule (stable text form)
     --fail-on-5xx           exit 1 if any request drew a 5xx or I/O error
 ";
@@ -228,20 +228,13 @@ fn main() -> ExitCode {
         mode,
         &result,
     );
-    if let Some(path) = arg_value("--json") {
-        if write_doc(&path, &report::fresh_doc(entry.clone())).is_err() {
-            return ExitCode::FAILURE;
-        }
-        println!("loadgen: wrote {path}");
-    }
     if let Some(path) = arg_value("--append") {
-        let existing = std::fs::read_to_string(&path)
-            .ok()
-            .and_then(|text| Json::parse(&text).ok());
-        if write_doc(&path, &report::append_entry(existing, entry)).is_err() {
+        let path = std::path::Path::new(&path);
+        if let Err(err) = tsc3d_obs::bench::append_entry(path, SERVE_SCHEMA, entry) {
+            eprintln!("loadgen: could not append to {}: {err}", path.display());
             return ExitCode::FAILURE;
         }
-        println!("loadgen: appended entry '{label}' to {path}");
+        println!("loadgen: appended entry '{label}' to {}", path.display());
     }
 
     if arg_present("--fail-on-5xx") && result.server_errors + result.io_errors > 0 {
@@ -252,13 +245,4 @@ fn main() -> ExitCode {
         return ExitCode::FAILURE;
     }
     ExitCode::SUCCESS
-}
-
-fn write_doc(path: &str, doc: &Json) -> Result<(), ()> {
-    if let Some(parent) = std::path::Path::new(path).parent() {
-        let _ = std::fs::create_dir_all(parent);
-    }
-    std::fs::write(path, format!("{}\n", doc.render())).map_err(|err| {
-        eprintln!("loadgen: could not write {path}: {err}");
-    })
 }

@@ -1,7 +1,9 @@
-//! BENCH_serve.json emission.
+//! BENCH_serve.json entries.
 //!
-//! Schema `tsc3d-bench-serve/v1`: a top-level `entries` array, one object per
-//! labeled run, each with an `http` section of per-endpoint rows. Row fields
+//! Schema `tsc3d-bench-serve/v1` ([`tsc3d_obs::bench::SERVE_SCHEMA`]): a
+//! top-level `entries` array, one object per labeled run, each with an `http`
+//! section of per-endpoint rows; `loadgen --append` writes them through
+//! [`tsc3d_obs::bench::append_entry`]. Row fields
 //! follow the `obs bench-diff` naming convention — `endpoint`/`mode`/`mix`
 //! are identity strings, `p50_ms`/`p95_ms`/`p99_ms`/`max_ms` and `errors`
 //! carry lower-is-better polarity, `requests_per_sec` higher-is-better — so
@@ -11,9 +13,6 @@
 use crate::run::{Mode, RunResult};
 use std::sync::atomic::Ordering;
 use tsc3d_obs::json::Json;
-
-/// The schema string written at the top of `BENCH_serve.json`.
-pub const SCHEMA: &str = "tsc3d-bench-serve/v1";
 
 /// Builds the `entries[]` object for one run: identity (`label`, optional
 /// `note`) plus the `http` section. Quantiles of an empty histogram render as
@@ -68,33 +67,6 @@ pub fn render_entry(
     Json::Obj(members)
 }
 
-/// Wraps one entry into a fresh schema-versioned document (the `--json` path).
-pub fn fresh_doc(entry: Json) -> Json {
-    Json::Obj(vec![
-        ("schema".to_string(), Json::Str(SCHEMA.to_string())),
-        ("entries".to_string(), Json::Arr(vec![entry])),
-    ])
-}
-
-/// Pushes `entry` onto an existing document's `entries` array (the `--append`
-/// path), or starts a fresh document when `existing` is `None`.
-pub fn append_entry(existing: Option<Json>, entry: Json) -> Json {
-    let mut doc = existing.unwrap_or_else(|| {
-        Json::Obj(vec![
-            ("schema".to_string(), Json::Str(SCHEMA.to_string())),
-            ("entries".to_string(), Json::Arr(Vec::new())),
-        ])
-    });
-    if let Json::Obj(members) = &mut doc {
-        if let Some((_, Json::Arr(entries))) = members.iter_mut().find(|(k, _)| k == "entries") {
-            entries.push(entry);
-            return doc;
-        }
-        members.push(("entries".to_string(), Json::Arr(vec![entry])));
-    }
-    doc
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,6 +75,16 @@ mod tests {
     use std::collections::BTreeMap;
     use std::sync::Arc;
     use std::time::Duration;
+    use tsc3d_obs::bench::{parse_bench, BenchFile, SERVE_SCHEMA};
+
+    /// A one-entry `BENCH_serve.json` document holding `entry`, parsed back.
+    fn parsed(entry: Json) -> BenchFile {
+        let doc = Json::Obj(vec![
+            ("schema".to_string(), Json::Str(SERVE_SCHEMA.to_string())),
+            ("entries".to_string(), Json::Arr(vec![entry])),
+        ]);
+        parse_bench(&doc.render()).expect("parses")
+    }
 
     fn sample_result() -> RunResult {
         let record = Arc::new(EndpointRecord::default());
@@ -133,9 +115,8 @@ mod tests {
             Mode::Closed,
             &sample_result(),
         );
-        let doc = fresh_doc(entry);
-        let file = tsc3d_obs::bench::parse_bench(&doc.render()).expect("parses");
-        assert_eq!(file.schema, SCHEMA);
+        let file = parsed(entry);
+        assert_eq!(file.schema, SERVE_SCHEMA);
         let (section, rows) = &file.entries[0].sections[0];
         assert_eq!(section, "http");
         // The untouched endpoint is skipped; the healthz row carries identity
@@ -164,13 +145,19 @@ mod tests {
 
     #[test]
     fn append_extends_and_bootstraps() {
-        let first = render_entry("a", None, "reads", Mode::Open, &sample_result());
-        let doc = append_entry(None, first);
-        let second = render_entry("b", None, "reads", Mode::Open, &sample_result());
-        let doc = append_entry(Some(doc), second);
-        let file = tsc3d_obs::bench::parse_bench(&doc.render()).expect("parses");
+        // `loadgen --append` entries create a missing file, then extend it, through
+        // the shared bench-file writer.
+        let dir = std::env::temp_dir().join(format!("tsc3d-loadgen-report-{}", std::process::id()));
+        let path = dir.join("BENCH_serve.json");
+        let _ = std::fs::remove_file(&path);
+        for label in ["a", "b"] {
+            let entry = render_entry(label, None, "reads", Mode::Open, &sample_result());
+            tsc3d_obs::bench::append_entry(&path, SERVE_SCHEMA, entry).expect("appends");
+        }
+        let file = parse_bench(&std::fs::read_to_string(&path).unwrap()).expect("parses");
         let labels: Vec<&str> = file.entries.iter().map(|e| e.label.as_str()).collect();
         assert_eq!(labels, ["a", "b"]);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -182,8 +169,7 @@ mod tests {
         record.record(&Outcome::Status(503), Duration::from_millis(1));
         result.server_errors = 1;
         let entry = render_entry("x", None, "mixed", Mode::Closed, &result);
-        let doc = fresh_doc(entry);
-        let file = tsc3d_obs::bench::parse_bench(&doc.render()).unwrap();
+        let file = parsed(entry);
         let row = &file.entries[0].sections[0].1[0];
         let errors = row.rates.iter().find(|(n, _, _)| n == "errors").unwrap();
         assert_eq!(errors.1, 1.0);

@@ -6,6 +6,8 @@ use std::process::Command;
 use std::sync::Arc;
 use std::time::Duration;
 use tsc3d_loadgen::{generate, report, run, Mix, Mode, RunConfig};
+use tsc3d_obs::bench::SERVE_SCHEMA;
+use tsc3d_obs::json::Json;
 use tsc3d_serve::{Server, ServerConfig};
 
 fn test_server() -> Server {
@@ -62,9 +64,12 @@ fn seeded_run_has_no_server_errors_and_benches_parse() {
     // The bench entry round-trips through the obs parser with the expected
     // identity and metric columns.
     let entry = report::render_entry("smoke", None, mix.name, Mode::Closed, &result);
-    let doc = report::fresh_doc(entry);
+    let doc = Json::Obj(vec![
+        ("schema".to_string(), Json::Str(SERVE_SCHEMA.to_string())),
+        ("entries".to_string(), Json::Arr(vec![entry])),
+    ]);
     let file = tsc3d_obs::bench::parse_bench(&doc.render()).expect("bench JSON parses");
-    assert_eq!(file.schema, report::SCHEMA);
+    assert_eq!(file.schema, SERVE_SCHEMA);
     let (section, rows) = &file.entries[0].sections[0];
     assert_eq!(section, "http");
     assert!(rows.len() >= 5, "one row per exercised endpoint: {rows:?}");
@@ -120,8 +125,9 @@ fn open_loop_latency_includes_schedule_slip() {
 
 #[test]
 fn cli_self_serve_writes_a_parseable_bench_file() {
+    // A fresh path: `--append` creates the file (and its directory).
     let dir = std::env::temp_dir().join(format!("tsc3d-loadgen-smoke-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
+    let _ = std::fs::remove_dir_all(&dir);
     let bench = dir.join("BENCH_serve.json");
     let output = Command::new(env!("CARGO_BIN_EXE_loadgen"))
         .args([
@@ -137,7 +143,7 @@ fn cli_self_serve_writes_a_parseable_bench_file() {
             "--label",
             "smoke-cli",
             "--fail-on-5xx",
-            "--json",
+            "--append",
         ])
         .arg(&bench)
         .output()

@@ -98,7 +98,7 @@ fn parse_positive(section: &'static str, token: &str) -> Result<f64, ParseGsrcEr
 /// [`ParseGsrcError::BadNumber`] for an area, width, height or aspect bound that is not a
 /// finite positive number and for a non-finite `.pl` coordinate, and
 /// [`ParseGsrcError::Malformed`] for inverted aspect bounds or a hard block whose area
-/// overflows.
+/// overflows or underflows to zero.
 ///
 /// ```
 /// use tsc3d_netlist::gsrc;
@@ -153,18 +153,17 @@ pub fn parse(
             [name_tok, "hardrectangular", w, h] => {
                 let width = parse_positive("blocks", w)?;
                 let height = parse_positive("blocks", h)?;
-                if !(width * height).is_finite() {
+                // The area must stay a finite positive number: it can overflow (1e200²)
+                // or underflow to zero (1e-200²) even when both sides are valid.
+                let area = width * height;
+                if !(area.is_finite() && area > 0.0) {
                     return Err(ParseGsrcError::Malformed {
                         section: "blocks",
                         line: line.to_string(),
                     });
                 }
                 let shape = BlockShape::hard(width, height);
-                blocks.push(Block::new(
-                    *name_tok,
-                    shape,
-                    width * height * default_power_density,
-                ));
+                blocks.push(Block::new(*name_tok, shape, area * default_power_density));
             }
             _ => {
                 return Err(ParseGsrcError::Malformed {

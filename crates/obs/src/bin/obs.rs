@@ -12,7 +12,8 @@
 //! `report` and `flamegraph` read the JSONL file written by `campaign ...
 //! --trace-out PATH`, `serve --trace-out PATH`, or a saved `GET /v1/trace`
 //! response. `bench-diff` reads the repo's benchmark histories (schemas
-//! `tsc3d-bench-flow/v1` and `tsc3d-bench-serve/v1`).
+//! `tsc3d-bench-flow/v1` and `tsc3d-bench-serve/v1`); with `--gate` it is the
+//! workspace's one bench gate (see [`tsc3d_obs::bench`]).
 
 use std::process::ExitCode;
 
@@ -31,11 +32,12 @@ const USAGE: &str = "usage:
   obs bench-diff PATH [--from LABEL --to LABEL] [--threshold PCT]
                       [--trajectory] [--gate]
       Compare labeled entries of a BENCH_flow.json or BENCH_serve.json
-      history. Defaults to the last two entries; --trajectory walks every
-      consecutive pair. Adverse moves beyond PCT percent (default 25) are
-      flagged REGRESSION — drops for *_per_sec throughputs, rises for *_ms
-      latencies and errors counts; with --gate a flag also sets a failing
-      exit code.";
+      history. Defaults to the newest entry against the newest earlier entry
+      that shares a section with it (nothing to compare, exit 0, when none
+      does); --trajectory walks every consecutive pair. Adverse moves beyond
+      PCT percent (default 25) are flagged REGRESSION — drops for *_per_sec
+      throughputs, rises for *_ms latencies and errors counts; with --gate a
+      flag also sets a failing exit code.";
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -166,40 +168,39 @@ fn bench_diff(path: &str, args: &[String]) -> ExitCode {
     let gate = args.iter().any(|a| a == "--gate");
 
     let report = if args.iter().any(|a| a == "--trajectory") {
-        Ok(obs::bench::render_trajectory(&file, threshold))
+        obs::bench::render_trajectory(&file, threshold)
     } else {
-        // Default: the last two entries — "what did the newest label change?".
-        let from = arg_value(args, "--from");
-        let to = arg_value(args, "--to");
-        let (from, to) = match (from, to) {
-            (Some(from), Some(to)) => (from, to),
-            (None, None) if file.entries.len() >= 2 => (
-                file.entries[file.entries.len() - 2].label.as_str(),
-                file.entries[file.entries.len() - 1].label.as_str(),
-            ),
-            (None, None) => {
-                eprintln!("obs: {path} has fewer than two entries; nothing to diff");
-                return ExitCode::from(2);
-            }
+        let pair = match (arg_value(args, "--from"), arg_value(args, "--to")) {
+            (Some(from), Some(to)) => match (file.entry(from), file.entry(to)) {
+                (Ok(old), Ok(new)) => (old, new),
+                (Err(e), _) | (_, Err(e)) => {
+                    eprintln!("obs: {path}: {e}");
+                    return ExitCode::from(2);
+                }
+            },
+            // Default: the newest entry against the newest earlier entry that
+            // shares a section with it.
+            (None, None) => match file.default_pair() {
+                Some(pair) => pair,
+                None => {
+                    println!(
+                        "{path}: no earlier entry shares a section with the newest; \
+                         nothing to compare"
+                    );
+                    return ExitCode::SUCCESS;
+                }
+            },
             _ => {
                 eprintln!("obs: --from and --to must be given together");
                 return ExitCode::from(2);
             }
         };
-        obs::bench::render_diff(&file, from, to, threshold)
+        obs::bench::render_diff(pair.0, pair.1, threshold)
     };
-    match report {
-        Ok(report) => {
-            print!("{}", report.text);
-            if report.regressed && gate {
-                eprintln!("obs: at least one rate regressed beyond {threshold}%");
-                return ExitCode::FAILURE;
-            }
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("obs: {e}");
-            ExitCode::from(2)
-        }
+    print!("{}", report.text);
+    if report.regressed && gate {
+        eprintln!("obs: at least one rate regressed beyond {threshold}%");
+        return ExitCode::FAILURE;
     }
+    ExitCode::SUCCESS
 }

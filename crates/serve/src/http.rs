@@ -110,11 +110,14 @@ impl RequestError {
 
 /// Reads one request from the stream, enforcing the head bound and `max_body` limit.
 ///
+/// Any [`Read`] source works (the daemon passes its `TcpStream`); arbitrary bytes give a
+/// [`Request`] or a typed [`RequestError`], never a panic.
+///
 /// # Errors
 ///
 /// Returns a [`RequestError`] on socket failure, malformed framing, or an oversized
 /// head/body.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, RequestError> {
+pub fn read_request(stream: &mut impl Read, max_body: usize) -> Result<Request, RequestError> {
     let deadline = std::time::Instant::now() + REQUEST_DEADLINE;
     // Accumulate until the blank line that ends the head.
     let mut buffer: Vec<u8> = Vec::with_capacity(1024);

@@ -31,7 +31,9 @@
 //! * **Backpressure and bounds**: a bounded in-flight queue (`429` beyond), request-head
 //!   and body size limits (`431`/`413`), a whole-request read deadline against slow-loris
 //!   clients (`408`), a cap on how many flow runs one campaign submission may expand to
-//!   (`400`), a bounded status table (old settled jobs expire), and `503` while draining.
+//!   (`400`), a bounded status table (old settled jobs expire), a fixed budget of
+//!   concurrent SSE watchers ([`sse::MAX_WATCHERS`], `503` beyond), and `503` while
+//!   draining.
 //! * **Cancellation and deadlines** ([`jobs`]): every job carries a clonable
 //!   [`tsc3d::exec::CancelToken`]; `DELETE /v1/jobs/{id}` fires it and the job settles
 //!   with the typed `"cancelled"` status at its next cooperative checkpoint (flow stage

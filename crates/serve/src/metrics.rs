@@ -326,7 +326,7 @@ impl Metrics {
 
     /// Bumps the `tsc3d_serve_rejected_total{reason}` family: one series per refusal
     /// reason (`"busy"` for the 429 queue-full path, `"draining"` for 503s during
-    /// shutdown). The unlabelled `tsc3d_serve_rejected_busy_total` counter is kept for
+    /// shutdown, `"watchers"` for SSE requests beyond the watcher budget). The unlabelled `tsc3d_serve_rejected_busy_total` counter is kept for
     /// dashboard back-compat; this family is the forward-looking breakdown.
     pub fn record_rejected(&self, reason: &str) {
         self.registry

@@ -9,7 +9,7 @@ use crate::payload::{canonical_key, key_hash, parse_payload};
 use crate::state::{StateError, StateFile};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
@@ -104,6 +104,8 @@ struct Shared {
     /// The accept loop exits — set only by [`Server::shutdown`], after which nothing is
     /// served at all.
     stop_accepting: AtomicBool,
+    /// SSE streams open now, bounded by [`crate::sse::MAX_WATCHERS`].
+    watchers: AtomicUsize,
     max_body_bytes: usize,
     max_campaign_jobs: usize,
     /// Bound on the graceful drain ([`ServerConfig::drain_timeout`]).
@@ -161,6 +163,7 @@ impl Server {
             metrics,
             draining: AtomicBool::new(false),
             stop_accepting: AtomicBool::new(false),
+            watchers: AtomicUsize::new(0),
             max_body_bytes: config.max_body_bytes,
             max_campaign_jobs: config.max_campaign_jobs,
             drain_timeout: config.drain_timeout,
@@ -303,52 +306,37 @@ fn route_label(path: &str) -> &'static str {
 }
 
 /// Handles one connection: one request, one response, close — except the SSE
-/// routes, which take the stream over on a dedicated thread (a long-lived
-/// watcher must not pin one of the few handler threads). `accepted` is when
-/// the listener accepted the socket; every response is recorded against it via
-/// [`Metrics::record_http`], including refusals the router never sees.
+/// routes, which take the stream over on a dedicated thread while the watcher
+/// budget lasts ([`spawn_watcher`]) and get `503` with `Retry-After` beyond it.
+/// `accepted` is when the listener accepted the socket; every response is
+/// recorded against it via [`Metrics::record_http`], including refusals the
+/// router never sees.
 fn handle_connection(shared: &Arc<Shared>, accepted: Instant, mut stream: TcpStream) {
     let _ = stream.set_read_timeout(Some(Duration::from_secs(10)));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(10)));
     let (route_name, method, response) = match read_request(&mut stream, shared.max_body_bytes) {
         Ok(request) => {
-            if let Some(target) = crate::sse::sse_target(&request) {
-                let shared = Arc::clone(shared);
-                std::thread::spawn(move || {
-                    // `draining` covers both shutdown paths: `POST /v1/shutdown`
-                    // sets it directly and `Server::shutdown` sets it alongside
-                    // `stop_accepting` — watchers disconnect as soon as either
-                    // begins.
-                    let shutting_down = {
-                        let shared = Arc::clone(&shared);
-                        move || shared.draining.load(Ordering::SeqCst)
-                    };
-                    let job_phase = {
-                        let shared = Arc::clone(&shared);
-                        move |id: u64| match shared.jobs.job(id) {
-                            None => crate::sse::JobPhase::Missing,
-                            Some(job) => match job.state {
-                                JobState::Done | JobState::Failed | JobState::Cancelled => {
-                                    crate::sse::JobPhase::Settled
-                                }
-                                JobState::Queued | JobState::Running => {
-                                    crate::sse::JobPhase::Active
-                                }
-                            },
-                        }
-                    };
-                    let label = route_label(&request.path);
-                    crate::sse::stream_events(stream, &request, target, shutting_down, job_phase);
-                    // An SSE stream has no meaningful last byte until it ends;
-                    // record the whole watch as one long 200.
-                    shared
-                        .metrics
-                        .record_http(label, "GET", 200, accepted.elapsed());
-                });
-                return;
-            }
             let label = route_label(&request.path);
-            let response = route(shared, &request);
+            let response = match crate::sse::sse_target(&request) {
+                None => route(shared, &request),
+                Some(target) => match WatcherSlot::acquire(shared) {
+                    Some(slot) => {
+                        spawn_watcher(slot, accepted, stream, request, target);
+                        return;
+                    }
+                    None => {
+                        shared.metrics.record_rejected("watchers");
+                        Response::error(
+                            503,
+                            &format!(
+                                "{} event streams already open; retry later",
+                                crate::sse::MAX_WATCHERS
+                            ),
+                        )
+                        .with_header("retry-after", "1".to_string())
+                    }
+                },
+            };
             (label, request.method, response)
         }
         // A read that tripped the per-read socket timeout is a stalled client, not a dead
@@ -389,6 +377,70 @@ fn handle_connection(shared: &Arc<Shared>, accepted: Instant, mut stream: TcpStr
     shared
         .metrics
         .record_http(route_name, &method, status, accepted.elapsed());
+}
+
+/// An admitted SSE watcher's place in the [`crate::sse::MAX_WATCHERS`] budget, given back
+/// when dropped: when its stream ends, or if its thread unwinds.
+struct WatcherSlot(Arc<Shared>);
+
+impl WatcherSlot {
+    /// Takes a slot, or `None` when the budget is spent.
+    fn acquire(shared: &Arc<Shared>) -> Option<Self> {
+        shared
+            .watchers
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |open| {
+                (open < crate::sse::MAX_WATCHERS).then_some(open + 1)
+            })
+            .ok()?;
+        Some(Self(Arc::clone(shared)))
+    }
+}
+
+impl Drop for WatcherSlot {
+    fn drop(&mut self) {
+        self.0.watchers.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// Hands an admitted SSE request its own thread for the life of the stream (a long-lived
+/// watcher must not pin one of the few handler threads); the slot is released when the
+/// stream ends.
+fn spawn_watcher(
+    slot: WatcherSlot,
+    accepted: Instant,
+    stream: TcpStream,
+    request: Request,
+    target: crate::sse::SseTarget,
+) {
+    std::thread::spawn(move || {
+        let shared = Arc::clone(&slot.0);
+        // `draining` covers both shutdown paths: `POST /v1/shutdown` sets it directly
+        // and `Server::shutdown` sets it alongside `stop_accepting` — watchers
+        // disconnect as soon as either begins.
+        let shutting_down = {
+            let shared = Arc::clone(&shared);
+            move || shared.draining.load(Ordering::SeqCst)
+        };
+        let job_phase = {
+            let shared = Arc::clone(&shared);
+            move |id: u64| match shared.jobs.job(id) {
+                None => crate::sse::JobPhase::Missing,
+                Some(job) => match job.state {
+                    JobState::Done | JobState::Failed | JobState::Cancelled => {
+                        crate::sse::JobPhase::Settled
+                    }
+                    JobState::Queued | JobState::Running => crate::sse::JobPhase::Active,
+                },
+            }
+        };
+        let label = route_label(&request.path);
+        crate::sse::stream_events(stream, &request, target, shutting_down, job_phase);
+        // An SSE stream has no meaningful last byte until it ends; record the whole
+        // watch as one long 200.
+        shared
+            .metrics
+            .record_http(label, "GET", 200, accepted.elapsed());
+    });
 }
 
 /// Reads and discards whatever the client is still sending, bounded in bytes *and* wall

@@ -28,6 +28,11 @@ use std::time::{Duration, Instant};
 /// Idle interval between `: heartbeat` comment frames.
 pub const HEARTBEAT: Duration = Duration::from_secs(5);
 
+/// Most SSE streams one daemon serves at once. Every stream holds an OS thread until it
+/// ends, so the budget bounds the threads clients can pin; further requests get `503`
+/// with `Retry-After`, counted as `tsc3d_serve_rejected_total{reason="watchers"}`.
+pub const MAX_WATCHERS: usize = 64;
+
 /// Sleep between empty polls of the event ring.
 const POLL_INTERVAL: Duration = Duration::from_millis(25);
 

@@ -9,12 +9,15 @@
 //! * graceful shutdown is bounded: the drain watchdog cancels a long-running job
 //!   instead of waiting for it,
 //! * hostile bodies cost bounded work: nesting far past the JSON codec's depth limit
-//!   and a 1 MiB string field both answer `400`, and the daemon keeps answering.
+//!   and a 1 MiB string field both answer `400`, and the daemon keeps answering,
+//! * SSE watchers beyond the fixed budget answer `503` with `Retry-After`, and a
+//!   closed watcher's slot is admitted again.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use tsc3d_obs::json::Json;
+use tsc3d_serve::sse::MAX_WATCHERS;
 use tsc3d_serve::{Server, ServerConfig};
 
 /// A flow submission that runs in well under a second.
@@ -292,6 +295,88 @@ fn deep_and_huge_bodies_answer_400_and_the_daemon_keeps_serving() {
     let (status, _, payload) = request(addr, "GET", "/v1/stats", "");
     assert_eq!(status, 200, "{payload}");
     Json::parse(&payload).expect("stats body is JSON");
+    server.shutdown();
+}
+
+/// Opens `GET /v1/events` and reads the response head; returns the status, the head
+/// and the socket (an admitted stream stays open on it).
+fn open_watcher(addr: std::net::SocketAddr) -> (u16, String, TcpStream) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .unwrap();
+    stream
+        .write_all(b"GET /v1/events HTTP/1.1\r\nhost: test\r\n\r\n")
+        .unwrap();
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        let n = stream.read(&mut byte).expect("read response head");
+        assert_eq!(n, 1, "connection closed inside the response head");
+        head.push(byte[0]);
+    }
+    let head = String::from_utf8(head).expect("UTF-8 head");
+    let status = head
+        .split(' ')
+        .nth(1)
+        .and_then(|code| code.parse().ok())
+        .expect("numeric status");
+    (status, head, stream)
+}
+
+/// One watcher past the budget is refused with `503` + `Retry-After` and counted as
+/// `reason="watchers"`; `/v1/stats` still answers, and once a watcher closes its slot
+/// is released and a new watcher is admitted.
+#[test]
+fn sse_watchers_beyond_the_budget_answer_503_until_one_closes() {
+    let server = Server::start(test_config()).expect("server boots");
+    let addr = server.local_addr();
+
+    let mut watchers: Vec<TcpStream> = (0..MAX_WATCHERS)
+        .map(|i| {
+            let (status, head, stream) = open_watcher(addr);
+            assert_eq!(status, 200, "watcher {i} within the budget:\n{head}");
+            stream
+        })
+        .collect();
+    let (status, head, _) = open_watcher(addr);
+    assert_eq!(
+        status,
+        503,
+        "watcher {} past the budget:\n{head}",
+        MAX_WATCHERS + 1
+    );
+    assert!(
+        head.to_ascii_lowercase().contains("retry-after: 1"),
+        "503 without Retry-After:\n{head}"
+    );
+
+    let (status, _, payload) = request(addr, "GET", "/v1/stats", "");
+    assert_eq!(status, 200, "{payload}");
+    Json::parse(&payload).expect("stats body is JSON");
+    let (_, _, metrics) = request(addr, "GET", "/metrics", "");
+    assert!(
+        metrics.contains("tsc3d_serve_rejected_total{reason=\"watchers\"} 1"),
+        "missing watchers rejection counter:\n{metrics}"
+    );
+
+    // Close one watcher. Its stream ends at the next failed write (a job's events, or
+    // the idle heartbeat at the latest), which frees the slot.
+    drop(watchers.pop());
+    let (status, _) = submit(addr, QUICK_FLOW);
+    assert!(status == 200 || status == 202, "submission status {status}");
+    let deadline = Instant::now() + Duration::from_secs(60);
+    loop {
+        let (status, head, stream) = open_watcher(addr);
+        if status == 200 {
+            watchers.push(stream);
+            break;
+        }
+        assert_eq!(status, 503, "{head}");
+        assert!(Instant::now() < deadline, "no watcher slot was released");
+        std::thread::sleep(Duration::from_millis(50));
+    }
+    drop(watchers);
     server.shutdown();
 }
 

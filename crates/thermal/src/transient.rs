@@ -19,8 +19,6 @@ use crate::solver::Network;
 use crate::tsv::TsvField;
 use crate::{MaterialProperties, SolveError, StackLayerKind, ThermalConfig};
 use serde::{Deserialize, Serialize};
-use std::sync::Arc;
-use tsc3d_exec::Pool;
 use tsc3d_geometry::{Grid, GridMap, GridPos};
 
 /// A lumped (single-node-per-die) transient thermal model.
@@ -191,10 +189,8 @@ const STABILITY_MARGIN: f64 = 0.5;
 /// ([`TransientSolver::reset`]) so a long campaign allocates its buffers once.
 #[derive(Debug, Clone)]
 pub struct TransientState {
-    /// Node temperatures in kelvin (`layers * bins`, layer-major). Held in an [`Arc`] so
-    /// the parallel step can snapshot it without copying; the buffer is uniquely owned
-    /// again after every step.
-    temps: Arc<Vec<f64>>,
+    /// Node temperatures in kelvin (`layers * bins`, layer-major).
+    temps: Vec<f64>,
     /// Scratch for the out-of-place Jacobi step.
     next: Vec<f64>,
     /// Injected power per node in watts.
@@ -213,8 +209,8 @@ impl TransientState {
 ///
 /// The solver owns the immutable network (conductances, per-node heat capacities); each
 /// simulation owns a [`TransientState`]. One step is a Jacobi update — every node reads
-/// only the *previous* field — so [`TransientSolver::step_on`] distributes the node
-/// updates over a [`Pool`] with **bit-identical** results for any worker count.
+/// only the *previous* field. (Trace simulation steps many traces or sensors in lockstep
+/// through [`crate::BatchTransientSolver`], whose lanes are bit-identical to this engine.)
 ///
 /// Explicit Euler is conditionally stable: steps longer than
 /// [`TransientSolver::max_stable_dt`] diverge. [`TransientSolver::advance`] substeps
@@ -381,7 +377,7 @@ impl TransientSolver {
     pub fn state(&self) -> TransientState {
         let n = self.node_count();
         TransientState {
-            temps: Arc::new(vec![self.network.ambient; n]),
+            temps: vec![self.network.ambient; n],
             next: vec![self.network.ambient; n],
             power: vec![0.0; n],
         }
@@ -390,7 +386,7 @@ impl TransientSolver {
     /// Resets a state to ambient temperatures (power is left as set) — the buffer-reusing
     /// way to start the next trace.
     pub fn reset(&self, state: &mut TransientState) {
-        Arc::make_mut(&mut state.temps).fill(self.network.ambient);
+        state.temps.fill(self.network.ambient);
     }
 
     /// Sets the injected power from per-die maps (watts per bin, bottom die first), the
@@ -488,53 +484,11 @@ impl TransientSolver {
     /// Panics if `dt` is not positive.
     pub fn step(&self, state: &mut TransientState, dt: f64) {
         assert!(dt > 0.0, "dt must be positive");
-        let temps = Arc::clone(&state.temps);
-        for idx in 0..state.next.len() {
-            state.next[idx] = self.stepped_value(&temps, &state.power, idx, dt);
+        let TransientState { temps, next, power } = state;
+        for (idx, value) in next.iter_mut().enumerate() {
+            *value = self.stepped_value(temps, power, idx, dt);
         }
-        drop(temps);
-        std::mem::swap(Arc::make_mut(&mut state.temps), &mut state.next);
-    }
-
-    /// [`TransientSolver::step`] with the node updates fanned out over a worker pool.
-    ///
-    /// The Jacobi update reads only the previous field, so the partition affects
-    /// scheduling, never values: temperatures are **bit-identical** to the serial step for
-    /// every worker count. A pool with zero threads degrades to the serial path.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `dt` is not positive.
-    pub fn step_on(self: &Arc<Self>, pool: &Pool, state: &mut TransientState, dt: f64) {
-        assert!(dt > 0.0, "dt must be positive");
-        if pool.threads() == 0 {
-            return self.step(state, dt);
-        }
-        let n = self.node_count();
-        let chunks = tsc3d_exec::chunk_ranges(n, pool.threads() * 3);
-        let snapshot = Arc::clone(&state.temps);
-        let power = std::mem::take(&mut state.power);
-        let power = Arc::new(power);
-        let results = {
-            let solver = Arc::clone(self);
-            let snapshot = Arc::clone(&snapshot);
-            let power = Arc::clone(&power);
-            pool.run_batch(chunks.clone(), move |_, (lo, hi)| {
-                let field: &[f64] = &snapshot;
-                (lo..hi)
-                    .map(|idx| solver.stepped_value(field, &power, idx, dt))
-                    .collect::<Vec<f64>>()
-            })
-        };
-        // The last batch worker may still be tearing its closure down (run_batch returns
-        // once every *result* landed), so unique ownership is the common case, not a
-        // guarantee — fall back to a copy instead of racing the teardown.
-        state.power = Arc::try_unwrap(power).unwrap_or_else(|shared| (*shared).clone());
-        for (&(lo, _), values) in chunks.iter().zip(&results) {
-            state.next[lo..lo + values.len()].copy_from_slice(values);
-        }
-        drop(snapshot);
-        std::mem::swap(Arc::make_mut(&mut state.temps), &mut state.next);
+        std::mem::swap(temps, next);
     }
 
     /// Number of substeps [`TransientSolver::advance`] uses for a duration.
@@ -554,27 +508,6 @@ impl TransientSolver {
         let dt = duration / steps as f64;
         for _ in 0..steps {
             self.step(state, dt);
-        }
-        steps
-    }
-
-    /// [`TransientSolver::advance`] with every substep distributed over the pool
-    /// (bit-identical to the serial path, see [`TransientSolver::step_on`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `duration` is not positive.
-    pub fn advance_on(
-        self: &Arc<Self>,
-        pool: &Pool,
-        state: &mut TransientState,
-        duration: f64,
-    ) -> usize {
-        assert!(duration > 0.0, "duration must be positive");
-        let steps = self.steps_for(duration);
-        let dt = duration / steps as f64;
-        for _ in 0..steps {
-            self.step_on(pool, state, dt);
         }
         steps
     }
@@ -789,34 +722,6 @@ mod tests {
         // The opposite corner has barely moved this early in the transient.
         let far = map.get(GridPos::new(15, 15));
         assert!(far - solver.ambient() < 0.2 * (map.max() - solver.ambient()));
-    }
-
-    #[test]
-    fn pooled_stepping_is_bit_identical_to_serial() {
-        let (config, grid) = spatial_setup(12);
-        let tsvs = vec![TsvField::uniform(grid, 0.03)];
-        let solver = Arc::new(TransientSolver::new(&config, grid, &tsvs).unwrap());
-        let mut hotspot = GridMap::zeros(grid);
-        hotspot.splat_power(&Rect::new(200.0, 300.0, 600.0, 400.0), 2.5);
-        let power = vec![hotspot, GridMap::constant(grid, 0.8 / 144.0)];
-
-        let mut serial = solver.state();
-        solver.set_power(&mut serial, &power).unwrap();
-        let serial_steps = solver.advance(&mut serial, 0.004);
-
-        for workers in [1usize, 3, 7] {
-            let pool = Pool::new(workers);
-            let mut state = solver.state();
-            solver.set_power(&mut state, &power).unwrap();
-            let steps = solver.advance_on(&pool, &mut state, 0.004);
-            assert_eq!(steps, serial_steps, "{workers} workers");
-            assert_eq!(
-                state.temperatures(),
-                serial.temperatures(),
-                "{workers} workers"
-            );
-            pool.shutdown();
-        }
     }
 
     #[test]
