@@ -22,18 +22,15 @@ use tsc3d_obs as obs;
 
 use crate::error::{FlowError, FlowStage, RetryPolicy, SolveQuality, SolverSettings, StageTimings};
 
-/// Stage-latency bucket bounds, in seconds (shared with serve's histograms).
-const STAGE_BOUNDS_S: [f64; 10] = [0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0];
-
 /// Cached handles into the global registry for the `tsc3d_flow_*` families, so
 /// the per-run cost is atomic bumps rather than registry lookups.
 struct FlowMetrics {
     runs: obs::Counter,
     evaluations: obs::Counter,
-    stage_floorplan: obs::Histogram,
-    stage_assign: obs::Histogram,
-    stage_verify: obs::Histogram,
-    stage_post_process: obs::Histogram,
+    stage_floorplan: obs::LogHistogram,
+    stage_assign: obs::LogHistogram,
+    stage_verify: obs::LogHistogram,
+    stage_post_process: obs::LogHistogram,
 }
 
 fn flow_metrics() -> &'static FlowMetrics {
@@ -44,7 +41,6 @@ fn flow_metrics() -> &'static FlowMetrics {
             registry.histogram_with(
                 "tsc3d_flow_stage_seconds",
                 "Flow-stage wall-clock latency",
-                &STAGE_BOUNDS_S,
                 &[("stage", name)],
             )
         };
@@ -443,45 +439,43 @@ impl TscFlow {
         boundary(FlowStage::Floorplan, &timings)?;
         let stage_start = std::time::Instant::now();
         let floorplanned = {
-            let _span = obs::span!("floorplan");
             let _stage = obs::stage_scope("floorplan");
             self.stage_floorplan(design, seed, cancel)
         };
         timings.floorplan_s = stage_start.elapsed().as_secs_f64();
         let floorplanned = floorplanned.map_err(|e| e.with_timings(timings))?;
-        metrics.stage_floorplan.observe(timings.floorplan_s);
+        metrics.stage_floorplan.observe_secs(timings.floorplan_s);
 
         boundary(FlowStage::Assign, &timings)?;
         let stage_start = std::time::Instant::now();
         let assigned = {
-            let _span = obs::span!("assign");
             let _stage = obs::stage_scope("assign");
             self.stage_assign(design, &floorplanned)
         };
         timings.assign_s = stage_start.elapsed().as_secs_f64();
-        metrics.stage_assign.observe(timings.assign_s);
+        metrics.stage_assign.observe_secs(timings.assign_s);
 
         boundary(FlowStage::Verify, &timings)?;
         let stage_start = std::time::Instant::now();
         let verified = {
-            let _span = obs::span!("verify");
             let _stage = obs::stage_scope("verify");
             self.stage_verify(design, &floorplanned, &assigned, cancel)
         };
         timings.verify_s = stage_start.elapsed().as_secs_f64();
         let verified = verified.map_err(|e| e.with_timings(timings))?;
-        metrics.stage_verify.observe(timings.verify_s);
+        metrics.stage_verify.observe_secs(timings.verify_s);
 
         boundary(FlowStage::PostProcess, &timings)?;
         let stage_start = std::time::Instant::now();
         let processed = {
-            let _span = obs::span!("post_process");
             let _stage = obs::stage_scope("post_process");
             self.stage_post_process(design, &floorplanned, &assigned, &verified, seed, cancel)
         };
         timings.post_process_s = stage_start.elapsed().as_secs_f64();
         let processed = processed.map_err(|e| e.with_timings(timings))?;
-        metrics.stage_post_process.observe(timings.post_process_s);
+        metrics
+            .stage_post_process
+            .observe_secs(timings.post_process_s);
 
         Ok(FlowResult {
             setup: self.config.setup,

@@ -12,8 +12,7 @@
 //! Emission is **off by default** and follows the same cost discipline as
 //! tracing: every [`emit`] site starts with one relaxed atomic load of the
 //! enable flag ([`events_enabled`]), and the event payload is built inside a
-//! closure that never runs while disabled. The `tracing` cargo feature compiles
-//! the sites out entirely.
+//! closure that never runs while disabled.
 //!
 //! The bus is a *flight recorder*, not a queue: a fixed-capacity ring keyed by
 //! sequence number. Writers never block on readers; when the ring wraps, the
@@ -267,11 +266,10 @@ pub fn set_events(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether event emission is currently recording. Compiled to `false` without
-/// the `tracing` cargo feature; otherwise a single relaxed atomic load.
+/// Whether event emission is currently recording: a single relaxed atomic load.
 #[inline(always)]
 pub fn events_enabled() -> bool {
-    cfg!(feature = "tracing") && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Number of events overwritten in the ring before any subscriber could have
@@ -325,18 +323,23 @@ fn record(job: u64, kind: EventKind) {
     ring[slot] = Some(event);
 }
 
-/// Emit a paired [`EventKind::Stage`] enter/exit: enter now, exit when the
-/// returned guard drops — so early returns and `?` propagation still close the
-/// stage on the stream. Same cost discipline as [`emit`].
+/// Open a flow stage: a [`crate::span!`] named `name` plus a paired
+/// [`EventKind::Stage`] enter/exit — enter now, exit when the returned guard
+/// drops, so early returns and `?` propagation still close the stage on the
+/// stream. The exit event is emitted before the span closes. Same cost
+/// discipline as [`emit`] and [`crate::trace::SpanGuard::enter`].
 #[must_use = "the stage exit event fires when the guard drops"]
 pub fn stage_scope(name: &'static str) -> StageScope {
+    let span = crate::trace::SpanGuard::enter(name);
     emit(|| EventKind::Stage { name, enter: true });
-    StageScope { name }
+    StageScope { name, _span: span }
 }
 
-/// The RAII guard of [`stage_scope`]; dropping it emits the stage-exit event.
+/// The RAII guard of [`stage_scope`]; dropping it emits the stage-exit event,
+/// then closes the stage's span.
 pub struct StageScope {
     name: &'static str,
+    _span: crate::trace::SpanGuard,
 }
 
 impl Drop for StageScope {

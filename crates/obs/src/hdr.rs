@@ -1,9 +1,12 @@
-//! A log-bucketed high-dynamic-range latency histogram.
+//! A log-bucketed high-dynamic-range latency histogram — the workspace's one
+//! histogram type.
 //!
 //! [`LogHistogram`] records `u64` nanosecond observations into
 //! power-of-two-spaced buckets subdivided into [`SUB_COUNT`] linear sub-buckets
-//! per octave — the classic HDR layout. The guarantees the serve/loadgen
-//! latency paths rely on:
+//! per octave — the classic HDR layout. Every registry histogram series is one
+//! (rendered as Prometheus `le` buckets by [`crate::metrics`]), as are serve's
+//! `/v1/stats` quantiles, loadgen's latency records and the `obs report`
+//! quantile table. The guarantees they rely on:
 //!
 //! * **Bounded relative error.** Every bucket above the linear region spans
 //!   `2^shift` values starting at `SUB_COUNT * 2^shift`, so the quantization
@@ -14,14 +17,9 @@
 //!   bucket cell (values above the trackable range clamp into the last one);
 //!   [`LogHistogram::count`] always equals the sum of the bucket counts, which
 //!   the concurrency test asserts under parallel writers.
-//! * **`quantile` compatibility.** [`LogHistogram::quantile`] follows the same
-//!   estimate as [`crate::metrics::Histogram::quantile`]: the target rank is
-//!   `max(1, q·count)` and the result interpolates linearly within the bucket
-//!   that holds it, so loadgen's p50/p95/p99 read exactly like the
-//!   fixed-bucket serve histograms — just with far finer resolution.
 //!
 //! The table is a flat `Vec<AtomicU64>` (~10 KiB), so handles are cheap to
-//! share ([`LogHistogram`] clones share cells, like the registry types) and
+//! share ([`LogHistogram`] clones share cells, like the registry's counters) and
 //! recording is two relaxed `fetch_add`s plus two relaxed min/max updates —
 //! cheap enough to sit on the HTTP accept-to-last-byte path.
 
@@ -105,6 +103,12 @@ impl LogHistogram {
         core.max_ns.fetch_max(ns, Ordering::Relaxed);
     }
 
+    /// Records one observation given in seconds, rounded to the nanosecond
+    /// (negative and `NaN` record 0; beyond `u64::MAX` ns saturates).
+    pub fn observe_secs(&self, seconds: f64) {
+        self.observe((seconds * 1e9).round() as u64);
+    }
+
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.0.total.load(Ordering::Relaxed)
@@ -141,20 +145,17 @@ impl LogHistogram {
 
     /// Estimates the `q`-quantile in nanoseconds (`q` clamped to `[0, 1]`),
     /// interpolating linearly within the bucket holding rank `max(1, q·count)`
-    /// — the same estimate as [`crate::metrics::Histogram::quantile`], with
+    /// — the estimate Prometheus's `histogram_quantile` computes, with
     /// ≤`1/SUB_COUNT` relative quantization error. Returns `NaN` when empty.
     pub fn quantile(&self, q: f64) -> f64 {
-        let core = &*self.0;
         let count = self.count();
         if count == 0 {
             return f64::NAN;
         }
         let rank = (q.clamp(0.0, 1.0) * count as f64).max(1.0);
         let mut cumulative = 0u64;
-        for (i, cell) in core.counts.iter().enumerate() {
-            let in_bucket = cell.load(Ordering::Relaxed);
-            if in_bucket > 0 && (cumulative + in_bucket) as f64 >= rank {
-                let (lower, upper) = bounds_of(i);
+        for (lower, upper, in_bucket) in self.cells() {
+            if (cumulative + in_bucket) as f64 >= rank {
                 let into = (rank - cumulative as f64) / in_bucket as f64;
                 return lower as f64 + (upper - lower) as f64 * into;
             }
@@ -163,14 +164,25 @@ impl LogHistogram {
         self.max_ns() as f64
     }
 
+    /// The non-empty bucket cells in ascending value order, as
+    /// `(lower, upper, count)` over the half-open nanosecond range
+    /// `[lower, upper)`. Each cell is read once, so the counts of one scan sum
+    /// to a total consistent with every prefix of it, even under concurrent
+    /// writers.
+    pub(crate) fn cells(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
+        self.0.counts.iter().enumerate().filter_map(|(i, cell)| {
+            let count = cell.load(Ordering::Relaxed);
+            (count > 0).then(|| {
+                let (lower, upper) = bounds_of(i);
+                (lower, upper, count)
+            })
+        })
+    }
+
     /// The sum of all bucket cells — always equals [`LogHistogram::count`]
     /// (the conservation invariant the tests pin down).
     pub fn bucket_total(&self) -> u64 {
-        self.0
-            .counts
-            .iter()
-            .map(|c| c.load(Ordering::Relaxed))
-            .sum()
+        self.cells().map(|(_, _, count)| count).sum()
     }
 }
 
@@ -216,6 +228,8 @@ mod tests {
 
     #[test]
     fn quantiles_match_fixed_bucket_semantics() {
+        // Prometheus `histogram_quantile` semantics: rank max(1, q·count),
+        // interpolated linearly within the bucket that holds it.
         let h = LogHistogram::new();
         for v in [100u64, 100, 200, 200, 400, 400, 400, 400] {
             h.observe(v);

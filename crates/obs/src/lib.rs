@@ -21,11 +21,13 @@
 //!   [`Subscriber`]s. Off by default with the same one-relaxed-load
 //!   discipline; enable with [`set_events`]`(true)` (serve does this at
 //!   startup for its SSE endpoints, campaign for `--progress`/`--events-out`).
-//! * **Metrics** ([`metrics`]): counters, gauges, fixed-bucket histograms and
-//!   labeled families in a [`Registry`] with a Prometheus-text encoder, plus a
-//!   log-bucketed HDR histogram ([`LogHistogram`]) for nanosecond latencies
-//!   spanning microseconds to minutes (serve's per-endpoint timings, loadgen's
-//!   per-outcome latency records).
+//! * **Metrics** ([`metrics`]): counters, gauges, histograms and labeled
+//!   families in a [`Registry`] with a Prometheus-text encoder. The one
+//!   histogram type is the log-bucketed HDR [`LogHistogram`] over nanoseconds
+//!   (≤3.125% relative error from microseconds to minutes): every registry
+//!   histogram series is one, rendered as `le` buckets on the one grid
+//!   [`metrics::LE_GRID_S`], and serve's `/v1/stats`, loadgen and the
+//!   `obs report` quantiles read the same type.
 //!   Library crates record into the process-wide [`metrics::global`] registry;
 //!   the serve daemon renders it on `GET /metrics` alongside its own
 //!   service-local registry.
@@ -77,7 +79,7 @@ pub use event::{
 pub use flame::{render_folded, render_top};
 pub use hdr::LogHistogram;
 pub use log::{log_enabled, set_log_filter, Level};
-pub use metrics::{global, Counter, Gauge, Histogram, Registry};
+pub use metrics::{global, Counter, Gauge, Registry};
 pub use report::{
     aggregate, fmt_ns, parse_jsonl, render_quantiles, render_tree, spans_to_jsonl, TreeNode,
 };

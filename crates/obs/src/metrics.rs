@@ -1,12 +1,20 @@
-//! The unified metrics registry: counters, gauges, fixed-bucket histograms, and
-//! labeled families, with a Prometheus-text encoder.
+//! The unified metrics registry: counters, gauges, histograms and labeled
+//! families, with a Prometheus-text encoder.
 //!
 //! A [`Registry`] is a named map of metric families; registration is get-or-create
-//! and returns a cheaply cloneable handle ([`Counter`], [`Gauge`], [`Histogram`])
-//! backed by shared atomics, so hot paths update without touching the registry
-//! lock. Instrumented library crates record into the process-wide [`global`]
-//! registry; the serve daemon keeps its own per-instance [`Registry`] for
-//! service-local counters and renders both on `/metrics`.
+//! and returns a cheaply cloneable handle ([`Counter`], [`Gauge`],
+//! [`LogHistogram`]) backed by shared atomics, so hot paths update without
+//! touching the registry lock. Instrumented library crates record into the
+//! process-wide [`global`] registry; the serve daemon keeps its own per-instance
+//! [`Registry`] for service-local counters and renders both on `/metrics`.
+//!
+//! Every histogram series is a [`LogHistogram`] over nanoseconds. The encoder
+//! renders it in seconds against one bucket grid, [`LE_GRID_S`]: it scans the
+//! HDR cells once, and a cell counts toward the first bound its whole range
+//! lies at or below. The one cell straddling a bound therefore counts toward
+//! the next bound; every observation it holds lies above `bound·(1 − 1/32)`.
+//! `+Inf` and `_count` are the total of that same scan (so the buckets stay
+//! monotonic under concurrent writers), and `_sum` is the exact nanosecond sum.
 //!
 //! The encoder emits the Prometheus text exposition format: one `# HELP` /
 //! `# TYPE` header per family, families sorted by name, series sorted by label
@@ -16,6 +24,16 @@
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+use crate::hdr::LogHistogram;
+
+/// The `le` bucket bounds every registry histogram renders, in seconds: about
+/// 1–2.5–5 per decade from 100 µs (cache hits, status polls) up to the 120 s
+/// worst-case job. An `+Inf` bucket is implicit.
+pub const LE_GRID_S: [f64; 18] = [
+    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
+    5.0, 10.0, 30.0, 120.0,
+];
 
 /// A monotonically increasing counter handle (clones share the same cell).
 #[derive(Debug, Clone, Default)]
@@ -72,146 +90,6 @@ impl Gauge {
     }
 }
 
-#[derive(Debug)]
-struct HistogramCore {
-    /// Bucket upper bounds, strictly increasing; an `+Inf` bucket is implicit.
-    bounds: Vec<f64>,
-    /// One cell per bound plus the `+Inf` overflow cell (non-cumulative).
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
-    sum_bits: AtomicU64,
-}
-
-/// A fixed-bucket histogram handle with Prometheus `histogram` semantics
-/// (cumulative buckets plus `_sum` and `_count`). Clones share the same cells.
-#[derive(Debug, Clone)]
-pub struct Histogram(Arc<HistogramCore>);
-
-impl Histogram {
-    /// A standalone histogram with the given bucket upper bounds (must be
-    /// strictly increasing; `+Inf` is implicit).
-    pub fn with_bounds(bounds: &[f64]) -> Histogram {
-        assert!(
-            bounds.windows(2).all(|w| w[0] < w[1]),
-            "histogram bounds must be strictly increasing"
-        );
-        Histogram(Arc::new(HistogramCore {
-            bounds: bounds.to_vec(),
-            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum_bits: AtomicU64::new(0f64.to_bits()),
-        }))
-    }
-
-    /// Record one observation.
-    pub fn observe(&self, v: f64) {
-        let core = &*self.0;
-        let index = core
-            .bounds
-            .iter()
-            .position(|&bound| v <= bound)
-            .unwrap_or(core.bounds.len());
-        core.buckets[index].fetch_add(1, Ordering::Relaxed);
-        core.count.fetch_add(1, Ordering::Relaxed);
-        let mut current = core.sum_bits.load(Ordering::Relaxed);
-        loop {
-            let next = (f64::from_bits(current) + v).to_bits();
-            match core.sum_bits.compare_exchange_weak(
-                current,
-                next,
-                Ordering::Relaxed,
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => return,
-                Err(actual) => current = actual,
-            }
-        }
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
-    }
-
-    /// Sum of all observations.
-    pub fn sum(&self) -> f64 {
-        f64::from_bits(self.0.sum_bits.load(Ordering::Relaxed))
-    }
-
-    /// Estimate the `q`-quantile (`q` in `[0, 1]`, clamped) from the bucket
-    /// counts, interpolating linearly within the bucket that holds the target
-    /// rank — the same estimate Prometheus's `histogram_quantile` computes.
-    ///
-    /// The lower edge of the first bucket is taken as 0 when its upper bound
-    /// is positive (the usual latency case), else as the bound itself. A rank
-    /// landing in the `+Inf` overflow bucket returns the highest finite bound.
-    /// Returns `NaN` when the histogram is empty.
-    pub fn quantile(&self, q: f64) -> f64 {
-        let core = &*self.0;
-        let count = self.count();
-        if count == 0 {
-            return f64::NAN;
-        }
-        let rank = (q.clamp(0.0, 1.0) * count as f64).max(1.0);
-        let mut cumulative = 0u64;
-        for (i, &bound) in core.bounds.iter().enumerate() {
-            let in_bucket = core.buckets[i].load(Ordering::Relaxed);
-            if (cumulative + in_bucket) as f64 >= rank {
-                let lower = if i == 0 {
-                    if bound > 0.0 {
-                        0.0
-                    } else {
-                        bound
-                    }
-                } else {
-                    core.bounds[i - 1]
-                };
-                if in_bucket == 0 {
-                    return bound;
-                }
-                let into = (rank - cumulative as f64) / in_bucket as f64;
-                return lower + (bound - lower) * into;
-            }
-            cumulative += in_bucket;
-        }
-        // Target rank lives in the +Inf overflow bucket.
-        core.bounds.last().copied().unwrap_or(f64::NAN)
-    }
-
-    fn render(&self, out: &mut String, name: &str, label_key: &str) {
-        let core = &*self.0;
-        let sep = if label_key.is_empty() { "" } else { "," };
-        let mut cumulative = 0u64;
-        for (i, bound) in core.bounds.iter().enumerate() {
-            cumulative += core.buckets[i].load(Ordering::Relaxed);
-            out.push_str(&format!(
-                "{name}_bucket{{{label_key}{sep}le=\"{bound}\"}} {cumulative}\n"
-            ));
-        }
-        cumulative += core.buckets[core.bounds.len()].load(Ordering::Relaxed);
-        out.push_str(&format!(
-            "{name}_bucket{{{label_key}{sep}le=\"+Inf\"}} {cumulative}\n"
-        ));
-        let braces = |key: &str| {
-            if key.is_empty() {
-                String::new()
-            } else {
-                format!("{{{key}}}")
-            }
-        };
-        out.push_str(&format!(
-            "{name}_sum{} {}\n",
-            braces(label_key),
-            fmt_f64(self.sum())
-        ));
-        out.push_str(&format!(
-            "{name}_count{} {}\n",
-            braces(label_key),
-            self.count()
-        ));
-    }
-}
-
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Kind {
     Counter,
@@ -233,7 +111,7 @@ impl Kind {
 enum Series {
     Counter(Counter),
     Gauge(Gauge),
-    Histogram(Histogram),
+    Histogram(LogHistogram),
 }
 
 #[derive(Debug)]
@@ -294,22 +172,11 @@ impl Registry {
         }
     }
 
-    /// Get or create the unlabeled histogram `name` with the given bucket bounds.
-    pub fn histogram(&self, name: &str, help: &str, bounds: &[f64]) -> Histogram {
-        self.histogram_with(name, help, bounds, &[])
-    }
-
-    /// Get or create the histogram `name` with the given bounds and label pairs.
-    /// The bounds of the first registration win; later callers share its buckets.
-    pub fn histogram_with(
-        &self,
-        name: &str,
-        help: &str,
-        bounds: &[f64],
-        labels: &[(&str, &str)],
-    ) -> Histogram {
+    /// Get or create the histogram `name` (nanosecond observations, rendered in
+    /// seconds against [`LE_GRID_S`]) with the given label pairs.
+    pub fn histogram_with(&self, name: &str, help: &str, labels: &[(&str, &str)]) -> LogHistogram {
         match self.series(name, help, Kind::Histogram, labels, || {
-            Series::Histogram(Histogram::with_bounds(bounds))
+            Series::Histogram(LogHistogram::new())
         }) {
             Series::Histogram(h) => h,
             _ => unreachable!(),
@@ -365,7 +232,7 @@ impl Registry {
                     Series::Gauge(g) => {
                         push_sample(out, name, key, &fmt_f64(g.get()));
                     }
-                    Series::Histogram(h) => h.render(out, name, key),
+                    Series::Histogram(h) => render_histogram(out, name, key, h),
                 }
             }
         }
@@ -378,6 +245,33 @@ fn push_sample(out: &mut String, name: &str, label_key: &str, value: &str) {
     } else {
         out.push_str(&format!("{name}{{{label_key}}} {value}\n"));
     }
+}
+
+/// Appends one histogram series: cumulative `le` buckets over [`LE_GRID_S`]
+/// from one scan of the cells, then `_sum` (exact) and `_count` (the scan's
+/// total, equal to `+Inf`).
+fn render_histogram(out: &mut String, name: &str, label_key: &str, histogram: &LogHistogram) {
+    let sep = if label_key.is_empty() { "" } else { "," };
+    let mut cells = histogram.cells().peekable();
+    let mut cumulative = 0u64;
+    for le in LE_GRID_S {
+        let bound_ns = (le * 1e9).round() as u64;
+        // A cell counts once every value it can hold is at or below the bound.
+        while let Some((_, _, count)) = cells.next_if(|&(_, upper, _)| upper - 1 <= bound_ns) {
+            cumulative += count;
+        }
+        out.push_str(&format!(
+            "{name}_bucket{{{label_key}{sep}le=\"{le}\"}} {cumulative}\n"
+        ));
+    }
+    cumulative += cells.map(|(_, _, count)| count).sum::<u64>();
+    out.push_str(&format!(
+        "{name}_bucket{{{label_key}{sep}le=\"+Inf\"}} {cumulative}\n"
+    ));
+    let sum = fmt_f64(histogram.sum_ns() as f64 / 1e9);
+    push_sample(out, &format!("{name}_sum"), label_key, &sum);
+    let count = cumulative.to_string();
+    push_sample(out, &format!("{name}_count"), label_key, &count);
 }
 
 /// The canonical series key: labels sorted by name, values escaped.
@@ -435,36 +329,4 @@ pub fn fmt_f64(v: f64) -> String {
 pub fn global() -> &'static Registry {
     static GLOBAL: Registry = Registry::new();
     &GLOBAL
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn quantiles_interpolate_within_buckets() {
-        let h = Histogram::with_bounds(&[1.0, 2.0, 4.0]);
-        for v in [0.5, 0.5, 1.5, 1.5, 3.0, 3.0, 3.0, 3.0] {
-            h.observe(v);
-        }
-        // 8 observations: ranks 1-2 in (0,1], 3-4 in (1,2], 5-8 in (2,4].
-        assert_eq!(h.quantile(0.25), 1.0);
-        assert_eq!(h.quantile(0.5), 2.0);
-        // rank 6 of 8 → halfway through the (2,4] bucket's 4 observations.
-        assert_eq!(h.quantile(0.75), 3.0);
-        assert_eq!(h.quantile(1.0), 4.0);
-        assert_eq!(h.quantile(0.0), 0.5, "rank clamps to the first observation");
-    }
-
-    #[test]
-    fn quantile_overflow_and_empty_cases() {
-        let h = Histogram::with_bounds(&[1.0, 2.0]);
-        assert!(h.quantile(0.5).is_nan(), "empty histogram has no quantile");
-        h.observe(10.0); // lands in +Inf
-        assert_eq!(
-            h.quantile(0.99),
-            2.0,
-            "overflow ranks report the highest finite bound"
-        );
-    }
 }

@@ -17,6 +17,7 @@
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
+use crate::hdr::LogHistogram;
 use crate::json::Json;
 use crate::trace::SpanRecord;
 
@@ -234,27 +235,18 @@ fn render_node(out: &mut String, node: &TreeNode, depth: usize) {
 }
 
 /// Render a per-span-name latency summary: count, p50/p95/p99 duration
-/// quantiles (estimated via [`crate::metrics::Histogram::quantile`] over
-/// power-of-two nanosecond buckets), and the max observed duration. Names are
-/// sorted by descending p99. This is the second table `obs report` prints.
+/// quantiles (from a [`LogHistogram`] per name, within `1/32` of the exact
+/// rank values), and the max observed duration. Names are sorted by
+/// descending p99. This is the second table `obs report` prints.
 pub fn render_quantiles(spans: &[SpanRecord]) -> String {
-    // Power-of-two bounds from 1µs to ~1100s: quantiles resolve to within a
-    // factor of two, which is plenty for a "where is the tail" summary.
-    let bounds: Vec<f64> = (0..31).map(|i| 1e3 * f64::from(1u32 << i)).collect();
-    let mut stats: BTreeMap<&str, (crate::metrics::Histogram, u64)> = BTreeMap::new();
+    let mut stats: BTreeMap<&str, LogHistogram> = BTreeMap::new();
     for span in spans {
-        let (histogram, max_ns) = stats
-            .entry(&span.name)
-            .or_insert_with(|| (crate::metrics::Histogram::with_bounds(&bounds), 0));
-        histogram.observe(span.dur_ns as f64);
-        *max_ns = (*max_ns).max(span.dur_ns);
+        stats.entry(&span.name).or_default().observe(span.dur_ns);
     }
-    let mut rows: Vec<(&str, &(crate::metrics::Histogram, u64))> =
-        stats.iter().map(|(name, stat)| (*name, stat)).collect();
+    let mut rows: Vec<_> = stats.iter().collect();
     rows.sort_by(|a, b| {
-        b.1 .0
-            .quantile(0.99)
-            .total_cmp(&a.1 .0.quantile(0.99))
+        b.1.quantile(0.99)
+            .total_cmp(&a.1.quantile(0.99))
             .then(a.0.cmp(b.0))
     });
     let mut out = String::new();
@@ -263,7 +255,7 @@ pub fn render_quantiles(spans: &[SpanRecord]) -> String {
         "{:>7}  {:>10}  {:>10}  {:>10}  {:>10}  span",
         "COUNT", "P50", "P95", "P99", "MAX"
     );
-    for (name, (histogram, max_ns)) in rows {
+    for (name, histogram) in rows {
         let q = |q: f64| fmt_ns(histogram.quantile(q) as u64);
         let _ = writeln!(
             out,
@@ -272,7 +264,7 @@ pub fn render_quantiles(spans: &[SpanRecord]) -> String {
             q(0.50),
             q(0.95),
             q(0.99),
-            fmt_ns(*max_ns)
+            fmt_ns(histogram.max_ns())
         );
     }
     out
@@ -374,5 +366,62 @@ mod tests {
         assert!(text.contains("2 spans"), "{text}");
         assert!(text.contains("flow"), "{text}");
         assert!(text.contains("  sa"), "{text}");
+    }
+
+    /// Parses an [`fmt_ns`] cell back to nanoseconds, with half a unit of its
+    /// last printed digit as the rounding allowance.
+    fn parse_ns(cell: &str) -> (f64, f64) {
+        for (suffix, unit, half_digit) in [
+            ("ns", 1.0, 0.5),
+            ("µs", 1e3, 50.0),
+            ("ms", 1e6, 5e3),
+            ("s", 1e9, 5e5),
+        ] {
+            if let Some(number) = cell.strip_suffix(suffix) {
+                return (number.parse::<f64>().unwrap() * unit, half_digit);
+            }
+        }
+        panic!("not a duration: {cell}")
+    }
+
+    #[test]
+    fn quantile_table_is_sorted_by_p99_and_within_one_thirty_second() {
+        // alpha: 100 spans of 20µs..2ms; beta: nine of 500µs and one of 5ms;
+        // gamma: one of 1ms. Name order, count order and p99 order all differ.
+        let mut durations: Vec<(&str, Vec<u64>)> = vec![
+            ("alpha", (1..=100).map(|i| i * 20_000).collect()),
+            ("beta", [vec![500_000; 9], vec![5_000_000]].concat()),
+            ("gamma", vec![1_000_000]),
+        ];
+        let spans: Vec<SpanRecord> = durations
+            .iter()
+            .flat_map(|(name, durs)| durs.iter().map(move |&d| span(1, 0, name, 0, d)))
+            .collect();
+        let table = render_quantiles(&spans);
+        let mut lines = table.lines();
+        assert_eq!(
+            lines.next().unwrap(),
+            "  COUNT         P50         P95         P99         MAX  span"
+        );
+        let rows: Vec<Vec<&str>> = lines.map(|l| l.split_whitespace().collect()).collect();
+        let names: Vec<&str> = rows.iter().map(|r| r[5]).collect();
+        assert_eq!(names, ["beta", "alpha", "gamma"], "{table}");
+        for row in &rows {
+            let (_, durs) = durations.iter_mut().find(|(n, _)| *n == row[5]).unwrap();
+            durs.sort_unstable();
+            assert_eq!(row[0], durs.len().to_string(), "{table}");
+            assert_eq!(row[4], fmt_ns(*durs.last().unwrap()), "{table}");
+            for (cell, q) in row[1..4].iter().zip([0.50, 0.95, 0.99]) {
+                // The exact value at rank max(1, ⌈q·n⌉).
+                let rank = ((q * durs.len() as f64).ceil() as usize).max(1);
+                let exact = durs[rank - 1] as f64;
+                let (printed, rounding) = parse_ns(cell);
+                assert!(
+                    (printed - exact).abs() <= exact / 32.0 + rounding,
+                    "{} q{q}: printed {cell}, exact {exact} ns\n{table}",
+                    row[5]
+                );
+            }
+        }
     }
 }

@@ -3,9 +3,7 @@
 //!
 //! Tracing is **off by default**. Every instrumentation site ([`SpanGuard::enter`],
 //! [`add_to_span`]) starts with a single relaxed atomic load of the global enable
-//! flag, so disabled tracing costs one predictable branch in hot loops. The
-//! `tracing` cargo feature (default on) compiles the sites out entirely when
-//! disabled at build time.
+//! flag, so disabled tracing costs one predictable branch in hot loops.
 //!
 //! When enabled, each thread keeps a stack of active span frames; a guard pushes a
 //! frame on construction and, on drop, pops it and appends a finished
@@ -109,11 +107,10 @@ pub fn set_tracing(on: bool) {
     ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether tracing is currently recording. Compiled to `false` without the
-/// `tracing` cargo feature; otherwise a single relaxed atomic load.
+/// Whether tracing is currently recording: a single relaxed atomic load.
 #[inline(always)]
 pub fn tracing_enabled() -> bool {
-    cfg!(feature = "tracing") && ENABLED.load(Ordering::Relaxed)
+    ENABLED.load(Ordering::Relaxed)
 }
 
 /// Number of finished spans dropped because a collector shard hit its cap.

@@ -459,7 +459,9 @@ impl JobService {
             };
             (job.submitted_at.elapsed(), cancel)
         };
-        self.metrics.queue_wait.observe(queued_for.as_secs_f64());
+        self.metrics
+            .queue_wait
+            .observe_secs(queued_for.as_secs_f64());
 
         let started = Instant::now();
         let outcome = {
@@ -470,7 +472,7 @@ impl JobService {
         };
         self.metrics
             .job_latency
-            .observe(started.elapsed().as_secs_f64());
+            .observe_secs(started.elapsed().as_secs_f64());
         // The terminal event must land *before* the table settles: an SSE job
         // stream disconnects `"complete"` once the table shows done/failed and
         // its poll comes back empty, which must imply this event was delivered.

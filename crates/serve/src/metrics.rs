@@ -9,12 +9,13 @@
 //! internals ([`PoolStats`]) are sampled into `tsc3d_pool_*` gauges at render
 //! time.
 //!
-//! Two layers of latency truth live here. The job-level histograms
-//! (`tsc3d_serve_latency_seconds`, `tsc3d_serve_stage_seconds`) time
-//! evaluations; the HTTP layer ([`Metrics::record_http`]) times every
-//! *response* — accept to last byte, cache hits and 4xx/5xx included — into
-//! the RED counter family plus per-route HDR histograms that back the live
-//! quantiles of `GET /v1/stats`.
+//! Two layers of latency truth live here, all in [`LogHistogram`] registry
+//! series. The job-level histograms (`tsc3d_serve_latency_seconds`,
+//! `tsc3d_serve_stage_seconds`) time evaluations; the HTTP layer
+//! ([`Metrics::record_http`]) times every *response* — accept to last byte,
+//! cache hits and 4xx/5xx included — into the RED counter family plus one
+//! histogram per route, which `/metrics` renders as buckets and `GET /v1/stats`
+//! reads for its live quantiles.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -22,18 +23,7 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use tsc3d::exec::PoolStats;
 use tsc3d::StageTimings;
-use tsc3d_obs::{Counter, Gauge, Histogram, LogHistogram, Registry};
-
-/// Histogram bucket upper bounds, in seconds (an `+Inf` bucket is implicit).
-///
-/// Log-spaced at roughly 1–2.5–5 per decade from 100µs up to the 120s
-/// worst-case job, so `Histogram::quantile` resolves cache hits and status
-/// polls (sub-millisecond) as well as multi-second evaluations. The old grading
-/// started at 1ms, which collapsed every fast-path latency into one bucket.
-pub const LATENCY_BUCKETS: [f64; 18] = [
-    0.0001, 0.00025, 0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5,
-    5.0, 10.0, 30.0, 120.0,
-];
+use tsc3d_obs::{Counter, Gauge, LogHistogram, Registry};
 
 /// All counters of the serve daemon, backed by a per-instance [`Registry`].
 #[derive(Debug)]
@@ -46,9 +36,10 @@ pub struct Metrics {
     /// excluded). Divides `trace_sims_total` into the traces/sec gauge; not exported
     /// on its own.
     trace_attack_micros: AtomicU64,
-    /// Per-route HDR latency histograms (accept to last byte, nanoseconds),
-    /// backing the live quantiles of `GET /v1/stats`. Keyed by the normalized
-    /// route label, so cardinality is bounded by the route table.
+    /// Handles of the per-route `tsc3d_serve_http_latency_seconds` series
+    /// (accept to last byte), so `GET /v1/stats` reads the histograms
+    /// `/metrics` renders. Keyed by the normalized route label, so cardinality
+    /// is bounded by the route table.
     http_latency: Mutex<BTreeMap<&'static str, LogHistogram>>,
     /// Jobs accepted by `POST /v1/jobs` (including dedups and cache hits).
     pub jobs_submitted: Counter,
@@ -70,17 +61,17 @@ pub struct Metrics {
     /// encryption; an sca submission contributes its baseline plus mitigated traces).
     pub trace_sims_total: Counter,
     /// Time from submission to execution start.
-    pub queue_wait: Histogram,
+    pub queue_wait: LogHistogram,
     /// Total job execution time (flow or campaign).
-    pub job_latency: Histogram,
+    pub job_latency: LogHistogram,
     /// Floorplanning-stage latency of completed flow jobs.
-    stage_floorplan: Histogram,
+    stage_floorplan: LogHistogram,
     /// Voltage-assignment-stage latency.
-    stage_assign: Histogram,
+    stage_assign: LogHistogram,
     /// Detailed-verification-stage latency.
-    stage_verify: Histogram,
+    stage_verify: LogHistogram,
     /// Post-processing-stage latency.
-    stage_post_process: Histogram,
+    stage_post_process: LogHistogram,
     // Gauges sampled at render time.
     traces_per_sec_gauge: Gauge,
     evaluations_per_sec_gauge: Gauge,
@@ -103,7 +94,6 @@ impl Default for Metrics {
             registry.histogram_with(
                 "tsc3d_serve_stage_seconds",
                 "Flow-stage latencies of completed flow jobs",
-                &LATENCY_BUCKETS,
                 &[("stage", name)],
             )
         };
@@ -111,7 +101,6 @@ impl Default for Metrics {
             registry.histogram_with(
                 "tsc3d_serve_latency_seconds",
                 "Job latencies by phase",
-                &LATENCY_BUCKETS,
                 &[("phase", phase)],
             )
         };
@@ -210,6 +199,20 @@ impl Default for Metrics {
     }
 }
 
+/// The `method` label value of a request — a closed table like
+/// [`status_label`]: the methods the router answers, `-` for a request refused
+/// before it was parsed, and `other` for any other token a client sends, so no
+/// client can grow the label set.
+fn method_label(method: &str) -> &'static str {
+    match method {
+        "GET" => "GET",
+        "POST" => "POST",
+        "DELETE" => "DELETE",
+        "-" => "-",
+        _ => "other",
+    }
+}
+
 /// The `status` label value of a response code — the static table keeps
 /// [`Metrics::record_http`] allocation-free and the label set closed.
 fn status_label(status: u16) -> &'static str {
@@ -270,45 +273,46 @@ impl Metrics {
 
     /// Records one handled HTTP exchange at the connection layer: `route` is
     /// the normalized path label (`/v1/jobs/{id}`, not the literal path, so
-    /// label cardinality stays bounded), `latency` runs from socket accept to
-    /// the last response byte. Feeds three sinks:
+    /// label cardinality stays bounded), `method` is mapped through a closed
+    /// table, and `latency` runs from socket accept to the last response byte.
+    /// Feeds two sinks:
     ///
     /// * `tsc3d_serve_http_requests_total{path,method,status}` — the RED
     ///   request/error counter family,
-    /// * `tsc3d_serve_http_latency_seconds{path}` — the exported per-endpoint
-    ///   latency histogram over [`LATENCY_BUCKETS`],
-    /// * a per-route [`LogHistogram`] serving the live nanosecond quantiles of
-    ///   `GET /v1/stats`.
+    /// * `tsc3d_serve_http_latency_seconds{path}` — the per-route latency
+    ///   histogram, rendered as buckets on `/metrics` and read for the live
+    ///   quantiles of `GET /v1/stats`.
     ///
     /// Unlike the job-level histograms, this sees every response — cache hits,
     /// 4xx refusals, and 5xx failures included.
     pub fn record_http(&self, route: &'static str, method: &str, status: u16, latency: Duration) {
-        let status = status_label(status);
         self.registry
             .counter_with(
                 "tsc3d_serve_http_requests_total",
                 "HTTP requests handled, by normalized path, method, and status",
-                &[("path", route), ("method", method), ("status", status)],
+                &[
+                    ("path", route),
+                    ("method", method_label(method)),
+                    ("status", status_label(status)),
+                ],
             )
             .inc();
-        self.registry
-            .histogram_with(
-                "tsc3d_serve_http_latency_seconds",
-                "HTTP request latency from accept to last byte, by normalized path",
-                &LATENCY_BUCKETS,
-                &[("path", route)],
-            )
-            .observe(latency.as_secs_f64());
         self.http_latency
             .lock()
             .expect("http latency map")
             .entry(route)
-            .or_default()
+            .or_insert_with(|| {
+                self.registry.histogram_with(
+                    "tsc3d_serve_http_latency_seconds",
+                    "HTTP request latency from accept to last byte, by normalized path",
+                    &[("path", route)],
+                )
+            })
             .observe(latency.as_nanos().min(u128::from(u64::MAX)) as u64);
     }
 
-    /// Snapshot of the per-route HDR latency histograms (handles share cells
-    /// with the live recorders — cheap, and consistent enough for a stats
+    /// The per-route latency histograms (handles share cells with the live
+    /// recorders and with `/metrics` — cheap, and consistent enough for a stats
     /// endpoint). Routes in label order.
     pub fn http_snapshot(&self) -> Vec<(&'static str, LogHistogram)> {
         self.http_latency
@@ -353,10 +357,10 @@ impl Metrics {
 
     /// Records the per-stage wall-clock breakdown of one completed flow run.
     pub fn observe_stages(&self, timings: &StageTimings) {
-        self.stage_floorplan.observe(timings.floorplan_s);
-        self.stage_assign.observe(timings.assign_s);
-        self.stage_verify.observe(timings.verify_s);
-        self.stage_post_process.observe(timings.post_process_s);
+        self.stage_floorplan.observe_secs(timings.floorplan_s);
+        self.stage_assign.observe_secs(timings.assign_s);
+        self.stage_verify.observe_secs(timings.verify_s);
+        self.stage_post_process.observe_secs(timings.post_process_s);
     }
 
     /// The cache hit rate over all submissions (0 when nothing was submitted).
@@ -413,9 +417,9 @@ mod tests {
     #[test]
     fn histograms_are_cumulative_and_render() {
         let metrics = Metrics::default();
-        metrics.job_latency.observe(0.003);
-        metrics.job_latency.observe(0.07);
-        metrics.job_latency.observe(1000.0);
+        metrics.job_latency.observe(3_000_000); // 3 ms
+        metrics.job_latency.observe(70_000_000); // 70 ms
+        metrics.job_latency.observe(1_000_000_000_000); // 1000 s, past the last bound
         assert_eq!(metrics.job_latency.count(), 3);
         let mut pool = idle_pool();
         pool.queued = 2;
@@ -443,14 +447,32 @@ mod tests {
             text.contains("tsc3d_serve_http_latency_seconds_bucket"),
             "{text}"
         );
-        // The re-graded buckets resolve sub-millisecond latencies: both healthz
-        // hits land under the 250µs bound instead of the old 1ms floor.
-        assert!(text.contains("le=\"0.00025\""), "{text}");
+        // The bucket grid resolves sub-millisecond latencies: the 150µs hit lands
+        // under the 250µs bound, the 250µs one (in the HDR cell straddling that
+        // bound) under 500µs.
+        assert!(
+            text.contains(
+                "tsc3d_serve_http_latency_seconds_bucket{path=\"/healthz\",le=\"0.00025\"} 1"
+            ),
+            "{text}"
+        );
+        assert!(
+            text.contains(
+                "tsc3d_serve_http_latency_seconds_bucket{path=\"/healthz\",le=\"0.0005\"} 2"
+            ),
+            "{text}"
+        );
 
+        // `/v1/stats` reads the very histograms `/metrics` renders: one per route,
+        // each response observed once.
         let snapshot = metrics.http_snapshot();
-        assert_eq!(snapshot.len(), 2, "one HDR histogram per route");
+        assert_eq!(snapshot.len(), 2, "one histogram per route");
         let healthz = &snapshot.iter().find(|(r, _)| *r == "/healthz").unwrap().1;
         assert_eq!(healthz.count(), 2);
+        assert!(
+            text.contains("tsc3d_serve_http_latency_seconds_count{path=\"/healthz\"} 2"),
+            "{text}"
+        );
         let p50 = healthz.quantile(0.5);
         assert!((100_000.0..300_000.0).contains(&p50), "{p50}");
     }
@@ -462,6 +484,16 @@ mod tests {
         assert_eq!(status_label(418), "4xx");
         assert_eq!(status_label(204), "2xx");
         assert_eq!(status_label(301), "other");
+    }
+
+    #[test]
+    fn method_labels_are_closed_set() {
+        for method in ["GET", "POST", "DELETE", "-"] {
+            assert_eq!(method_label(method), method);
+        }
+        for method in ["PUT", "get", "X1-10587", ""] {
+            assert_eq!(method_label(method), "other");
+        }
     }
 
     #[test]

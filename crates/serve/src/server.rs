@@ -525,9 +525,9 @@ fn healthz(shared: &Shared) -> Response {
 }
 
 /// `GET /v1/stats`: a JSON operations snapshot — queue/cache/pool state plus
-/// live per-route HTTP latency quantiles from the HDR histograms. The same
-/// truth as `/metrics`, but shaped for dashboards and scripts that want one
-/// structured read instead of parsing exposition text.
+/// live per-route HTTP latency quantiles, read from the same histograms
+/// `/metrics` renders as buckets, but shaped for dashboards and scripts that
+/// want one structured read instead of parsing exposition text.
 fn stats(shared: &Shared) -> Response {
     let pool = shared.jobs.pool().stats();
     let metrics = &shared.metrics;

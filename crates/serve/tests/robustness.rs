@@ -11,7 +11,9 @@
 //! * hostile bodies cost bounded work: nesting far past the JSON codec's depth limit
 //!   and a 1 MiB string field both answer `400`, and the daemon keeps answering,
 //! * SSE watchers beyond the fixed budget answer `503` with `Retry-After`, and a
-//!   closed watcher's slot is admitted again.
+//!   closed watcher's slot is admitted again,
+//! * made-up request methods cannot grow the metrics registry: they all share one
+//!   `method="other"` series per (path, status).
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -377,6 +379,48 @@ fn sse_watchers_beyond_the_budget_answer_503_until_one_closes() {
         std::thread::sleep(Duration::from_millis(50));
     }
     drop(watchers);
+    server.shutdown();
+}
+
+/// A client cycling through made-up methods adds no series per method: every one of
+/// them is counted under `method="other"`, one series per (path, status).
+#[test]
+fn unknown_methods_share_one_metrics_series_per_path_and_status() {
+    const METHODS: u64 = 24;
+    let server = Server::start(test_config()).expect("server boots");
+    let addr = server.local_addr();
+
+    for i in 0..METHODS {
+        let method = format!("X{i}-{}", 10_000 + i * 587);
+        let (status, _, payload) = request(addr, &method, &format!("/nowhere/{i}"), "");
+        assert_eq!(status, 404, "{payload}");
+        let (status, _, payload) = request(addr, &method, "/healthz", "");
+        assert_eq!(status, 405, "{payload}");
+    }
+
+    let (status, _, text) = request(addr, "GET", "/metrics", "");
+    assert_eq!(status, 200);
+    let series: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("tsc3d_serve_http_requests_total{"))
+        .collect();
+    assert!(
+        series.iter().all(|l| !l.contains("method=\"X")),
+        "a made-up method became a label value:\n{}",
+        series.join("\n")
+    );
+    let other: Vec<&str> = series
+        .iter()
+        .copied()
+        .filter(|l| l.contains("method=\"other\""))
+        .collect();
+    assert_eq!(
+        other,
+        [
+            format!("tsc3d_serve_http_requests_total{{method=\"other\",path=\"/healthz\",status=\"405\"}} {METHODS}"),
+            format!("tsc3d_serve_http_requests_total{{method=\"other\",path=\"other\",status=\"404\"}} {METHODS}"),
+        ]
+    );
     server.shutdown();
 }
 

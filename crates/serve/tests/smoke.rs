@@ -151,8 +151,47 @@ fn validate_labels(labels: &str, n: usize, line: &str) {
     }
 }
 
-/// Asserts every line of `text` parses as the Prometheus text exposition format and
-/// every sample belongs to a family announced by a `# TYPE` header.
+/// Asserts every histogram series in `text` has cumulative `le` buckets that never
+/// decrease and a `+Inf` bucket equal to the series' `_count`.
+fn validate_histogram_buckets(text: &str) {
+    // Series key (name plus its labels other than `le`) → last bucket value, and
+    // → the `+Inf` bucket until its `_count` line is checked.
+    let mut last = std::collections::HashMap::new();
+    let mut inf = std::collections::HashMap::new();
+    for line in text
+        .lines()
+        .filter(|l| !l.is_empty() && !l.starts_with('#'))
+    {
+        let (series, value) = line.rsplit_once(' ').expect("sample has a value");
+        let value: f64 = value.parse().expect("numeric sample");
+        if let Some((name, labels)) = series.split_once("_bucket{") {
+            let (labels, le) = labels
+                .strip_suffix("\"}")
+                .and_then(|l| l.rsplit_once("le=\""))
+                .unwrap_or_else(|| panic!("bucket without a trailing le label: {line}"));
+            let key = format!("{name}{{{}}}", labels.trim_end_matches(','));
+            if let Some(previous) = last.insert(key.clone(), value) {
+                assert!(value >= previous, "bucket count decreased: {line}");
+            }
+            if le == "+Inf" {
+                inf.insert(key, value);
+            }
+        } else if let Some((name, labels)) = series.split_once("_count") {
+            let key = format!(
+                "{name}{{{}}}",
+                labels.trim_start_matches('{').trim_end_matches('}')
+            );
+            if let Some(bucket) = inf.remove(&key) {
+                assert_eq!(bucket, value, "+Inf bucket differs from _count: {line}");
+            }
+        }
+    }
+    assert!(inf.is_empty(), "histogram series without _count: {inf:?}");
+}
+
+/// Asserts every line of `text` parses as the Prometheus text exposition format,
+/// every sample belongs to a family announced by a `# TYPE` header, and every
+/// histogram's buckets are consistent ([`validate_histogram_buckets`]).
 fn validate_prometheus(text: &str) {
     let mut types = std::collections::HashMap::new();
     for (number, line) in text.lines().enumerate() {
@@ -209,6 +248,7 @@ fn validate_prometheus(text: &str) {
             "line {n}: sample without a TYPE header: {line}"
         );
     }
+    validate_histogram_buckets(text);
 }
 
 #[test]
@@ -316,6 +356,17 @@ fn stats_endpoint_reports_http_red_metrics_and_quantiles() {
     );
     // Sub-millisecond buckets exist after the re-grade.
     assert!(text.contains("le=\"0.00025\""), "{text}");
+    // One histogram per route feeds both endpoints: the /healthz bucket count is
+    // the request count /v1/stats reported.
+    let healthz_count = text
+        .lines()
+        .find_map(|l| l.strip_prefix("tsc3d_serve_http_latency_seconds_count{path=\"/healthz\"} "))
+        .expect("/healthz latency count");
+    assert_eq!(
+        healthz_count.parse::<u64>().ok(),
+        healthz.get("requests").and_then(Json::as_u64),
+        "{text}"
+    );
     server.shutdown();
 }
 
