@@ -48,7 +48,8 @@ fn flow_metrics() -> &'static FlowMetrics {
             runs: registry.counter("tsc3d_flow_runs_total", "Flow pipeline runs started"),
             evaluations: registry.counter(
                 "tsc3d_flow_evaluations_total",
-                "SA cost evaluations performed by successful flow runs",
+                "SA cost evaluations of the anneal each successful flow run kept (after an \
+                 outline repair, the accepted round's anneal only)",
             ),
             stage_floorplan: stage("floorplan"),
             stage_assign: stage("assign"),
@@ -197,12 +198,33 @@ impl FlowConfig {
         self.weights.unwrap_or_else(|| self.setup.weights())
     }
 
-    /// Validates the configuration before any stage runs.
-    fn validate(&self) -> Result<(), FlowError> {
-        if self.verification_bins < 2 {
+    /// The finest analysis grid (bins per axis) a flow accepts, for both the annealing
+    /// loop's grid and the verification grid: maps hold `grid_bins²` bins each. The
+    /// largest grid any shipped binary uses is 64.
+    pub const MAX_GRID_BINS: usize = 128;
+
+    /// Validates the configuration, including the grid-size bounds that keep one
+    /// submission from allocating without limit. Every flow run calls it before any
+    /// stage runs; the serve daemon calls it at submission.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FlowError::InvalidConfig`] describing the first problem.
+    pub fn validate(&self) -> Result<(), FlowError> {
+        if self.schedule.grid_bins > Self::MAX_GRID_BINS {
             return Err(FlowError::InvalidConfig {
                 reason: format!(
-                    "verification_bins must be >= 2, got {}",
+                    "grid_bins must be <= {}, got {}",
+                    Self::MAX_GRID_BINS,
+                    self.schedule.grid_bins
+                ),
+            });
+        }
+        if !(2..=Self::MAX_GRID_BINS).contains(&self.verification_bins) {
+            return Err(FlowError::InvalidConfig {
+                reason: format!(
+                    "verification_bins must be in 2..={}, got {}",
+                    Self::MAX_GRID_BINS,
                     self.verification_bins
                 ),
             });

@@ -12,9 +12,8 @@
 //! benchmarks) can account for them individually:
 //!
 //! * the **geometric tier** ([`Evaluator::evaluate_geometry`]): packing envelope, outline
-//!   violation and wirelength. The per-net bounding boxes (and the Elmore net delays
-//!   derived from them) are cached in the [`EvalScratch`] and recomputed only for nets
-//!   touching blocks that moved since the previous evaluation.
+//!   violation and wirelength, plus every net's Elmore delay and signal-TSV site. All nets
+//!   are re-derived on every call from flat per-net pin rows fixed at construction.
 //! * the **analysis tier** ([`Evaluator::evaluate_analysis`]): timing analysis, voltage
 //!   assignment, power-map rasterization, signal-TSV planning, fast thermal estimation and
 //!   the leakage metrics, all writing into reusable [`EvalScratch`] buffers instead of
@@ -23,19 +22,45 @@
 //! [`Evaluator::evaluate_with`] chains both tiers; it produces [`CostBreakdown`]s
 //! bit-identical to the retained from-scratch reference path ([`Evaluator::evaluate`] /
 //! [`Evaluator::evaluate_full`]) while allocating almost nothing per call.
+//!
+//! # Data layout
+//!
+//! The tiered path keeps its data in flat arrays — structures of arrays and compressed
+//! sparse rows — so that each kernel is a short loop without data-dependent branches,
+//! which the compiler vectorizes where the access pattern allows:
+//!
+//! * nets: the block pins of every net as CSR rows over the block centres, plus each net's
+//!   terminal bounding box, fixed at construction;
+//! * timing: CSR out-edges with every edge's net delay gathered once per evaluation for
+//!   the nominal forward, backward and voltage-scaled forward passes
+//!   ([`TimingGraph::load_net_delays`]);
+//! * adjacency: a sweep over the expanded footprints sorted by left edge
+//!   ([`Floorplan::adjacency_into`]) into CSR neighbour lists;
+//! * voltage assignment: every block's level and the volume count, left in the
+//!   [`AssignScratch`];
+//! * blur: lanes across the columns of reflect-padded rows;
+//! * entropy: a sort of plain integers (value key and bin index packed into one `u64`),
+//!   the two halves of every nested-means cut summed side by side, and branch-free integer
+//!   histogram sums.
+//!
+//! Every value stays bit-identical to the reference: each output keeps its operands and
+//! its accumulation order (a lane loop sums each output in the scalar order), and only
+//! `min`/`max` folds, which are order-insensitive, are regrouped.
 
 use serde::{Deserialize, Serialize};
-use tsc3d_geometry::{Grid, GridMap, Point, Stack};
+use tsc3d_geometry::{Grid, GridMap, GridPos, Point, Stack};
 use tsc3d_leakage::{map_correlation, EntropyScratch, SpatialEntropy};
-use tsc3d_netlist::{Design, NetId};
-use tsc3d_power::{AssignScratch, AssignmentObjective, VoltageAssigner, VoltageAssignment};
+use tsc3d_netlist::{Design, PinRef};
+use tsc3d_power::{
+    AssignScratch, AssignmentObjective, BlockAdjacency, VoltageAssigner, VoltageAssignment,
+};
 use tsc3d_thermal::{
     fast::{BlurScratch, PowerBlurring},
     ThermalConfig, TsvField, TsvSite,
 };
 use tsc3d_timing::{ElmoreModel, ModuleDelayModel, NetTopology, TimingGraph, TimingScratch};
 
-use crate::{plan_signal_tsvs, Floorplan, PlacedBlock, TsvPlan};
+use crate::{plan_signal_tsvs, AdjacencySweep, Floorplan, TsvPlan};
 
 /// Weights of the multi-objective cost.
 ///
@@ -197,56 +222,53 @@ pub struct GeometricCost {
     pub wirelength: f64,
 }
 
-/// Per-net cache for the incremental signal-TSV planning: the die span of the net's block
-/// pins and the (clamped) bounding-box centre where its TSV stack would be dropped.
+/// The placement-independent part of one net's topology: its pin count and the bounding
+/// box of its terminal pins (empty — `+∞` minima, `-∞` maxima — for nets without
+/// terminals).
 #[derive(Debug, Clone, Copy)]
-struct TsvNetCache {
-    /// Lowest die with a block pin (`usize::MAX` for nets without block pins).
+struct NetFixed {
+    pins: usize,
+    has_terminals: bool,
+    min_x: f64,
+    max_x: f64,
+    min_y: f64,
+    max_y: f64,
+}
+
+/// One signal-TSV site of the current evaluation: a net whose block pins span dies
+/// `min_die..=max_die` drops one TSV per interface in between, at the clamped centre of
+/// its block pins (in analysis-grid bin `bin`).
+#[derive(Debug, Clone, Copy)]
+struct TsvNetSite {
     min_die: usize,
-    /// Highest die with a block pin.
     max_die: usize,
-    /// Clamped bounding-box centre of the net's block pins.
     center: Point,
-    /// Analysis-grid bin containing `center` (`None` when outside the grid, in which
-    /// case [`TsvField::add_site`] would drop the site too).
-    bin: Option<tsc3d_geometry::GridPos>,
+    bin: GridPos,
 }
 
 /// Reusable buffers for the tiered evaluation ([`Evaluator::evaluate_with`]).
 ///
-/// The scratch caches the floorplan of the previous evaluation together with its per-net
-/// topologies and delays, so the geometric tier only re-derives nets whose blocks actually
-/// moved; every map and vector of the analysis tier is reused across calls. Create one via
-/// [`Evaluator::scratch`] (after the builder methods, so the analysis grid matches) and
-/// keep it for the whole optimization run.
+/// Every buffer is overwritten by each evaluation, so one scratch serves any sequence of
+/// floorplans. Create one via [`Evaluator::scratch`] (after the builder methods, so the
+/// analysis grid matches) and keep it for the whole optimization run.
 #[derive(Debug, Clone)]
 pub struct EvalScratch {
     /// Analysis grid the buffers are sized for.
     grid: Grid,
-    /// Placements as of the previous evaluation (empty before the first).
-    prev: Vec<PlacedBlock>,
-    /// Per-net topology of the previous evaluation.
-    topologies: Vec<NetTopology>,
-    /// Per-net Elmore delay of the previous evaluation.
+    /// Block centres and dies of the current floorplan.
+    center_x: Vec<f64>,
+    center_y: Vec<f64>,
+    die: Vec<u32>,
+    /// Per-net Elmore delay of the current floorplan.
     net_delays: Vec<f64>,
-    /// Per-net signal-TSV cache of the previous evaluation.
-    tsv_nets: Vec<TsvNetCache>,
-    /// Per-net dirty flags of the current evaluation.
-    net_dirty: Vec<bool>,
+    /// Signal-TSV sites of the current floorplan, in net order.
+    tsv_sites: Vec<TsvNetSite>,
     timing: TimingScratch,
     slacks: Vec<f64>,
     scaled_delays: Vec<f64>,
     scaled_powers: Vec<f64>,
-    adjacency: Vec<Vec<tsc3d_netlist::BlockId>>,
-    /// Expanded block rects of the current adjacency derivation.
-    expanded: Vec<tsc3d_geometry::Rect>,
-    /// Spatial-hash buckets over the expanded rects (block indices, ascending).
-    buckets: Vec<Vec<u32>>,
-    /// Bucket-grid edge length the buckets were built for.
-    bucket_grid: usize,
-    /// Candidate dedup stamps (one per block, compared against `stamp`).
-    last_seen: Vec<u64>,
-    stamp: u64,
+    sweep: AdjacencySweep,
+    adjacency: BlockAdjacency,
     assign: AssignScratch,
     entropy: EntropyScratch,
     power_maps: Vec<GridMap>,
@@ -259,21 +281,17 @@ impl EvalScratch {
     fn new(grid: Grid, nets: usize, interfaces: usize) -> Self {
         Self {
             grid,
-            prev: Vec::new(),
-            topologies: Vec::with_capacity(nets),
+            center_x: Vec::new(),
+            center_y: Vec::new(),
+            die: Vec::new(),
             net_delays: Vec::with_capacity(nets),
-            tsv_nets: Vec::with_capacity(nets),
-            net_dirty: vec![false; nets],
+            tsv_sites: Vec::new(),
             timing: TimingScratch::new(),
             slacks: Vec::new(),
             scaled_delays: Vec::new(),
             scaled_powers: Vec::new(),
-            adjacency: Vec::new(),
-            expanded: Vec::new(),
-            buckets: Vec::new(),
-            bucket_grid: 0,
-            last_seen: Vec::new(),
-            stamp: 0,
+            sweep: AdjacencySweep::new(),
+            adjacency: BlockAdjacency::new(),
             assign: AssignScratch::new(),
             entropy: EntropyScratch::new(),
             power_maps: Vec::new(),
@@ -281,12 +299,6 @@ impl EvalScratch {
             blur: BlurScratch::new(),
             thermal_maps: Vec::new(),
         }
-    }
-
-    /// Drops the cached previous floorplan, forcing the next geometric tier to re-derive
-    /// every net (used when the scratch is about to see an unrelated floorplan sequence).
-    pub fn invalidate(&mut self) {
-        self.prev.clear();
     }
 }
 
@@ -320,8 +332,12 @@ pub struct Evaluator<'d> {
     blurring: PowerBlurring,
     entropy_model: SpatialEntropy,
     ambient: f64,
-    /// Nets touching each block (for dirty-net tracking in the geometric tier).
-    block_nets: Vec<Vec<NetId>>,
+    /// Block pins of every net as compressed sparse rows: net `n`'s block pins are
+    /// `net_blocks[net_start[n]..net_start[n + 1]]`, in pin order.
+    net_start: Vec<u32>,
+    net_blocks: Vec<u32>,
+    /// The placement-independent part of every net.
+    net_fixed: Vec<NetFixed>,
 }
 
 impl<'d> Evaluator<'d> {
@@ -343,14 +359,33 @@ impl<'d> Evaluator<'d> {
             AssignmentObjective::PowerAware
         };
         let thermal_config = ThermalConfig::default_for(stack);
-        let mut block_nets = vec![Vec::new(); design.blocks().len()];
-        for (net_id, net) in design.iter_nets() {
-            for b in net.blocks() {
-                let nets = &mut block_nets[b.index()];
-                if nets.last() != Some(&net_id) {
-                    nets.push(net_id);
+        let mut net_start = vec![0u32];
+        let mut net_blocks = Vec::new();
+        let mut net_fixed = Vec::with_capacity(design.nets().len());
+        for net in design.nets() {
+            let mut fixed = NetFixed {
+                pins: net.degree(),
+                has_terminals: false,
+                min_x: f64::INFINITY,
+                max_x: f64::NEG_INFINITY,
+                min_y: f64::INFINITY,
+                max_y: f64::NEG_INFINITY,
+            };
+            for pin in net.pins() {
+                match *pin {
+                    PinRef::Block(b) => net_blocks.push(b.index() as u32),
+                    PinRef::Terminal(t) => {
+                        let p = design.terminal(t).position();
+                        fixed.has_terminals = true;
+                        fixed.min_x = fixed.min_x.min(p.x);
+                        fixed.max_x = fixed.max_x.max(p.x);
+                        fixed.min_y = fixed.min_y.min(p.y);
+                        fixed.max_y = fixed.max_y.max(p.y);
+                    }
                 }
             }
+            net_start.push(net_blocks.len() as u32);
+            net_fixed.push(fixed);
         }
         Self {
             design,
@@ -367,7 +402,9 @@ impl<'d> Evaluator<'d> {
             blurring: PowerBlurring::new(&thermal_config),
             entropy_model: SpatialEntropy::default(),
             ambient: thermal_config.ambient,
-            block_nets,
+            net_start,
+            net_blocks,
+            net_fixed,
         }
     }
 
@@ -512,12 +549,15 @@ impl<'d> Evaluator<'d> {
     }
 
     /// The cheap geometric evaluation tier: packing envelope, outline violation and
-    /// wirelength.
+    /// wirelength, leaving every net's Elmore delay and signal-TSV site in the scratch for
+    /// the analysis tier.
     ///
-    /// Net bounding boxes (and the Elmore delays derived from them) are recomputed only
-    /// for nets touching blocks whose placement changed since the scratch's previous
-    /// evaluation; unchanged nets keep their cached values, which are bit-identical
-    /// because their pins did not move.
+    /// Each net is derived from its CSR row of block pins over the block centres plus its
+    /// terminal box, in one branch-free min/max fold per coordinate — the arithmetic of
+    /// [`Floorplan::net_topology`] (bounding box over *all* pins, terminals on die 0) and
+    /// of [`plan_signal_tsvs`] (bounding box and die span over the *block* pins, centre
+    /// clamped into the outline); min/max folds are order-insensitive, so the split
+    /// between block pins and the terminal box changes no value.
     pub fn evaluate_geometry(
         &self,
         floorplan: &Floorplan,
@@ -543,49 +583,71 @@ impl<'d> Evaluator<'d> {
         }
         let outline_violation = floorplan.outline_violation_area();
 
-        // Incremental net derivations: re-derive topology, Elmore delay and the signal-TSV
-        // cache only for nets with a moved block.
-        let nets = self.design.nets().len();
-        if scratch.prev.len() != placements.len()
-            || scratch.topologies.len() != nets
-            || scratch.tsv_nets.len() != nets
-        {
-            scratch.topologies.clear();
-            scratch.net_delays.clear();
-            scratch.tsv_nets.clear();
-            for (net_id, _) in self.design.iter_nets() {
-                let (topo, tsv) = self.derive_net(floorplan, net_id, scratch.grid);
-                scratch.net_delays.push(self.elmore.net_delay(&topo));
-                scratch.topologies.push(topo);
-                scratch.tsv_nets.push(tsv);
+        let EvalScratch {
+            grid,
+            center_x,
+            center_y,
+            die,
+            net_delays,
+            tsv_sites,
+            ..
+        } = scratch;
+        center_x.clear();
+        center_y.clear();
+        die.clear();
+        for p in placements {
+            let c = p.rect.center();
+            center_x.push(c.x);
+            center_y.push(c.y);
+            die.push(p.die.index() as u32);
+        }
+
+        net_delays.clear();
+        tsv_sites.clear();
+        let rect = outline.rect();
+        // Same per-net terms (`Floorplan::net_hpwl`) and summation order, from the same
+        // start, as `Floorplan::total_wirelength`'s `Iterator::sum`.
+        let mut wirelength = -0.0;
+        for (n, fixed) in self.net_fixed.iter().enumerate() {
+            let pins = &self.net_blocks[self.net_start[n] as usize..self.net_start[n + 1] as usize];
+            let (mut min_x, mut max_x) = (f64::INFINITY, f64::NEG_INFINITY);
+            let (mut min_y, mut max_y) = (f64::INFINITY, f64::NEG_INFINITY);
+            let (mut min_die, mut max_die) = (u32::MAX, 0u32);
+            for &b in pins {
+                let b = b as usize;
+                min_x = lesser(min_x, center_x[b]);
+                max_x = greater(max_x, center_x[b]);
+                min_y = lesser(min_y, center_y[b]);
+                max_y = greater(max_y, center_y[b]);
+                min_die = min_die.min(die[b]);
+                max_die = max_die.max(die[b]);
             }
-        } else {
-            scratch.net_dirty.fill(false);
-            for (block, (now, before)) in placements.iter().zip(&scratch.prev).enumerate() {
-                if now != before {
-                    for net in &self.block_nets[block] {
-                        scratch.net_dirty[net.index()] = true;
-                    }
-                }
-            }
-            for (net, dirty) in scratch.net_dirty.iter().enumerate() {
-                if *dirty {
-                    let (topo, tsv) = self.derive_net(floorplan, NetId(net), scratch.grid);
-                    scratch.net_delays[net] = self.elmore.net_delay(&topo);
-                    scratch.topologies[net] = topo;
-                    scratch.tsv_nets[net] = tsv;
+
+            // Topology over all pins: terminals widen the box and sit on die 0.
+            let hpwl = (greater(max_x, fixed.max_x) - lesser(min_x, fixed.min_x))
+                + (greater(max_y, fixed.max_y) - lesser(min_y, fixed.min_y));
+            let low_die = if fixed.has_terminals { 0 } else { min_die };
+            let crossings = max_die.saturating_sub(low_die) as usize;
+            let topology = NetTopology::new(hpwl, crossings, fixed.pins.saturating_sub(1));
+            net_delays.push(self.elmore.net_delay(&topology));
+            wirelength += hpwl + crossings as f64 * self.tsv_length;
+
+            // Signal TSVs over the block pins alone.
+            if min_die != u32::MAX && max_die > min_die {
+                let center = Point::new(
+                    ((min_x + max_x) / 2.0).clamp(rect.x, rect.x + rect.width),
+                    ((min_y + max_y) / 2.0).clamp(rect.y, rect.y + rect.height),
+                );
+                if let Some(bin) = grid.bin_of(center) {
+                    tsv_sites.push(TsvNetSite {
+                        min_die: min_die as usize,
+                        max_die: max_die as usize,
+                        center,
+                        bin,
+                    });
                 }
             }
         }
-        scratch.prev.clear();
-        scratch.prev.extend_from_slice(placements);
-
-        // Same per-net terms and summation order as `Floorplan::total_wirelength`.
-        let wirelength = scratch
-            .topologies
-            .iter()
-            .map(|t| t.hpwl + t.tsv_crossings as f64 * self.tsv_length)
-            .sum();
 
         GeometricCost {
             packing,
@@ -594,191 +656,12 @@ impl<'d> Evaluator<'d> {
         }
     }
 
-    /// Derives the block adjacency into `scratch.adjacency` through a uniform spatial
-    /// hash over the margin-expanded footprints, instead of the all-pairs scan of
-    /// [`Floorplan::adjacency`].
-    ///
-    /// Candidate pairs come from shared buckets and are then checked with *exactly* the
-    /// reference predicate (same expanded rects, same `overlaps` comparison, same
-    /// die-distance filter); per-block lists are sorted ascending afterwards, which is the
-    /// order the all-pairs scan produces — the resulting lists are identical.
-    fn adjacency_fast(&self, floorplan: &Floorplan, scratch: &mut EvalScratch) {
-        let placements = floorplan.placements();
-        let n = placements.len();
-        let margin = self.adjacency_margin;
-        scratch.adjacency.resize_with(n, Vec::new);
-        for list in scratch.adjacency.iter_mut() {
-            list.clear();
-        }
-        if n == 0 {
-            return;
-        }
-
-        scratch.expanded.clear();
-        scratch
-            .expanded
-            .extend(placements.iter().map(|p| p.rect.expanded(margin)));
-
-        // Bucket grid over the bounding region of all expanded rects, sized so that the
-        // expected bucket occupancy stays constant.
-        let mut min_x = f64::INFINITY;
-        let mut min_y = f64::INFINITY;
-        let mut max_x = f64::NEG_INFINITY;
-        let mut max_y = f64::NEG_INFINITY;
-        for r in &scratch.expanded {
-            min_x = min_x.min(r.x);
-            min_y = min_y.min(r.y);
-            max_x = max_x.max(r.x + r.width);
-            max_y = max_y.max(r.y + r.height);
-        }
-        let g = ((n as f64).sqrt().ceil() as usize).max(1);
-        let inv_x = g as f64 / (max_x - min_x).max(1e-9);
-        let inv_y = g as f64 / (max_y - min_y).max(1e-9);
-        let cell_x = |v: f64| (((v - min_x) * inv_x) as usize).min(g - 1);
-        let cell_y = |v: f64| (((v - min_y) * inv_y) as usize).min(g - 1);
-
-        if scratch.bucket_grid != g {
-            scratch.buckets.resize_with(g * g, Vec::new);
-            scratch.bucket_grid = g;
-        }
-        for bucket in scratch.buckets.iter_mut() {
-            bucket.clear();
-        }
-        for (i, r) in scratch.expanded.iter().enumerate() {
-            let (c0, c1) = (cell_x(r.x), cell_x(r.x + r.width));
-            let (r0, r1) = (cell_y(r.y), cell_y(r.y + r.height));
-            for row in r0..=r1 {
-                for col in c0..=c1 {
-                    scratch.buckets[row * g + col].push(i as u32);
-                }
-            }
-        }
-
-        scratch.last_seen.resize(n, 0);
-        for i in 0..n {
-            scratch.stamp += 1;
-            let stamp = scratch.stamp;
-            let die_i = placements[i].die.index();
-            let ra = scratch.expanded[i];
-            let (c0, c1) = (cell_x(ra.x), cell_x(ra.x + ra.width));
-            let (r0, r1) = (cell_y(ra.y), cell_y(ra.y + ra.height));
-            for row in r0..=r1 {
-                for col in c0..=c1 {
-                    for &j in &scratch.buckets[row * g + col] {
-                        let j = j as usize;
-                        if j <= i || scratch.last_seen[j] == stamp {
-                            continue;
-                        }
-                        scratch.last_seen[j] = stamp;
-                        if placements[j].die.index().abs_diff(die_i) > 1 {
-                            continue;
-                        }
-                        if ra.overlaps(&scratch.expanded[j]) {
-                            scratch.adjacency[i].push(tsc3d_netlist::BlockId(j));
-                            scratch.adjacency[j].push(tsc3d_netlist::BlockId(i));
-                        }
-                    }
-                }
-            }
-        }
-        for list in scratch.adjacency.iter_mut() {
-            list.sort_unstable();
-        }
-    }
-
-    /// Derives one net's topology and signal-TSV cache entry in a single pin pass.
-    ///
-    /// Replicates the arithmetic of [`Floorplan::net_topology`] (bounding box over *all*
-    /// pins including terminals, die span with terminals on die 0) and of
-    /// [`plan_signal_tsvs`] (bounding box and die span over the *block* pins only, centre
-    /// clamped into the outline) exactly — min/max accumulation is order-insensitive, so
-    /// sharing the traversal changes no value.
-    fn derive_net(
-        &self,
-        floorplan: &Floorplan,
-        net: NetId,
-        grid: Grid,
-    ) -> (NetTopology, TsvNetCache) {
-        let net_ref = self.design.net(net);
-        let placements = floorplan.placements();
-        // Topology accumulators (all pins).
-        let mut min_x = f64::INFINITY;
-        let mut max_x = f64::NEG_INFINITY;
-        let mut min_y = f64::INFINITY;
-        let mut max_y = f64::NEG_INFINITY;
-        let mut min_die = usize::MAX;
-        let mut max_die = 0usize;
-        let mut pins = 0usize;
-        // TSV accumulators (block pins only).
-        let mut b_min_x = f64::INFINITY;
-        let mut b_max_x = f64::NEG_INFINITY;
-        let mut b_min_y = f64::INFINITY;
-        let mut b_max_y = f64::NEG_INFINITY;
-        let mut b_min_die = usize::MAX;
-        let mut b_max_die = 0usize;
-        for pin in net_ref.pins() {
-            let (point, die) = match *pin {
-                tsc3d_netlist::PinRef::Block(b) => {
-                    let p = &placements[b.index()];
-                    let c = p.rect.center();
-                    let die = p.die.index();
-                    b_min_x = b_min_x.min(c.x);
-                    b_max_x = b_max_x.max(c.x);
-                    b_min_y = b_min_y.min(c.y);
-                    b_max_y = b_max_y.max(c.y);
-                    b_min_die = b_min_die.min(die);
-                    b_max_die = b_max_die.max(die);
-                    (c, die)
-                }
-                tsc3d_netlist::PinRef::Terminal(t) => {
-                    // Terminals sit on the package; they do not add die crossings beyond
-                    // the bottom die.
-                    (self.design.terminal(t).position(), 0)
-                }
-            };
-            min_x = min_x.min(point.x);
-            max_x = max_x.max(point.x);
-            min_y = min_y.min(point.y);
-            max_y = max_y.max(point.y);
-            min_die = min_die.min(die);
-            max_die = max_die.max(die);
-            pins += 1;
-        }
-        let hpwl = (max_x - min_x) + (max_y - min_y);
-        let crossings = max_die.saturating_sub(min_die);
-        let topo = NetTopology::new(hpwl, crossings, pins.saturating_sub(1));
-
-        let outline = floorplan.outline().rect();
-        let center = if b_min_die == usize::MAX {
-            Point::new(0.0, 0.0)
-        } else {
-            Point::new(
-                ((b_min_x + b_max_x) / 2.0).clamp(outline.x, outline.x + outline.width),
-                ((b_min_y + b_max_y) / 2.0).clamp(outline.y, outline.y + outline.height),
-            )
-        };
-        let bin = if b_min_die != usize::MAX && b_max_die > b_min_die {
-            grid.bin_of(center)
-        } else {
-            None
-        };
-        (
-            topo,
-            TsvNetCache {
-                min_die: b_min_die,
-                max_die: b_max_die,
-                center,
-                bin,
-            },
-        )
-    }
-
     /// The expensive analysis evaluation tier: timing, voltage assignment, power maps,
     /// signal-TSV planning, fast thermal estimation and leakage metrics, all into the
     /// scratch's reusable buffers.
     ///
     /// Must be called after [`Evaluator::evaluate_geometry`] on the same floorplan (it
-    /// consumes the net delays the geometric tier cached).
+    /// consumes the net delays and TSV sites the geometric tier left in the scratch).
     pub fn evaluate_analysis(
         &self,
         floorplan: &Floorplan,
@@ -786,15 +669,19 @@ impl<'d> Evaluator<'d> {
         scratch: &mut EvalScratch,
     ) -> CostBreakdown {
         tsc3d_obs::add_to_span("tier_analysis", 1);
-        // Nominal-timing slacks drive the voltage assignment.
-        self.timing_graph.analyze_with(
-            &self.nominal_delays,
-            &scratch.net_delays,
-            &mut scratch.timing,
-        );
+        // Nominal-timing slacks drive the voltage assignment; both timing passes read the
+        // same per-edge net delays.
+        self.timing_graph
+            .load_net_delays(&scratch.net_delays, &mut scratch.timing);
+        self.timing_graph
+            .analyze_with(&self.nominal_delays, &mut scratch.timing);
         scratch.timing.slacks_into(&mut scratch.slacks);
-        self.adjacency_fast(floorplan, scratch);
-        let assignment = self.assigner.assign_with(
+        floorplan.adjacency_into(
+            self.adjacency_margin,
+            &mut scratch.sweep,
+            &mut scratch.adjacency,
+        );
+        let voltage_volumes = self.assigner.assign_with(
             self.design,
             &scratch.adjacency,
             &self.nominal_delays,
@@ -802,31 +689,25 @@ impl<'d> Evaluator<'d> {
             &mut scratch.assign,
         );
 
-        // Voltage-scaled timing and power.
-        assignment.scaled_delays_into(
-            &self.nominal_delays,
-            self.assigner.scaling(),
-            &mut scratch.scaled_delays,
-        );
-        // Only the critical delay is needed here, so the backward (required-time) pass
-        // is skipped; the forward arrival arithmetic is identical.
-        let critical_delay = self.timing_graph.analyze_forward(
-            &scratch.scaled_delays,
-            &scratch.net_delays,
-            &mut scratch.timing,
-        );
-        assignment.scaled_powers_into(
-            self.design,
-            self.assigner.scaling(),
-            &mut scratch.scaled_powers,
-        );
+        // Voltage-scaled timing and power. Only the critical delay is needed here, so the
+        // backward (required-time) pass is skipped; the forward arrival arithmetic is
+        // identical.
+        scratch
+            .assign
+            .scaled_delays_into(&self.nominal_delays, &mut scratch.scaled_delays);
+        let critical_delay = self
+            .timing_graph
+            .analyze_forward(&scratch.scaled_delays, &mut scratch.timing);
+        scratch
+            .assign
+            .scaled_powers_into(&mut scratch.scaled_powers);
         let total_power: f64 = scratch.scaled_powers.iter().sum();
 
         // Power maps, signal TSVs, fast thermal maps. The signal fields equal the
         // `TsvPlan::combined` fields of the reference path because no dummy TSVs exist
         // inside the floorplanning loop (merging an all-zero dummy field is the identity).
-        // The TSV fields are rebuilt from the geometric tier's per-net cache — sites land
-        // in the same net order at the same centres as a fresh `plan_signal_tsvs`.
+        // The sites land in the same net order at the same centres as a fresh
+        // `plan_signal_tsvs`.
         floorplan.power_maps_into(
             scratch.grid,
             &scratch.scaled_powers,
@@ -835,15 +716,9 @@ impl<'d> Evaluator<'d> {
         for field in scratch.signal_tsvs.iter_mut() {
             field.clear();
         }
-        if !scratch.signal_tsvs.is_empty() {
-            for cache in &scratch.tsv_nets {
-                if cache.min_die != usize::MAX && cache.max_die > cache.min_die {
-                    if let Some(bin) = cache.bin {
-                        for field in scratch.signal_tsvs[cache.min_die..cache.max_die].iter_mut() {
-                            field.add_site_at(TsvSite::single(cache.center), bin);
-                        }
-                    }
-                }
+        for site in &scratch.tsv_sites {
+            for field in &mut scratch.signal_tsvs[site.min_die..site.max_die] {
+                field.add_site_at(TsvSite::single(site.center), site.bin);
             }
         }
         let signal_count = scratch.signal_tsvs.iter().map(TsvField::tsv_count).sum();
@@ -878,7 +753,7 @@ impl<'d> Evaluator<'d> {
             peak_temperature,
             ambient: self.ambient,
             total_power,
-            voltage_volumes: assignment.volume_count(),
+            voltage_volumes,
             signal_tsvs: signal_count,
             correlations,
             entropies,
@@ -888,8 +763,7 @@ impl<'d> Evaluator<'d> {
     /// Evaluates a floorplan through both tiers using the scratch's reusable buffers.
     ///
     /// Produces a [`CostBreakdown`] bit-identical to [`Evaluator::evaluate`] while
-    /// performing no per-call allocations beyond the breakdown's two per-die vectors and
-    /// the internals of the voltage assignment.
+    /// performing no per-call allocations beyond the breakdown's two per-die vectors.
     pub fn evaluate_with(&self, floorplan: &Floorplan, scratch: &mut EvalScratch) -> CostBreakdown {
         let geometry = self.evaluate_geometry(floorplan, scratch);
         self.evaluate_analysis(floorplan, &geometry, scratch)
@@ -898,6 +772,26 @@ impl<'d> Evaluator<'d> {
     /// Scalar cost of a breakdown relative to a baseline (see [`ObjectiveWeights::scalar`]).
     pub fn scalar_cost(&self, current: &CostBreakdown, baseline: &CostBreakdown) -> f64 {
         self.weights.scalar(current, baseline)
+    }
+}
+
+/// The smaller of two coordinates, by one comparison. On the finite coordinates of
+/// placed blocks and terminals it equals `f64::min` (which also screens out NaN, at
+/// several instructions per call in the net fold).
+fn lesser(a: f64, b: f64) -> f64 {
+    if b < a {
+        b
+    } else {
+        a
+    }
+}
+
+/// The larger of two coordinates, by one comparison (see [`lesser`]).
+fn greater(a: f64, b: f64) -> f64 {
+    if b > a {
+        b
+    } else {
+        a
     }
 }
 
@@ -994,26 +888,41 @@ mod tests {
 
     #[test]
     fn tiered_evaluation_matches_reference_bit_for_bit() {
-        // The scratch path (incremental net topologies, reused maps) must reproduce the
-        // reference breakdown *exactly*, across both objectives and a long move sequence.
-        let design = generate(Benchmark::N100, 1);
-        let stack = Stack::two_die(design.outline());
-        for weights in [
-            ObjectiveWeights::power_aware(),
-            ObjectiveWeights::tsc_aware(),
+        // The scratch path (CSR nets, sweep adjacency, lane kernels, reused maps) must
+        // reproduce the reference breakdown *exactly*, across both objectives, the loop
+        // grids in use (serve 10, flow 16, standard schedule 32) and move sequences on
+        // soft-block designs and on ibm01 (hard blocks and terminals).
+        for (bench, moves) in [
+            (Benchmark::N100, 40),
+            (Benchmark::N200, 20),
+            (Benchmark::Ibm01, 8),
         ] {
-            let eval = Evaluator::new(&design, stack, weights).with_grid_bins(16);
-            let mut scratch = eval.scratch();
-            let mut pack_scratch = PackScratch::new();
-            let mut rng = ChaCha8Rng::seed_from_u64(17);
-            let mut sp = SequencePair3d::initial(&design, stack, &mut rng);
-            let mut fp = sp.pack(&design);
-            for step in 0..40 {
-                sp.perturb(&design, &mut rng);
-                sp.pack_with(&design, &mut pack_scratch, &mut fp);
-                let tiered = eval.evaluate_with(&fp, &mut scratch);
-                let reference = eval.evaluate(&fp);
-                assert_eq!(tiered, reference, "breakdowns diverged after {step} moves");
+            let design = generate(bench, 1);
+            let stack = Stack::two_die(design.outline());
+            for bins in [10, 16, 32] {
+                for weights in [
+                    ObjectiveWeights::power_aware(),
+                    ObjectiveWeights::tsc_aware(),
+                ] {
+                    let eval = Evaluator::new(&design, stack, weights).with_grid_bins(bins);
+                    let mut scratch = eval.scratch();
+                    let mut pack_scratch = PackScratch::new();
+                    let mut rng = ChaCha8Rng::seed_from_u64(17);
+                    let mut sp = SequencePair3d::initial(&design, stack, &mut rng);
+                    let mut fp = sp.pack(&design);
+                    for step in 0..moves {
+                        sp.perturb(&design, &mut rng);
+                        sp.pack_with(&design, &mut pack_scratch, &mut fp);
+                        let tiered = eval.evaluate_with(&fp, &mut scratch);
+                        let reference = eval.evaluate(&fp);
+                        assert_eq!(
+                            tiered,
+                            reference,
+                            "{} on {bins} bins diverged after {step} moves",
+                            bench.name()
+                        );
+                    }
+                }
             }
         }
     }
@@ -1021,7 +930,7 @@ mod tests {
     #[test]
     fn scratch_survives_unrelated_floorplans() {
         // Jumping to an unrelated floorplan (as the annealer does between restarts) must
-        // not poison the cached topologies.
+        // leave nothing stale in the scratch.
         let design = generate(Benchmark::N100, 1);
         let stack = Stack::two_die(design.outline());
         let eval =
@@ -1032,7 +941,6 @@ mod tests {
         let b = SequencePair3d::initial(&design, stack, &mut rng).pack(&design);
         assert_eq!(eval.evaluate_with(&a, &mut scratch), eval.evaluate(&a));
         assert_eq!(eval.evaluate_with(&b, &mut scratch), eval.evaluate(&b));
-        scratch.invalidate();
         assert_eq!(eval.evaluate_with(&a, &mut scratch), eval.evaluate(&a));
     }
 }

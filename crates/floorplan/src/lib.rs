@@ -42,6 +42,6 @@ mod tsv_planning;
 
 pub use annealing::{SaResult, SaSchedule, SimulatedAnnealing};
 pub use cost::{CostBreakdown, EvalScratch, Evaluator, GeometricCost, ObjectiveWeights};
-pub use placement::{Floorplan, PlacedBlock, PowerStamps};
+pub use placement::{AdjacencySweep, Floorplan, PlacedBlock, PowerStamps};
 pub use seqpair::{MoveUndo, PackScratch, SequencePair3d};
 pub use tsv_planning::{plan_signal_tsvs, plan_signal_tsvs_into, TsvPlan};

@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 use tsc3d_geometry::{DieId, Grid, GridMap, Outline, Point, Rect, Stack};
 use tsc3d_netlist::{BlockId, Design, NetId};
+use tsc3d_power::BlockAdjacency;
 use tsc3d_timing::NetTopology;
 
 /// A block placed on a specific die with a concrete footprint.
@@ -209,21 +210,12 @@ impl Floorplan {
     /// Spatial adjacency between blocks: two blocks are adjacent when their footprints,
     /// expanded by `margin` µm, overlap — either on the same die or on vertically
     /// neighbouring dies (which is what lets voltage volumes span dies).
+    ///
+    /// This is the all-pairs reference; the evaluation loop derives the same lists with
+    /// [`Floorplan::adjacency_into`].
     pub fn adjacency(&self, margin: f64) -> Vec<Vec<BlockId>> {
-        let mut adj = Vec::new();
-        self.adjacency_into(margin, &mut adj);
-        adj
-    }
-
-    /// [`Floorplan::adjacency`] into a reusable buffer: the outer vector is resized to the
-    /// block count and the per-block lists are cleared, keeping their allocations across
-    /// calls. Produces the same lists as the allocating variant.
-    pub fn adjacency_into(&self, margin: f64, adj: &mut Vec<Vec<BlockId>>) {
         let n = self.placements.len();
-        adj.resize_with(n, Vec::new);
-        for list in adj.iter_mut() {
-            list.clear();
-        }
+        let mut adj = vec![Vec::new(); n];
         for i in 0..n {
             let a = &self.placements[i];
             let ra = a.rect.expanded(margin);
@@ -239,6 +231,75 @@ impl Floorplan {
                 }
             }
         }
+        adj
+    }
+
+    /// [`Floorplan::adjacency`] as a sweep over the margin-expanded footprints sorted by
+    /// their left edge, into the flat form the voltage assigner reads.
+    ///
+    /// Every block is checked only against the blocks after it in sweep order whose left
+    /// edge lies left of its right edge (`b.x < a.x + a.width`, one of the four overlap
+    /// comparisons), with a branch-free test of the remaining three comparisons and the
+    /// die distance over structure-of-arrays copies in sweep order. Each unordered pair
+    /// is tested once with the reference's operands (the same expanded rects), and
+    /// [`BlockAdjacency::fill_from_pairs`] orders each list ascending, as the all-pairs
+    /// scan does — the lists are identical.
+    pub fn adjacency_into(
+        &self,
+        margin: f64,
+        sweep: &mut AdjacencySweep,
+        out: &mut BlockAdjacency,
+    ) {
+        let n = self.placements.len();
+        let AdjacencySweep {
+            order,
+            left,
+            x0,
+            x1,
+            y0,
+            y1,
+            die,
+            pairs,
+        } = sweep;
+        left.clear();
+        left.extend(self.placements.iter().map(|p| p.rect.x));
+        // Sorted by left edge: subtracting the margin is monotone, so this also orders the
+        // expanded left edges. The previous call's order is a near-sorted start.
+        if order.len() != n {
+            *order = (0..n as u32).collect();
+        }
+        order.sort_by(|&a, &b| left[a as usize].total_cmp(&left[b as usize]));
+        for v in [&mut *x0, &mut *x1, &mut *y0, &mut *y1] {
+            v.clear();
+        }
+        die.clear();
+        for &b in order.iter() {
+            let p = &self.placements[b as usize];
+            let r = p.rect.expanded(margin);
+            x0.push(r.x);
+            x1.push(r.x + r.width);
+            y0.push(r.y);
+            y1.push(r.y + r.height);
+            die.push(p.die.index() as u32);
+        }
+
+        let mut count = 0;
+        for s in 0..n {
+            let (ax0, ax1, ay0, ay1, adie) = (x0[s], x1[s], y0[s], y1[s], die[s]);
+            // Left edges ascend, so the candidates `b.x < a.x + a.width` are a prefix.
+            let end = s + 1 + x0[s + 1..].partition_point(|&x| x < ax1);
+            if pairs.len() < count + (end - s) {
+                pairs.resize(count + (end - s), (0, 0));
+            }
+            let a = order[s];
+            for k in s + 1..end {
+                let hit =
+                    (ax0 < x1[k]) & (ay0 < y1[k]) & (y0[k] < ay1) & (die[k].abs_diff(adie) <= 1);
+                pairs[count] = (a, order[k]);
+                count += usize::from(hit);
+            }
+        }
+        out.fill_from_pairs(n, &pairs[..count]);
     }
 
     /// Builds the per-die power maps (watts per bin) for the given per-block powers.
@@ -315,6 +376,30 @@ impl Floorplan {
             stamps,
             die_ends,
         }
+    }
+}
+
+/// Reusable buffers of [`Floorplan::adjacency_into`].
+#[derive(Debug, Clone, Default)]
+pub struct AdjacencySweep {
+    /// Block indices in sweep order (ascending left edge).
+    order: Vec<u32>,
+    /// Left edge per block (the sort key).
+    left: Vec<f64>,
+    /// Expanded rect edges and die, in sweep order.
+    x0: Vec<f64>,
+    x1: Vec<f64>,
+    y0: Vec<f64>,
+    y1: Vec<f64>,
+    die: Vec<u32>,
+    /// Adjacent pairs found by the sweep (a prefix is valid).
+    pairs: Vec<(u32, u32)>,
+}
+
+impl AdjacencySweep {
+    /// Creates an empty sweep; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
     }
 }
 
@@ -611,6 +696,41 @@ mod tests {
         let tight = fp.adjacency(0.0);
         assert!(!tight[0].contains(&BlockId(1)));
         assert!(tight[0].contains(&BlockId(2)));
+    }
+
+    #[test]
+    fn adjacency_sweep_matches_all_pairs_reference() {
+        use crate::SequencePair3d;
+        use rand::SeedableRng;
+        use rand_chacha::ChaCha8Rng;
+        use tsc3d_netlist::suite::{generate, Benchmark};
+
+        let (mut sweep, mut csr) = (AdjacencySweep::new(), BlockAdjacency::new());
+        let mut check = |fp: &Floorplan, margin: f64| {
+            fp.adjacency_into(margin, &mut sweep, &mut csr);
+            let reference = fp.adjacency(margin);
+            assert_eq!(csr.blocks(), reference.len());
+            for (b, list) in reference.iter().enumerate() {
+                let ids: Vec<u32> = list.iter().map(|id| id.index() as u32).collect();
+                assert_eq!(csr.neighbors(b), &ids[..], "block {b}, margin {margin}");
+            }
+        };
+        // Zero margin: abutting blocks (shared edges) are not adjacent, and the tiny
+        // floorplan's rects share left edges across dies.
+        for margin in [0.0, 15.0] {
+            check(&floorplan(), margin);
+        }
+        for (bench, seeds) in [(Benchmark::N100, 0..4), (Benchmark::Ibm01, 0..2)] {
+            let design = generate(bench, 1);
+            let stack = Stack::two_die(design.outline());
+            for seed in seeds {
+                let mut rng = ChaCha8Rng::seed_from_u64(seed);
+                let fp = SequencePair3d::initial(&design, stack, &mut rng).pack(&design);
+                for margin in [0.0, stack.outline().width() * 0.02] {
+                    check(&fp, margin);
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,12 +25,17 @@ impl NestedMeansClasses {
     }
 }
 
-/// Reusable buffers for [`SpatialEntropy::of_map_with`]: the sorted value array, the class
-/// index ranges and the per-class coordinate histograms.
+/// Reusable buffers for [`SpatialEntropy::of_map_with`]: the sorted bins, the sorted
+/// values, the class index ranges and the per-class coordinate histograms.
 #[derive(Debug, Clone, Default)]
 pub struct EntropyScratch {
-    /// `(bin index, value)` pairs sorted by value.
-    sorted: Vec<(usize, f64)>,
+    /// Total-order sort key of every bin's value, in bin order.
+    keys: Vec<u64>,
+    /// Every bin as its key's high bits with the bin index in the low bits, sorted into
+    /// ascending full-key order.
+    entries: Vec<u64>,
+    /// The map's values in ascending order.
+    sorted: Vec<f64>,
     /// Class ranges (start, end) over `sorted`.
     classes: Vec<(usize, usize)>,
     col_class: Vec<u64>,
@@ -123,8 +128,7 @@ impl SpatialEntropy {
     }
 
     /// Nested-means partitioning of the (pre-sorted) values, emitting class index ranges
-    /// in value order. Shared by [`SpatialEntropy::classify`] and the allocation-free
-    /// [`SpatialEntropy::of_map_with`], so both derive identical classes.
+    /// in value order: the reference partition of [`SpatialEntropy::classify`].
     fn split(&self, sorted: &[(usize, f64)], depth: usize, out: &mut Vec<(usize, usize)>) {
         self.split_range(sorted, 0, sorted.len(), depth, out);
     }
@@ -159,6 +163,47 @@ impl SpatialEntropy {
         self.split_range(sorted, start + cut, end, depth + 1, out);
     }
 
+    /// The partition of [`SpatialEntropy::split`] over plain sorted values, with the
+    /// mean and deviation sums of both halves of every cut computed together.
+    ///
+    /// `stats` is the `(mean, std)` of `sorted[start..end]`. Each half still sums its
+    /// own values in order from the same start as `Iterator::sum`, so every mean and
+    /// deviation is bit-identical to the reference's; interleaving the two independent
+    /// sums only overlaps their add latencies. Halves that sit at the depth limit are
+    /// emitted without computing statistics the reference would discard.
+    fn split_sorted(
+        &self,
+        sorted: &[f64],
+        start: usize,
+        end: usize,
+        depth: usize,
+        stats: (f64, f64),
+        out: &mut Vec<(usize, usize)>,
+    ) {
+        let slice = &sorted[start..end];
+        let (mean, std) = stats;
+        let scale = mean.abs().max(1e-12);
+        if depth >= self.max_depth || slice.len() == 1 || std / scale < self.std_dev_threshold {
+            out.push((start, end));
+            return;
+        }
+        // The values are sorted, so the mean defines a single cut point.
+        let cut = slice.partition_point(|&v| v < mean);
+        if cut == 0 || cut == slice.len() {
+            out.push((start, end));
+            return;
+        }
+        let mid = start + cut;
+        if depth + 1 >= self.max_depth {
+            out.push((start, mid));
+            out.push((mid, end));
+            return;
+        }
+        let (left, right) = mean_std_pair(&sorted[start..mid], &sorted[mid..end]);
+        self.split_sorted(sorted, start, mid, depth + 1, left, out);
+        self.split_sorted(sorted, mid, end, depth + 1, right, out);
+    }
+
     /// Computes the spatial entropy `S_d` of a power map (Eq. 3).
     ///
     /// The contribution of every class `c_i` is weighted by the ratio of its average
@@ -180,30 +225,37 @@ impl SpatialEntropy {
     /// [`NestedMeansClasses`]: classes live as index ranges of the sorted value array and
     /// the distance means come straight from per-class coordinate histograms.
     ///
-    /// Produces the same entropy as [`SpatialEntropy::of_map`] — same partitioning (the
-    /// range splitter is shared with [`SpatialEntropy::classify`]), same exact integer
-    /// distance sums, same accumulation order. Equal power values may classify into a
-    /// different *order within* a class here (the sort is unstable), which affects no sum:
-    /// class membership, histograms and per-class value statistics are functions of the
-    /// value multiset alone.
+    /// Produces the same entropy as [`SpatialEntropy::of_map`] — same partitioning (every
+    /// class mean and deviation sums the same values in the same order), same exact
+    /// integer distance sums, same accumulation order of the entropy terms. The values
+    /// are ordered by `sort_bins`, a sort of plain integers; equal values may classify
+    /// into a different *order within* a class here than the reference's stable sort
+    /// gives, which affects no sum: class membership, histograms and per-class value
+    /// statistics are functions of the value multiset alone. (For the NaN-free maps the
+    /// evaluator produces, key order is `partial_cmp` order except that -0.0 sorts before
+    /// +0.0, which no sum or cut can tell apart.)
     pub fn of_map_with(&self, power: &GridMap, scratch: &mut EntropyScratch) -> f64 {
         let grid = power.grid();
+        let values = power.values();
+        if values.is_empty() {
+            return 0.0;
+        }
+        let low = sort_bins(values, &mut scratch.keys, &mut scratch.entries);
         scratch.sorted.clear();
         scratch
             .sorted
-            .extend(power.values().iter().copied().enumerate());
-        // Branch-free total-order key (sign-flip transform): for the NaN-free maps the
-        // evaluator produces this sorts exactly like `partial_cmp`, only faster; the -0.0
-        // vs +0.0 tie order (the one place the orders differ) cannot affect the class
-        // partition or any sum.
-        let sort_key = |v: f64| -> u64 {
-            let bits = v.to_bits();
-            bits ^ (((bits as i64 >> 63) as u64) | 0x8000_0000_0000_0000)
-        };
-        scratch.sorted.sort_unstable_by_key(|&(_, v)| sort_key(v));
+            .extend(scratch.entries.iter().map(|&e| values[(e & low) as usize]));
 
         scratch.classes.clear();
-        self.split(&scratch.sorted, 0, &mut scratch.classes);
+        let root = mean_std_pair(&scratch.sorted, &[]).0;
+        self.split_sorted(
+            &scratch.sorted,
+            0,
+            scratch.sorted.len(),
+            0,
+            root,
+            &mut scratch.classes,
+        );
         let k = scratch.classes.len();
         if k <= 1 {
             // A perfectly uniform map has zero spatial entropy: no gradients, no leakage.
@@ -241,22 +293,18 @@ impl SpatialEntropy {
         let mut entropy = 0.0;
         for &(start, end) in &scratch.classes {
             let m = (end - start) as u64;
-            if m == 0 {
-                continue;
-            }
             scratch.col_class.fill(0);
             scratch.row_class.fill(0);
-            // `cross_all` accumulates Σ_{a∈A} Σ_{all bins b} |a - b| via the whole-grid
-            // distance profiles (the classes partition every bin, so the whole-map
-            // histogram is uniform: `rows` members per column and `cols` per row).
-            let mut cross_all = 0u64;
-            for &(idx, _) in &scratch.sorted[start..end] {
-                let col = scratch.col_of[idx] as usize;
-                let row = scratch.row_of[idx] as usize;
-                scratch.col_class[col] += 1;
-                scratch.row_class[row] += 1;
-                cross_all += rows as u64 * scratch.f_col[col] + cols as u64 * scratch.f_row[row];
+            for &entry in &scratch.entries[start..end] {
+                let bin = (entry & low) as usize;
+                scratch.col_class[scratch.col_of[bin] as usize] += 1;
+                scratch.row_class[scratch.row_of[bin] as usize] += 1;
             }
+            // `cross_all` is Σ_{a∈A} Σ_{all bins b} |a - b| via the whole-grid distance
+            // profiles (the classes partition every bin, so the whole-map histogram is
+            // uniform: `rows` members per column and `cols` per row).
+            let cross_all = rows as u64 * dot(&scratch.col_class, &scratch.f_col)
+                + cols as u64 * dot(&scratch.row_class, &scratch.f_row);
             let p = m as f64 / total;
             let intra_sum =
                 pairwise_abs_sum(&scratch.col_class) + pairwise_abs_sum(&scratch.row_class);
@@ -352,18 +400,98 @@ fn mean_distance(sum: u64, count: u64) -> f64 {
 
 /// Sum of `|a - b|` over every unordered pair of distinct elements drawn from one
 /// histogram of coordinate counts (equal-coordinate pairs contribute zero).
+///
+/// Branch-free: an empty coordinate adds `0 · (…)` and leaves both running sums as they
+/// are, and `v · seen ≥ seen_sum` always holds (every seen coordinate is below `v`).
 fn pairwise_abs_sum(hist: &[u64]) -> u64 {
     let mut seen = 0u64;
     let mut seen_sum = 0u64;
     let mut sum = 0u64;
     for (v, &count) in hist.iter().enumerate() {
-        if count > 0 {
-            sum += count * (v as u64 * seen - seen_sum);
-            seen += count;
-            seen_sum += count * v as u64;
-        }
+        sum += count * (v as u64 * seen - seen_sum);
+        seen += count;
+        seen_sum += count * v as u64;
     }
     sum
+}
+
+/// Integer dot product (exact, so any summation order gives the same value).
+fn dot(a: &[u64], b: &[u64]) -> u64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// `(mean, population std)` of two value slices, each computed exactly as
+/// [`SpatialEntropy::split_range`] does — its own sums, in order — with the independent
+/// sums of the two slices interleaved. An empty slice yields NaNs (never read).
+fn mean_std_pair(a: &[f64], b: &[f64]) -> ((f64, f64), (f64, f64)) {
+    let (na, nb) = (a.len() as f64, b.len() as f64);
+    let (sa, sb) = sum_pair(a, b, |x| x, |y| y);
+    let (ma, mb) = (sa / na, sb / nb);
+    let (qa, qb) = sum_pair(a, b, |x| (x - ma).powi(2), |y| (y - mb).powi(2));
+    ((ma, (qa / na).sqrt()), (mb, (qb / nb).sqrt()))
+}
+
+/// `(Σ fa(a), Σ fb(b))`, each summed in slice order from the `-0.0` that `Iterator::sum`
+/// starts from, the two dependency chains advancing side by side.
+fn sum_pair(a: &[f64], b: &[f64], fa: impl Fn(f64) -> f64, fb: impl Fn(f64) -> f64) -> (f64, f64) {
+    let common = a.len().min(b.len());
+    let (mut sa, mut sb) = (-0.0, -0.0);
+    for (&x, &y) in a[..common].iter().zip(&b[..common]) {
+        sa += fa(x);
+        sb += fb(y);
+    }
+    for &x in &a[common..] {
+        sa += fa(x);
+    }
+    for &y in &b[common..] {
+        sb += fb(y);
+    }
+    (sa, sb)
+}
+
+/// Sorts the bins of a map by value into `entries`, returning the mask of the low bits
+/// that hold each entry's bin index.
+///
+/// Sorting `(key, bin)` pairs costs twice a sort of plain `u64`s, so each entry packs
+/// the bin index into the low bits of its value's [`sort_key`]. Truncating a key is
+/// monotone, so the sorted entries are in full-key order except within runs that share
+/// the truncated key (values within a few thousand ulps of each other); each such run
+/// that is out of full-key order is sorted by its full keys (`keys`, in bin order).
+fn sort_bins(values: &[f64], keys: &mut Vec<u64>, entries: &mut Vec<u64>) -> u64 {
+    let bits = usize::BITS - (values.len() - 1).leading_zeros();
+    let low = (1u64 << bits) - 1;
+    keys.clear();
+    keys.extend(values.iter().map(|&v| sort_key(v)));
+    entries.clear();
+    entries.extend(
+        keys.iter()
+            .enumerate()
+            .map(|(bin, &k)| k & !low | bin as u64),
+    );
+    entries.sort_unstable();
+    let full = |e: u64| keys[(e & low) as usize];
+    if entries.windows(2).all(|w| full(w[0]) <= full(w[1])) {
+        return low;
+    }
+    let mut start = 0;
+    for end in 1..=entries.len() {
+        if end < entries.len() && entries[end] & !low == entries[start] & !low {
+            continue;
+        }
+        let run = &mut entries[start..end];
+        if run.windows(2).any(|w| full(w[0]) > full(w[1])) {
+            run.sort_unstable_by_key(|&e| full(e));
+        }
+        start = end;
+    }
+    low
+}
+
+/// Branch-free total-order key of a value (sign-flip transform): ascending keys are
+/// ascending values under `partial_cmp` for NaN-free input.
+fn sort_key(v: f64) -> u64 {
+    let bits = v.to_bits();
+    bits ^ (((bits as i64 >> 63) as u64) | 0x8000_0000_0000_0000)
 }
 
 /// Sum of `|a - b|` over every pair with `a` drawn from `ha` and `b` drawn from `hb`.
@@ -501,12 +629,16 @@ mod tests {
 
     #[test]
     fn of_map_with_matches_of_map_bit_for_bit() {
-        let e = SpatialEntropy::default();
         let mut scratch = EntropyScratch::new();
         let g = grid(16);
         // Include duplicate values so the unstable sort's tie handling is exercised.
         let values: Vec<f64> = (0..g.bins())
             .map(|i| ((i * 7919) % 23) as f64 * 0.5)
+            .collect();
+        // Values a few ulps apart share their keys' high bits, so the sort has to order
+        // them by their full keys; without a split threshold, cuts fall between them.
+        let close: Vec<f64> = (0..g.bins())
+            .map(|i| f64::from_bits(0.75f64.to_bits() + ((i * 7919) % 11) as u64))
             .collect();
         let maps = [
             striped(8, 2),
@@ -514,9 +646,29 @@ mod tests {
             checkerboard(16),
             GridMap::constant(grid(8), 3.0),
             GridMap::from_values(g, values),
+            GridMap::from_values(g, close),
         ];
-        for map in &maps {
-            assert_eq!(e.of_map_with(map, &mut scratch), e.of_map(map));
+        for e in [SpatialEntropy::default(), SpatialEntropy::new(6, 0.0)] {
+            for map in &maps {
+                assert_eq!(e.of_map_with(map, &mut scratch), e.of_map(map));
+            }
+        }
+    }
+
+    #[test]
+    fn sort_keys_order_values() {
+        let values = [
+            -f64::INFINITY,
+            -3.5,
+            -0.0,
+            0.0,
+            1e-300,
+            0.25,
+            7.0,
+            f64::INFINITY,
+        ];
+        for w in values.windows(2) {
+            assert!(sort_key(w[0]) < sort_key(w[1]), "{} vs {}", w[0], w[1]);
         }
     }
 

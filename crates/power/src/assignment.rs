@@ -32,31 +32,135 @@ impl AssignmentObjective {
     }
 }
 
-/// Reusable buffers for [`VoltageAssigner::assign_with`], the allocation-lean assignment
-/// used inside the floorplanner's hot loop.
+/// Per-block neighbour lists in compressed sparse rows: the neighbours of block `b` are
+/// `neighbors[start[b]..start[b + 1]]`, ascending — the lists the floorplanner's
+/// `Floorplan::adjacency` returns, in the flat form [`VoltageAssigner::assign_with`] reads.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct BlockAdjacency {
+    start: Vec<u32>,
+    neighbors: Vec<u32>,
+    /// Neighbours grouped by block in pair order (the first of the two fill passes).
+    unsorted: Vec<u32>,
+    /// Per-block write cursor of the fill passes.
+    cursor: Vec<u32>,
+}
+
+impl BlockAdjacency {
+    /// Creates an empty adjacency; buffers grow on first use.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Rebuilds the lists of `blocks` blocks from unordered pairs `(a, b)` of adjacent
+    /// blocks (each pair once, `a != b`), every list ascending.
+    ///
+    /// Two counting passes, no sort: the first groups each block's neighbours, the second
+    /// walks the blocks in ascending order and appends each to the lists of its
+    /// neighbours, so every list fills in ascending order. Adjacency is symmetric, so the
+    /// degree counts serve both passes.
+    pub fn fill_from_pairs(&mut self, blocks: usize, pairs: &[(u32, u32)]) {
+        self.start.clear();
+        self.start.resize(blocks + 1, 0);
+        for &(a, b) in pairs {
+            self.start[a as usize + 1] += 1;
+            self.start[b as usize + 1] += 1;
+        }
+        for i in 0..blocks {
+            self.start[i + 1] += self.start[i];
+        }
+        let total = self.start[blocks] as usize;
+        self.unsorted.resize(total, 0);
+        self.neighbors.resize(total, 0);
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.start[..blocks]);
+        for &(a, b) in pairs {
+            self.unsorted[self.cursor[a as usize] as usize] = b;
+            self.cursor[a as usize] += 1;
+            self.unsorted[self.cursor[b as usize] as usize] = a;
+            self.cursor[b as usize] += 1;
+        }
+        self.cursor.clear();
+        self.cursor.extend_from_slice(&self.start[..blocks]);
+        for b in 0..blocks {
+            for &a in &self.unsorted[self.start[b] as usize..self.start[b + 1] as usize] {
+                self.neighbors[self.cursor[a as usize] as usize] = b as u32;
+                self.cursor[a as usize] += 1;
+            }
+        }
+    }
+
+    /// Number of blocks.
+    pub fn blocks(&self) -> usize {
+        self.start.len().saturating_sub(1)
+    }
+
+    /// The neighbours of block `b`, ascending.
+    pub fn neighbors(&self, b: usize) -> &[u32] {
+        &self.neighbors[self.start[b] as usize..self.start[b + 1] as usize]
+    }
+}
+
+/// Reusable buffers and results of [`VoltageAssigner::assign_with`], the assignment used
+/// inside the floorplanner's hot loop.
 ///
 /// Feasible voltage sets are held as bitmasks over the scaling-table indices, and the
-/// power-sorted visit order (a function of the design alone) is computed once and reused.
-/// One scratch must only be used with a single design (the visit order is cached by block
-/// count); create a fresh scratch per design.
+/// power-sorted visit order and the per-block areas, powers and densities (functions of
+/// the design alone) are computed once and reused. One scratch must only be used with a
+/// single design (the cache is keyed by block count); create a fresh scratch per design.
+/// After an assignment, the scratch holds every block's level, which
+/// [`AssignScratch::scaled_delays_into`] and [`AssignScratch::scaled_powers_into`] apply.
 #[derive(Debug, Clone, Default)]
 pub struct AssignScratch {
     /// Blocks in decreasing-power order; rebuilt when the block count changes.
     order: Vec<usize>,
+    /// Area per block; rebuilt with `order`.
+    areas: Vec<f64>,
+    /// Nominal power per block; rebuilt with `order`.
+    powers: Vec<f64>,
     /// Power density per block (`power / area`); rebuilt with `order`.
     densities: Vec<f64>,
+    /// Design-wide power density (total power / total block area); rebuilt with `order`.
+    design_density: f64,
     /// Feasible-set bitmask per block (bit `i` = scaling-table level `i`).
     feasible: Vec<u32>,
     /// Per-block visited flags of the current assignment.
     assigned: Vec<bool>,
-    /// BFS frontier.
-    queue: VecDeque<usize>,
+    /// Members of the volume being grown, in visit order (also its BFS queue).
+    members: Vec<u32>,
+    /// Scaling-table index of every block's level in the most recent assignment.
+    level: Vec<u8>,
+    /// Scaling table of the most recent assignment.
+    table: Vec<(VoltageLevel, f64, f64)>,
 }
 
 impl AssignScratch {
     /// Creates an empty scratch; buffers grow on first use.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Writes every block's voltage-scaled delay under the most recent assignment into
+    /// `out` (cleared first): the values of [`VoltageAssignment::scaled_delays`].
+    pub fn scaled_delays_into(&self, nominal_delays: &[f64], out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(
+            nominal_delays
+                .iter()
+                .zip(&self.level)
+                .map(|(&d, &l)| d * self.table[l as usize].2),
+        );
+    }
+
+    /// Writes every block's voltage-scaled power under the most recent assignment into
+    /// `out` (cleared first): the values of [`VoltageAssignment::scaled_powers`].
+    pub fn scaled_powers_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(
+            self.powers
+                .iter()
+                .zip(&self.level)
+                .map(|(&p, &l)| p * self.table[l as usize].1),
+        );
     }
 }
 
@@ -223,14 +327,15 @@ impl VoltageAssigner {
         VoltageAssignment::new(n, volumes)
     }
 
-    /// [`VoltageAssigner::assign`] over reusable buffers, with feasible voltage sets held
-    /// as bitmasks over the scaling-table indices.
+    /// [`VoltageAssigner::assign`] over reusable buffers, returning the number of
+    /// volumes and leaving every block's level in the scratch.
     ///
-    /// Performs the same visits in the same order with the same merge decisions as the
-    /// vector-based construction — set intersection becomes `&`, the "lowest feasible
-    /// level" check becomes a trailing-zeros comparison — so the produced assignment is
-    /// identical. This is the path the floorplanner's evaluation tier calls thousands of
-    /// times per annealing run.
+    /// Performs the same visits in the same order with the same merge decisions and the
+    /// same level selection as the vector-based construction — feasible sets are bitmasks
+    /// (set intersection becomes `&`, the "lowest feasible level" check a trailing-zeros
+    /// comparison), the growing volume's member list doubles as its BFS queue, and no
+    /// [`VoltageVolume`] is built. This is the path the floorplanner's evaluation tier
+    /// calls thousands of times per annealing run.
     ///
     /// # Panics
     ///
@@ -239,13 +344,13 @@ impl VoltageAssigner {
     pub fn assign_with(
         &self,
         design: &Design,
-        adjacency: &[Vec<BlockId>],
+        adjacency: &BlockAdjacency,
         nominal_delays: &[f64],
         slacks: &[f64],
         scratch: &mut AssignScratch,
-    ) -> VoltageAssignment {
+    ) -> usize {
         let n = design.blocks().len();
-        assert_eq!(adjacency.len(), n, "adjacency list per block required");
+        assert_eq!(adjacency.blocks(), n, "adjacency list per block required");
         assert_eq!(nominal_delays.len(), n, "nominal delay per block required");
         assert_eq!(slacks.len(), n, "slack per block required");
         let table = self.scaling.entries();
@@ -253,6 +358,9 @@ impl VoltageAssigner {
             table.len() <= u32::BITS as usize,
             "bitmask assignment supports at most 32 voltage levels"
         );
+        if scratch.table != table {
+            scratch.table = table.to_vec();
+        }
 
         // Feasible sets as bitmasks, mirroring `feasible_sets`: a level is feasible when
         // the scaled delay fits the block's budget; an empty set falls back to the fastest
@@ -264,9 +372,7 @@ impl VoltageAssigner {
                 let budget = delay + slack + 1e-12;
                 let mut mask = 0u32;
                 for (i, (_, _, delay_factor)) in table.iter().enumerate() {
-                    if delay * delay_factor <= budget {
-                        mask |= 1 << i;
-                    }
+                    mask |= u32::from(delay * delay_factor <= budget) << i;
                 }
                 if mask == 0 {
                     mask = 1 << (table.len() - 1);
@@ -275,7 +381,7 @@ impl VoltageAssigner {
             }));
 
         // Visit blocks in decreasing-power order (a property of the design alone; cached,
-        // as are the per-block power densities the TSC-aware merge criterion reads).
+        // as are the per-block figures the merge criterion and level selection read).
         if scratch.order.len() != n {
             scratch.order = (0..n).collect();
             scratch.order.sort_by(|&a, &b| {
@@ -284,20 +390,24 @@ impl VoltageAssigner {
                     .partial_cmp(&design.blocks()[a].power())
                     .unwrap_or(std::cmp::Ordering::Equal)
             });
+            scratch.areas = design.blocks().iter().map(|b| b.area()).collect();
+            scratch.powers = design.blocks().iter().map(|b| b.power()).collect();
             scratch.densities = (0..n).map(|b| density(design, b)).collect();
+            scratch.design_density = design.total_power() / design.total_block_area();
         }
 
         scratch.assigned.clear();
         scratch.assigned.resize(n, false);
-        scratch.queue.clear();
-        let mut volumes = Vec::new();
+        scratch.level.resize(n, 0);
+        let mut volumes = 0;
 
         for idx in 0..n {
             let root = scratch.order[idx];
             if scratch.assigned[root] {
                 continue;
             }
-            let mut members = vec![BlockId(root)];
+            scratch.members.clear();
+            scratch.members.push(root as u32);
             let mut common = scratch.feasible[root];
             scratch.assigned[root] = true;
 
@@ -305,10 +415,11 @@ impl VoltageAssigner {
             let mut min_density = root_density;
             let mut max_density = root_density;
 
-            scratch.queue.push_back(root);
-            while let Some(current) = scratch.queue.pop_front() {
-                for &neighbor in &adjacency[current] {
-                    let b = neighbor.index();
+            let mut head = 0;
+            while let Some(&current) = scratch.members.get(head) {
+                head += 1;
+                for &b in adjacency.neighbors(current as usize) {
+                    let b = b as usize;
                     if scratch.assigned[b] {
                         continue;
                     }
@@ -341,22 +452,40 @@ impl VoltageAssigner {
                     }
                     common = merged;
                     scratch.assigned[b] = true;
-                    members.push(neighbor);
-                    scratch.queue.push_back(b);
+                    scratch.members.push(b as u32);
                 }
             }
 
-            let feasible: Vec<VoltageLevel> = table
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| common & (1 << i) != 0)
-                .map(|(_, (level, _, _))| *level)
-                .collect();
-            let level = self.select_level(design, &members, &feasible);
-            volumes.push(VoltageVolume::new(members, feasible, level));
+            // The level `select_level` picks, by table index: the lowest feasible level
+            // (power-aware), or the first feasible level whose scaled volume density is
+            // closest to the design-wide density (TSC-aware; same sums, same order).
+            let level = match self.objective {
+                AssignmentObjective::PowerAware => common.trailing_zeros() as usize,
+                AssignmentObjective::TscAware { .. } => {
+                    let members = &scratch.members;
+                    let volume_area: f64 = members.iter().map(|&b| scratch.areas[b as usize]).sum();
+                    let volume_power: f64 =
+                        members.iter().map(|&b| scratch.powers[b as usize]).sum();
+                    let gap = |i: usize| {
+                        (volume_power * table[i].1 / volume_area - scratch.design_density).abs()
+                    };
+                    (0..table.len())
+                        .filter(|&i| common & (1 << i) != 0)
+                        .min_by(|&a, &b| {
+                            gap(a)
+                                .partial_cmp(&gap(b))
+                                .unwrap_or(std::cmp::Ordering::Equal)
+                        })
+                        .expect("non-empty")
+                }
+            };
+            for &b in &scratch.members {
+                scratch.level[b as usize] = level as u8;
+            }
+            volumes += 1;
         }
 
-        VoltageAssignment::new(n, volumes)
+        volumes
     }
 
     /// Selects the operating voltage of one volume according to the objective.
@@ -428,6 +557,22 @@ mod tests {
             Outline::new(2_000.0, 2_000.0),
         )
         .unwrap()
+    }
+
+    /// The flat form of per-block neighbour lists.
+    fn flat(lists: &[Vec<BlockId>]) -> BlockAdjacency {
+        let pairs: Vec<(u32, u32)> = lists
+            .iter()
+            .enumerate()
+            .flat_map(|(a, list)| {
+                list.iter()
+                    .filter(move |b| b.index() > a)
+                    .map(move |b| (a as u32, b.index() as u32))
+            })
+            .collect();
+        let mut adjacency = BlockAdjacency::new();
+        adjacency.fill_from_pairs(lists.len(), &pairs);
+        adjacency
     }
 
     fn full_adjacency(n: usize) -> Vec<Vec<BlockId>> {
@@ -529,29 +674,52 @@ mod tests {
         let d = design();
         let n = d.blocks().len();
         let adjacency = full_adjacency(n);
-        let sparse: Vec<Vec<BlockId>> = (0..n)
-            .map(|i| {
-                if i % 2 == 0 {
-                    vec![BlockId((i + 1) % n)]
-                } else {
-                    Vec::new()
-                }
-            })
-            .collect();
+        // Adjacency is symmetric: blocks 0-1 and 2-3 abut.
+        let sparse: Vec<Vec<BlockId>> = (0..n).map(|i| vec![BlockId(i ^ 1)]).collect();
+        let scaling = VoltageScaling::paper_90nm();
+        let nominal = [1.0, 0.7, 1.3, 0.9];
         for objective in [
             AssignmentObjective::PowerAware,
             AssignmentObjective::tsc_default(),
         ] {
             let assigner = VoltageAssigner::new(objective);
             let mut scratch = AssignScratch::new();
+            let (mut delays, mut powers) = (Vec::new(), Vec::new());
             for adj in [&adjacency, &sparse] {
+                let flat = flat(adj);
                 for slacks in [[2.0; 4], [0.1; 4], [2.0, 0.0, -0.5, 0.05]] {
-                    let reference = assigner.assign(&d, adj, &[1.0; 4], &slacks);
-                    let fast = assigner.assign_with(&d, adj, &[1.0; 4], &slacks, &mut scratch);
-                    assert_eq!(fast, reference);
+                    let reference = assigner.assign(&d, adj, &nominal, &slacks);
+                    let volumes = assigner.assign_with(&d, &flat, &nominal, &slacks, &mut scratch);
+                    assert_eq!(volumes, reference.volume_count());
+                    for b in 0..n {
+                        let level = scratch.table[scratch.level[b] as usize].0;
+                        assert_eq!(level, reference.level_of(BlockId(b)));
+                    }
+                    scratch.scaled_delays_into(&nominal, &mut delays);
+                    assert_eq!(delays, reference.scaled_delays(&nominal, &scaling));
+                    scratch.scaled_powers_into(&mut powers);
+                    assert_eq!(powers, reference.scaled_powers(&d, &scaling));
                 }
             }
         }
+    }
+
+    #[test]
+    fn fill_from_pairs_builds_ascending_symmetric_lists() {
+        let pairs = [(3, 0), (1, 2), (0, 1), (4, 2), (2, 0)];
+        let mut adjacency = BlockAdjacency::new();
+        adjacency.fill_from_pairs(5, &pairs);
+        let expected: Vec<Vec<u32>> =
+            vec![vec![1, 2, 3], vec![0, 2], vec![0, 1, 4], vec![0], vec![2]];
+        for (b, list) in expected.iter().enumerate() {
+            assert_eq!(adjacency.neighbors(b), &list[..]);
+        }
+        // Refilling reuses the buffers and drops the old lists.
+        adjacency.fill_from_pairs(3, &[(2, 1)]);
+        assert_eq!(adjacency.blocks(), 3);
+        assert_eq!(adjacency.neighbors(0), &[] as &[u32]);
+        assert_eq!(adjacency.neighbors(1), &[2]);
+        assert_eq!(adjacency.neighbors(2), &[1]);
     }
 
     #[test]

@@ -39,6 +39,6 @@ mod map;
 mod volume;
 
 pub use activity::ActivitySampler;
-pub use assignment::{AssignScratch, AssignmentObjective, VoltageAssigner};
+pub use assignment::{AssignScratch, AssignmentObjective, BlockAdjacency, VoltageAssigner};
 pub use map::power_map_from_rects;
 pub use volume::{VoltageAssignment, VoltageVolume};

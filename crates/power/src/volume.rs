@@ -144,41 +144,6 @@ impl VoltageAssignment {
             .collect()
     }
 
-    /// Writes the voltage-scaled power of every block into `out` (cleared first) — the
-    /// allocation-free variant of [`VoltageAssignment::scaled_powers`], producing
-    /// identical values.
-    pub fn scaled_powers_into(
-        &self,
-        design: &Design,
-        scaling: &VoltageScaling,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        out.extend(
-            design
-                .iter_blocks()
-                .map(|(id, b)| b.power() * scaling.power_factor(self.level_of(id))),
-        );
-    }
-
-    /// Writes the voltage-scaled delay of every block into `out` (cleared first) — the
-    /// allocation-free variant of [`VoltageAssignment::scaled_delays`], producing
-    /// identical values.
-    pub fn scaled_delays_into(
-        &self,
-        nominal_delays: &[f64],
-        scaling: &VoltageScaling,
-        out: &mut Vec<f64>,
-    ) {
-        out.clear();
-        out.extend(
-            nominal_delays
-                .iter()
-                .enumerate()
-                .map(|(i, &d)| d * scaling.delay_factor(self.level_of(BlockId(i)))),
-        );
-    }
-
     /// Total voltage-scaled power of the design in watts.
     pub fn total_power(&self, design: &Design, scaling: &VoltageScaling) -> f64 {
         self.scaled_powers(design, scaling).iter().sum()

@@ -137,8 +137,8 @@ impl AttackConfig {
     pub const MAX_TRACES: usize = 1_000_000;
 
     /// The finest analysis grid (bins per axis) an attack accepts; the transient network
-    /// holds `layers × grid_bins²` nodes.
-    pub const MAX_GRID_BINS: usize = 128;
+    /// holds `layers × grid_bins²` nodes. The flow's own grids share the bound.
+    pub const MAX_GRID_BINS: usize = tsc3d::FlowConfig::MAX_GRID_BINS;
 
     /// Validates the configuration, including the size bounds that keep one submission
     /// from allocating without limit.

@@ -240,8 +240,10 @@ fn parse_sca(body: &Json) -> Result<ScaSubmission, String> {
         name: format!("sigma-{}", spec.attack.sensors.sigma_k),
         config: spec.attack.sensors,
     }];
-    // Reject invalid attack parameters at submission time (400) — otherwise the job
-    // would burn a full flow run before run_verdict's validation fails it.
+    // Reject invalid flow and attack parameters at submission time (400) — otherwise
+    // the job would allocate for them, or burn a full flow run before run_verdict's
+    // validation fails it.
+    spec.flow.validate().map_err(|e| e.to_string())?;
     spec.attack.validate().map_err(|e| e.to_string())?;
     Ok(ScaSubmission { spec })
 }
@@ -346,6 +348,8 @@ fn parse_flow(body: &Json) -> Result<CampaignJob, String> {
         }
         None => {}
     }
+    // Reject out-of-range configurations (grid sizes above all) at submission (400).
+    config.validate().map_err(|e| e.to_string())?;
 
     Ok(CampaignJob {
         id: 0,

@@ -13,7 +13,9 @@
 //! * SSE watchers beyond the fixed budget answer `503` with `Retry-After`, and a
 //!   closed watcher's slot is admitted again,
 //! * made-up request methods cannot grow the metrics registry: they all share one
-//!   `method="other"` series per (path, status).
+//!   `method="other"` series per (path, status),
+//! * flow grid sizes are bounded at submission: `grid_bins` or `verification_bins`
+//!   above 128 answer `400` for flow and sca submissions, 128 itself is accepted.
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -297,6 +299,51 @@ fn deep_and_huge_bodies_answer_400_and_the_daemon_keeps_serving() {
     let (status, _, payload) = request(addr, "GET", "/v1/stats", "");
     assert_eq!(status, 200, "{payload}");
     Json::parse(&payload).expect("stats body is JSON");
+    server.shutdown();
+}
+
+/// `grid_bins` and `verification_bins` above `FlowConfig::MAX_GRID_BINS` (128) answer
+/// 400 for flow and sca submissions alike — 100 000 bins per axis used to make the
+/// evaluator allocate 10¹⁰-bin maps — while 128 itself is accepted (and cut short by a
+/// 1 ms deadline, so nothing runs at that size here).
+#[test]
+fn flow_grid_sizes_above_the_bound_answer_400() {
+    let server = Server::start(test_config()).expect("server boots");
+    let addr = server.local_addr();
+    let flow = |grid: usize, verification: usize| {
+        format!(
+            "{{\"type\":\"flow\",\"benchmark\":\"n100\",\"setup\":\"tsc\",\"seed\":3,\
+             \"stages\":4,\"moves\":8,\"grid_bins\":{grid},\"verification_bins\":{verification},\
+             \"deadline_ms\":1}}"
+        )
+    };
+    let sca = |grid: usize, verification: usize| {
+        format!(
+            "{{\"type\":\"sca\",\"benchmark\":\"n100\",\"seed\":3,\"stages\":3,\"moves\":8,\
+             \"grid_bins\":{grid},\"verification_bins\":{verification},\"deadline_ms\":1}}"
+        )
+    };
+    let bodies: [&dyn Fn(usize, usize) -> String; 2] = [&flow, &sca];
+    for body in bodies {
+        for (grid, verification, field) in [
+            (100_000, 10, "grid_bins"),
+            (129, 10, "grid_bins"),
+            (10, 100_000, "verification_bins"),
+            (10, 129, "verification_bins"),
+        ] {
+            let body = body(grid, verification);
+            let (status, _, payload) = request(addr, "POST", "/v1/jobs", &body);
+            assert_eq!(status, 400, "{body}: {payload}");
+            assert!(payload.contains(field), "{payload}");
+            assert!(payload.contains("128"), "{payload}");
+        }
+        for (grid, verification) in [(128, 10), (10, 128)] {
+            let (status, accepted) = submit(addr, &body(grid, verification));
+            assert_eq!(status, 202, "{}", accepted.render());
+            let id = accepted.get("id").and_then(Json::as_u64).expect("job id");
+            wait_for_status(addr, id, "cancelled", &["queued", "running"]);
+        }
+    }
     server.shutdown();
 }
 

@@ -131,12 +131,21 @@ impl PowerBlurring {
             kernel,
             tmp,
             blurred,
-            col_idx,
+            padded,
+            pad_idx,
             row_idx,
             ..
         } = scratch;
         for (d, power) in power_per_die.iter().enumerate() {
-            gaussian_blur_tables(power, kernel, col_idx, row_idx, tmp, &mut blurred[d]);
+            gaussian_blur_lanes(
+                power,
+                kernel,
+                pad_idx,
+                row_idx,
+                padded,
+                tmp,
+                &mut blurred[d],
+            );
         }
         let blurred = &*blurred;
 
@@ -150,32 +159,36 @@ impl PowerBlurring {
             } else {
                 self.bottom_die_gain
             };
+            let own = blurred[d].values();
             let values = map.values_mut();
-            for (b, value) in values.iter_mut().enumerate() {
-                let own = gain * blurred[d].values()[b];
-                // Coupling from the neighbouring dies (two-die stacks have one
-                // neighbour; larger stacks accumulate both).
-                let mut coupled = 0.0;
-                if d > 0 {
-                    let density = tsv_per_interface[d - 1].density().values()[b];
-                    coupled += self.coupling * (0.5 + density) * gain * blurred[d - 1].values()[b];
+            // Coupling from the neighbouring dies (two-die stacks have one neighbour;
+            // larger stacks accumulate both), summed in the output lanes from zero.
+            values.fill(0.0);
+            let mut couple = |tsv: &TsvField, other: &GridMap| {
+                let density = tsv.density().values();
+                for ((v, &rho), &p) in values.iter_mut().zip(density).zip(other.values()) {
+                    *v += self.coupling * (0.5 + rho) * gain * p;
                 }
-                if d + 1 < dies {
-                    let density = tsv_per_interface[d].density().values()[b];
-                    coupled += self.coupling * (0.5 + density) * gain * blurred[d + 1].values()[b];
+            };
+            if d > 0 {
+                couple(&tsv_per_interface[d - 1], &blurred[d - 1]);
+            }
+            if d + 1 < dies {
+                couple(&tsv_per_interface[d], &blurred[d + 1]);
+            }
+            // Local TSVs open a vertical escape path that reduces the rise.
+            if dies > 1 {
+                let field = &tsv_per_interface[if d == top { d - 1 } else { d }];
+                let density = field.density().values();
+                for ((v, &o), &rho) in values.iter_mut().zip(own).zip(density) {
+                    let relief = (1.0 - self.tsv_relief * rho).max(0.0);
+                    *v = self.ambient + (gain * o + *v) * relief;
                 }
-                // Local TSVs open a vertical escape path that reduces the rise.
-                let relief = if dies > 1 {
-                    let density = if d == top {
-                        tsv_per_interface[d - 1].density().values()[b]
-                    } else {
-                        tsv_per_interface[d].density().values()[b]
-                    };
-                    (1.0 - self.tsv_relief * density).max(0.0)
-                } else {
-                    1.0
-                };
-                *value = self.ambient + (own + coupled) * relief;
+            } else {
+                // No relief: the reference's factor 1 changes no value.
+                for (v, &o) in values.iter_mut().zip(own) {
+                    *v = self.ambient + (gain * o + *v);
+                }
             }
         }
     }
@@ -189,8 +202,8 @@ impl PowerBlurring {
 }
 
 /// Reusable buffers for [`PowerBlurring::estimate_into`]: the normalized Gaussian kernel
-/// (rebuilt only when the sigma changes), the separable-blur intermediate and the per-die
-/// blurred maps.
+/// (rebuilt only when the sigma changes), the reflect-index tables, the padded row and
+/// the separable-blur intermediate, and the per-die blurred maps.
 #[derive(Debug, Clone)]
 pub struct BlurScratch {
     /// Sigma (in bins) the kernel was built for; NaN before the first use.
@@ -201,8 +214,10 @@ pub struct BlurScratch {
     tmp: Vec<f64>,
     /// Blurred power map per die.
     blurred: Vec<GridMap>,
-    /// Pre-resolved reflected source column per (column, tap) pair.
-    col_idx: Vec<u32>,
+    /// One row reflect-padded by the kernel radius on both sides.
+    padded: Vec<f64>,
+    /// Source column of every padded-row position (`cols + 2 * radius` entries).
+    pad_idx: Vec<u32>,
     /// Pre-resolved reflected source row per (row, tap) pair.
     row_idx: Vec<u32>,
     /// Grid the index tables were built for.
@@ -216,7 +231,8 @@ impl Default for BlurScratch {
             kernel: Vec::new(),
             tmp: Vec::new(),
             blurred: Vec::new(),
-            col_idx: Vec::new(),
+            padded: Vec::new(),
+            pad_idx: Vec::new(),
             row_idx: Vec::new(),
             table_grid: None,
         }
@@ -233,14 +249,7 @@ impl BlurScratch {
     fn ensure(&mut self, sigma: f64, dies: usize, grid: Grid) {
         let sigma_changed = self.sigma != sigma;
         if sigma_changed {
-            let radius = (3.0 * sigma).ceil() as isize;
-            self.kernel = (-radius..=radius)
-                .map(|i| (-(i as f64).powi(2) / (2.0 * sigma * sigma)).exp())
-                .collect();
-            let norm: f64 = self.kernel.iter().sum();
-            for k in &mut self.kernel {
-                *k /= norm;
-            }
+            self.kernel = gaussian_kernel(sigma);
             self.sigma = sigma;
         }
         if self.tmp.len() != grid.bins() {
@@ -251,36 +260,47 @@ impl BlurScratch {
         }
         if sigma_changed || self.table_grid != Some(grid) {
             let radius = (self.kernel.len() / 2) as isize;
-            let reflect = |i: isize, n: isize| -> u32 {
-                let mut i = i;
-                if i < 0 {
-                    i = -i - 1;
-                }
-                if i >= n {
-                    i = 2 * n - i - 1;
-                }
-                i.clamp(0, n - 1) as u32
-            };
-            let taps = self.kernel.len();
             let cols = grid.cols() as isize;
-            let rows = grid.rows() as isize;
-            self.col_idx.clear();
-            self.col_idx.reserve(grid.cols() * taps);
-            for col in 0..cols {
-                for k in 0..taps as isize {
-                    self.col_idx.push(reflect(col + k - radius, cols));
-                }
-            }
-            self.row_idx.clear();
-            self.row_idx.reserve(grid.rows() * taps);
-            for row in 0..rows {
-                for k in 0..taps as isize {
-                    self.row_idx.push(reflect(row + k - radius, rows));
-                }
-            }
+            self.pad_idx = (-radius..cols + radius).map(|c| reflect(c, cols)).collect();
+            self.padded = vec![0.0; self.pad_idx.len()];
+            self.row_idx = reflect_table(grid.rows(), self.kernel.len());
             self.table_grid = Some(grid);
         }
     }
+}
+
+/// Normalized 1D Gaussian taps over `-radius..=radius`, `radius = ceil(3 sigma)`.
+fn gaussian_kernel(sigma: f64) -> Vec<f64> {
+    let radius = (3.0 * sigma).ceil() as isize;
+    let mut kernel: Vec<f64> = (-radius..=radius)
+        .map(|i| (-(i as f64).powi(2) / (2.0 * sigma * sigma)).exp())
+        .collect();
+    let norm: f64 = kernel.iter().sum();
+    for k in &mut kernel {
+        *k /= norm;
+    }
+    kernel
+}
+
+/// Reflecting boundary: index `i` of a line of `n` samples, mirrored at both ends
+/// (`-1 → 0`, `n → n - 1`) and clamped when the kernel is wider than the line.
+fn reflect(i: isize, n: isize) -> u32 {
+    let mut i = i;
+    if i < 0 {
+        i = -i - 1;
+    }
+    if i >= n {
+        i = 2 * n - i - 1;
+    }
+    i.clamp(0, n - 1) as u32
+}
+
+/// The reflected source position of every (position, tap) pair of a line of `n` samples.
+fn reflect_table(n: usize, taps: usize) -> Vec<u32> {
+    let radius = (taps / 2) as isize;
+    (0..n as isize)
+        .flat_map(|p| (0..taps as isize).map(move |k| reflect(p + k - radius, n as isize)))
+        .collect()
 }
 
 /// Separable Gaussian blur with reflecting boundaries (allocating convenience wrapper,
@@ -290,11 +310,12 @@ fn gaussian_blur(map: &GridMap, sigma: f64) -> GridMap {
     let mut scratch = BlurScratch::new();
     scratch.ensure(sigma, 1, map.grid());
     let mut out = GridMap::zeros(map.grid());
-    gaussian_blur_tables(
+    gaussian_blur_lanes(
         map,
         &scratch.kernel,
-        &scratch.col_idx,
+        &scratch.pad_idx,
         &scratch.row_idx,
+        &mut scratch.padded,
         &mut scratch.tmp,
         &mut out,
     );
@@ -303,25 +324,71 @@ fn gaussian_blur(map: &GridMap, sigma: f64) -> GridMap {
 
 /// Separable Gaussian blur with reflecting boundaries, into a caller-provided map.
 ///
-/// `kernel` holds the normalized taps over `-radius..=radius`; `col_idx`/`row_idx` are the
-/// pre-resolved reflected source indices per (position, tap) pair (see
-/// [`BlurScratch::ensure`]) — resolving them once instead of per sample keeps the inner
-/// loop a pure multiply–add over the same operands in the same order.
-fn gaussian_blur_tables(
+/// Both passes run lanes across the columns: the horizontal pass copies each row into
+/// `padded` through the reflect table `pad_idx`, so the taps of output column `c` are the
+/// contiguous `padded[c..c + taps]`; the vertical pass reads whole source rows through
+/// `row_idx`. Each pass adds one tap to every output lane before the next, so every
+/// output accumulates `0 + w₀x₀ + w₁x₁ + …` over the same operands in the same order as
+/// a per-output tap loop.
+fn gaussian_blur_lanes(
     map: &GridMap,
     kernel: &[f64],
-    col_idx: &[u32],
+    pad_idx: &[u32],
     row_idx: &[u32],
+    padded: &mut [f64],
     tmp: &mut [f64],
     out: &mut GridMap,
 ) {
-    let grid = map.grid();
-    let cols = grid.cols();
-    let rows = grid.rows();
+    let cols = map.grid().cols();
     let taps = kernel.len();
 
     // Horizontal pass.
+    for (line, acc) in map
+        .values()
+        .chunks_exact(cols)
+        .zip(tmp.chunks_exact_mut(cols))
+    {
+        for (p, &c) in padded.iter_mut().zip(pad_idx) {
+            *p = line[c as usize];
+        }
+        acc.fill(0.0);
+        for (k, &w) in kernel.iter().enumerate() {
+            for (a, &x) in acc.iter_mut().zip(&padded[k..k + cols]) {
+                *a += w * x;
+            }
+        }
+    }
+    // Vertical pass.
+    let tmp = &*tmp;
+    for (acc, idx) in out
+        .values_mut()
+        .chunks_exact_mut(cols)
+        .zip(row_idx.chunks_exact(taps))
+    {
+        acc.fill(0.0);
+        for (&w, &r) in kernel.iter().zip(idx) {
+            let r = r as usize;
+            for (a, &x) in acc.iter_mut().zip(&tmp[r * cols..(r + 1) * cols]) {
+                *a += w * x;
+            }
+        }
+    }
+}
+
+/// The per-output tap loop the lane kernel replaced: each output sums its taps through
+/// its own reflect-index row — the independent reference of the blur tests.
+#[cfg(test)]
+fn gaussian_blur_reference(map: &GridMap, sigma: f64) -> GridMap {
+    let grid = map.grid();
+    let (cols, rows) = (grid.cols(), grid.rows());
+    let kernel = gaussian_kernel(sigma);
+    let taps = kernel.len();
+    let col_idx = reflect_table(cols, taps);
+    let row_idx = reflect_table(rows, taps);
+
+    // Horizontal pass.
     let input = map.values();
+    let mut tmp = vec![0.0; grid.bins()];
     for row in 0..rows {
         let line = &input[row * cols..(row + 1) * cols];
         for col in 0..cols {
@@ -334,6 +401,7 @@ fn gaussian_blur_tables(
         }
     }
     // Vertical pass.
+    let mut out = GridMap::zeros(grid);
     let values = out.values_mut();
     for row in 0..rows {
         let idx = &row_idx[row * taps..(row + 1) * taps];
@@ -345,12 +413,63 @@ fn gaussian_blur_tables(
             values[row * cols + col] = acc;
         }
     }
+    out
+}
+
+/// [`PowerBlurring::estimate`] as the per-bin loop the lane kernels replaced, over
+/// [`gaussian_blur_reference`].
+#[cfg(test)]
+fn estimate_reference(
+    pb: &PowerBlurring,
+    power_per_die: &[GridMap],
+    tsv_per_interface: &[TsvField],
+) -> Vec<GridMap> {
+    let dies = power_per_die.len();
+    let blurred: Vec<GridMap> = power_per_die
+        .iter()
+        .map(|p| gaussian_blur_reference(p, pb.sigma_bins))
+        .collect();
+    let top = dies - 1;
+    let mut out = Vec::new();
+    for d in 0..dies {
+        let gain = if d == top {
+            pb.top_die_gain
+        } else {
+            pb.bottom_die_gain
+        };
+        let mut map = GridMap::zeros(power_per_die[0].grid());
+        for (b, value) in map.values_mut().iter_mut().enumerate() {
+            let own = gain * blurred[d].values()[b];
+            let mut coupled = 0.0;
+            if d > 0 {
+                let density = tsv_per_interface[d - 1].density().values()[b];
+                coupled += pb.coupling * (0.5 + density) * gain * blurred[d - 1].values()[b];
+            }
+            if d + 1 < dies {
+                let density = tsv_per_interface[d].density().values()[b];
+                coupled += pb.coupling * (0.5 + density) * gain * blurred[d + 1].values()[b];
+            }
+            let relief = if dies > 1 {
+                let density = if d == top {
+                    tsv_per_interface[d - 1].density().values()[b]
+                } else {
+                    tsv_per_interface[d].density().values()[b]
+                };
+                (1.0 - pb.tsv_relief * density).max(0.0)
+            } else {
+                1.0
+            };
+            *value = pb.ambient + (own + coupled) * relief;
+        }
+        out.push(map);
+    }
+    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tsc3d_geometry::{Grid, Outline, Rect, Stack};
+    use tsc3d_geometry::{Grid, Outline, Point, Rect, Stack};
 
     fn setup() -> (PowerBlurring, Grid) {
         let stack = Stack::two_die(Outline::new(2000.0, 2000.0));
@@ -371,6 +490,47 @@ mod tests {
         for _ in 0..3 {
             pb.estimate_into(&power, &tsvs, &mut scratch, &mut out);
             assert_eq!(out, reference);
+        }
+    }
+
+    #[test]
+    fn lane_blur_matches_per_output_reference_bit_for_bit() {
+        // At sigma 2 the kernel has 13 taps, more than a 4- or 5-bin row, so the
+        // reflect-and-clamp indices are exercised too.
+        for bins in [4usize, 5, 10, 16, 33] {
+            let grid = Grid::square(Rect::from_size(1000.0, 1000.0), bins);
+            let mut map = GridMap::zeros(grid);
+            map.splat_power(&Rect::new(120.0, 310.0, 420.0, 170.0), 2.5);
+            map.splat_power(&Rect::new(700.0, 40.0, 90.0, 800.0), 0.75);
+            for (i, v) in map.values_mut().iter_mut().enumerate() {
+                *v += ((i * 7919) % 13) as f64 * 1e-3;
+            }
+            for sigma in [0.5, 2.0, 3.3] {
+                let lanes = gaussian_blur(&map, sigma);
+                let reference = gaussian_blur_reference(&map, sigma);
+                assert_eq!(
+                    lanes.values(),
+                    reference.values(),
+                    "{bins} bins, sigma {sigma}"
+                );
+            }
+            // The whole estimate, for one, two and three dies.
+            let pb = PowerBlurring::new(&ThermalConfig::default_for(Stack::two_die(Outline::new(
+                1000.0, 1000.0,
+            ))));
+            let mut field = TsvField::empty(grid);
+            field.add_site(crate::TsvSite::island(Point::new(400.0, 380.0), 40));
+            let powers = [map.clone(), map.scaled(0.3), GridMap::constant(grid, 0.01)];
+            let fields = [field, TsvField::uniform(grid, 0.2)];
+            for dies in 1..=3 {
+                let power = &powers[..dies];
+                let tsvs = &fields[..dies - 1];
+                assert_eq!(
+                    pb.estimate(power, tsvs),
+                    estimate_reference(&pb, power, tsvs),
+                    "{bins} bins, {dies} dies"
+                );
+            }
         }
     }
 

@@ -2,7 +2,7 @@
 
 use crate::{ElmoreModel, ModuleDelayModel, NetTopology};
 use serde::{Deserialize, Serialize};
-use tsc3d_netlist::{BlockId, Design, NetId};
+use tsc3d_netlist::{BlockId, Design};
 
 /// Summary of the critical (longest) path.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -58,11 +58,14 @@ impl TimingReport {
 /// Reusable buffers for [`TimingGraph::analyze_with`], the allocation-free analysis used
 /// inside the floorplanner's hot loop.
 ///
-/// One scratch serves any number of analyses; the arrival/required buffers grow on demand
-/// and are reused across calls. [`TimingScratch::slacks_into`] extracts the per-block
-/// slacks of the most recent analysis without allocating.
+/// One scratch serves any number of analyses; its buffers grow on demand and are reused
+/// across calls. [`TimingGraph::load_net_delays`] gathers one delay per edge, which every
+/// following analysis reads until the next load; [`TimingScratch::slacks_into`] extracts
+/// the per-block slacks of the most recent [`TimingGraph::analyze_with`].
 #[derive(Debug, Clone, Default)]
 pub struct TimingScratch {
+    /// Net delay of every edge, in the graph's edge order.
+    edge_delay: Vec<f64>,
     arrival: Vec<f64>,
     required: Vec<f64>,
 }
@@ -101,24 +104,27 @@ impl TimingScratch {
 /// fixed per design; only the *weights* (net delays from the current placement, module
 /// delays scaled by the assigned voltage) change between floorplanning iterations, which
 /// keeps re-analysis cheap inside the optimization loop.
+///
+/// Every edge runs from a smaller to a larger block id, so increasing id is a topological
+/// order. The edges are stored as compressed sparse rows: the out-edges of block `b` are
+/// the positions `out_start[b]..out_start[b + 1]` of `edge_sink`/`edge_net`, in net order.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TimingGraph {
     blocks: usize,
-    /// Directed edges `(driver, sink, net)`.
-    edges: Vec<(BlockId, BlockId, NetId)>,
-    /// Outgoing adjacency per block (edge indices).
-    out_edges: Vec<Vec<usize>>,
-    /// Topological order of block ids (increasing id is already topological for our edge
-    /// direction rule, stored explicitly for clarity).
-    topo: Vec<BlockId>,
+    nets: usize,
+    /// Row offsets into the edge arrays, one per block plus the end.
+    out_start: Vec<u32>,
+    /// Sink block of every edge.
+    edge_sink: Vec<u32>,
+    /// Net of every edge.
+    edge_net: Vec<u32>,
 }
 
 impl TimingGraph {
     /// Builds the timing DAG for a design.
     pub fn new(design: &Design) -> Self {
         let blocks = design.blocks().len();
-        let mut edges = Vec::new();
-        let mut out_edges = vec![Vec::new(); blocks];
+        let mut edges: Vec<(usize, u32, u32)> = Vec::new();
         for (net_id, net) in design.iter_nets() {
             let pins: Vec<BlockId> = net.blocks().collect();
             if pins.len() < 2 {
@@ -127,23 +133,36 @@ impl TimingGraph {
             let driver = *pins.iter().min().expect("non-empty");
             for &sink in &pins {
                 if sink != driver {
-                    out_edges[driver.index()].push(edges.len());
-                    edges.push((driver, sink, net_id));
+                    edges.push((driver.index(), sink.index() as u32, net_id.index() as u32));
                 }
             }
         }
-        let topo = (0..blocks).map(BlockId).collect();
+        // Stable by driver, so each driver's edges keep their net order.
+        edges.sort_by_key(|&(driver, _, _)| driver);
+        let mut out_start = vec![0u32; blocks + 1];
+        for &(driver, _, _) in &edges {
+            out_start[driver + 1] += 1;
+        }
+        for b in 0..blocks {
+            out_start[b + 1] += out_start[b];
+        }
         Self {
             blocks,
-            edges,
-            out_edges,
-            topo,
+            nets: design.nets().len(),
+            out_start,
+            edge_sink: edges.iter().map(|&(_, sink, _)| sink).collect(),
+            edge_net: edges.iter().map(|&(_, _, net)| net).collect(),
         }
     }
 
     /// Number of directed edges.
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.edge_sink.len()
+    }
+
+    /// The edge positions of block `b`'s out-edges.
+    fn out_edges(&self, b: usize) -> std::ops::Range<usize> {
+        self.out_start[b] as usize..self.out_start[b + 1] as usize
     }
 
     /// Nominal intrinsic delay of every module in the design (ns), before voltage scaling.
@@ -163,7 +182,8 @@ impl TimingGraph {
     /// Runs a full longest-path analysis.
     ///
     /// `module_delays[b]` is the (voltage-scaled) intrinsic delay of block `b` in ns;
-    /// `net_delays[n]` the delay of net `n` in ns.
+    /// `net_delays[n]` the delay of net `n` in ns. This is the reference analysis; the
+    /// floorplanner's hot loop runs [`TimingGraph::analyze_with`].
     ///
     /// # Panics
     ///
@@ -175,22 +195,22 @@ impl TimingGraph {
             "one delay per block required"
         );
         let mut arrival = vec![0.0_f64; self.blocks];
+        // Driver of the edge that set each block's arrival time.
         let mut pred: Vec<Option<usize>> = vec![None; self.blocks];
 
         // Forward pass in topological (= id) order: arrival includes the block's own delay.
-        for &block in &self.topo {
-            let b = block.index();
+        for b in 0..self.blocks {
             arrival[b] += module_delays[b];
-            for &edge_idx in &self.out_edges[b] {
-                let (_, sink, net) = self.edges[edge_idx];
+            for e in self.out_edges(b) {
+                let (sink, net) = (self.edge_sink[e] as usize, self.edge_net[e] as usize);
                 assert!(
-                    net.index() < net_delays.len(),
+                    net < net_delays.len(),
                     "one delay per net required (missing net {net})"
                 );
-                let candidate = arrival[b] + net_delays[net.index()];
-                if candidate > arrival[sink.index()] {
-                    arrival[sink.index()] = candidate;
-                    pred[sink.index()] = Some(edge_idx);
+                let candidate = arrival[b] + net_delays[net];
+                if candidate > arrival[sink] {
+                    arrival[sink] = candidate;
+                    pred[sink] = Some(b);
                 }
             }
         }
@@ -201,30 +221,25 @@ impl TimingGraph {
             .max_by(|a, b| a.1.partial_cmp(b.1).unwrap_or(std::cmp::Ordering::Equal))
             .expect("design has at least one block");
 
-        // Backward pass for required times.
+        // Backward pass for required times (measured at a block's output, the same
+        // reference as arrival).
         let mut required = vec![critical_delay; self.blocks];
-        for &block in self.topo.iter().rev() {
-            let b = block.index();
-            for &edge_idx in &self.out_edges[b] {
-                let (_, sink, net) = self.edges[edge_idx];
-                let candidate =
-                    required[sink.index()] - module_delays[sink.index()] - net_delays[net.index()];
+        for b in (0..self.blocks).rev() {
+            for e in self.out_edges(b) {
+                let (sink, net) = (self.edge_sink[e] as usize, self.edge_net[e] as usize);
+                let candidate = required[sink] - module_delays[sink] - net_delays[net];
                 if candidate < required[b] {
                     required[b] = candidate;
                 }
             }
         }
-        // Required time of a block is measured at its output (after its own delay), same
-        // reference as arrival, so clamp to at least its own arrival contribution origin.
-        // (arrival uses "output of block" convention throughout.)
 
         // Reconstruct the critical path.
         let mut path = vec![BlockId(critical_end)];
         let mut cursor = critical_end;
-        while let Some(edge_idx) = pred[cursor] {
-            let (driver, _, _) = self.edges[edge_idx];
-            path.push(driver);
-            cursor = driver.index();
+        while let Some(driver) = pred[cursor] {
+            path.push(BlockId(driver));
+            cursor = driver;
         }
         path.reverse();
 
@@ -238,39 +253,55 @@ impl TimingGraph {
         }
     }
 
-    /// Runs the longest-path analysis into reusable buffers and returns the critical
-    /// delay in ns.
-    ///
-    /// Performs exactly the arithmetic of [`TimingGraph::analyze`] (same traversal order,
-    /// same comparisons) without allocating and without reconstructing the critical path,
-    /// so the returned delay — and the slacks recoverable via
-    /// [`TimingScratch::slacks_into`] — are bit-identical to the allocating analysis.
+    /// Gathers the delay of every edge's net into the scratch, for the analyses that
+    /// follow ([`TimingGraph::analyze_with`], [`TimingGraph::analyze_forward`]) until the
+    /// next load. The evaluation loop loads once and runs both the nominal and the
+    /// voltage-scaled analysis on the same net delays.
     ///
     /// # Panics
     ///
-    /// Panics if the delay vectors do not match the design's block/net counts.
-    pub fn analyze_with(
-        &self,
-        module_delays: &[f64],
-        net_delays: &[f64],
-        scratch: &mut TimingScratch,
-    ) -> f64 {
-        let critical_delay = self.analyze_forward(module_delays, net_delays, scratch);
+    /// Panics if `net_delays` does not hold one delay per net of the design.
+    pub fn load_net_delays(&self, net_delays: &[f64], scratch: &mut TimingScratch) {
+        assert_eq!(net_delays.len(), self.nets, "one delay per net required");
+        scratch.edge_delay.clear();
+        scratch
+            .edge_delay
+            .extend(self.edge_net.iter().map(|&net| net_delays[net as usize]));
+    }
 
-        // Backward pass for required times.
-        scratch.required.clear();
-        scratch.required.resize(self.blocks, critical_delay);
-        let required = &mut scratch.required;
-        for &block in self.topo.iter().rev() {
-            let b = block.index();
-            for &edge_idx in &self.out_edges[b] {
-                let (_, sink, net) = self.edges[edge_idx];
-                let candidate =
-                    required[sink.index()] - module_delays[sink.index()] - net_delays[net.index()];
-                if candidate < required[b] {
-                    required[b] = candidate;
-                }
+    /// Runs the longest-path analysis on the loaded net delays into reusable buffers and
+    /// returns the critical delay in ns.
+    ///
+    /// Performs the arithmetic of [`TimingGraph::analyze`] (same traversal order, same
+    /// operands; the compare-and-store updates become `max`/`min`, which pick the same
+    /// value) without allocating and without reconstructing the critical path, so the
+    /// returned delay — and the slacks recoverable via [`TimingScratch::slacks_into`] —
+    /// are bit-identical to the allocating analysis.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `module_delays` does not hold one delay per block, or if no net delays
+    /// were loaded for this graph.
+    pub fn analyze_with(&self, module_delays: &[f64], scratch: &mut TimingScratch) -> f64 {
+        let critical_delay = self.analyze_forward(module_delays, scratch);
+
+        // Backward pass for required times. A block's own value only changes while it is
+        // visited, and its sinks are already final.
+        let TimingScratch {
+            edge_delay,
+            required,
+            ..
+        } = scratch;
+        required.clear();
+        required.resize(self.blocks, critical_delay);
+        for b in (0..self.blocks).rev() {
+            let edges = self.out_edges(b);
+            let mut req = required[b];
+            for (&sink, &delay) in self.edge_sink[edges.clone()].iter().zip(&edge_delay[edges]) {
+                let sink = sink as usize;
+                req = req.min(required[sink] - module_delays[sink] - delay);
             }
+            required[b] = req;
         }
 
         critical_delay
@@ -286,36 +317,35 @@ impl TimingGraph {
     ///
     /// # Panics
     ///
-    /// Panics if the delay vectors do not match the design's block/net counts.
-    pub fn analyze_forward(
-        &self,
-        module_delays: &[f64],
-        net_delays: &[f64],
-        scratch: &mut TimingScratch,
-    ) -> f64 {
+    /// Panics if `module_delays` does not hold one delay per block, or if no net delays
+    /// were loaded for this graph.
+    pub fn analyze_forward(&self, module_delays: &[f64], scratch: &mut TimingScratch) -> f64 {
         assert_eq!(
             module_delays.len(),
             self.blocks,
             "one delay per block required"
         );
-        scratch.arrival.clear();
-        scratch.arrival.resize(self.blocks, 0.0);
-        let arrival = &mut scratch.arrival;
+        assert_eq!(
+            scratch.edge_delay.len(),
+            self.edge_count(),
+            "net delays must be loaded for this graph"
+        );
+        let TimingScratch {
+            edge_delay,
+            arrival,
+            ..
+        } = scratch;
+        arrival.clear();
+        arrival.resize(self.blocks, 0.0);
 
         // Forward pass in topological (= id) order: arrival includes the block's own delay.
-        for &block in &self.topo {
-            let b = block.index();
-            arrival[b] += module_delays[b];
-            for &edge_idx in &self.out_edges[b] {
-                let (_, sink, net) = self.edges[edge_idx];
-                assert!(
-                    net.index() < net_delays.len(),
-                    "one delay per net required (missing net {net})"
-                );
-                let candidate = arrival[b] + net_delays[net.index()];
-                if candidate > arrival[sink.index()] {
-                    arrival[sink.index()] = candidate;
-                }
+        for b in 0..self.blocks {
+            let out = arrival[b] + module_delays[b];
+            arrival[b] = out;
+            let edges = self.out_edges(b);
+            for (&sink, &delay) in self.edge_sink[edges.clone()].iter().zip(&edge_delay[edges]) {
+                let slot = &mut arrival[sink as usize];
+                *slot = slot.max(out + delay);
             }
         }
 
@@ -451,18 +481,34 @@ mod tests {
 
     #[test]
     fn analyze_with_matches_analyze_bit_for_bit() {
-        let d = chain_design();
-        let g = TimingGraph::new(&d);
+        let chain = chain_design();
+        let suite = tsc3d_netlist::suite::generate(tsc3d_netlist::suite::Benchmark::N100, 1);
         let mut scratch = TimingScratch::new();
         let mut slacks = Vec::new();
-        for (m, n) in [(1.0, 0.5), (0.7, 0.3), (2.5, 0.0)] {
-            let (md, nd) = uniform_delays(&d, m, n);
-            let report = g.analyze(&md, &nd);
-            let critical = g.analyze_with(&md, &nd, &mut scratch);
-            assert_eq!(critical, report.critical_delay());
-            scratch.slacks_into(&mut slacks);
-            assert_eq!(slacks, report.slacks());
-            assert_eq!(scratch.arrival().len(), d.blocks().len());
+        for d in [&chain, &suite] {
+            let g = TimingGraph::new(d);
+            // Uniform delays (ties everywhere) and irregular ones.
+            let mut cases: Vec<(Vec<f64>, Vec<f64>)> = [(1.0, 0.5), (0.7, 0.3), (2.5, 0.0)]
+                .iter()
+                .map(|&(m, n)| uniform_delays(d, m, n))
+                .collect();
+            let wobble = |i: usize, scale: f64| scale * (1.0 + ((i * 7919) % 101) as f64 / 37.0);
+            cases.push((
+                (0..d.blocks().len()).map(|i| wobble(i, 0.3)).collect(),
+                (0..d.nets().len()).map(|i| wobble(i + 5, 0.01)).collect(),
+            ));
+            for (md, nd) in &cases {
+                let report = g.analyze(md, nd);
+                g.load_net_delays(nd, &mut scratch);
+                let critical = g.analyze_with(md, &mut scratch);
+                assert_eq!(critical, report.critical_delay());
+                scratch.slacks_into(&mut slacks);
+                assert_eq!(slacks, report.slacks());
+                assert_eq!(scratch.arrival().len(), d.blocks().len());
+                let scaled: Vec<f64> = md.iter().map(|m| m * 1.56).collect();
+                let forward = g.analyze_forward(&scaled, &mut scratch);
+                assert_eq!(forward, g.analyze(&scaled, nd).critical_delay());
+            }
         }
     }
 
