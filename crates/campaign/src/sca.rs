@@ -802,7 +802,7 @@ pub struct ScaGroupSummary {
     /// Trace-simulation throughput of the group: total simulated traces over total job
     /// runtime (0 when no successful job recorded runtime). Runtime includes the flow
     /// for the one job per (benchmark, seed) that computed it, so this is a conservative
-    /// floor on the batched trace engine's rate.
+    /// floor on the trace engine's rate.
     pub traces_per_sec: f64,
 }
 

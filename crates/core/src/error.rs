@@ -272,16 +272,6 @@ impl FlowError {
             other => other,
         }
     }
-
-    /// The partial stage timings an interrupted run preserved, if this error carries any.
-    pub fn partial_timings(&self) -> Option<StageTimings> {
-        match self {
-            FlowError::Cancelled { timings, .. } | FlowError::DeadlineExceeded { timings, .. } => {
-                Some(*timings)
-            }
-            _ => None,
-        }
-    }
 }
 
 /// Renders an error and its full [`Error::source`] chain as `error: cause: root-cause`.

@@ -162,25 +162,6 @@ impl Default for ExplorationConfig {
 /// Runs the full 5 × 6 study and returns the 30 cases in row-major order (power pattern
 /// outer, TSV pattern inner) — the structure of Figure 2.
 pub fn run_exploration(config: &ExplorationConfig) -> Vec<ExplorationCase> {
-    run_exploration_impl(config, None)
-}
-
-/// [`run_exploration`] with the detailed solver's red-black sweeps distributed over a
-/// worker pool ([`SteadyStateSolver::solve_on`]).
-///
-/// Produces exactly the cases of the serial study — the parallel sweep is bit-identical.
-/// It only pays off on very fine grids (see [`SteadyStateSolver::solve_on`]).
-pub fn run_exploration_on(
-    pool: &crate::exec::Pool,
-    config: &ExplorationConfig,
-) -> Vec<ExplorationCase> {
-    run_exploration_impl(config, Some(pool))
-}
-
-fn run_exploration_impl(
-    config: &ExplorationConfig,
-    pool: Option<&crate::exec::Pool>,
-) -> Vec<ExplorationCase> {
     let outline = Outline::square(config.outline_mm2 * 1e6);
     let stack = Stack::two_die(outline);
     let grid = Grid::square(outline.rect(), config.grid_bins);
@@ -203,11 +184,9 @@ fn run_exploration_impl(
                 tsv_pattern,
                 config.seed ^ ti as u64,
             )];
-            let result = match pool {
-                Some(pool) => solver.solve_on(pool, &power_maps, &tsvs),
-                None => solver.solve(&power_maps, &tsvs),
-            }
-            .expect("exploration solve converges");
+            let result = solver
+                .solve(&power_maps, &tsvs)
+                .expect("exploration solve converges");
             let correlations: Vec<f64> = power_maps
                 .iter()
                 .zip(result.die_temperatures())
@@ -299,21 +278,6 @@ mod tests {
                 none.correlations[0]
             );
         }
-    }
-
-    #[test]
-    fn pooled_exploration_matches_serial_exactly() {
-        let config = ExplorationConfig {
-            outline_mm2: 4.0,
-            grid_bins: 8,
-            power_per_die: 2.0,
-            seed: 5,
-        };
-        let serial = run_exploration(&config);
-        let pool = crate::exec::Pool::new(3);
-        let pooled = run_exploration_on(&pool, &config);
-        pool.shutdown();
-        assert_eq!(serial, pooled);
     }
 
     #[test]

@@ -1,13 +1,12 @@
 //! The shared batch-execution core: a long-lived work-stealing thread pool.
 //!
-//! The paper's Figure-5/Table-2 experiment loop (`tsc3d::experiment`), the campaign
-//! subsystem (`tsc3d-campaign`), the evaluation service (`tsc3d-serve`) and the detailed
-//! thermal solver's red-black SOR sweep (`tsc3d-thermal`) all execute through one
-//! scheduler. Until PR 3 the scheduler was a scoped fork-join pool rebuilt for every
-//! batch; the serve daemon needs a *persistent* executor, so the pool is an explicit
-//! [`Pool`] value with long-lived workers. The crate sits below every analysis crate of
-//! the workspace (it was hoisted out of `tsc3d::exec` in PR 4 so `tsc3d-thermal` can use
-//! it without a dependency cycle; `tsc3d::exec` re-exports it unchanged):
+//! The campaign engine (`tsc3d-campaign`, which also runs the paper's Figure-5/Table-2
+//! comparisons), the evaluation service (`tsc3d-serve`), the load generator
+//! (`tsc3d-loadgen`) and the trace attack's kernel extraction (`tsc3d-sca`) all execute
+//! through one scheduler. The serve daemon needs a *persistent* executor, so the pool is
+//! an explicit [`Pool`] value with long-lived workers. The crate sits below every
+//! analysis crate of the workspace, whose long loops poll its cancel tokens;
+//! `tsc3d::exec` re-exports it unchanged. In the pool:
 //!
 //! * a shared injector queue feeds per-worker deques (workers refill in small batches and
 //!   steal FIFO from their peers when the injector runs dry),
@@ -130,7 +129,7 @@ struct Stats {
     /// Tasks executed to completion (including contained panics).
     executed: AtomicU64,
     /// Busy nanoseconds per worker; the extra last slot aggregates non-worker
-    /// threads (batch helpers, `try_help` callers, drain).
+    /// threads (batch helpers, drain).
     busy_ns: Vec<AtomicU64>,
 }
 
@@ -218,7 +217,7 @@ impl Shared {
         task
     }
 
-    /// The `busy_ns` slot of non-worker threads (batch helpers, `try_help`, drain).
+    /// The `busy_ns` slot of non-worker threads (batch helpers, drain).
     fn helper_slot(&self) -> usize {
         self.locals.len()
     }
@@ -443,24 +442,6 @@ impl Pool {
             .collect()
     }
 
-    /// Pops one queued task (injector or a worker deque) and runs it on the calling
-    /// thread; returns whether a task ran.
-    ///
-    /// The building block for callers that must stay responsive while work they
-    /// submitted is outstanding — e.g. a streaming consumer draining results of
-    /// [`Pool::submit`]-dispatched producers from *inside* a pool task: helping instead
-    /// of blocking keeps a fully busy pool from deadlocking on its own sub-tasks (the
-    /// same discipline [`Pool::run_batch`] applies internally).
-    pub fn try_help(&self) -> bool {
-        match self.shared.try_pop_any() {
-            Some(task) => {
-                self.shared.run_task(self.shared.helper_slot(), task);
-                true
-            }
-            None => false,
-        }
-    }
-
     /// Gracefully shuts the pool down: refuses further submissions, lets the workers
     /// drain every task already accepted, then joins them. Idempotent; also invoked by
     /// `Drop`.
@@ -539,7 +520,7 @@ pub struct PoolStats {
     /// Tasks executed to completion (including contained panics).
     pub executed: u64,
     /// Busy nanoseconds per worker, plus one final slot aggregating non-worker
-    /// threads (batch helpers, [`Pool::try_help`] callers, the shutdown drain).
+    /// threads (batch helpers, the shutdown drain).
     pub busy_ns: Vec<u64>,
 }
 
@@ -632,29 +613,6 @@ where
             batch.done.notify_all();
         }
     })
-}
-
-/// Splits `0..total` into at most `parts` contiguous, non-empty `(lo, hi)` ranges whose
-/// sizes differ by at most one — the canonical work partition every parallel fan-out of
-/// the workspace uses (solver sweeps, transient node chunks, trace batches).
-///
-/// The partition is a pure function of `(total, parts)`, so chunked results reassembled
-/// in range order are identical for every worker count. `parts == 0` is treated as 1;
-/// `total == 0` yields no ranges.
-pub fn chunk_ranges(total: usize, parts: usize) -> Vec<(usize, usize)> {
-    if total == 0 {
-        return Vec::new();
-    }
-    let parts = parts.clamp(1, total);
-    let mut ranges = Vec::with_capacity(parts);
-    for part in 0..parts {
-        let lo = part * total / parts;
-        let hi = (part + 1) * total / parts;
-        if lo < hi {
-            ranges.push((lo, hi));
-        }
-    }
-    ranges
 }
 
 #[cfg(test)]
@@ -892,30 +850,5 @@ mod tests {
         let after = pool.stats();
         assert_eq!(after.queued, 0);
         assert_eq!(after.executed, 16);
-    }
-
-    #[test]
-    fn chunk_ranges_partition_exactly() {
-        for total in [0usize, 1, 2, 7, 64, 193] {
-            for parts in [0usize, 1, 3, 8, 200] {
-                let ranges = chunk_ranges(total, parts);
-                // Contiguous, non-empty, covering exactly 0..total.
-                let mut expected_lo = 0;
-                for &(lo, hi) in &ranges {
-                    assert_eq!(lo, expected_lo, "total {total} parts {parts}");
-                    assert!(lo < hi, "total {total} parts {parts}");
-                    expected_lo = hi;
-                }
-                assert_eq!(expected_lo, total, "total {total} parts {parts}");
-                if total > 0 {
-                    assert!(ranges.len() <= parts.max(1).min(total));
-                    // Balanced: sizes differ by at most one.
-                    let sizes: Vec<usize> = ranges.iter().map(|&(lo, hi)| hi - lo).collect();
-                    let min = sizes.iter().min().unwrap();
-                    let max = sizes.iter().max().unwrap();
-                    assert!(max - min <= 1, "total {total} parts {parts}: {sizes:?}");
-                }
-            }
-        }
     }
 }

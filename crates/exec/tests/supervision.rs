@@ -87,7 +87,7 @@ fn task_panic_mid_batch_keeps_pool_nested_help_and_counter_intact() {
     assert!(panics_total().get() > before, "batch panic hits the metric");
 
     // Subsequent batches are served, including nested ones (workers helping
-    // through `run_batch` recursion), and `try_help` still drains submissions.
+    // through `run_batch` recursion), and the workers still run submissions.
     let nested = Arc::clone(&pool);
     let results = pool.run_batch((0..4).collect::<Vec<u64>>(), move |_, outer| {
         nested
@@ -105,8 +105,7 @@ fn task_panic_mid_batch_keeps_pool_nested_help_and_counter_intact() {
     .expect("pool is open");
     let deadline = Instant::now() + Duration::from_secs(10);
     while ran.load(Ordering::SeqCst) == 0 && Instant::now() < deadline {
-        pool.try_help();
-        std::thread::yield_now();
+        std::thread::sleep(Duration::from_millis(1));
     }
     assert_eq!(ran.load(Ordering::SeqCst), 1);
     pool.shutdown();

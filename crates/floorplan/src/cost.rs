@@ -414,12 +414,6 @@ impl<'d> Evaluator<'d> {
         self
     }
 
-    /// Sets the adjacency margin (µm) used when growing voltage volumes.
-    pub fn with_adjacency_margin(mut self, margin: f64) -> Self {
-        self.adjacency_margin = margin.max(0.0);
-        self
-    }
-
     /// The design being evaluated.
     pub fn design(&self) -> &'d Design {
         self.design

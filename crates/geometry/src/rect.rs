@@ -51,13 +51,6 @@ impl Rect {
         Self::new(0.0, 0.0, width, height)
     }
 
-    /// Creates a rectangle from two opposite corners.
-    pub fn from_corners(a: Point, b: Point) -> Self {
-        let x = a.x.min(b.x);
-        let y = a.y.min(b.y);
-        Self::new(x, y, (a.x - b.x).abs(), (a.y - b.y).abs())
-    }
-
     /// Lower-left corner.
     pub fn lower_left(&self) -> Point {
         Point::new(self.x, self.y)

@@ -105,11 +105,6 @@ impl CorrelationStability {
         self.thermal_samples.push(thermal.values().to_vec());
     }
 
-    /// Number of samples accumulated so far.
-    pub fn sample_count(&self) -> usize {
-        self.power_samples.len()
-    }
-
     /// Computes the per-bin stability map (Eq. 2).
     ///
     /// # Panics

@@ -82,10 +82,10 @@ fn seeded_run_has_no_server_errors_and_benches_parse() {
 
 #[test]
 fn open_loop_latency_includes_schedule_slip() {
-    // One worker, two requests scheduled at the same instant: the second is
-    // issued after the first completes, but its latency clock starts at its
-    // intended send time — so it must measure at least the first request's
-    // service time on top of its own (no coordinated omission).
+    // One worker, 40 requests scheduled at the same instant: each is issued
+    // after the one before it completes, but its latency clock starts at its
+    // intended send time — so it carries the service time of every earlier
+    // request on top of its own (no coordinated omission).
     let server = test_server();
     let mix = Mix::preset("reads").unwrap();
     let plan = Arc::new(generate(11, &mix, 40, 0));
@@ -100,26 +100,21 @@ fn open_loop_latency_includes_schedule_slip() {
     server.shutdown();
     assert_eq!(result.issued, plan.len());
     assert_eq!(result.server_errors + result.io_errors, 0);
-    // Across 40 same-instant arrivals drained serially, the recorded maximum
-    // must dominate (well exceed) any single closed-loop response: it carries
-    // the queueing delay of everything scheduled before it.
+    // All 40 arrivals are scheduled at offset 0 and drained serially, so the last
+    // one's latency clock runs from the start of the run and spans nearly the
+    // whole issuing phase. A generator that started the clock at the actual
+    // send (coordinated omission) would record about elapsed / 40 instead.
     let max_ns = result
         .endpoints
         .values()
         .map(|r| r.latency.max_ns())
         .max()
         .unwrap();
-    let min_ns = result
-        .endpoints
-        .values()
-        .filter(|r| r.total() > 0)
-        .map(|r| r.latency.min_ns())
-        .min()
-        .unwrap();
+    let half_run_ns = (result.elapsed / 2).as_nanos() as u64;
     assert!(
-        max_ns > min_ns.saturating_mul(3),
-        "open-loop max ({max_ns}ns) should reflect accumulated slip over the \
-         fastest response ({min_ns}ns)"
+        max_ns >= half_run_ns,
+        "open-loop max ({max_ns}ns) should span most of the run ({half_run_ns}ns \
+         is half of it)"
     );
 }
 

@@ -124,8 +124,8 @@ pub fn dropped_spans() -> u64 {
 /// span stack, dropping pops it and records the finished [`SpanRecord`].
 ///
 /// Guards are strictly nested per thread (the type is `!Send`), so spans opened
-/// inside a task that a worker — or a caller inside `Pool::try_help` — executes
-/// inline nest under whatever span that thread currently has open.
+/// inside a task that a worker — or a caller helping inside `Pool::run_batch` —
+/// executes inline nest under whatever span that thread currently has open.
 #[must_use = "a span guard records its span when dropped; binding it to `_` closes it immediately"]
 pub struct SpanGuard {
     armed: bool,

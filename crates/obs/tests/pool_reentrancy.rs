@@ -1,6 +1,7 @@
-//! Span-stack discipline across `Pool::try_help` re-entrancy: a task executed
-//! inline on the helping thread must nest its spans under whatever span that
-//! thread currently has open, and every guard must close exactly once.
+//! Span-stack discipline across pool re-entrancy: a task executed inline on a
+//! non-worker thread (a `run_batch` helper, the shutdown drain) must nest its
+//! spans under whatever span that thread currently has open, and every guard
+//! must close exactly once.
 //!
 //! The tests share the process-global span collector, so they serialize on a
 //! mutex and filter drained spans by their own names.
@@ -19,19 +20,20 @@ fn helped_tasks_nest_under_the_helpers_open_span() {
     obs::set_tracing(true);
     let _ = obs::drain_spans();
 
-    // A 0-thread pool queues tasks until somebody helps, so every task below is
-    // guaranteed to run inline on this thread, inside the "reentry_outer" span.
+    // A 0-thread pool queues tasks until its shutdown drains them, so every task
+    // below is guaranteed to run inline on this thread, inside the "reentry_outer"
+    // span.
     let pool = Pool::new(0);
     for _ in 0..4 {
         pool.submit(|| {
-            let _span = obs::span!("reentry_helped");
+            let _span = obs::span!("reentry_inline");
             obs::trace::add_to_span("units", 1);
         })
         .unwrap();
     }
     {
         let _outer = obs::span!("reentry_outer");
-        while pool.try_help() {}
+        pool.shutdown();
     }
     obs::set_tracing(false);
 
@@ -42,7 +44,7 @@ fn helped_tasks_nest_under_the_helpers_open_span() {
         .expect("outer span recorded");
     let helped: Vec<_> = spans
         .iter()
-        .filter(|s| s.name == "reentry_helped")
+        .filter(|s| s.name == "reentry_inline")
         .collect();
     assert_eq!(helped.len(), 4, "every helped task closed its span");
     for span in &helped {
@@ -79,7 +81,7 @@ fn nested_spans_inside_helped_tasks_keep_their_chain() {
     .unwrap();
     {
         let _outer = obs::span!("reentry_root");
-        while pool.try_help() {}
+        pool.shutdown();
     }
     obs::set_tracing(false);
 

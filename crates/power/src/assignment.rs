@@ -185,11 +185,6 @@ impl VoltageAssigner {
         }
     }
 
-    /// Creates an assigner with a custom scaling table.
-    pub fn with_scaling(objective: AssignmentObjective, scaling: VoltageScaling) -> Self {
-        Self { scaling, objective }
-    }
-
     /// The scaling table in use.
     pub fn scaling(&self) -> &VoltageScaling {
         &self.scaling

@@ -113,7 +113,7 @@ pub(crate) mod obs_metrics {
 
 pub use cpa::{ByteResult, CpaAccumulator, CpaResult};
 pub use scenario::{
-    attack_tsv_fields, resolve_target, run_attack, run_attack_with, run_on_flow, run_on_flow_with,
+    attack_tsv_fields, resolve_target, run_attack, run_on_flow, run_on_flow_with,
     run_on_flow_with_cancel, run_verdict, run_verdict_with_cancel, AttackConfig, Mitigation,
     ScaError, ScaOutcome, ScaVerdict, TargetPolicy, TraceEngine,
 };
@@ -218,11 +218,11 @@ mod tests {
         let (design, flow) = flow_fixture();
         assert_eq!(TraceEngine::default(), TraceEngine::Kernel);
         let pools = [None, Some(Pool::new(1)), Some(Pool::new(4))];
-        // The stepper's own invariance over batch sizes and pools is checked at the quick
-        // size; at the smoke size it runs once per batch size, on the 4-worker pool.
-        for (config, stepper_pools) in [
-            (test_config(), &pools[..]),
-            (AttackConfig::smoke(), &pools[2..]),
+        // The stepper's invariance over batch sizes is checked at the quick size; at the
+        // smoke size it runs once.
+        for (config, batch_sizes) in [
+            (test_config(), &[1usize, 3, 8][..]),
+            (AttackConfig::smoke(), &[8][..]),
         ] {
             for mitigation in [Mitigation::Baseline, Mitigation::DummyTsvs] {
                 let run = |engine, pool: &Option<Pool>| {
@@ -238,26 +238,22 @@ mod tests {
                     )
                     .unwrap()
                 };
-                let label = |pool: &Option<Pool>| {
-                    let workers = pool.as_ref().map_or(0, Pool::threads);
-                    format!(
-                        "{} traces, {mitigation:?}, {workers} workers",
-                        config.traces
-                    )
-                };
+                let label = format!("{} traces, {mitigation:?}", config.traces);
                 let kernel = run(TraceEngine::Kernel, &None);
                 for pool in &pools[1..] {
-                    assert_eq!(run(TraceEngine::Kernel, pool), kernel, "{}", label(pool));
+                    let workers = pool.as_ref().map_or(0, Pool::threads);
+                    assert_eq!(
+                        run(TraceEngine::Kernel, pool),
+                        kernel,
+                        "{label}, {workers} workers"
+                    );
                 }
-                for batch_traces in [1usize, 3, 8] {
-                    for pool in stepper_pools {
-                        assert_eq!(
-                            run(TraceEngine::Batched { batch_traces }, pool),
-                            kernel,
-                            "{}, batch {batch_traces}",
-                            label(pool)
-                        );
-                    }
+                for &batch_traces in batch_sizes {
+                    assert_eq!(
+                        run(TraceEngine::Batched { batch_traces }, &None),
+                        kernel,
+                        "{label}, batch {batch_traces}"
+                    );
                 }
             }
         }

@@ -13,8 +13,7 @@ use crate::workload::{derive_key, LeakageModel, TraceActivity, Workload, Workloa
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use tsc3d::FlowResult;
 use tsc3d_exec::{CancelToken, Interrupt, Pool};
 use tsc3d_floorplan::{plan_signal_tsvs, Floorplan, PowerStamps};
@@ -548,7 +547,8 @@ pub enum TraceEngine {
     Kernel,
     /// The reference engine: lockstep SoA stepping of every trace, `batch_traces`
     /// traces sharing one conductance network and advancing through every substep
-    /// together. Each lane is bit-identical to the scalar [`TransientSolver`].
+    /// together. Each lane is bit-identical to the scalar [`TransientSolver`]. It runs
+    /// on the calling thread; a pool passed alongside it goes unused.
     Batched {
         /// Traces per lockstep batch (at least 1).
         batch_traces: usize,
@@ -582,7 +582,7 @@ fn ranges(total: usize, width: usize) -> Vec<(usize, usize)> {
 
 /// The physics of one trace engine: the true (pre-acquisition) sensor temperatures of
 /// given traces.
-trait ThermalResponse: Send + Sync + 'static {
+trait ThermalResponse {
     /// The span wrapping one chunk's simulation.
     const SPAN: &'static str;
 
@@ -827,105 +827,27 @@ fn consume_chunk(cpa: &mut CpaAccumulator, chunk: &ChunkTraces, key_bytes: usize
     }
 }
 
-/// Streams trace chunks into the CPA sums in strict trace order, returning the total
-/// (trace-equivalent) transient step count.
+/// Simulates the trace chunks one at a time and folds each into the CPA sums in trace
+/// order (memory `O(chunk × points)`), returning the total (trace-equivalent) transient
+/// step count.
 ///
-/// With a pool, chunks are dispatched as fire-and-forget producer tasks and drained
-/// through a channel; out-of-order completions wait in a reorder buffer, so the sums
-/// always see trace `t` before `t + 1` — results are bit-identical for any worker count
-/// while memory stays `O(pending chunks × chunk × points)` instead of
-/// `O(traces × points)`. The drain loop *helps execute* queued tasks while waiting, so
-/// streaming from inside a pool task (the serve daemon's sca jobs) cannot deadlock.
-///
-/// `cancel` is polled at the `sca-batch` checkpoint once per consumed chunk — the hit
-/// count of that fault site is therefore deterministic (exactly the chunk count on a
-/// fault-free run) regardless of pool scheduling. An interrupt abandons the remaining
-/// chunks; in-flight producers finish into a dropped channel and are discarded.
+/// `cancel` is polled at the `sca-batch` checkpoint once per chunk, so the hit count of
+/// that fault site is exactly the chunk count on a fault-free run. An interrupt abandons
+/// the remaining chunks.
 fn stream_batches<R: ThermalResponse>(
-    source: Arc<TraceSource<R>>,
+    source: &TraceSource<R>,
     chunks: Vec<(usize, usize)>,
-    pool: Option<&Pool>,
     cpa: &mut CpaAccumulator,
     cancel: &CancelToken,
 ) -> Result<u64, ScaError> {
     let key_bytes = source.workload.config().key_bytes;
     let points = source.sensors.points();
     let mut steps = 0u64;
-    match pool {
-        Some(pool) if pool.threads() > 0 => {
-            let total = chunks.len();
-            let (tx, rx) = mpsc::channel::<(usize, ChunkTraces)>();
-            // Reorder buffer: chunks complete in any order, the sums see them in trace
-            // order.
-            let mut pending: BTreeMap<usize, ChunkTraces> = BTreeMap::new();
-            let mut delivered = 0usize;
-            for (index, range) in chunks.into_iter().enumerate() {
-                let tx = tx.clone();
-                let producer = Arc::clone(&source);
-                let submitted = pool.submit(move || {
-                    // A dropped receiver means the streaming side panicked; nothing
-                    // left to do with the chunk then.
-                    let _ = tx.send((index, producer.simulate(range)));
-                });
-                if submitted.is_err() {
-                    // Draining pool: refuse-new-work mode. The chunk must still be
-                    // simulated — run it inline, parked in the reorder buffer so
-                    // ordering against still-in-flight earlier chunks is preserved.
-                    pending.insert(index, source.simulate(range));
-                    delivered += 1;
-                }
-            }
-            drop(tx);
-            let mut next = 0usize;
-            while delivered < total {
-                let message = match rx.try_recv() {
-                    Ok(message) => Some(message),
-                    // Help the pool along instead of blocking: keeps a fully busy pool
-                    // from deadlocking on its own sub-tasks (streaming from inside a
-                    // pool task) and puts the waiting thread to work.
-                    Err(mpsc::TryRecvError::Empty) if pool.try_help() => None,
-                    Err(mpsc::TryRecvError::Empty) => {
-                        match rx.recv_timeout(std::time::Duration::from_millis(1)) {
-                            Ok(message) => Some(message),
-                            Err(mpsc::RecvTimeoutError::Timeout) => None,
-                            Err(mpsc::RecvTimeoutError::Disconnected) => {
-                                panic!("a trace batch producer died before delivering")
-                            }
-                        }
-                    }
-                    Err(mpsc::TryRecvError::Disconnected) => {
-                        panic!("a trace batch producer died before delivering")
-                    }
-                };
-                if let Some((index, chunk)) = message {
-                    delivered += 1;
-                    pending.insert(index, chunk);
-                }
-                while let Some(chunk) = pending.remove(&next) {
-                    tsc3d_exec::checkpoint("sca-batch", cancel)
-                        .map_err(ScaError::from_interrupt)?;
-                    steps += chunk.steps;
-                    consume_chunk(cpa, &chunk, key_bytes, points);
-                    next += 1;
-                }
-            }
-            while let Some(chunk) = pending.remove(&next) {
-                tsc3d_exec::checkpoint("sca-batch", cancel).map_err(ScaError::from_interrupt)?;
-                steps += chunk.steps;
-                consume_chunk(cpa, &chunk, key_bytes, points);
-                next += 1;
-            }
-            assert_eq!(next, total, "every chunk consumed exactly once");
-        }
-        _ => {
-            // Serial: simulate and fold one chunk at a time — memory O(chunk × points).
-            for range in chunks {
-                tsc3d_exec::checkpoint("sca-batch", cancel).map_err(ScaError::from_interrupt)?;
-                let chunk = source.simulate(range);
-                steps += chunk.steps;
-                consume_chunk(cpa, &chunk, key_bytes, points);
-            }
-        }
+    for range in chunks {
+        tsc3d_exec::checkpoint("sca-batch", cancel).map_err(ScaError::from_interrupt)?;
+        let chunk = source.simulate(range);
+        steps += chunk.steps;
+        consume_chunk(cpa, &chunk, key_bytes, points);
     }
     Ok(steps)
 }
@@ -954,7 +876,7 @@ pub fn run_attack(
     key_seed: u64,
     pool: Option<&Pool>,
 ) -> Result<ScaOutcome, ScaError> {
-    run_attack_with(
+    run_attack_impl(
         floorplan,
         nominal_powers,
         tsv_fields,
@@ -964,6 +886,7 @@ pub fn run_attack(
         key_seed,
         TraceEngine::default(),
         pool,
+        &CancelToken::new(),
     )
 }
 
@@ -1045,39 +968,6 @@ fn prepare_attack(
     })
 }
 
-/// [`run_attack`] with an explicit [`TraceEngine`] — the extension point the bench
-/// harness and the equivalence tests use to select the batched reference engine and pin
-/// its batch size.
-///
-/// # Errors
-///
-/// See [`run_attack`]; additionally rejects a zero batch size.
-#[allow(clippy::too_many_arguments)]
-pub fn run_attack_with(
-    floorplan: &Floorplan,
-    nominal_powers: &[f64],
-    tsv_fields: &[TsvField],
-    stability: Option<&tsc3d_leakage::StabilityMap>,
-    config: &AttackConfig,
-    seed: u64,
-    key_seed: u64,
-    engine: TraceEngine,
-    pool: Option<&Pool>,
-) -> Result<ScaOutcome, ScaError> {
-    run_attack_impl(
-        floorplan,
-        nominal_powers,
-        tsv_fields,
-        stability,
-        config,
-        seed,
-        key_seed,
-        engine,
-        pool,
-        &CancelToken::new(),
-    )
-}
-
 /// The cancellable core behind every attack entry point: polls `cancel` at the
 /// `sca-batch` checkpoint once per consumed trace chunk, and during kernel extraction
 /// directly at least every [`KERNEL_POLL_STEPS`] substeps.
@@ -1120,27 +1010,14 @@ fn run_attack_impl(
     let transient_steps = match engine {
         TraceEngine::Kernel => {
             let source = kernel_source(setup, seed, pool, cancel)?;
-            // Evaluating a trace costs a fraction of folding it into the CPA sums, so the
-            // chunks run inline, and their spans nest under this attack's.
-            stream_batches(
-                Arc::new(source),
-                ranges(config.traces, CHUNK_TRACES),
-                None,
-                &mut cpa,
-                cancel,
-            )?
+            let chunks = ranges(config.traces, CHUNK_TRACES);
+            stream_batches(&source, chunks, &mut cpa, cancel)?
         }
         TraceEngine::Batched { batch_traces } => {
-            let source = stepped_source(setup, seed);
             // Fixed-size lockstep batches (the last one may be short); the batch
-            // boundary only affects scheduling and SoA lane width, never values.
-            stream_batches(
-                Arc::new(source),
-                ranges(config.traces, batch_traces),
-                pool,
-                &mut cpa,
-                cancel,
-            )?
+            // boundary only affects the SoA lane width, never values.
+            let chunks = ranges(config.traces, batch_traces);
+            stream_batches(&stepped_source(setup, seed), chunks, &mut cpa, cancel)?
         }
     };
     let outcome = ScaOutcome {
@@ -1220,11 +1097,13 @@ pub fn run_on_flow(
     )
 }
 
-/// [`run_on_flow`] with an explicit [`TraceEngine`] (see [`run_attack_with`]).
+/// [`run_on_flow`] with an explicit [`TraceEngine`] — the extension point the bench
+/// harness and the equivalence tests use to select the batched reference engine and pin
+/// its batch size.
 ///
 /// # Errors
 ///
-/// See [`run_attack`].
+/// See [`run_attack`]; additionally rejects a zero batch size.
 #[allow(clippy::too_many_arguments)]
 pub fn run_on_flow_with(
     design: &Design,

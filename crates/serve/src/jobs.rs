@@ -253,11 +253,6 @@ impl JobService {
         self.table.lock().expect("job table").pending
     }
 
-    /// Total jobs the table has seen.
-    pub fn total_jobs(&self) -> usize {
-        self.table.lock().expect("job table").jobs.len()
-    }
-
     /// A snapshot of one job.
     pub fn job(&self, id: u64) -> Option<JobInfo> {
         self.table.lock().expect("job table").jobs.get(&id).cloned()
@@ -348,7 +343,6 @@ impl JobService {
             return Ok((id, Admission::CacheHit));
         }
         if table.pending >= self.queue_cap {
-            metrics.rejected_busy.inc();
             metrics.record_rejected("busy");
             return Err(Refusal::Busy {
                 queue_cap: self.queue_cap,

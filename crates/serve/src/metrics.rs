@@ -51,8 +51,6 @@ pub struct Metrics {
     pub dedup_hits: Counter,
     /// Submissions answered from the result cache.
     pub cache_hits: Counter,
-    /// Submissions refused with `429` (queue full).
-    pub rejected_busy: Counter,
     /// Annealing cost evaluations performed by completed jobs (flow jobs contribute their
     /// SA loop's count; campaign jobs the sum over their successful flow runs). The
     /// observable form of the hot loop's evaluations/sec throughput in production.
@@ -75,7 +73,6 @@ pub struct Metrics {
     // Gauges sampled at render time.
     traces_per_sec_gauge: Gauge,
     evaluations_per_sec_gauge: Gauge,
-    queue_depth_gauge: Gauge,
     jobs_in_flight_gauge: Gauge,
     cache_entries_gauge: Gauge,
     cache_hit_rate_gauge: Gauge,
@@ -128,10 +125,6 @@ impl Default for Metrics {
                 "tsc3d_serve_cache_hits_total",
                 "Submissions served from the result cache",
             ),
-            rejected_busy: registry.counter(
-                "tsc3d_serve_rejected_busy_total",
-                "Submissions refused with 429",
-            ),
             evaluations_total: registry.counter(
                 "tsc3d_serve_evaluations_total",
                 "Annealing cost evaluations performed by completed jobs",
@@ -148,15 +141,11 @@ impl Default for Metrics {
             stage_post_process: stage(&registry, "post_process"),
             traces_per_sec_gauge: registry.gauge(
                 "tsc3d_serve_traces_per_sec",
-                "Trace simulations per second of sca attack wall-clock (busy-time throughput of the batched trace engine)",
+                "Trace simulations per second of sca attack wall-clock (busy-time throughput of the kernel trace engine)",
             ),
             evaluations_per_sec_gauge: registry.gauge(
                 "tsc3d_serve_evaluations_per_sec",
                 "Evaluations per second averaged since daemon start (prefer rate() over the counter for windowed throughput)",
-            ),
-            queue_depth_gauge: registry.gauge(
-                "tsc3d_serve_queue_depth",
-                "Tasks queued on the worker pool",
             ),
             jobs_in_flight_gauge: registry.gauge(
                 "tsc3d_serve_jobs_in_flight",
@@ -253,7 +242,7 @@ impl Metrics {
 
     /// Trace simulations per second of attack wall-clock time (0 before the first sca
     /// job). Unlike [`Self::evaluations_per_sec`] this is busy-time throughput, not a
-    /// lifetime average: idle periods do not decay it, so it tracks the batched trace
+    /// lifetime average: idle periods do not decay it, so it tracks the kernel trace
     /// engine's sustained rate directly.
     pub fn traces_per_sec(&self) -> f64 {
         let busy_s = self.trace_attack_micros.load(Ordering::Relaxed) as f64 / 1e6;
@@ -330,8 +319,7 @@ impl Metrics {
 
     /// Bumps the `tsc3d_serve_rejected_total{reason}` family: one series per refusal
     /// reason (`"busy"` for the 429 queue-full path, `"draining"` for 503s during
-    /// shutdown, `"watchers"` for SSE requests beyond the watcher budget). The unlabelled `tsc3d_serve_rejected_busy_total` counter is kept for
-    /// dashboard back-compat; this family is the forward-looking breakdown.
+    /// shutdown, `"watchers"` for SSE requests beyond the watcher budget).
     pub fn record_rejected(&self, reason: &str) {
         self.registry
             .counter_with(
@@ -377,7 +365,6 @@ impl Metrics {
     /// `pool`, `jobs_in_flight` and `cache_len` are sampled by the caller (they live in
     /// the pool/cache, not here).
     pub fn render(&self, pool: &PoolStats, jobs_in_flight: usize, cache_len: usize) -> String {
-        self.queue_depth_gauge.set(pool.queued as f64);
         self.jobs_in_flight_gauge.set(jobs_in_flight as f64);
         self.cache_entries_gauge.set(cache_len as f64);
         self.cache_hit_rate_gauge.set(self.cache_hit_rate());
@@ -424,7 +411,6 @@ mod tests {
         let mut pool = idle_pool();
         pool.queued = 2;
         let text = metrics.render(&pool, 1, 4);
-        assert!(text.contains("tsc3d_serve_queue_depth 2"));
         assert!(text.contains("tsc3d_pool_queue_depth 2"));
         assert!(text.contains("tsc3d_serve_jobs_in_flight 1"));
         assert!(text.contains("phase=\"job_total\",le=\"+Inf\"} 3"));

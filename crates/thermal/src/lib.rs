@@ -18,7 +18,7 @@
 //! * [`SteadyStateSolver`] is a finite-volume solver for the steady-state heat equation on
 //!   the layered grid (red-black successive over-relaxation on a color-split,
 //!   structure-of-arrays copy of the network whose row loop vectorizes; bit-identical to
-//!   the per-node scalar sweep and across worker counts).
+//!   the per-node scalar sweep).
 //! * [`fast::PowerBlurring`] is the mask-based estimator used inside optimization loops.
 //! * [`transient`] provides a lumped transient model reproducing the time-scale gap between
 //!   power and temperature (Figure 1 of the paper), and [`TransientSolver`] — the spatial

@@ -16,10 +16,7 @@
 //! is exact, not approximate: the per-node arithmetic is the scalar per-node sweep's —
 //! same accumulation order, absent neighbours contribute an exact `+0`, the division is
 //! kept — so temperatures, iteration counts and residuals are those of the scalar sweep
-//! bit for bit (checked against it, kept as a test reference). Because a half-sweep only
-//! reads the other color, [`SteadyStateSolver::solve_on`] distributes each half-sweep
-//! over a [`tsc3d_exec::Pool`] and produces **bit-identical** results for any worker
-//! count (the residual is a `max` reduction and therefore order-insensitive).
+//! bit for bit (checked against it, kept as a test reference).
 
 use crate::config::{StackLayerKind, ThermalConfig};
 use crate::sor::Checkerboard;
@@ -28,7 +25,7 @@ use crate::MaterialProperties;
 use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
-use tsc3d_exec::{CancelToken, Pool};
+use tsc3d_exec::CancelToken;
 use tsc3d_geometry::{Grid, GridMap};
 
 /// Errors raised by [`SteadyStateSolver::solve`].
@@ -245,7 +242,7 @@ impl SteadyStateSolver {
         power_per_die: &[GridMap],
         tsv_per_interface: &[TsvField],
     ) -> Result<ThermalResult, SolveError> {
-        self.solve_impl(power_per_die, tsv_per_interface, None, &CancelToken::new())
+        self.solve_cancellable(power_per_die, tsv_per_interface, &CancelToken::new())
     }
 
     /// [`SteadyStateSolver::solve`] polling `cancel` once per SOR sweep (the
@@ -262,63 +259,6 @@ impl SteadyStateSolver {
         &self,
         power_per_die: &[GridMap],
         tsv_per_interface: &[TsvField],
-        cancel: &CancelToken,
-    ) -> Result<ThermalResult, SolveError> {
-        self.solve_impl(power_per_die, tsv_per_interface, None, cancel)
-    }
-
-    /// [`SteadyStateSolver::solve`] with the red-black half-sweeps distributed over a
-    /// worker pool.
-    ///
-    /// Each color's node updates are mutually independent (every neighbour has the other
-    /// color), so the sweep parallelizes without reordering any arithmetic: temperatures,
-    /// iteration counts and residuals are bit-identical to the serial solve for every
-    /// worker count. A pool with zero threads degrades to the serial path. Each sweep
-    /// dispatches two pool batches, and the vectorized serial half-sweep is cheap: on a
-    /// 2-vCPU host the pooled solve was slower than the serial one up to 96×96 bins, even
-    /// at 128×128, and ~10% faster at 192×192, so prefer [`SteadyStateSolver::solve`]
-    /// unless grids are that fine and spare cores exist.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SolveError`] when the inputs are inconsistent or the iteration fails to
-    /// converge (identically to the serial solve).
-    pub fn solve_on(
-        &self,
-        pool: &Pool,
-        power_per_die: &[GridMap],
-        tsv_per_interface: &[TsvField],
-    ) -> Result<ThermalResult, SolveError> {
-        self.solve_impl(
-            power_per_die,
-            tsv_per_interface,
-            Some(pool),
-            &CancelToken::new(),
-        )
-    }
-
-    /// [`SteadyStateSolver::solve_on`] polling `cancel` once per SOR sweep —
-    /// the pooled counterpart of [`SteadyStateSolver::solve_cancellable`].
-    ///
-    /// # Errors
-    ///
-    /// [`SolveError::Interrupted`] when the token fires or the fault harness
-    /// injects an error, in addition to the [`SteadyStateSolver::solve_on`] errors.
-    pub fn solve_on_cancellable(
-        &self,
-        pool: &Pool,
-        power_per_die: &[GridMap],
-        tsv_per_interface: &[TsvField],
-        cancel: &CancelToken,
-    ) -> Result<ThermalResult, SolveError> {
-        self.solve_impl(power_per_die, tsv_per_interface, Some(pool), cancel)
-    }
-
-    fn solve_impl(
-        &self,
-        power_per_die: &[GridMap],
-        tsv_per_interface: &[TsvField],
-        pool: Option<&Pool>,
         cancel: &CancelToken,
     ) -> Result<ThermalResult, SolveError> {
         let dies = self.config.stack.dies();
@@ -355,7 +295,6 @@ impl SteadyStateSolver {
         let _span = tsc3d_obs::span!("thermal_solve");
         let network = Network::build(&self.config, grid, power_per_die, tsv_per_interface);
         let swept = Checkerboard::new(network).solve(
-            pool,
             self.relaxation,
             self.max_iterations,
             self.tolerance,
@@ -697,22 +636,6 @@ mod tests {
             .solve_cancellable(&power, &tsvs, &CancelToken::new())
             .unwrap();
         assert_eq!(clean, live);
-        // The pooled entry point interrupts at the same checkpoint and, live, solves alike.
-        for workers in [0usize, 1, 3] {
-            let pool = Pool::new(workers);
-            let err = solver.solve_on_cancellable(&pool, &power, &tsvs, &cancel);
-            assert_eq!(
-                err.unwrap_err(),
-                SolveError::Interrupted {
-                    interrupt: Interrupt::Cancelled(tsc3d_exec::CancelReason::User),
-                    iterations: 0,
-                },
-                "{workers} workers"
-            );
-            let live = solver.solve_on_cancellable(&pool, &power, &tsvs, &CancelToken::new());
-            assert_eq!(live.unwrap(), clean, "{workers} workers");
-            pool.shutdown();
-        }
     }
 
     #[test]
@@ -824,48 +747,15 @@ mod tests {
     }
 
     #[test]
-    fn parallel_red_black_solve_is_bit_identical_to_serial() {
-        // The checkerboard half-sweeps update independent nodes, so the pooled solve must
-        // reproduce the serial one *exactly* — temperatures, iterations and residual —
-        // for any worker count.
-        let (cfg, grid) = setup(16);
-        let solver = SteadyStateSolver::new(cfg);
-        let mut p0 = GridMap::zeros(grid);
-        p0.splat_power(&Rect::new(0.0, 0.0, 700.0, 500.0), 2.5);
-        let power = vec![p0, uniform_power(grid, 1.0)];
-        let tsvs = vec![TsvField::uniform(grid, 0.07)];
-        let serial = solver.solve(&power, &tsvs).unwrap();
-        for workers in [1usize, 3, 7] {
-            let pool = Pool::new(workers);
-            let parallel = solver.solve_on(&pool, &power, &tsvs).unwrap();
-            assert_eq!(
-                parallel.iterations(),
-                serial.iterations(),
-                "{workers} workers"
-            );
-            assert_eq!(parallel.residual(), serial.residual(), "{workers} workers");
-            assert_eq!(
-                parallel.layer_temperatures(),
-                serial.layer_temperatures(),
-                "{workers} workers"
-            );
-            assert_eq!(parallel.die_temperatures(), serial.die_temperatures());
-            pool.shutdown();
-        }
-    }
-
-    #[test]
-    fn parallel_non_convergence_stays_typed_and_matches_serial() {
+    fn non_convergence_is_reported() {
         let (cfg, grid) = setup(8);
         let solver = SteadyStateSolver::new(cfg).with_max_iterations(2);
         let power = vec![uniform_power(grid, 2.0), uniform_power(grid, 2.0)];
-        let tsvs = vec![TsvField::empty(grid)];
-        let pool = Pool::new(2);
-        let err = solver.solve_on(&pool, &power, &tsvs).unwrap_err();
+        let err = solver.solve(&power, &[TsvField::empty(grid)]).unwrap_err();
         assert!(matches!(err, SolveError::NotConverged { .. }));
-        // Same typed payload (residual and iteration count) as the serial solve.
-        assert_eq!(err, solver.solve(&power, &tsvs).unwrap_err());
-        // ... and as the scalar reference, on irregular stacks.
+        assert!(format!("{err}").contains("did not converge"));
+        // Same typed payload (residual and iteration count) as the scalar reference, on
+        // irregular stacks.
         for (cols, dies) in [(7usize, 2usize), (12, 3), (48, 2)] {
             let (solver, power, tsvs) = irregular_case(dies, cols, cols);
             let solver = solver.with_max_iterations(9);
@@ -875,19 +765,7 @@ mod tests {
                 iterations,
             };
             assert_eq!(solver.solve(&power, &tsvs).unwrap_err(), expected);
-            assert_eq!(solver.solve_on(&pool, &power, &tsvs).unwrap_err(), expected);
         }
-        pool.shutdown();
-    }
-
-    #[test]
-    fn non_convergence_is_reported() {
-        let (cfg, grid) = setup(8);
-        let solver = SteadyStateSolver::new(cfg).with_max_iterations(2);
-        let power = vec![uniform_power(grid, 2.0), uniform_power(grid, 2.0)];
-        let err = solver.solve(&power, &[TsvField::empty(grid)]).unwrap_err();
-        assert!(matches!(err, SolveError::NotConverged { .. }));
-        assert!(format!("{err}").contains("did not converge"));
     }
 
     #[test]
@@ -986,7 +864,6 @@ mod tests {
 
     #[test]
     fn split_kernel_is_bit_identical_to_the_scalar_reference() {
-        let pools = [Pool::new(1), Pool::new(3)];
         let square = [2usize, 3, 7, 12, 47, 48].map(|n| (n, n));
         for (cols, rows) in square.into_iter().chain([(7, 12), (12, 7), (1, 5), (5, 1)]) {
             for dies in 1..=3 {
@@ -997,18 +874,7 @@ mod tests {
                 assert_eq!(layer_bits(&serial), bits(&temps), "{case}");
                 assert_eq!(serial.iterations(), iterations, "{case}");
                 assert_eq!(serial.residual().to_bits(), residual.to_bits(), "{case}");
-                for pool in &pools {
-                    let pooled = solver.solve_on(pool, &power, &tsvs).unwrap();
-                    let case = format!("{case}, {} workers", pool.threads());
-                    assert_eq!(layer_bits(&pooled), bits(&temps), "{case}");
-                    assert_eq!(pooled.iterations(), iterations, "{case}");
-                    assert_eq!(pooled.residual().to_bits(), residual.to_bits(), "{case}");
-                    assert_eq!(pooled.die_temperatures(), serial.die_temperatures());
-                }
             }
-        }
-        for pool in pools {
-            pool.shutdown();
         }
     }
 
@@ -1024,9 +890,6 @@ mod tests {
                 bin: 3 * 8 + 5,
             };
             assert_eq!(solver.solve(&maps, &tsvs).unwrap_err(), expected, "{bad}");
-            let pool = Pool::new(2);
-            assert_eq!(solver.solve_on(&pool, &maps, &tsvs).unwrap_err(), expected);
-            pool.shutdown();
         }
         let grid = power[0].grid();
         let err = solver

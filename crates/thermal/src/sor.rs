@@ -30,13 +30,10 @@
 //! * the residual is a `max` over the same updates, which is order-insensitive.
 //!
 //! Within a half-sweep a node reads only the other color and its own pre-sweep value, so
-//! the serial path (in place) and the pooled path (each chunk relaxes a copy of its
-//! contiguous segment range) produce the same bits for any worker count.
+//! relaxing a color in place gives the same bits in any node order.
 
 use crate::solver::Network;
-use std::ops::Range;
-use std::sync::Arc;
-use tsc3d_exec::{CancelToken, Interrupt, Pool};
+use tsc3d_exec::{CancelToken, Interrupt};
 
 /// Per-color coefficients, laid out like that color's temperature array.
 #[derive(Debug)]
@@ -183,25 +180,17 @@ impl Checkerboard {
             .collect()
     }
 
-    /// Relaxes the nodes of `color` in the segments `segs`; `own` holds exactly those
-    /// segments of that color's field (updated in place) and `other` the whole other
-    /// color. Returns the largest update (0 for an empty range).
-    fn relax(
-        &self,
-        color: usize,
-        segs: Range<usize>,
-        own: &mut [f64],
-        other: &[f64],
-        omega: f64,
-    ) -> f64 {
+    /// Relaxes every node of `color` in place (`own` is that color's field, `other` the
+    /// other color's) and returns the largest update.
+    fn relax(&self, color: usize, own: &mut [f64], other: &[f64], omega: f64) -> f64 {
         let (stride, width) = (self.stride, self.width);
         let zero = self.segments();
         let coef = &self.colors[color];
         let facing = &self.colors[1 - color];
         let nodes = |seg: usize| seg * stride + 1..seg * stride + 1 + width;
         let mut worst = 0.0f64;
-        let (mut l, mut row) = (segs.start / self.rows, segs.start % self.rows);
-        for (s, t) in segs.zip(own.chunks_exact_mut(stride)) {
+        let (mut l, mut row) = (0, 0);
+        for (s, t) in own[..zero * stride].chunks_exact_mut(stride).enumerate() {
             let first = (color + l + row) % 2;
             let y_up = nodes(if row + 1 < self.rows { s + 1 } else { zero });
             let y_dn = nodes(if row > 0 { s - 1 } else { zero });
@@ -240,113 +229,40 @@ impl Checkerboard {
         worst
     }
 
-    /// Runs the red-black SOR iteration from ambient, serially or with each half-sweep's
-    /// segments fanned out over `pool` (a pool with zero threads runs serially).
+    /// Runs the red-black SOR iteration from ambient: the `solver-sweep` checkpoint
+    /// before every sweep, both half-sweeps, the thinned progress event, and the
+    /// convergence test.
     pub(crate) fn solve(
-        self,
-        pool: Option<&Pool>,
+        &self,
         omega: f64,
         max_iterations: usize,
         tolerance: f64,
         cancel: &CancelToken,
     ) -> Swept {
-        match pool {
-            Some(pool) if pool.threads() > 0 => {
-                self.solve_pooled(pool, omega, max_iterations, tolerance, cancel)
+        let [mut red, mut black] = self.initial_field();
+        let mut residual = f64::INFINITY;
+        let mut iterations = 0;
+        for iter in 0..max_iterations {
+            // One full-grid sweep dwarfs the checkpoint's two relaxed loads.
+            tsc3d_exec::checkpoint("solver-sweep", cancel).map_err(|i| (i, iterations))?;
+            let worst = self.relax(0, &mut red, &black, omega);
+            residual = worst.max(self.relax(1, &mut black, &red, omega));
+            iterations = iter + 1;
+            // Live sweep progress, thinned so a long solve cannot flood the event ring;
+            // with events disabled the cost is one relaxed load per 64 sweeps.
+            if iterations % 64 == 0 {
+                tsc3d_obs::emit(|| tsc3d_obs::EventKind::Progress {
+                    phase: "solver_sweeps",
+                    done: iterations as u64,
+                    total: max_iterations as u64,
+                });
             }
-            _ => {
-                let mut field = self.initial_field();
-                let segs = self.segments();
-                let (iterations, residual) = sweep(max_iterations, tolerance, cancel, |color| {
-                    let [t0, t1] = &mut field;
-                    let (own, other) = if color == 0 { (t0, t1) } else { (t1, t0) };
-                    self.relax(color, 0..segs, &mut own[..segs * self.stride], other, omega)
-                })?;
-                let temps = self.gather([&field[0], &field[1]]);
-                Ok((temps, iterations, residual))
+            if residual < tolerance {
+                break;
             }
         }
+        Ok((self.gather([&red, &black]), iterations, residual))
     }
-
-    /// The pooled iteration: each half-sweep splits the segments into fixed contiguous
-    /// chunks; a chunk relaxes a copy of its range against the shared other color and
-    /// returns it, and the caller concatenates the ranges into the color's next field.
-    fn solve_pooled(
-        self,
-        pool: &Pool,
-        omega: f64,
-        max_iterations: usize,
-        tolerance: f64,
-        cancel: &CancelToken,
-    ) -> Swept {
-        // The partition only affects scheduling, never values.
-        let segs = self.segments();
-        let count = (pool.threads() * 3).clamp(1, segs);
-        let chunks: Vec<(usize, usize)> = (0..count)
-            .map(|c| (c * segs / count, (c + 1) * segs / count))
-            .filter(|(lo, hi)| lo < hi)
-            .collect();
-        let stride = self.stride;
-        let board = Arc::new(self);
-        let mut field = board.initial_field().map(Arc::new);
-        let (iterations, residual) = sweep(max_iterations, tolerance, cancel, |color| {
-            let (job_board, own, other) = (
-                Arc::clone(&board),
-                Arc::clone(&field[color]),
-                Arc::clone(&field[1 - color]),
-            );
-            let results = pool.run_batch(chunks.clone(), move |_, (lo, hi)| {
-                let mut values = own[lo * stride..hi * stride].to_vec();
-                let worst = job_board.relax(color, lo..hi, &mut values, &other, omega);
-                (values, worst)
-            });
-            let mut next = Vec::with_capacity(field[color].len());
-            let mut worst = 0.0f64;
-            for (values, chunk_worst) in results {
-                next.extend_from_slice(&values);
-                worst = worst.max(chunk_worst);
-            }
-            // The trailing zero segment.
-            next.resize(field[color].len(), 0.0);
-            field[color] = Arc::new(next);
-            worst
-        })?;
-        let temps = board.gather([&field[0], &field[1]]);
-        Ok((temps, iterations, residual))
-    }
-}
-
-/// The sweep loop shared by the serial and the pooled solve: the `solver-sweep`
-/// checkpoint before every sweep, both half-sweeps, the thinned progress event, and the
-/// convergence test. Returns `(sweeps, final residual)`.
-fn sweep(
-    max_iterations: usize,
-    tolerance: f64,
-    cancel: &CancelToken,
-    mut half_sweep: impl FnMut(usize) -> f64,
-) -> Result<(usize, f64), (Interrupt, usize)> {
-    let mut residual = f64::INFINITY;
-    let mut iterations = 0;
-    for iter in 0..max_iterations {
-        // One full-grid sweep dwarfs the checkpoint's two relaxed loads.
-        tsc3d_exec::checkpoint("solver-sweep", cancel).map_err(|i| (i, iterations))?;
-        let red = half_sweep(0);
-        residual = red.max(half_sweep(1));
-        iterations = iter + 1;
-        // Live sweep progress, thinned so a long solve cannot flood the event ring;
-        // with events disabled the cost is one relaxed load per 64 sweeps.
-        if iterations % 64 == 0 {
-            tsc3d_obs::emit(|| tsc3d_obs::EventKind::Progress {
-                phase: "solver_sweeps",
-                done: iterations as u64,
-                total: max_iterations as u64,
-            });
-        }
-        if residual < tolerance {
-            break;
-        }
-    }
-    Ok((iterations, residual))
 }
 
 /// The read-only operands of one segment's half-sweep, all `width` long except `t_x`

@@ -158,15 +158,6 @@ impl TsvField {
         }
     }
 
-    /// Creates an empty field using a specific TSV technology.
-    pub fn with_technology(grid: Grid, technology: TsvTechnology) -> Self {
-        Self {
-            density: GridMap::zeros(grid),
-            technology,
-            sites: Vec::new(),
-        }
-    }
-
     /// The underlying density map (fraction of bin area that is TSV metal).
     pub fn density(&self) -> &GridMap {
         &self.density
@@ -221,13 +212,6 @@ impl TsvField {
         let new = (self.density.get(pos) + added).min(1.0);
         self.density.set(pos, new);
         self.sites.push(site);
-    }
-
-    /// Adds several sites.
-    pub fn add_sites<I: IntoIterator<Item = TsvSite>>(&mut self, sites: I) {
-        for s in sites {
-            self.add_site(s);
-        }
     }
 
     /// Average density over the whole interface.
