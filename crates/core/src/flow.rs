@@ -8,6 +8,7 @@
 //! than hidden in a fallback.
 
 use serde::{Deserialize, Serialize};
+use tsc3d_exec::{CancelToken, FlowThread, Helpers, Interrupt, Speculation};
 use tsc3d_floorplan::{
     plan_signal_tsvs, Evaluator, Floorplan, ObjectiveWeights, SaResult, SaSchedule,
     SimulatedAnnealing, TsvPlan,
@@ -370,16 +371,30 @@ struct PostProcessStage {
     final_correlations: Vec<f64>,
 }
 
+/// Outline-repair round 1 annealed beside the initial anneal: used when that is illegal.
+static REPAIR_ANNEALS: Speculation = Speculation::new("anneal");
+
 /// The flow driver: floorplanning, verification, and (for the TSC setup) post-processing.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct TscFlow {
     config: FlowConfig,
+    helpers: Helpers,
 }
 
 impl TscFlow {
     /// Creates a flow with the given configuration.
     pub fn new(config: FlowConfig) -> Self {
-        Self { config }
+        Self {
+            config,
+            helpers: Helpers::Budget,
+        }
+    }
+
+    /// The same flow with its helper lanes fixed, so tests can compare the serial
+    /// schedule with the two-lane one.
+    #[cfg(test)]
+    pub(crate) fn with_helpers(self, helpers: Helpers) -> Self {
+        Self { helpers, ..self }
     }
 
     /// The configuration in use.
@@ -395,7 +410,7 @@ impl TscFlow {
     /// solve fails after exhausting the configured [`RetryPolicy`]. A failed final
     /// sign-off is never papered over with the pre-insertion verification.
     pub fn run(&self, design: &Design, seed: u64) -> Result<FlowResult, FlowError> {
-        self.run_with_cancel(design, seed, &tsc3d_exec::CancelToken::new())
+        self.run_with_cancel(design, seed, &CancelToken::new())
     }
 
     /// [`TscFlow::run`] polling `cancel` cooperatively: between stages (checkpoint site
@@ -407,6 +422,12 @@ impl TscFlow {
     /// [`FlowError::Cancelled`] / [`FlowError::DeadlineExceeded`] carrying the wall-clock
     /// of the stages that did complete.
     ///
+    /// While the process-wide flow budget has a free core ([`tsc3d_exec::lanes`]), the
+    /// floorplan stage anneals the first outline-repair round on a helper thread while
+    /// the initial anneal runs (unless recent initial anneals needed no repair), and
+    /// detailed-engine post-processing solves two maps at a time. Results are
+    /// bit-identical to the serial schedule.
+    ///
     /// # Errors
     ///
     /// The [`TscFlow::run`] errors, plus the cancellation/deadline/fault variants.
@@ -414,9 +435,10 @@ impl TscFlow {
         &self,
         design: &Design,
         seed: u64,
-        cancel: &tsc3d_exec::CancelToken,
+        cancel: &CancelToken,
     ) -> Result<FlowResult, FlowError> {
         let _span = obs::span!("flow");
+        let _thread = FlowThread::enter();
         let metrics = flow_metrics();
         metrics.runs.inc();
         let result = self.run_stages(design, seed, cancel);
@@ -447,7 +469,7 @@ impl TscFlow {
         &self,
         design: &Design,
         seed: u64,
-        cancel: &tsc3d_exec::CancelToken,
+        cancel: &CancelToken,
     ) -> Result<FlowResult, FlowError> {
         self.config.validate()?;
         let metrics = flow_metrics();
@@ -528,66 +550,87 @@ impl TscFlow {
     /// typed or runs the explicit repair pass: fresh re-annealing rounds with the packing
     /// weight escalated fourfold per round (seeded deterministically from `seed` and the
     /// round index), recorded in the result so repairs are never silent.
+    ///
+    /// Round 1 depends on `seed` alone, so a helper lane anneals it while round 0 runs;
+    /// it is kept only when round 0 is illegal, and otherwise cancelled at its next
+    /// `sa-epoch` checkpoint. That guess is dropped while the process's last
+    /// [`Speculation::PATIENCE`] initial anneals were all legal, since a cancelled round
+    /// only slows round 0. Later rounds run one at a time: each is likelier legal than
+    /// the last, and a round annealed beside the one that decides only slows it on a
+    /// host whose two lanes share a core.
     fn stage_floorplan(
         &self,
         design: &Design,
         seed: u64,
-        cancel: &tsc3d_exec::CancelToken,
+        cancel: &CancelToken,
     ) -> Result<FloorplanStage, FlowError> {
-        let interrupted = |i: tsc3d_exec::Interrupt| {
-            FlowError::from_interrupt(i, FlowStage::Floorplan, StageTimings::default())
-        };
         let stack = Stack::two_die(design.outline());
         let weights = self.config.effective_weights();
-        let annealer = SimulatedAnnealing::new(self.config.schedule);
-        let sa = annealer
-            .optimize_on_cancellable(design, stack, &weights, seed, cancel)
-            .map_err(interrupted)?;
-        let packing_before = sa.breakdown.packing;
-        if packing_before <= 1.0 + OUTLINE_TOLERANCE {
-            return Ok(FloorplanStage {
-                sa,
-                stack,
-                outline_repair: None,
-            });
-        }
-
         let max_rounds = match self.config.outline {
             OutlinePolicy::Fail => 0,
             OutlinePolicy::Repair { max_rounds } => max_rounds,
         };
-        let mut best_packing = packing_before;
-        for round in 1..=max_rounds {
-            // Each round quadruples both the packing weight and the annealing effort
-            // (stages and moves each double): a violated packing under a short schedule
-            // usually needs more moves, not just a steeper objective.
-            let mut repair_weights = weights;
-            repair_weights.packing *= 4f64.powi(round as i32);
-            let mut repair_schedule = self.config.schedule;
-            repair_schedule.stages *= 1 << round;
-            repair_schedule.moves_per_stage *= 1 << round;
-            let repaired = SimulatedAnnealing::new(repair_schedule)
-                .optimize_on_cancellable(
-                    design,
-                    stack,
-                    &repair_weights,
-                    seed ^ (0x0C7_1189 + round as u64),
-                    cancel,
-                )
-                .map_err(interrupted)?;
-            let packing = repaired.breakdown.packing;
-            if packing <= 1.0 + OUTLINE_TOLERANCE {
+        // Round 0 is the configured anneal. Each repair round quadruples both the
+        // packing weight and the annealing effort (stages and moves each double): a
+        // violated packing under a short schedule usually needs more moves, not just a
+        // steeper objective.
+        let anneal = |round: usize, token: &CancelToken| {
+            let mut round_weights = weights;
+            round_weights.packing *= 4f64.powi(round as i32);
+            let mut schedule = self.config.schedule;
+            schedule.stages *= 1 << round;
+            schedule.moves_per_stage *= 1 << round;
+            let round_seed = match round {
+                0 => seed,
+                _ => seed ^ (0x0C7_1189 + round as u64),
+            };
+            SimulatedAnnealing::new(schedule).optimize_on_cancellable(
+                design,
+                stack,
+                &round_weights,
+                round_seed,
+                token,
+            )
+        };
+        let legal = |sa: &SaResult| sa.breakdown.packing <= 1.0 + OUTLINE_TOLERANCE;
+        // A legal round, or an interrupted one, ends the stage.
+        let settles = |outcome: &Result<SaResult, Interrupt>| outcome.as_ref().map_or(true, legal);
+        let (opening, first_repair) = self.helpers.join(
+            Some(&REPAIR_ANNEALS),
+            cancel,
+            || anneal(0, cancel),
+            |first| !settles(first),
+            (max_rounds >= 1).then_some(|token: &CancelToken| anneal(1, token)),
+        );
+        let mut rounds = vec![opening];
+        rounds.extend(first_repair);
+        while rounds.len() <= max_rounds && !rounds.last().is_some_and(settles) {
+            rounds.push(anneal(rounds.len(), cancel));
+        }
+
+        let (mut packing_before, mut best_packing) = (f64::NAN, f64::NAN);
+        for (round, outcome) in rounds.into_iter().enumerate() {
+            let sa = outcome.map_err(|i| {
+                FlowError::from_interrupt(i, FlowStage::Floorplan, StageTimings::default())
+            })?;
+            let packing = sa.breakdown.packing;
+            if legal(&sa) {
+                let outline_repair = (round > 0).then_some(OutlineRepair {
+                    rounds: round,
+                    packing_before,
+                    packing_after: packing,
+                });
                 return Ok(FloorplanStage {
-                    sa: repaired,
+                    sa,
                     stack,
-                    outline_repair: Some(OutlineRepair {
-                        rounds: round,
-                        packing_before,
-                        packing_after: packing,
-                    }),
+                    outline_repair,
                 });
             }
-            best_packing = best_packing.min(packing);
+            if round == 0 {
+                (packing_before, best_packing) = (packing, packing);
+            } else {
+                best_packing = best_packing.min(packing);
+            }
         }
         Err(FlowError::OutlineViolation {
             packing: best_packing,
@@ -617,7 +660,7 @@ impl TscFlow {
         design: &Design,
         floorplanned: &FloorplanStage,
         assigned: &AssignStage,
-        cancel: &tsc3d_exec::CancelToken,
+        cancel: &CancelToken,
     ) -> Result<VerifyStage, FlowError> {
         let floorplan = &floorplanned.sa.floorplan;
         let grid = floorplan.analysis_grid(self.config.verification_bins);
@@ -657,7 +700,7 @@ impl TscFlow {
         assigned: &AssignStage,
         verified: &VerifyStage,
         seed: u64,
-        cancel: &tsc3d_exec::CancelToken,
+        cancel: &CancelToken,
     ) -> Result<PostProcessStage, FlowError> {
         let Some(pp_config) = self.config.post_process else {
             return Ok(PostProcessStage {
@@ -671,7 +714,8 @@ impl TscFlow {
 
         let floorplan = &floorplanned.sa.floorplan;
         let inserter =
-            DummyTsvInserter::new(pp_config, ThermalConfig::default_for(floorplanned.stack));
+            DummyTsvInserter::new(pp_config, ThermalConfig::default_for(floorplanned.stack))
+                .with_helpers(self.helpers);
         let result = inserter.run(
             design,
             floorplan,
@@ -682,16 +726,30 @@ impl TscFlow {
         );
 
         // Final sign-off with the detailed solver and the augmented TSV plan. A failure
-        // here surfaces as a FlowError (possibly after the explicit relaxed retry); the
-        // pre-insertion verification is never silently reused.
-        let (final_verification, signoff_solve) = self.verify_with_retry(
-            FlowStage::PostProcess,
-            floorplan,
-            &assigned.scaled_powers,
-            &result.tsv_plan,
-            verified.grid,
-            cancel,
-        )?;
+        // here surfaces as a FlowError (possibly after the explicit relaxed retry). With
+        // no island accepted the plan is the verify stage's, whose solve of this exact
+        // system (same solver, same retry policy) is the sign-off; the inserter's solves
+        // poll no token, so the job's token is checked here instead (no fault site, so
+        // fault-hit numbering is unchanged).
+        let (final_verification, signoff_solve) = if result.accepted_steps == 0 {
+            cancel.check().map_err(|reason| {
+                FlowError::from_interrupt(
+                    Interrupt::Cancelled(reason),
+                    FlowStage::PostProcess,
+                    StageTimings::default(),
+                )
+            })?;
+            (verified.verification.clone(), verified.verification_solve)
+        } else {
+            self.verify_with_retry(
+                FlowStage::PostProcess,
+                floorplan,
+                &assigned.scaled_powers,
+                &result.tsv_plan,
+                verified.grid,
+                cancel,
+            )?
+        };
 
         Ok(PostProcessStage {
             final_correlations: final_verification.correlations.clone(),
@@ -718,7 +776,7 @@ impl TscFlow {
         block_powers: &[f64],
         tsv_plan: &TsvPlan,
         grid: Grid,
-        cancel: &tsc3d_exec::CancelToken,
+        cancel: &CancelToken,
     ) -> Result<(VerificationReport, SolveQuality), FlowError> {
         let interrupted = |error: &SolveError| match error {
             SolveError::Interrupted { interrupt, .. } => Some(FlowError::from_interrupt(
@@ -776,6 +834,8 @@ fn solver_for(floorplan: &Floorplan, settings: SolverSettings) -> SteadyStateSol
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::postprocess::ThermalEngine;
+    use tsc3d_exec::CancelReason;
     use tsc3d_netlist::suite::{generate, Benchmark};
 
     fn small_quick_config(setup: Setup) -> FlowConfig {
@@ -974,6 +1034,142 @@ mod tests {
             overridden.sa.breakdown.wirelength,
             baseline.sa.breakdown.wirelength
         );
+    }
+
+    /// A TSC flow on 10-bin grids with detailed-engine post-processing, annealing
+    /// `stages × moves` with the packing weight scaled by `packing`.
+    fn lanes_config(stages: usize, moves: usize, packing: f64) -> FlowConfig {
+        let mut config = FlowConfig::quick(Setup::TscAware);
+        config.schedule.stages = stages;
+        config.schedule.moves_per_stage = moves;
+        config.schedule.grid_bins = 10;
+        config.verification_bins = 10;
+        let mut weights = config.setup.weights();
+        weights.packing *= packing;
+        config.weights = Some(weights);
+        if let Some(pp) = config.post_process.as_mut() {
+            pp.activity_samples = 4;
+            pp.max_insertions = 4;
+            pp.engine = ThermalEngine::Detailed;
+        }
+        config
+    }
+
+    /// Runs `config` with zero helpers and with one, asserts the two results agree bit
+    /// for bit, and returns the number of outline-repair rounds.
+    fn rounds_with_either_lane_count(
+        config: FlowConfig,
+        benchmark: Benchmark,
+        design_seed: u64,
+        seed: u64,
+    ) -> usize {
+        let design = generate(benchmark, design_seed);
+        let flow = TscFlow::new(config);
+        let serial = flow.with_helpers(Helpers::Zero).run(&design, seed);
+        let paired = flow.with_helpers(Helpers::One).run(&design, seed);
+        let (serial, paired) = (serial.expect("serial flow"), paired.expect("paired flow"));
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(serial.sa.cost.to_bits(), paired.sa.cost.to_bits());
+        assert_eq!(serial.sa.breakdown, paired.sa.breakdown);
+        assert_eq!(bits(&serial.sa.history), bits(&paired.sa.history));
+        assert_eq!(serial.sa.evaluations, paired.sa.evaluations);
+        assert_eq!(serial.sa.accepted, paired.sa.accepted);
+        assert_eq!(serial.outline_repair, paired.outline_repair);
+        assert_eq!(
+            bits(&serial.verified_correlations),
+            bits(&paired.verified_correlations)
+        );
+        assert_eq!(
+            bits(&serial.final_correlations),
+            bits(&paired.final_correlations)
+        );
+        assert_eq!(serial.dummy_tsvs(), paired.dummy_tsvs());
+        assert_eq!(serial.final_tsv_plan, paired.final_tsv_plan);
+        assert_eq!(serial.post_process, paired.post_process);
+        assert_eq!(serial.signoff_verification, paired.signoff_verification);
+        serial.outline_repair.map_or(0, |repair| repair.rounds)
+    }
+
+    #[test]
+    fn a_legal_initial_anneal_is_kept_by_both_schedules() {
+        // The helper's speculative repair round is cancelled.
+        let config = lanes_config(30, 40, 16.0);
+        assert_eq!(
+            rounds_with_either_lane_count(config, Benchmark::N100, 3, 4),
+            0
+        );
+    }
+
+    #[test]
+    fn one_repair_round_agrees_across_schedules() {
+        let config = lanes_config(12, 40, 16.0);
+        assert_eq!(
+            rounds_with_either_lane_count(config, Benchmark::N100, 1, 2),
+            1
+        );
+        assert_eq!(
+            rounds_with_either_lane_count(config, Benchmark::N200, 3, 3),
+            1
+        );
+    }
+
+    #[test]
+    fn two_repair_rounds_agree_across_schedules() {
+        // The serve workload's 16 × 16-move flows.
+        let config = lanes_config(16, 16, 1.0);
+        assert_eq!(
+            rounds_with_either_lane_count(config, Benchmark::N100, 1, 2),
+            2
+        );
+    }
+
+    #[test]
+    fn a_sign_off_reusing_the_verify_solve_still_polls_the_job_token() {
+        // Fast-engine post-processing polls no token, and with no island accepted the
+        // sign-off reuses the verify solve, so only the stage's own check sees the job
+        // cancelled or past its deadline while the inserter runs.
+        let design = generate(Benchmark::N100, 1);
+        let mut config = lanes_config(20, 30, 16.0);
+        if let Some(pp) = config.post_process.as_mut() {
+            pp.engine = ThermalEngine::Fast;
+        }
+        let flow = TscFlow::new(config);
+        let live = CancelToken::new();
+        let floorplanned = flow.stage_floorplan(&design, 1, &live).expect("floorplan");
+        let assigned = flow.stage_assign(&design, &floorplanned);
+        let verified = flow
+            .stage_verify(&design, &floorplanned, &assigned, &live)
+            .expect("verify");
+        let post_process = |token: &CancelToken| {
+            flow.stage_post_process(&design, &floorplanned, &assigned, &verified, 1, token)
+        };
+        let processed = post_process(&live).expect("a live job signs off");
+        assert_eq!(processed.post_process.map(|r| r.accepted_steps), Some(0));
+        assert_eq!(
+            processed.signoff_verification.as_ref(),
+            Some(&verified.verification)
+        );
+
+        let cancelled = CancelToken::new();
+        cancelled.cancel(CancelReason::User);
+        match post_process(&cancelled) {
+            Err(FlowError::Cancelled { reason, stage, .. }) => {
+                assert_eq!(
+                    (reason, stage),
+                    (CancelReason::User, FlowStage::PostProcess)
+                );
+            }
+            other => panic!("expected a cancelled sign-off, got {:?}", other.map(|_| ())),
+        }
+        let expired = CancelToken::new();
+        expired.cancel(CancelReason::Deadline);
+        assert!(matches!(
+            post_process(&expired),
+            Err(FlowError::DeadlineExceeded {
+                stage: FlowStage::PostProcess,
+                ..
+            })
+        ));
     }
 
     #[test]

@@ -66,12 +66,16 @@ const CANCELLED_SHUTDOWN: u8 = 3;
 /// by reading the clock, never by writing the shared state, which keeps
 /// sibling handles (and later attempts) unpoisoned.
 ///
+/// [`CancelToken::child`] makes a token that also fires with its parent but can be
+/// cancelled on its own, leaving the parent and its other children live.
+///
 /// The default token never fires; [`CancelToken::default`] and
 /// [`CancelToken::new`] are equivalent.
 #[derive(Clone, Debug, Default)]
 pub struct CancelToken {
     state: Arc<AtomicU8>,
     deadline: Option<Instant>,
+    parent: Option<Arc<CancelToken>>,
 }
 
 impl CancelToken {
@@ -91,6 +95,19 @@ impl CancelToken {
                 Some(existing) => existing.min(candidate),
                 None => candidate,
             }),
+            parent: self.parent.clone(),
+        }
+    }
+
+    /// A token with a cancel flag of its own that also fires whenever this
+    /// handle does (its flag or its deadline). Cancelling the child leaves this
+    /// token and its other children live — how a flow stops speculative work
+    /// without touching the job's token.
+    pub fn child(&self) -> CancelToken {
+        CancelToken {
+            state: Arc::new(AtomicU8::new(LIVE)),
+            deadline: None,
+            parent: Some(Arc::new(self.clone())),
         }
     }
 
@@ -110,12 +127,15 @@ impl CancelToken {
     /// Why this handle is cancelled, or `None` while it is live.
     ///
     /// One relaxed atomic load when no deadline is set; a deadline adds one
-    /// clock read.
+    /// clock read, and each parent of a [`CancelToken::child`] its own check.
     pub fn is_cancelled(&self) -> Option<CancelReason> {
         match self.state.load(Ordering::Relaxed) {
             LIVE => match self.deadline {
                 Some(deadline) if Instant::now() >= deadline => Some(CancelReason::Deadline),
-                _ => None,
+                _ => self
+                    .parent
+                    .as_ref()
+                    .and_then(|parent| parent.is_cancelled()),
             },
             CANCELLED_USER => Some(CancelReason::User),
             CANCELLED_DEADLINE => Some(CancelReason::Deadline),
@@ -229,6 +249,31 @@ mod tests {
         assert_eq!(parent.is_cancelled(), None);
         let retry = parent.with_deadline(Duration::from_secs(3600));
         assert_eq!(retry.is_cancelled(), None);
+    }
+
+    #[test]
+    fn children_fire_with_their_parent_but_not_the_other_way_round() {
+        let parent = CancelToken::new();
+        let (first, second) = (parent.child(), parent.child());
+        first.cancel(CancelReason::User);
+        assert_eq!(first.is_cancelled(), Some(CancelReason::User));
+        assert_eq!(
+            parent.is_cancelled(),
+            None,
+            "a child never cancels its parent"
+        );
+        assert_eq!(second.is_cancelled(), None, "nor its siblings");
+        parent.cancel(CancelReason::Shutdown);
+        assert_eq!(second.is_cancelled(), Some(CancelReason::Shutdown));
+        assert_eq!(
+            first.is_cancelled(),
+            Some(CancelReason::User),
+            "own reason first"
+        );
+
+        let expired = CancelToken::new().with_deadline(Duration::from_millis(0));
+        std::thread::sleep(Duration::from_millis(2));
+        assert_eq!(expired.child().check(), Err(CancelReason::Deadline));
     }
 
     #[test]

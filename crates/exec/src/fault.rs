@@ -12,11 +12,14 @@
 //! chaos run arms the whole process. Tests that arm plans must serialize on
 //! [`test_lock`] or live in their own integration-test binary.
 //!
-//! Determinism contract: sites are hit in a deterministic *per-job* order, but
-//! under a multi-worker pool *which* concurrent job absorbs the k-th global
-//! hit of a shared site can vary. Chaos tests therefore assert on what must
-//! hold regardless: every injected failure is retried or quarantined typed,
-//! and the surviving results are byte-identical to a fault-free run.
+//! Determinism contract: a serial job hits its sites in a deterministic order,
+//! but under a multi-worker pool *which* concurrent job absorbs the k-th global
+//! hit of a shared site can vary, and a flow running a helper lane
+//! ([`crate::lanes`]) interleaves its own `sa-epoch` and `solver-sweep` hits
+//! across its two lanes (a speculative round's hits included). Chaos tests
+//! therefore assert on what must hold regardless: every injected failure is
+//! retried or quarantined typed, and the surviving results are byte-identical
+//! to a fault-free run.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicBool, Ordering};

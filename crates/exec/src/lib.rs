@@ -26,14 +26,22 @@
 //! [`checkpoint`]), worker **supervision** (a panic that unwinds a worker loop is counted
 //! in `tsc3d_exec_panics_total` and the worker is respawned in place, so the pool never
 //! degrades), and the deterministic fault-injection harness ([`fault`], [`fault_point!`]).
+//!
+//! The one thread user beside the pool is the flow budget ([`lanes`]): a running flow
+//! speculates ahead on one scoped helper thread of its own while the process-wide count
+//! of threads doing flow work (each flow's own thread included) is below the core count.
+//! The budget owns no threads and queues nothing; a flow that finds it full runs its
+//! serial schedule.
 
 #![warn(missing_docs)]
 
 pub mod cancel;
 pub mod fault;
+pub mod lanes;
 
 pub use cancel::{checkpoint, CancelReason, CancelToken, Interrupt};
 pub use fault::{FaultAction, FaultPlan, FaultRecord, FaultSpec, InjectedFault};
+pub use lanes::{flow_threads, FlowThread, Helpers, Speculation};
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};

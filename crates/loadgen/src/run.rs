@@ -139,7 +139,7 @@ pub fn execute(config: &RunConfig, schedule: Arc<Vec<ScheduledRequest>>) -> RunR
     let cursor = Arc::new(AtomicUsize::new(0));
     let cancel = CancelToken::new().with_deadline(config.deadline);
     let workers = config.workers.max(1);
-    let pool = Pool::new(workers);
+    let pool = Pool::with_batch_workers(workers);
     let started = Instant::now();
 
     {
@@ -150,9 +150,9 @@ pub fn execute(config: &RunConfig, schedule: Arc<Vec<ScheduledRequest>>) -> RunR
         let addr = config.addr;
         let mode = config.mode;
         let timeout = config.timeout;
-        // `run_batch` runs single-element batches inline, so issue one job per
-        // worker plus one for the caller-helps slot; the shared cursor makes
-        // surplus jobs exit immediately once the schedule drains.
+        // One job per worker: the calling thread runs one of them while it helps
+        // inside `run_batch` (a single job runs inline), the `workers - 1` pool
+        // threads the rest; the shared cursor hands out the requests.
         let jobs: Vec<usize> = (0..workers).collect();
         pool.run_batch(jobs, move |_, _| {
             worker_loop(

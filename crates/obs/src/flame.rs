@@ -11,7 +11,9 @@
 //!
 //! Parenting mirrors [`crate::report::aggregate`]: spans whose parent id is
 //! absent from the input (cross-thread work, still-open parents) start a new
-//! root path. Output lines are sorted by path, so identical span sets produce
+//! root path, and children that ran on two threads at once (a helper lane's
+//! adopted spans) add both threads' time, so a path's weight can exceed its
+//! root's wall time. Output lines are sorted by path, so identical span sets produce
 //! byte-identical files.
 
 use std::collections::BTreeMap;

@@ -84,6 +84,6 @@ pub use report::{
     aggregate, fmt_ns, parse_jsonl, render_quantiles, render_tree, spans_to_jsonl, TreeNode,
 };
 pub use trace::{
-    add_to_span, drain_spans, dropped_spans, set_tracing, snapshot_spans, tracing_enabled,
-    SpanGuard, SpanRecord,
+    add_to_span, adopt_parent, current_span, drain_spans, dropped_spans, set_tracing,
+    snapshot_spans, tracing_enabled, AdoptedParent, SpanGuard, SpanRecord,
 };

@@ -13,6 +13,11 @@
 //! children's total), and the summed span counters. [`render_tree`] prints it
 //! flamegraph-style, children sorted by self time, so the hottest leaf of a
 //! campaign or sca run is the first deeply indented line you read.
+//!
+//! Children that ran on two threads at once (a flow stage's spans plus those of
+//! its helper lane, see [`crate::adopt_parent`]) add both threads' time, so they
+//! can total more than their parent's wall time; the parent's self time is then
+//! clamped to 0.
 
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -345,6 +350,30 @@ mod tests {
         assert_eq!(flow.children[0].name, "sa"); // 800 self > verify's 100
         assert_eq!(flow.children[0].count, 2);
         assert_eq!(flow.children[1].name, "verify");
+    }
+
+    #[test]
+    fn children_on_two_threads_can_outgrow_their_parent() {
+        // A stage of 1000 ns whose own thread ran `sa` for 900 ns while a helper
+        // lane ran another `sa` for 800 ns under it.
+        let mut spans = vec![
+            span(1, 0, "floorplan", 0, 1000),
+            span(2, 1, "sa", 50, 900),
+            span(3, 1, "sa", 60, 800),
+        ];
+        spans[2].thread = 2;
+        let roots = aggregate(&spans);
+        let stage = &roots[0];
+        assert_eq!((stage.total_ns, stage.self_ns), (1000, 0));
+        assert_eq!(
+            (stage.children[0].count, stage.children[0].total_ns),
+            (2, 1700)
+        );
+        assert_eq!(
+            crate::render_folded(&spans),
+            "floorplan;sa 1700\n",
+            "the stage's clamped self time leaves no frame of its own"
+        );
     }
 
     #[test]

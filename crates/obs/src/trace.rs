@@ -72,6 +72,8 @@ struct Frame {
 thread_local! {
     static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
     static THREAD_ID: Cell<u64> = const { Cell::new(0) };
+    /// The parent of spans opened while [`STACK`] is empty (see [`adopt_parent`]).
+    static ADOPTED_PARENT: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The process-wide monotonic epoch all span timestamps are relative to.
@@ -147,7 +149,9 @@ impl SpanGuard {
         let start_ns = now_ns();
         STACK.with(|stack| {
             let mut stack = stack.borrow_mut();
-            let parent = stack.last().map_or(0, |f| f.id);
+            let parent = stack
+                .last()
+                .map_or_else(|| ADOPTED_PARENT.with(Cell::get), |f| f.id);
             stack.push(Frame {
                 id,
                 parent,
@@ -215,6 +219,45 @@ pub fn add_to_span(name: &'static str, n: u64) {
             None => frame.counters.push((name, n)),
         }
     });
+}
+
+/// The id of the innermost span open on the calling thread (or the parent it
+/// adopted with [`adopt_parent`]); 0 when there is none.
+pub fn current_span() -> u64 {
+    STACK.with(|stack| {
+        stack
+            .borrow()
+            .last()
+            .map_or_else(|| ADOPTED_PARENT.with(Cell::get), |f| f.id)
+    })
+}
+
+/// Makes spans opened on the calling thread while it has no span of its own open
+/// children of `parent`, a span open on another thread (from [`current_span`]
+/// there), until the guard drops. A helper thread working for a stage calls this
+/// so its spans nest under the stage instead of appearing as roots.
+///
+/// The adopted spans run at the same time as the parent thread's own children, so
+/// in `obs report` and the flamegraph a parent's children add both threads' time:
+/// they can add up to more than the parent's wall time, whose self time is then 0.
+pub fn adopt_parent(parent: u64) -> AdoptedParent {
+    AdoptedParent {
+        prev: ADOPTED_PARENT.with(|cell| cell.replace(parent)),
+        _not_send: PhantomData,
+    }
+}
+
+/// The RAII guard of [`adopt_parent`]; dropping it restores the previous parent.
+#[must_use = "the adopted parent applies until the guard drops"]
+pub struct AdoptedParent {
+    prev: u64,
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Drop for AdoptedParent {
+    fn drop(&mut self) {
+        ADOPTED_PARENT.with(|cell| cell.set(self.prev));
+    }
 }
 
 /// Remove and return all finished spans collected so far, ordered by start time.

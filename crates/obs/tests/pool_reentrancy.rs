@@ -1,7 +1,8 @@
 //! Span-stack discipline across pool re-entrancy: a task executed inline on a
 //! non-worker thread (a `run_batch` helper, the shutdown drain) must nest its
 //! spans under whatever span that thread currently has open, and every guard
-//! must close exactly once.
+//! must close exactly once. A flow's helper lane nests its spans under the span
+//! open where the lanes started, and runs inside the caller's job scope.
 //!
 //! The tests share the process-global span collector, so they serialize on a
 //! mutex and filter drained spans by their own names.
@@ -9,7 +10,7 @@
 use std::collections::HashSet;
 use std::sync::Mutex;
 
-use tsc3d_exec::Pool;
+use tsc3d_exec::{CancelToken, Helpers, Pool};
 use tsc3d_obs as obs;
 
 static COLLECTOR_LOCK: Mutex<()> = Mutex::new(());
@@ -99,5 +100,52 @@ fn nested_spans_inside_helped_tasks_keep_their_chain() {
             span.parent == 0 || ids.contains(&span.parent),
             "parent links resolve within the drained set"
         );
+    }
+}
+
+#[test]
+fn helper_lane_spans_nest_under_the_stage_that_started_them() {
+    let _guard = COLLECTOR_LOCK.lock().unwrap();
+    obs::set_tracing(true);
+    let _ = obs::drain_spans();
+
+    // Both items meet at the barrier, so each lane runs one of them.
+    let both = std::sync::Barrier::new(2);
+    let item = || {
+        both.wait();
+        let _item = obs::span!("lanes_item");
+        let _inner = obs::span!("lanes_inner");
+        obs::event::current_job()
+    };
+    let joined = {
+        let _job = obs::JobScope::enter(77);
+        let _stage = obs::span!("lanes_stage");
+        Helpers::One.join(
+            None,
+            &CancelToken::new(),
+            item,
+            |_| true,
+            Some(|_: &CancelToken| item()),
+        )
+    };
+    obs::set_tracing(false);
+    assert_eq!(
+        joined,
+        (77, Some(77)),
+        "both items ran in the caller's job scope"
+    );
+
+    let spans = obs::drain_spans();
+    let stage = spans.iter().find(|s| s.name == "lanes_stage").unwrap();
+    let items: Vec<_> = spans.iter().filter(|s| s.name == "lanes_item").collect();
+    assert_eq!(items.len(), 2);
+    for item in &items {
+        assert_eq!(item.parent, stage.id, "item spans nest under the stage");
+    }
+    let threads: HashSet<u64> = items.iter().map(|s| s.thread).collect();
+    assert_eq!(threads.len(), 2, "both lanes ran an item");
+    assert!(threads.contains(&stage.thread));
+    for inner in spans.iter().filter(|s| s.name == "lanes_inner") {
+        assert!(items.iter().any(|item| item.id == inner.parent));
     }
 }

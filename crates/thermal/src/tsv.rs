@@ -135,16 +135,18 @@ impl fmt::Display for TsvPattern {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TsvField {
     density: GridMap,
-    technology: TsvTechnology,
     sites: Vec<TsvSite>,
 }
 
 impl TsvField {
+    /// The TSV technology of every field: the 90 nm defaults of
+    /// [`TsvTechnology::default_90nm`].
+    pub const TECHNOLOGY: TsvTechnology = TsvTechnology::default_90nm();
+
     /// Creates an empty field (no TSVs) on the given grid.
     pub fn empty(grid: Grid) -> Self {
         Self {
             density: GridMap::zeros(grid),
-            technology: TsvTechnology::default(),
             sites: Vec::new(),
         }
     }
@@ -153,7 +155,6 @@ impl TsvField {
     pub fn uniform(grid: Grid, density: f64) -> Self {
         Self {
             density: GridMap::constant(grid, density.clamp(0.0, 1.0)),
-            technology: TsvTechnology::default(),
             sites: Vec::new(),
         }
     }
@@ -161,11 +162,6 @@ impl TsvField {
     /// The underlying density map (fraction of bin area that is TSV metal).
     pub fn density(&self) -> &GridMap {
         &self.density
-    }
-
-    /// The TSV technology parameters.
-    pub fn technology(&self) -> TsvTechnology {
-        self.technology
     }
 
     /// The explicit TSV sites added so far (empty for synthesized patterns).
@@ -192,7 +188,7 @@ impl TsvField {
     pub fn add_site(&mut self, site: TsvSite) {
         let grid = self.density.grid();
         if let Some(pos) = grid.bin_of(site.position) {
-            let added = site.count as f64 * self.technology.metal_area() / grid.bin_area();
+            let added = site.count as f64 * Self::TECHNOLOGY.metal_area() / grid.bin_area();
             let new = (self.density.get(pos) + added).min(1.0);
             self.density.set(pos, new);
             self.sites.push(site);
@@ -208,7 +204,7 @@ impl TsvField {
     pub fn add_site_at(&mut self, site: TsvSite, pos: GridPos) {
         let grid = self.density.grid();
         debug_assert_eq!(grid.bin_of(site.position), Some(pos));
-        let added = site.count as f64 * self.technology.metal_area() / grid.bin_area();
+        let added = site.count as f64 * Self::TECHNOLOGY.metal_area() / grid.bin_area();
         let new = (self.density.get(pos) + added).min(1.0);
         self.density.set(pos, new);
         self.sites.push(site);
@@ -229,8 +225,7 @@ impl TsvField {
     /// `seed` makes irregular patterns reproducible. The returned field has no explicit
     /// sites; only the density map is populated.
     pub fn from_pattern(grid: Grid, pattern: TsvPattern, seed: u64) -> Self {
-        let technology = TsvTechnology::default();
-        let max_density = technology.max_density();
+        let max_density = Self::TECHNOLOGY.max_density();
         let mut density = GridMap::zeros(grid);
         let mut rng = SplitMix::new(seed);
 
@@ -256,7 +251,6 @@ impl TsvField {
         }
         Self {
             density,
-            technology,
             sites: Vec::new(),
         }
     }
@@ -280,7 +274,6 @@ impl TsvField {
         sites.extend_from_slice(&other.sites);
         TsvField {
             density: GridMap::from_values(self.density.grid(), values),
-            technology: self.technology,
             sites,
         }
     }
