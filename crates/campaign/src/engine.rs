@@ -1,6 +1,6 @@
 //! The campaign engine: expands a spec of any [`JobKind`] into jobs, filters them by
 //! shard, skips jobs that already have a record (resume), executes the rest on the
-//! shared work-stealing pool ([`tsc3d::exec`]) and streams every finished job to the
+//! shared FIFO pool ([`tsc3d::exec`]) and streams every finished job to the
 //! results sink.
 
 use crate::job::{CampaignSpec, Shard};

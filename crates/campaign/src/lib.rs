@@ -8,7 +8,7 @@
 //!   benchmarks × setups × seeds × [`OverrideSet`]s (annealing schedule, TSV budget,
 //!   solver settings, cost weights), expanded into deterministic, individually-seeded
 //!   [`CampaignJob`]s with stable ids.
-//! * **Scheduling** ([`engine`]): jobs execute on the shared work-stealing pool
+//! * **Scheduling** ([`engine`]): jobs execute on the shared FIFO pool
 //!   ([`tsc3d::exec`], also backing the Figure-5/Table-2 experiment path), filtered by a
 //!   [`Shard`] (`--shard k/n`) so one campaign can span several processes or machines.
 //! * **Streaming sink + resume** ([`sink`]): every finished job appends one JSON line to

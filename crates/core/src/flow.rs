@@ -715,22 +715,25 @@ impl TscFlow {
         let floorplan = &floorplanned.sa.floorplan;
         let inserter =
             DummyTsvInserter::new(pp_config, ThermalConfig::default_for(floorplanned.stack))
-                .with_helpers(self.helpers);
-        let result = inserter.run(
-            design,
-            floorplan,
-            &assigned.scaled_powers,
-            verified.tsv_plan.clone(),
-            verified.grid,
-            seed ^ 0xD1CE,
-        );
+                .with_helpers(self.helpers)
+                .with_cancel(cancel);
+        let result = inserter
+            .run(
+                design,
+                floorplan,
+                &assigned.scaled_powers,
+                verified.tsv_plan.clone(),
+                verified.grid,
+                seed ^ 0xD1CE,
+            )
+            .map_err(|source| solve_failure(FlowStage::PostProcess, 1, source))?;
 
         // Final sign-off with the detailed solver and the augmented TSV plan. A failure
         // here surfaces as a FlowError (possibly after the explicit relaxed retry). With
         // no island accepted the plan is the verify stage's, whose solve of this exact
-        // system (same solver, same retry policy) is the sign-off; the inserter's solves
-        // poll no token, so the job's token is checked here instead (no fault site, so
-        // fault-hit numbering is unchanged).
+        // system (same solver, same retry policy) is the sign-off; the fast engine's
+        // estimates poll no token, so the job's token is checked here instead (no fault
+        // site, so fault-hit numbering is unchanged).
         let (final_verification, signoff_solve) = if result.accepted_steps == 0 {
             cancel.check().map_err(|reason| {
                 FlowError::from_interrupt(
@@ -778,49 +781,34 @@ impl TscFlow {
         grid: Grid,
         cancel: &CancelToken,
     ) -> Result<(VerificationReport, SolveQuality), FlowError> {
-        let interrupted = |error: &SolveError| match error {
-            SolveError::Interrupted { interrupt, .. } => Some(FlowError::from_interrupt(
-                *interrupt,
-                stage,
-                StageTimings::default(),
-            )),
-            _ => None,
-        };
         let nominal = solver_for(floorplan, self.config.solver);
-        match verify_cancellable(floorplan, block_powers, tsv_plan, grid, &nominal, cancel) {
-            Ok(report) => Ok((report, SolveQuality::Nominal)),
-            Err(nominal_error) => {
-                if let Some(flow_error) = interrupted(&nominal_error) {
-                    return Err(flow_error);
-                }
-                match (self.config.retry, &nominal_error) {
-                    (RetryPolicy::Relaxed(settings), SolveError::NotConverged { .. }) => {
-                        let relaxed = solver_for(floorplan, settings);
-                        verify_cancellable(
-                            floorplan,
-                            block_powers,
-                            tsv_plan,
-                            grid,
-                            &relaxed,
-                            cancel,
-                        )
-                        .map(|report| (report, SolveQuality::Relaxed))
-                        .map_err(|source| {
-                            interrupted(&source).unwrap_or(FlowError::Solve {
-                                stage,
-                                attempts: 2,
-                                source,
-                            })
-                        })
-                    }
-                    _ => Err(FlowError::Solve {
-                        stage,
-                        attempts: 1,
-                        source: nominal_error,
-                    }),
-                }
+        let outcome = verify_cancellable(floorplan, block_powers, tsv_plan, grid, &nominal, cancel);
+        match (outcome, self.config.retry) {
+            (Ok(report), _) => Ok((report, SolveQuality::Nominal)),
+            (Err(SolveError::NotConverged { .. }), RetryPolicy::Relaxed(settings)) => {
+                let relaxed = solver_for(floorplan, settings);
+                verify_cancellable(floorplan, block_powers, tsv_plan, grid, &relaxed, cancel)
+                    .map(|report| (report, SolveQuality::Relaxed))
+                    .map_err(|source| solve_failure(stage, 2, source))
             }
+            (Err(source), _) => Err(solve_failure(stage, 1, source)),
         }
+    }
+}
+
+/// The flow error of a detailed solve in `stage` that failed after `attempts` attempts:
+/// an interrupt becomes the typed cancellation, deadline or fault error, anything else
+/// [`FlowError::Solve`].
+fn solve_failure(stage: FlowStage, attempts: usize, source: SolveError) -> FlowError {
+    match source {
+        SolveError::Interrupted { interrupt, .. } => {
+            FlowError::from_interrupt(interrupt, stage, StageTimings::default())
+        }
+        source => FlowError::Solve {
+            stage,
+            attempts,
+            source,
+        },
     }
 }
 

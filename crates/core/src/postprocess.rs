@@ -14,7 +14,9 @@ use tsc3d_geometry::{DieId, Grid, GridMap, GridPos};
 use tsc3d_leakage::{map_correlation, CorrelationStability, StabilityMap};
 use tsc3d_netlist::Design;
 use tsc3d_power::ActivitySampler;
-use tsc3d_thermal::{fast::PowerBlurring, SteadyStateSolver, ThermalConfig, TsvField, TsvSite};
+use tsc3d_thermal::{
+    fast::PowerBlurring, SolveError, SteadyStateSolver, ThermalConfig, TsvField, TsvSite,
+};
 
 /// Which thermal engine drives the sampling and the insertion decisions.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -109,6 +111,7 @@ pub struct DummyTsvInserter {
     config: PostProcessConfig,
     thermal_config: ThermalConfig,
     helpers: Helpers,
+    cancel: CancelToken,
 }
 
 impl DummyTsvInserter {
@@ -118,6 +121,7 @@ impl DummyTsvInserter {
             config,
             thermal_config,
             helpers: Helpers::Budget,
+            cancel: CancelToken::new(),
         }
     }
 
@@ -125,6 +129,15 @@ impl DummyTsvInserter {
     /// flow's own choice, or a test's.
     pub(crate) fn with_helpers(self, helpers: Helpers) -> Self {
         Self { helpers, ..self }
+    }
+
+    /// The same inserter polling `cancel` at every sweep window of its detailed solves:
+    /// the flow passes its job's token.
+    pub(crate) fn with_cancel(self, cancel: &CancelToken) -> Self {
+        Self {
+            cancel: cancel.clone(),
+            ..self
+        }
     }
 
     /// The post-processing configuration.
@@ -146,6 +159,12 @@ impl DummyTsvInserter {
     /// `k` is rejected (a guess dropped while the process's last
     /// [`Speculation::PATIENCE`] such pairs all went unneeded). The result is
     /// bit-identical to the serial schedule.
+    ///
+    /// # Errors
+    ///
+    /// A detailed solve that does not converge falls back to the fast estimate; any
+    /// other [`SolveError`] ends the run: an interrupt at a `solver-sweep` checkpoint
+    /// (the job's token, or an injected fault) or malformed solver input.
     pub fn run(
         &self,
         design: &Design,
@@ -154,7 +173,7 @@ impl DummyTsvInserter {
         mut tsv_plan: TsvPlan,
         grid: Grid,
         seed: u64,
-    ) -> PostProcessResult {
+    ) -> Result<PostProcessResult, SolveError> {
         // A fast estimate costs less than starting a helper thread: paired, the fast
         // engine's post-processing ran 1.7-3.1x slower on 10- to 16-bin grids and 1.3x
         // slower on 48 bins (2-vCPU host).
@@ -185,13 +204,14 @@ impl DummyTsvInserter {
             let solve = |i: usize| self.thermal(&power_maps[i], &tsv_plan);
             let (first, second) = helpers.join(
                 None,
-                &CancelToken::new(),
+                &self.cancel,
                 || solve(0),
-                |_| true,
+                Result::is_ok,
                 (pair.len() == 2).then_some(|_: &CancelToken| solve(1)),
             );
             let thermal_maps = std::iter::once(first).chain(second);
             for ((&i, power), thermal) in pair.iter().zip(power_maps).zip(thermal_maps) {
+                let thermal = thermal?;
                 if i < samples {
                     accumulator.add_sample(&power[bottom], &thermal[bottom]);
                 } else {
@@ -216,21 +236,27 @@ impl DummyTsvInserter {
                 .get(1)
                 .map(|&(pos, _)| with_island(&first, pos, grid, self.config.tsvs_per_island));
             let evaluate = |plan: &TsvPlan| {
-                die_correlations(&nominal_maps, &self.thermal(&nominal_maps, plan))
+                let thermal = self.thermal(&nominal_maps, plan)?;
+                Ok(die_correlations(&nominal_maps, &thermal))
             };
-            // The second candidate's solve polls no token, so it runs to completion even
-            // when the first is rejected: the solve counters depend only on whether a
-            // helper ran.
+            // The second candidate's solve polls the job's token, not the join's child
+            // token, so it runs to completion even when the first is rejected: the solve
+            // counters depend only on whether a helper ran.
             let (first_correlations, second_correlations) = helpers.join(
                 Some(&CHAINED_CANDIDATES),
-                &CancelToken::new(),
+                &self.cancel,
                 || evaluate(&first),
-                |correlations| improves(mean(correlations), best_correlation),
+                |correlations: &Result<Vec<f64>, SolveError>| {
+                    correlations
+                        .as_ref()
+                        .is_ok_and(|c| improves(mean(c), best_correlation))
+                },
                 second.as_ref().map(|plan| |_: &CancelToken| evaluate(plan)),
             );
             let tried =
                 std::iter::once((first, first_correlations)).chain(second.zip(second_correlations));
             for (plan, correlations) in tried {
+                let correlations = correlations?;
                 let correlation = mean(&correlations);
                 if improves(correlation, best_correlation) {
                     best_correlation = correlation;
@@ -247,7 +273,7 @@ impl DummyTsvInserter {
 
         // `correlations_after` already holds the per-die correlations of the final plan:
         // the last accepted step (or the pre-insertion evaluation) solved exactly it.
-        PostProcessResult {
+        Ok(PostProcessResult {
             dummy_tsvs: tsv_plan.dummy_count(),
             tsv_plan,
             stability,
@@ -255,24 +281,29 @@ impl DummyTsvInserter {
             correlation_after: best_correlation,
             correlations_after,
             accepted_steps,
-        }
+        })
     }
 
-    fn thermal(&self, power_maps: &[GridMap], tsv_plan: &TsvPlan) -> Vec<GridMap> {
+    fn thermal(
+        &self,
+        power_maps: &[GridMap],
+        tsv_plan: &TsvPlan,
+    ) -> Result<Vec<GridMap>, SolveError> {
+        let tsv_fields = tsv_plan.combined();
+        let estimate =
+            || PowerBlurring::new(&self.thermal_config).estimate(power_maps, &tsv_fields);
         match self.config.engine {
-            ThermalEngine::Fast => {
-                PowerBlurring::new(&self.thermal_config).estimate(power_maps, &tsv_plan.combined())
-            }
+            ThermalEngine::Fast => Ok(estimate()),
             ThermalEngine::Detailed => {
                 let solver = SteadyStateSolver::new(self.thermal_config.clone())
                     .with_tolerance(1e-4)
                     .with_max_iterations(4_000);
-                match solver.solve(power_maps, &tsv_plan.combined()) {
-                    Ok(result) => result.die_temperatures().to_vec(),
+                match solver.solve_cancellable(power_maps, &tsv_fields, &self.cancel) {
+                    Ok(result) => Ok(result.die_temperatures().to_vec()),
                     // Fall back to the fast estimate rather than aborting the whole flow if
                     // the detailed solve fails to converge for a pathological candidate.
-                    Err(_) => PowerBlurring::new(&self.thermal_config)
-                        .estimate(power_maps, &tsv_plan.combined()),
+                    Err(SolveError::NotConverged { .. }) => Ok(estimate()),
+                    Err(error) => Err(error),
                 }
             }
         }
@@ -361,7 +392,9 @@ mod tests {
         let (design, fp, grid, powers, plan) = setup();
         let config = PostProcessConfig::quick();
         let inserter = DummyTsvInserter::new(config, ThermalConfig::default_for(fp.stack()));
-        let result = inserter.run(&design, &fp, &powers, plan, grid, 7);
+        let result = inserter
+            .run(&design, &fp, &powers, plan, grid, 7)
+            .expect("post-processing");
         assert!(result.correlation_after <= result.correlation_before + 1e-12);
         assert!(result.reduction() >= 0.0);
         assert_eq!(result.correlations_after.len(), 2);
@@ -379,7 +412,9 @@ mod tests {
             PostProcessConfig::quick(),
             ThermalConfig::default_for(fp.stack()),
         );
-        let result = inserter.run(&design, &fp, &powers, plan, grid, 3);
+        let result = inserter
+            .run(&design, &fp, &powers, plan, grid, 3)
+            .expect("post-processing");
         assert_eq!(result.stability.map().grid(), grid);
         assert!(result.stability.samples() >= 2);
         // Stability values are correlations.
@@ -394,8 +429,12 @@ mod tests {
             PostProcessConfig::quick(),
             ThermalConfig::default_for(fp.stack()),
         );
-        let a = inserter.run(&design, &fp, &powers, plan.clone(), grid, 11);
-        let b = inserter.run(&design, &fp, &powers, plan, grid, 11);
+        let run = |plan| {
+            inserter
+                .run(&design, &fp, &powers, plan, grid, 11)
+                .expect("post-processing")
+        };
+        let (a, b) = (run(plan.clone()), run(plan));
         assert_eq!(a.correlation_after, b.correlation_after);
         assert_eq!(a.dummy_tsvs, b.dummy_tsvs);
     }
@@ -413,10 +452,12 @@ mod tests {
             };
             let inserter = DummyTsvInserter::new(config, ThermalConfig::default_for(fp.stack()));
             for seed in [3, 7, 11] {
-                let result = inserter.run(&design, &fp, &powers, plan.clone(), grid, seed);
+                let result = inserter
+                    .run(&design, &fp, &powers, plan.clone(), grid, seed)
+                    .expect("post-processing");
                 let fresh: Vec<f64> = nominal
                     .iter()
-                    .zip(&inserter.thermal(&nominal, &result.tsv_plan))
+                    .zip(&inserter.thermal(&nominal, &result.tsv_plan).expect("solve"))
                     .map(|(p, t)| map_correlation(p, t).unwrap_or(0.0))
                     .collect();
                 let bits = |v: &[f64]| v.iter().map(|c| c.to_bits()).collect::<Vec<_>>();
@@ -443,14 +484,11 @@ mod tests {
             let inserter = DummyTsvInserter::new(config, ThermalConfig::default_for(fp.stack()));
             for seed in [3, 7, 11, 19] {
                 let run = |helpers| {
-                    inserter.clone().with_helpers(helpers).run(
-                        &design,
-                        &fp,
-                        &powers,
-                        plan.clone(),
-                        grid,
-                        seed,
-                    )
+                    inserter
+                        .clone()
+                        .with_helpers(helpers)
+                        .run(&design, &fp, &powers, plan.clone(), grid, seed)
+                        .expect("post-processing")
                 };
                 let (serial, paired) = (run(Helpers::Zero), run(Helpers::One));
                 assert_eq!(serial, paired, "{engine:?} seed {seed}");
@@ -486,7 +524,9 @@ mod tests {
             .with_helpers(Helpers::One);
         let mut accepted = Vec::new();
         for seed in [3, 5, 7, 11] {
-            let result = inserter.run(&design, &fp, &powers, plan.clone(), grid, seed);
+            let result = inserter
+                .run(&design, &fp, &powers, plan.clone(), grid, seed)
+                .expect("post-processing");
 
             let mut rng = ChaCha8Rng::seed_from_u64(seed);
             let sampler = sampler_with_powers(&design, &powers, config.activity_sigma);
@@ -494,13 +534,14 @@ mod tests {
             let mut stability = CorrelationStability::new(grid);
             for _ in 0..config.activity_samples {
                 let maps = fp.power_maps(grid, &sampler.sample(&mut rng));
-                let thermal = inserter.thermal(&maps, &plan);
+                let thermal = inserter.thermal(&maps, &plan).expect("solve");
                 stability.add_sample(&maps[bottom], &thermal[bottom]);
             }
             let stability = stability.finish();
             let nominal = fp.power_maps(grid, &powers);
-            let solve =
-                |plan: &TsvPlan| die_correlations(&nominal, &inserter.thermal(&nominal, plan));
+            let solve = |plan: &TsvPlan| {
+                die_correlations(&nominal, &inserter.thermal(&nominal, plan).expect("solve"))
+            };
             let (mut expected_plan, mut expected) = (plan.clone(), solve(&plan));
             for (pos, _) in stability.top_bins(config.max_insertions) {
                 let candidate = with_island(&expected_plan, pos, grid, config.tsvs_per_island);

@@ -1,15 +1,15 @@
-//! The shared batch-execution core: a long-lived work-stealing thread pool.
+//! The shared batch-execution core: a long-lived thread pool over one FIFO task queue.
 //!
 //! The campaign engine (`tsc3d-campaign`, which also runs the paper's Figure-5/Table-2
-//! comparisons), the evaluation service (`tsc3d-serve`), the load generator
-//! (`tsc3d-loadgen`) and the trace attack's kernel extraction (`tsc3d-sca`) all execute
-//! through one scheduler. The serve daemon needs a *persistent* executor, so the pool is
-//! an explicit [`Pool`] value with long-lived workers. The crate sits below every
-//! analysis crate of the workspace, whose long loops poll its cancel tokens;
-//! `tsc3d::exec` re-exports it unchanged. In the pool:
+//! comparisons), the evaluation service (`tsc3d-serve`, for its jobs and its HTTP
+//! connections), the load generator (`tsc3d-loadgen`) and the trace attack's kernel
+//! extraction (`tsc3d-sca`) all execute through one scheduler. The serve daemon needs a
+//! *persistent* executor, so the pool is an explicit [`Pool`] value with long-lived
+//! workers. The crate sits below every analysis crate of the workspace, whose long loops
+//! poll its cancel tokens; `tsc3d::exec` re-exports it unchanged. In the pool:
 //!
-//! * a shared injector queue feeds per-worker deques (workers refill in small batches and
-//!   steal FIFO from their peers when the injector runs dry),
+//! * one shared queue holds every accepted task, and workers take the oldest first, so
+//!   tasks start in submission order,
 //! * idle workers park on a condvar and wake on submission,
 //! * [`Pool::submit`] enqueues fire-and-forget tasks (the serve daemon's job dispatch),
 //! * [`Pool::run_batch`] runs a vector of jobs and returns their results in job order —
@@ -19,8 +19,8 @@
 //!   accepted still runs, then the workers are joined.
 //!
 //! Batch results are written into per-job slots, so the returned vector is in job order
-//! regardless of worker count or steal interleaving — callers observe bit-identical
-//! results for 1 and N workers.
+//! regardless of worker count or interleaving — callers observe bit-identical results
+//! for 1 and N workers.
 //!
 //! PR 9 adds the fault-tolerance layer: cooperative cancellation ([`CancelToken`],
 //! [`checkpoint`]), worker **supervision** (a panic that unwinds a worker loop is counted
@@ -75,13 +75,6 @@ fn panics_total() -> &'static tsc3d_obs::Counter {
     })
 }
 
-/// How many extra tasks a worker moves from the shared injector into its own deque at
-/// once.
-///
-/// Small enough that the tail of a batch remains stealable, large enough to amortize the
-/// injector lock for short tasks.
-const INJECTOR_BATCH: usize = 4;
-
 /// A unit of pool work.
 type Task = Box<dyn FnOnce() + Send + 'static>;
 
@@ -97,22 +90,21 @@ impl std::fmt::Display for PoolClosed {
 
 impl std::error::Error for PoolClosed {}
 
-/// The injector queue plus the drain flag, guarded by one mutex so a submission can never
+/// The task queue plus the drain flag, guarded by one mutex so a submission can never
 /// race past the drain decision (a task either lands in the queue before draining is
 /// observable — and therefore runs — or is refused).
-struct Injector {
-    queue: VecDeque<Task>,
+struct Queue {
+    tasks: VecDeque<Task>,
     draining: bool,
 }
 
 /// State shared between the pool handle and its workers.
 struct Shared {
-    injector: Mutex<Injector>,
+    queue: Mutex<Queue>,
     /// Parked idle workers wait here; submissions and shutdown notify it.
     work_available: Condvar,
-    /// Per-worker deques. Only the owner pushes (injector refill); anyone may steal from
-    /// the front.
-    locals: Vec<Mutex<VecDeque<Task>>>,
+    /// Number of worker threads (a supervised respawn keeps it).
+    threads: usize,
     /// Tasks currently executing (on worker threads or batch helpers).
     active: AtomicUsize,
     /// Tasks whose closure panicked (the panic is contained; for fire-and-forget tasks it
@@ -128,9 +120,7 @@ struct Shared {
 
 /// Scheduler-internal counters (all relaxed; exact totals, approximate ordering).
 struct Stats {
-    /// Successful steals from a peer's deque (by workers and batch helpers).
-    steals: AtomicU64,
-    /// Times a worker parked on the condvar because no work was visible.
+    /// Times a worker parked on the condvar because the queue was empty.
     parks: AtomicU64,
     /// Times a parked worker woke up.
     unparks: AtomicU64,
@@ -142,92 +132,35 @@ struct Stats {
 }
 
 impl Shared {
-    /// Fetches the next task for worker `me`: own deque (LIFO), then the injector (batch
-    /// refill), then a steal from a peer's front (FIFO), then park. Returns `None` only
-    /// when the pool is draining and no work is visible anywhere — tasks still queued in
-    /// a peer's deque are completed by that peer, which never exits before draining its
-    /// own deque.
-    fn next_task(&self, me: usize) -> Option<Task> {
+    /// Takes the oldest queued task, parking while the queue is empty. Returns `None`
+    /// only when the pool is draining and the queue is empty.
+    fn next_task(&self) -> Option<Task> {
+        let mut queue = self.queue.lock().expect("task queue");
         loop {
-            if let Some(task) = self.locals[me].lock().expect("worker deque").pop_back() {
+            if let Some(task) = queue.tasks.pop_front() {
                 return Some(task);
             }
-
-            {
-                let mut injector = self.injector.lock().expect("injector");
-                if let Some(task) = injector.queue.pop_front() {
-                    let mut own = self.locals[me].lock().expect("worker deque");
-                    for _ in 0..INJECTOR_BATCH - 1 {
-                        match injector.queue.pop_front() {
-                            Some(extra) => own.push_back(extra),
-                            None => break,
-                        }
-                    }
-                    return Some(task);
-                }
-            }
-
-            if let Some(task) = self.try_steal(Some(me)) {
-                self.stats.steals.fetch_add(1, Ordering::Relaxed);
-                return Some(task);
-            }
-
-            // Re-check under the injector lock before parking: every path that makes work
-            // visible (submission; refill, which requires a prior submission) holds this
-            // lock, so a task submitted after the steal attempt is either seen here or
-            // notifies the condvar while we wait.
-            let injector = self.injector.lock().expect("injector");
-            if !injector.queue.is_empty() {
-                continue;
-            }
-            if injector.draining {
+            if queue.draining {
                 return None;
             }
             self.stats.parks.fetch_add(1, Ordering::Relaxed);
-            let _unused = self
+            queue = self
                 .work_available
-                .wait(injector)
-                .expect("injector poisoned");
+                .wait(queue)
+                .expect("task queue poisoned");
             self.stats.unparks.fetch_add(1, Ordering::Relaxed);
         }
     }
 
-    /// Steals one task from the front of any deque other than `skip`.
-    fn try_steal(&self, skip: Option<usize>) -> Option<Task> {
-        let workers = self.locals.len();
-        let start = skip.map_or(0, |me| me + 1);
-        for offset in 0..workers {
-            let victim = (start + offset) % workers;
-            if Some(victim) == skip {
-                continue;
-            }
-            if let Some(task) = self.locals[victim]
-                .lock()
-                .expect("worker deque")
-                .pop_front()
-            {
-                return Some(task);
-            }
-        }
-        None
-    }
-
-    /// Pops any visible task (injector first, then steals) without parking — the batch
-    /// helper path for the calling thread, which has no deque of its own.
-    fn try_pop_any(&self) -> Option<Task> {
-        if let Some(task) = self.injector.lock().expect("injector").queue.pop_front() {
-            return Some(task);
-        }
-        let task = self.try_steal(None);
-        if task.is_some() {
-            self.stats.steals.fetch_add(1, Ordering::Relaxed);
-        }
-        task
+    /// Takes the oldest queued task without parking — the batch caller's help path and
+    /// the shutdown drain.
+    fn try_pop(&self) -> Option<Task> {
+        self.queue.lock().expect("task queue").tasks.pop_front()
     }
 
     /// The `busy_ns` slot of non-worker threads (batch helpers, drain).
     fn helper_slot(&self) -> usize {
-        self.locals.len()
+        self.threads
     }
 
     /// Runs one task, containing a panic so a misbehaving job cannot take down a
@@ -255,7 +188,11 @@ struct BatchState<R> {
     panic: Mutex<Option<Box<dyn std::any::Any + Send>>>,
 }
 
-/// A long-lived work-stealing thread pool with graceful drain-then-join shutdown.
+/// A long-lived thread pool over one shared FIFO task queue, with graceful
+/// drain-then-join shutdown.
+///
+/// Workers and a helping [`Pool::run_batch`] caller all take the oldest queued task, so
+/// tasks start in the order they were submitted.
 ///
 /// `Pool::new(0)` is valid and spawns no threads: [`Pool::run_batch`] then executes every
 /// job inline on the calling thread (the deterministic single-threaded mode), while
@@ -269,7 +206,7 @@ pub struct Pool {
 impl std::fmt::Debug for Pool {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Pool")
-            .field("threads", &self.shared.locals.len())
+            .field("threads", &self.shared.threads)
             .field("queued", &self.queued())
             .finish()
     }
@@ -279,17 +216,16 @@ impl Pool {
     /// Spawns a pool with `threads` worker threads.
     pub fn new(threads: usize) -> Self {
         let shared = Arc::new(Shared {
-            injector: Mutex::new(Injector {
-                queue: VecDeque::new(),
+            queue: Mutex::new(Queue {
+                tasks: VecDeque::new(),
                 draining: false,
             }),
             work_available: Condvar::new(),
-            locals: (0..threads).map(|_| Mutex::new(VecDeque::new())).collect(),
+            threads,
             active: AtomicUsize::new(0),
             panicked: AtomicU64::new(0),
             handles: Mutex::new(Vec::with_capacity(threads)),
             stats: Stats {
-                steals: AtomicU64::new(0),
                 parks: AtomicU64::new(0),
                 unparks: AtomicU64::new(0),
                 executed: AtomicU64::new(0),
@@ -310,19 +246,12 @@ impl Pool {
 
     /// Number of worker threads.
     pub fn threads(&self) -> usize {
-        self.shared.locals.len()
+        self.shared.threads
     }
 
-    /// Tasks queued but not yet started (injector plus worker deques).
+    /// Tasks queued but not yet started.
     pub fn queued(&self) -> usize {
-        let injector = self.shared.injector.lock().expect("injector").queue.len();
-        let locals: usize = self
-            .shared
-            .locals
-            .iter()
-            .map(|deque| deque.lock().expect("worker deque").len())
-            .sum();
-        injector + locals
+        self.shared.queue.lock().expect("task queue").tasks.len()
     }
 
     /// Tasks currently executing on worker threads.
@@ -359,11 +288,11 @@ impl Pool {
     /// inline execution during a drain.
     fn submit_task(&self, task: Task) -> Result<(), Task> {
         {
-            let mut injector = self.shared.injector.lock().expect("injector");
-            if injector.draining {
+            let mut queue = self.shared.queue.lock().expect("task queue");
+            if queue.draining {
                 return Err(task);
             }
-            injector.queue.push_back(task);
+            queue.tasks.push_back(task);
         }
         self.shared.work_available.notify_one();
         Ok(())
@@ -373,7 +302,7 @@ impl Pool {
     ///
     /// `f` receives the job's index (its position in `jobs`) and the job itself. Every
     /// job is executed exactly once and its result stored in the slot of its index, so
-    /// the output is deterministic — identical for any thread count and any steal
+    /// the output is deterministic — identical for any thread count and any
     /// interleaving (given a deterministic `f`).
     ///
     /// The calling thread *helps*: it executes queued tasks while waiting, so `run_batch`
@@ -422,7 +351,7 @@ impl Pool {
             if *batch.remaining.lock().expect("batch remaining") == 0 {
                 break;
             }
-            if let Some(task) = self.shared.try_pop_any() {
+            if let Some(task) = self.shared.try_pop() {
                 // Any task helps: either it is one of ours, or it unblocks a worker that
                 // holds one of ours.
                 self.shared.run_task(self.shared.helper_slot(), task);
@@ -454,10 +383,7 @@ impl Pool {
     /// drain every task already accepted, then joins them. Idempotent; also invoked by
     /// `Drop`.
     pub fn shutdown(&self) {
-        {
-            let mut injector = self.shared.injector.lock().expect("injector");
-            injector.draining = true;
-        }
+        self.shared.queue.lock().expect("task queue").draining = true;
         self.shared.work_available.notify_all();
         // Join in rounds: a worker that panics while draining registers its supervised
         // replacement *before* it exits, so the replacement's handle is visible here by
@@ -475,7 +401,7 @@ impl Pool {
         // With worker threads, the join above implies an empty queue. Without any (a
         // 0-thread pool), `submit`'s accepted-means-executed contract still holds: the
         // shutdown caller drains whatever was queued.
-        while let Some(task) = self.shared.try_pop_any() {
+        while let Some(task) = self.shared.try_pop() {
             self.shared.run_task(self.shared.helper_slot(), task);
         }
     }
@@ -489,7 +415,7 @@ impl Pool {
             threads: self.threads(),
             queued: self.queued(),
             active: self.active(),
-            steals: stats.steals.load(Ordering::Relaxed),
+            steals: 0,
             parks: stats.parks.load(Ordering::Relaxed),
             unparks: stats.unparks.load(Ordering::Relaxed),
             executed: stats.executed.load(Ordering::Relaxed),
@@ -515,13 +441,14 @@ impl Drop for Pool {
 pub struct PoolStats {
     /// Number of worker threads.
     pub threads: usize,
-    /// Tasks queued but not yet started (injector plus worker deques).
+    /// Tasks queued but not yet started.
     pub queued: usize,
     /// Tasks currently executing.
     pub active: usize,
-    /// Successful steals from a peer worker's deque.
+    /// Always 0: the pool has one shared queue, so no worker steals from another. Kept
+    /// for callers that still read it.
     pub steals: u64,
-    /// Times a worker parked because no work was visible.
+    /// Times a worker parked because the queue was empty.
     pub parks: u64,
     /// Times a parked worker woke up (at most one behind `parks` per thread).
     pub unparks: u64,
@@ -539,8 +466,8 @@ impl PoolStats {
     }
 }
 
-/// Spawns (or respawns) the worker for deque slot `me` and registers its handle for the
-/// shutdown join.
+/// Spawns (or respawns) the worker for `busy_ns` slot `me` and registers its handle for
+/// the shutdown join.
 fn spawn_worker(shared: &Arc<Shared>, me: usize) {
     let worker = Arc::clone(shared);
     let handle = std::thread::spawn(move || worker_main(worker, me));
@@ -555,8 +482,8 @@ fn spawn_worker(shared: &Arc<Shared>, me: usize) {
 /// The supervised worker loop. Task panics are contained inside
 /// [`Shared::run_task`]; anything that unwinds the loop itself (an injected
 /// `exec-worker` fault, a poisoned internal lock) trips the [`Supervisor`]
-/// guard, which counts the panic and respawns the worker on the same deque
-/// slot — so the pool keeps its full width no matter what.
+/// guard, which counts the panic and respawns the worker in the same slot — so
+/// the pool keeps its full width no matter what.
 fn worker_main(shared: Arc<Shared>, me: usize) {
     let _supervisor = Supervisor {
         shared: Arc::clone(&shared),
@@ -565,10 +492,10 @@ fn worker_main(shared: Arc<Shared>, me: usize) {
     loop {
         // The injection point sits *between* tasks — before the next task is claimed —
         // so an injected worker panic never holds (and therefore never loses) a task:
-        // the replacement worker drains the same deque. Only the panic action is
-        // meaningful here; an injected `error` at this site is ignored.
+        // queued tasks stay in the shared queue. Only the panic action is meaningful
+        // here; an injected `error` at this site is ignored.
         let _ = fault_point!("exec-worker");
-        let Some(task) = shared.next_task(me) else {
+        let Some(task) = shared.next_task() else {
             break;
         };
         shared.run_task(me, task);
@@ -731,6 +658,29 @@ mod tests {
     }
 
     #[test]
+    fn queued_tasks_start_in_submission_order() {
+        // The only worker is held inside a task while eight more are queued behind it.
+        let pool = Pool::new(1);
+        let barrier = Arc::new(std::sync::Barrier::new(2));
+        let held = Arc::clone(&barrier);
+        pool.submit(move || {
+            held.wait(); // the worker is busy
+            held.wait(); // everything is queued
+        })
+        .expect("pool is open");
+        barrier.wait();
+        let started = Arc::new(Mutex::new(Vec::new()));
+        for task in 0..8 {
+            let started = Arc::clone(&started);
+            pool.submit(move || started.lock().unwrap().push(task))
+                .expect("pool is open");
+        }
+        barrier.wait();
+        pool.shutdown();
+        assert_eq!(*started.lock().unwrap(), (0..8).collect::<Vec<_>>());
+    }
+
+    #[test]
     fn shutdown_drains_queued_tasks() {
         let pool = Pool::new(2);
         let counter = Arc::new(AtomicUsize::new(0));
@@ -781,6 +731,23 @@ mod tests {
                 "accepted tasks all executed, refused tasks did not"
             );
         }
+    }
+
+    #[test]
+    fn a_panicking_task_is_counted_and_its_worker_keeps_serving() {
+        // One worker: the task queued behind the panicking one runs on the same thread.
+        let pool = Pool::new(1);
+        pool.submit(|| panic!("task exploded"))
+            .expect("pool is open");
+        let ran = Arc::new(AtomicUsize::new(0));
+        let observed = Arc::clone(&ran);
+        pool.submit(move || {
+            observed.fetch_add(1, Ordering::SeqCst);
+        })
+        .expect("pool is open");
+        pool.shutdown();
+        assert_eq!(ran.load(Ordering::SeqCst), 1);
+        assert_eq!(pool.panicked(), 1);
     }
 
     #[test]

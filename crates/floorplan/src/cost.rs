@@ -58,7 +58,9 @@ use tsc3d_thermal::{
     fast::{BlurScratch, PowerBlurring},
     ThermalConfig, TsvField, TsvSite,
 };
-use tsc3d_timing::{ElmoreModel, ModuleDelayModel, NetTopology, TimingGraph, TimingScratch};
+use tsc3d_timing::{
+    ElmoreModel, ModuleDelayModel, NetTopology, TimingGraph, TimingScratch, VoltageScaling,
+};
 
 use crate::{plan_signal_tsvs, AdjacencySweep, Floorplan, TsvPlan};
 
@@ -323,7 +325,6 @@ pub struct Evaluator<'d> {
     weights: ObjectiveWeights,
     grid_bins: usize,
     tsv_length: f64,
-    adjacency_margin: f64,
     elmore: ElmoreModel,
     module_model: ModuleDelayModel,
     timing_graph: TimingGraph,
@@ -393,7 +394,6 @@ impl<'d> Evaluator<'d> {
             weights,
             grid_bins: 32,
             tsv_length: 50.0,
-            adjacency_margin: stack.outline().width() * 0.02,
             elmore: ElmoreModel::default_90nm(),
             module_model,
             timing_graph,
@@ -417,6 +417,12 @@ impl<'d> Evaluator<'d> {
     /// The design being evaluated.
     pub fn design(&self) -> &'d Design {
         self.design
+    }
+
+    /// How close two footprints must come to count as adjacent when voltage volumes are
+    /// grown: 2% of the outline width.
+    fn adjacency_margin(&self) -> f64 {
+        self.stack.outline().width() * 0.02
     }
 
     /// The stack being targeted.
@@ -489,18 +495,19 @@ impl<'d> Evaluator<'d> {
         // Nominal-timing slacks drive the voltage assignment.
         let nominal_report = self.timing_graph.analyze(&self.nominal_delays, &net_delays);
         let slacks = nominal_report.slacks();
-        let adjacency = floorplan.adjacency(self.adjacency_margin);
+        let adjacency = floorplan.adjacency(self.adjacency_margin());
         let assignment =
             self.assigner
                 .assign(self.design, &adjacency, &self.nominal_delays, &slacks);
 
         // Voltage-scaled timing and power.
-        let scaled_delays = assignment.scaled_delays(&self.nominal_delays, self.assigner.scaling());
+        let scaling = VoltageScaling::paper_90nm();
+        let scaled_delays = assignment.scaled_delays(&self.nominal_delays, &scaling);
         let critical_delay = self
             .timing_graph
             .analyze(&scaled_delays, &net_delays)
             .critical_delay();
-        let scaled_powers = assignment.scaled_powers(self.design, self.assigner.scaling());
+        let scaled_powers = assignment.scaled_powers(self.design, &scaling);
         let total_power: f64 = scaled_powers.iter().sum();
 
         // Power maps, TSV plan, fast thermal maps.
@@ -557,7 +564,6 @@ impl<'d> Evaluator<'d> {
         floorplan: &Floorplan,
         scratch: &mut EvalScratch,
     ) -> GeometricCost {
-        tsc3d_obs::add_to_span("tier_geometric", 1);
         let placements = floorplan.placements();
         assert_eq!(
             placements.len(),
@@ -662,7 +668,6 @@ impl<'d> Evaluator<'d> {
         geometry: &GeometricCost,
         scratch: &mut EvalScratch,
     ) -> CostBreakdown {
-        tsc3d_obs::add_to_span("tier_analysis", 1);
         // Nominal-timing slacks drive the voltage assignment; both timing passes read the
         // same per-edge net delays.
         self.timing_graph
@@ -671,7 +676,7 @@ impl<'d> Evaluator<'d> {
             .analyze_with(&self.nominal_delays, &mut scratch.timing);
         scratch.timing.slacks_into(&mut scratch.slacks);
         floorplan.adjacency_into(
-            self.adjacency_margin,
+            self.adjacency_margin(),
             &mut scratch.sweep,
             &mut scratch.adjacency,
         );

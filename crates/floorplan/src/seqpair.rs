@@ -299,7 +299,6 @@ impl SequencePair3d {
     /// Panics if `out` targets a different stack than this representation. `out`'s
     /// placement storage is resized to the design's block count if it differs.
     pub fn pack_with(&self, design: &Design, scratch: &mut PackScratch, out: &mut Floorplan) {
-        tsc3d_obs::add_to_span("packs", 1);
         assert_eq!(
             out.stack(),
             self.stack,

@@ -6,6 +6,16 @@ use std::collections::VecDeque;
 use tsc3d_netlist::{BlockId, Design};
 use tsc3d_timing::{VoltageLevel, VoltageScaling};
 
+/// The scaling table of every assignment, `(level, power factor, delay factor)` rows
+/// lowest voltage first: the paper's 90 nm levels.
+const TABLE: &[(VoltageLevel, f64, f64)] = &VoltageScaling::PAPER_90NM;
+
+// Feasible voltage sets are `u32` bitmasks over table positions.
+const _: () = assert!(
+    TABLE.len() <= u32::BITS as usize,
+    "bitmask assignment supports at most 32 voltage levels"
+);
+
 /// Optimization objective of the voltage-volume selection.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub enum AssignmentObjective {
@@ -129,8 +139,6 @@ pub struct AssignScratch {
     members: Vec<u32>,
     /// Scaling-table index of every block's level in the most recent assignment.
     level: Vec<u8>,
-    /// Scaling table of the most recent assignment.
-    table: Vec<(VoltageLevel, f64, f64)>,
 }
 
 impl AssignScratch {
@@ -147,7 +155,7 @@ impl AssignScratch {
             nominal_delays
                 .iter()
                 .zip(&self.level)
-                .map(|(&d, &l)| d * self.table[l as usize].2),
+                .map(|(&d, &l)| d * TABLE[l as usize].2),
         );
     }
 
@@ -159,7 +167,7 @@ impl AssignScratch {
             self.powers
                 .iter()
                 .zip(&self.level)
-                .map(|(&p, &l)| p * self.table[l as usize].1),
+                .map(|(&p, &l)| p * TABLE[l as usize].1),
         );
     }
 }
@@ -172,22 +180,13 @@ impl AssignScratch {
 /// merging procedure, we update the resulting set of feasible voltages."
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct VoltageAssigner {
-    scaling: VoltageScaling,
     objective: AssignmentObjective,
 }
 
 impl VoltageAssigner {
     /// Creates an assigner with the paper's 90 nm scaling table.
     pub fn new(objective: AssignmentObjective) -> Self {
-        Self {
-            scaling: VoltageScaling::paper_90nm(),
-            objective,
-        }
-    }
-
-    /// The scaling table in use.
-    pub fn scaling(&self) -> &VoltageScaling {
-        &self.scaling
+        Self { objective }
     }
 
     /// The objective in use.
@@ -202,17 +201,18 @@ impl VoltageAssigner {
     /// `delay * factor <= delay + slack`. The nominal voltage (1.0 V) is always feasible by
     /// construction since its factor is 1.
     pub fn feasible_sets(&self, nominal_delays: &[f64], slacks: &[f64]) -> Vec<Vec<VoltageLevel>> {
+        let scaling = VoltageScaling::paper_90nm();
         nominal_delays
             .iter()
             .zip(slacks)
             .map(|(&delay, &slack)| {
                 let budget = delay + slack;
-                let mut set = self.scaling.feasible_set(delay, budget + 1e-12);
+                let mut set = scaling.feasible_set(delay, budget + 1e-12);
                 if set.is_empty() {
                     // Timing is already violated at nominal voltage; boost to the fastest
                     // level so the assignment stays legal (the floorplanner's delay cost
                     // term penalizes this separately).
-                    set = vec![*self.scaling.levels().last().expect("non-empty table")];
+                    set = vec![*scaling.levels().last().expect("non-empty table")];
                 }
                 set
             })
@@ -243,6 +243,7 @@ impl VoltageAssigner {
         assert_eq!(slacks.len(), n, "slack per block required");
 
         let feasible = self.feasible_sets(nominal_delays, slacks);
+        let scaling = VoltageScaling::paper_90nm();
         let mut assigned = vec![false; n];
         let mut volumes = Vec::new();
 
@@ -315,7 +316,7 @@ impl VoltageAssigner {
                 }
             }
 
-            let level = self.select_level(design, &members, &common);
+            let level = self.select_level(design, &members, &common, &scaling);
             volumes.push(VoltageVolume::new(members, common, level));
         }
 
@@ -334,8 +335,7 @@ impl VoltageAssigner {
     ///
     /// # Panics
     ///
-    /// Panics if the slice lengths do not match the design's block count, or if the
-    /// scaling table holds more than 32 levels.
+    /// Panics if the slice lengths do not match the design's block count.
     pub fn assign_with(
         &self,
         design: &Design,
@@ -348,14 +348,6 @@ impl VoltageAssigner {
         assert_eq!(adjacency.blocks(), n, "adjacency list per block required");
         assert_eq!(nominal_delays.len(), n, "nominal delay per block required");
         assert_eq!(slacks.len(), n, "slack per block required");
-        let table = self.scaling.entries();
-        assert!(
-            table.len() <= u32::BITS as usize,
-            "bitmask assignment supports at most 32 voltage levels"
-        );
-        if scratch.table != table {
-            scratch.table = table.to_vec();
-        }
 
         // Feasible sets as bitmasks, mirroring `feasible_sets`: a level is feasible when
         // the scaled delay fits the block's budget; an empty set falls back to the fastest
@@ -366,11 +358,11 @@ impl VoltageAssigner {
             .extend(nominal_delays.iter().zip(slacks).map(|(&delay, &slack)| {
                 let budget = delay + slack + 1e-12;
                 let mut mask = 0u32;
-                for (i, (_, _, delay_factor)) in table.iter().enumerate() {
+                for (i, (_, _, delay_factor)) in TABLE.iter().enumerate() {
                     mask |= u32::from(delay * delay_factor <= budget) << i;
                 }
                 if mask == 0 {
-                    mask = 1 << (table.len() - 1);
+                    mask = 1 << (TABLE.len() - 1);
                 }
                 mask
             }));
@@ -462,9 +454,9 @@ impl VoltageAssigner {
                     let volume_power: f64 =
                         members.iter().map(|&b| scratch.powers[b as usize]).sum();
                     let gap = |i: usize| {
-                        (volume_power * table[i].1 / volume_area - scratch.design_density).abs()
+                        (volume_power * TABLE[i].1 / volume_area - scratch.design_density).abs()
                     };
-                    (0..table.len())
+                    (0..TABLE.len())
                         .filter(|&i| common & (1 << i) != 0)
                         .min_by(|&a, &b| {
                             gap(a)
@@ -489,6 +481,7 @@ impl VoltageAssigner {
         design: &Design,
         members: &[BlockId],
         feasible: &[VoltageLevel],
+        scaling: &VoltageScaling,
     ) -> VoltageLevel {
         match self.objective {
             // Power-aware: the lowest feasible voltage minimizes power outright.
@@ -502,10 +495,10 @@ impl VoltageAssigner {
                 *feasible
                     .iter()
                     .min_by(|&&a, &&b| {
-                        let da = (volume_power * self.scaling.power_factor(a) / volume_area
+                        let da = (volume_power * scaling.power_factor(a) / volume_area
                             - design_density)
                             .abs();
-                        let db = (volume_power * self.scaling.power_factor(b) / volume_area
+                        let db = (volume_power * scaling.power_factor(b) / volume_area
                             - design_density)
                             .abs();
                         da.partial_cmp(&db).unwrap_or(std::cmp::Ordering::Equal)
@@ -687,7 +680,7 @@ mod tests {
                     let volumes = assigner.assign_with(&d, &flat, &nominal, &slacks, &mut scratch);
                     assert_eq!(volumes, reference.volume_count());
                     for b in 0..n {
-                        let level = scratch.table[scratch.level[b] as usize].0;
+                        let level = TABLE[scratch.level[b] as usize].0;
                         assert_eq!(level, reference.level_of(BlockId(b)));
                     }
                     scratch.scaled_delays_into(&nominal, &mut delays);

@@ -6,7 +6,8 @@
 //!
 //! * **Hand-rolled HTTP/1.1 API** ([`http`], [`server`]) on [`std::net::TcpListener`] —
 //!   the vendored deps are data-less stand-ins, so no hyper/tokio; a blocking accept loop
-//!   feeds a small set of handler threads. Endpoints: `POST /v1/jobs` (submit a flow
+//!   submits each connection to a small [`tsc3d::exec::Pool`] of handler threads, which
+//!   contains a panicking handler. Endpoints: `POST /v1/jobs` (submit a flow
 //!   run, a campaign spec, or a trace-level side-channel evaluation — an `"sca"`
 //!   submission runs the flow once, attacks both mitigation states via `tsc3d-sca` and
 //!   returns the MTD verdict), `GET /v1/jobs/{id}` (status), `GET /v1/jobs/{id}/result`
@@ -14,10 +15,12 @@
 //!   `GET /healthz`, `GET /metrics` (Prometheus text: queue depth, cache
 //!   hit rate, jobs in flight, per-stage latency histograms), and `POST /v1/shutdown`
 //!   (graceful drain — the signal-free stop path of the `serve` binary).
-//! * **Persistent executor** ([`jobs`]): submissions run on the long-lived work-stealing
-//!   pool ([`tsc3d::exec::Pool`]) that also backs `campaign run` and the Table-2
-//!   experiment loop; campaigns submitted over the API share the same pool. Shutdown
-//!   drains (every accepted job completes and persists) before joining.
+//! * **Persistent executor** ([`jobs`]): submissions run on a long-lived shared FIFO pool
+//!   ([`tsc3d::exec::Pool`], the pool that also backs `campaign run` and the Table-2
+//!   experiment loop), in submission order; campaigns submitted over the API share the
+//!   same pool. HTTP connections run on a second pool, so status and metrics stay served
+//!   while every evaluation worker is busy. Shutdown drains (every accepted job completes
+//!   and persists) before joining.
 //! * **Content-addressed result cache** ([`cache`], [`payload`]): the cache key is the
 //!   canonical JSON of the submission body, so identical submissions dedup in flight
 //!   (joining the running job) and hit the cache afterwards — with byte-identical result

@@ -78,7 +78,6 @@ pub struct Metrics {
     cache_hit_rate_gauge: Gauge,
     pool_queue_depth: Gauge,
     pool_active_workers: Gauge,
-    pool_steals: Gauge,
     pool_parks: Gauge,
     pool_tasks: Gauge,
     pool_busy_seconds: Gauge,
@@ -161,15 +160,11 @@ impl Default for Metrics {
             ),
             pool_queue_depth: registry.gauge(
                 "tsc3d_pool_queue_depth",
-                "Tasks queued on the shared work-stealing pool (injector plus worker deques)",
+                "Tasks queued on the evaluation pool, not yet started",
             ),
             pool_active_workers: registry.gauge(
                 "tsc3d_pool_active_workers",
                 "Pool tasks currently executing",
-            ),
-            pool_steals: registry.gauge(
-                "tsc3d_pool_steals_total",
-                "Successful steals from a peer worker's deque (sampled)",
             ),
             pool_parks: registry.gauge(
                 "tsc3d_pool_parks_total",
@@ -373,7 +368,6 @@ impl Metrics {
         self.traces_per_sec_gauge.set(self.traces_per_sec());
         self.pool_queue_depth.set(pool.queued as f64);
         self.pool_active_workers.set(pool.active as f64);
-        self.pool_steals.set(pool.steals as f64);
         self.pool_parks.set(pool.parks as f64);
         self.pool_tasks.set(pool.executed as f64);
         self.pool_busy_seconds
@@ -532,7 +526,7 @@ mod tests {
             threads: 2,
             queued: 3,
             active: 1,
-            steals: 7,
+            steals: 0,
             parks: 5,
             unparks: 5,
             executed: 42,
@@ -541,7 +535,7 @@ mod tests {
         let text = metrics.render(&pool, 0, 0);
         assert!(text.contains("tsc3d_pool_queue_depth 3"));
         assert!(text.contains("tsc3d_pool_active_workers 1"));
-        assert!(text.contains("tsc3d_pool_steals_total 7"));
+        assert!(!text.contains("tsc3d_pool_steals_total"));
         assert!(text.contains("tsc3d_pool_tasks_total 42"));
         assert!(text.contains("tsc3d_pool_busy_seconds_total 2"));
     }

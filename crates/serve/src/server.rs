@@ -1,5 +1,5 @@
-//! The daemon: a blocking accept loop feeding HTTP handler threads, the API routes, and
-//! graceful drain-then-join shutdown.
+//! The daemon: a blocking accept loop feeding a pool of HTTP handler threads, the API
+//! routes, and graceful drain-then-join shutdown.
 
 use crate::cache::ResultCache;
 use crate::http::{read_request, write_response, Request, RequestError, Response};
@@ -121,12 +121,13 @@ pub struct Server {
     shared: Arc<Shared>,
     local_addr: SocketAddr,
     accept_thread: Option<JoinHandle<()>>,
-    http_threads: Vec<JoinHandle<()>>,
+    /// Runs one task per accepted connection.
+    connections: Arc<Pool>,
 }
 
 impl Server {
     /// Binds the listener, recovers persisted results, and spawns the accept loop plus
-    /// the HTTP handler threads.
+    /// the HTTP handler pool.
     ///
     /// # Errors
     ///
@@ -170,35 +171,24 @@ impl Server {
             shutdown_requested: (Mutex::new(false), Condvar::new()),
         });
 
-        // Connection hand-off: the accept loop stays dumb, handlers pull from a channel.
-        // The accept timestamp rides along so HTTP latency covers channel queueing —
-        // measured from accept, not from when a handler thread got around to the read.
-        let (tx, rx) = mpsc::channel::<(Instant, TcpStream)>();
-        let rx = Arc::new(Mutex::new(rx));
-        let http_threads = (0..config.http_threads.max(1))
-            .map(|_| {
-                let rx = Arc::clone(&rx);
-                let shared = Arc::clone(&shared);
-                std::thread::spawn(move || loop {
-                    let next = rx.lock().expect("connection channel").recv();
-                    match next {
-                        Ok((accepted, stream)) => handle_connection(&shared, accepted, stream),
-                        Err(_) => return, // sender dropped: shutdown
-                    }
-                })
-            })
-            .collect();
-
+        // The accept loop stays dumb: each connection is one task on the HTTP pool. The
+        // accept timestamp rides along so HTTP latency covers queueing — measured from
+        // accept, not from when a handler thread got around to the read.
+        let connections = Arc::new(Pool::new(config.http_threads.max(1)));
         let accept_thread = {
             let shared = Arc::clone(&shared);
+            let connections = Arc::clone(&connections);
             std::thread::spawn(move || {
                 for stream in listener.incoming() {
                     if shared.stop_accepting.load(Ordering::SeqCst) {
-                        return; // tx drops here, handlers drain and exit
+                        return;
                     }
                     match stream {
                         Ok(stream) => {
-                            if tx.send((Instant::now(), stream)).is_err() {
+                            let accepted = Instant::now();
+                            let shared = Arc::clone(&shared);
+                            let handle = move || handle_connection(&shared, accepted, stream);
+                            if connections.submit(handle).is_err() {
                                 return;
                             }
                         }
@@ -212,7 +202,7 @@ impl Server {
             shared,
             local_addr,
             accept_thread: Some(accept_thread),
-            http_threads,
+            connections,
         })
     }
 
@@ -248,9 +238,7 @@ impl Server {
         if let Some(accept) = self.accept_thread.take() {
             let _ = accept.join();
         }
-        for handle in self.http_threads.drain(..) {
-            let _ = handle.join();
-        }
+        self.connections.shutdown();
         // The drain is bounded: a watchdog cancels whatever is still in flight once
         // `drain_timeout` passes, so a wedged or very long evaluation cannot hold the
         // process hostage. The cancelled jobs settle through their cooperative
@@ -590,7 +578,6 @@ fn stats(shared: &Shared) -> Response {
                     ("threads".into(), Json::UInt(pool.threads as u64)),
                     ("queued".into(), Json::UInt(pool.queued as u64)),
                     ("active".into(), Json::UInt(pool.active as u64)),
-                    ("steals".into(), Json::UInt(pool.steals)),
                     ("executed".into(), Json::UInt(pool.executed)),
                     (
                         "busy_seconds".into(),

@@ -271,7 +271,6 @@ fn metrics_are_valid_prometheus_and_trace_endpoint_serves_spans() {
         "tsc3d_serve_stage_seconds",
         "tsc3d_pool_queue_depth",
         "tsc3d_pool_active_workers",
-        "tsc3d_pool_steals_total",
         "tsc3d_flow_runs_total",
         "tsc3d_flow_evaluations_total",
         "tsc3d_flow_stage_seconds",

@@ -43,22 +43,20 @@ pub struct VoltageScaling {
 }
 
 impl VoltageScaling {
-    /// The scaling table used in the paper: 0.8 V (0.817× power, 1.56× delay), 1.0 V
-    /// (1×, 1×), 1.2 V (1.496× power, 0.83× delay).
+    /// The paper's scaling table as `(level, power factor, delay factor)` rows, lowest
+    /// voltage first: 0.8 V (0.817× power, 1.56× delay), 1.0 V (1×, 1×), 1.2 V (1.496×
+    /// power, 0.83× delay).
+    pub const PAPER_90NM: [(VoltageLevel, f64, f64); 3] = [
+        (VoltageLevel::V0_8, 0.817, 1.56),
+        (VoltageLevel::V1_0, 1.0, 1.0),
+        (VoltageLevel::V1_2, 1.496, 0.83),
+    ];
+
+    /// The scaling table used in the paper ([`VoltageScaling::PAPER_90NM`]).
     pub fn paper_90nm() -> Self {
         Self {
-            levels: vec![
-                (VoltageLevel::V0_8, 0.817, 1.56),
-                (VoltageLevel::V1_0, 1.0, 1.0),
-                (VoltageLevel::V1_2, 1.496, 0.83),
-            ],
+            levels: Self::PAPER_90NM.to_vec(),
         }
-    }
-
-    /// The raw scaling table: `(level, power factor, delay factor)` rows, lowest voltage
-    /// first. Lets hot loops index levels by table position without allocating.
-    pub fn entries(&self) -> &[(VoltageLevel, f64, f64)] {
-        &self.levels
     }
 
     /// The available levels, lowest voltage first.
