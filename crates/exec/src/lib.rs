@@ -32,13 +32,18 @@
 //! of threads doing flow work (each flow's own thread included) is below the core count.
 //! The budget owns no threads and queues nothing; a flow that finds it full runs its
 //! serial schedule.
+//!
+//! Work shared across jobs is kept in [`LruCache`], the one bounded LRU map of the
+//! workspace: serve's result cache and the sca attack's kernel memo.
 
 #![warn(missing_docs)]
 
+pub mod cache;
 pub mod cancel;
 pub mod fault;
 pub mod lanes;
 
+pub use cache::LruCache;
 pub use cancel::{checkpoint, CancelReason, CancelToken, Interrupt};
 pub use fault::{FaultAction, FaultPlan, FaultRecord, FaultSpec, InjectedFault};
 pub use lanes::{flow_threads, FlowThread, Helpers, Speculation};

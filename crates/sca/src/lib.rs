@@ -25,7 +25,11 @@
 //!    substeps and evaluates every trace as a dot product of its module powers with that
 //!    response kernel. The batched stepper, which steps every trace, is the reference:
 //!    the two agree within 1e-10 K before acquisition, and identically after quantised
-//!    acquisition.
+//!    acquisition. The kernel depends only on the floorplan, its TSV fields and the
+//!    sensor geometry, so a bounded process-wide memo keeps it: every later attack on the
+//!    same floorplan, mitigation state and sensor geometry (any key, noise level or trace
+//!    count) skips the stepping and goes straight to trace evaluation and CPA (see
+//!    [`TraceEngine::Kernel`]).
 //! 3. **Sensors** ([`sensor`]): an `s × s` array on the exposed die, sampled at a finite
 //!    period, quantized and noisy (the [`tsc3d_attack::NoisyOracle`] noise conventions).
 //! 4. **CPA + MTD** ([`cpa`]): Pearson correlation of hypothetical leakage against the
@@ -60,6 +64,7 @@
 #![warn(missing_docs)]
 
 pub mod cpa;
+mod memo;
 pub mod scenario;
 pub mod sensor;
 pub mod workload;
@@ -75,11 +80,19 @@ pub(crate) mod obs_metrics {
         /// Trace-equivalent transient steps across all attacks (the steps each trace's
         /// response spans, whichever engine computed it).
         pub transient_steps: tsc3d_obs::Counter,
-        /// Lane-steps stepped by kernel extractions (one lane per sensor).
+        /// Lane-steps stepped by kernel extractions (one lane per sensor; memo misses
+        /// only).
         pub kernel_steps: tsc3d_obs::Counter,
+        /// Kernel memo lookups that found the kernel.
+        pub kernel_hits: tsc3d_obs::Counter,
+        /// Kernel memo lookups that did not (each followed by an extraction unless the
+        /// attack fails first).
+        pub kernel_misses: tsc3d_obs::Counter,
         /// CPA disclosure checkpoints evaluated.
         pub cpa_checkpoints: tsc3d_obs::Counter,
     }
+
+    const KERNEL_CACHE_HELP: &str = "Reciprocity-kernel memo lookups by outcome (one per attack)";
 
     pub(crate) fn get() -> &'static ScaMetrics {
         static METRICS: std::sync::OnceLock<ScaMetrics> = std::sync::OnceLock::new();
@@ -100,7 +113,18 @@ pub(crate) mod obs_metrics {
                 ),
                 kernel_steps: registry.counter(
                     "tsc3d_sca_kernel_steps_total",
-                    "Lane-steps stepped by reciprocity-kernel extractions (one lane per sensor)",
+                    "Lane-steps stepped by reciprocity-kernel extractions (one lane per \
+                     sensor; kernel memo misses only, hits step nothing)",
+                ),
+                kernel_hits: registry.counter_with(
+                    "tsc3d_sca_kernel_cache_total",
+                    KERNEL_CACHE_HELP,
+                    &[("outcome", "hit")],
+                ),
+                kernel_misses: registry.counter_with(
+                    "tsc3d_sca_kernel_cache_total",
+                    KERNEL_CACHE_HELP,
+                    &[("outcome", "miss")],
                 ),
                 cpa_checkpoints: registry.counter(
                     "tsc3d_sca_cpa_checkpoints_total",
@@ -191,6 +215,9 @@ mod tests {
         assert!(outcome.mtd_traces().is_none());
     }
 
+    /// The serial attack fills the kernel memo and the pooled ones hit it, so they never
+    /// fan out; `uncached_extraction_is_bit_identical_across_worker_counts` checks pooled
+    /// extraction.
     #[test]
     fn attack_is_bit_identical_across_worker_counts() {
         let (design, flow) = flow_fixture();
@@ -219,7 +246,8 @@ mod tests {
         assert_eq!(TraceEngine::default(), TraceEngine::Kernel);
         let pools = [None, Some(Pool::new(1)), Some(Pool::new(4))];
         // The stepper's invariance over batch sizes is checked at the quick size; at the
-        // smoke size it runs once.
+        // smoke size it runs once. The pooled kernel-engine runs hit the kernel memo the
+        // first run filled (pooled extraction has its own test in `scenario`).
         for (config, batch_sizes) in [
             (test_config(), &[1usize, 3, 8][..]),
             (AttackConfig::smoke(), &[8][..]),
@@ -353,6 +381,40 @@ mod tests {
             assert!(
                 matches!(&err, ScaError::InvalidConfig { reason } if reason.starts_with(field)),
                 "{field}: {err}"
+            );
+        }
+    }
+
+    /// The sensor array is bounded before anything is allocated for it: at most one
+    /// sensor per grid bin and axis, at most `MAX_POINTS` points, and a product that
+    /// would overflow is refused, not wrapped.
+    #[test]
+    fn validate_bounds_the_sensor_array() {
+        for preset in [AttackConfig::quick(), AttackConfig::smoke()] {
+            assert_eq!(preset.validate(), Ok(()));
+        }
+        let bins = AttackConfig::smoke().grid_bins;
+        let max = AttackConfig::MAX_POINTS;
+        let array = |sensors_per_axis, samples_per_trace| {
+            let mut config = AttackConfig::smoke();
+            config.sensors.sensors_per_axis = sensors_per_axis;
+            config.sensors.samples_per_trace = samples_per_trace;
+            config.validate()
+        };
+        assert_eq!(array(bins, max / (bins * bins)), Ok(()));
+        assert_eq!(array(1, max), Ok(()));
+        for (field, sensors_per_axis, samples_per_trace) in [
+            ("sensors_per_axis", bins + 1, 1),
+            ("sensors_per_axis", usize::MAX, 1),
+            ("points", bins, max / (bins * bins) + 1),
+            ("points", 1, max + 1),
+            ("points", 1, usize::MAX),
+            ("points", bins, usize::MAX),
+        ] {
+            let err = array(sensors_per_axis, samples_per_trace).unwrap_err();
+            assert!(
+                matches!(&err, ScaError::InvalidConfig { reason } if reason.starts_with(field)),
+                "{sensors_per_axis} x {samples_per_trace}: {err}"
             );
         }
     }

@@ -8,6 +8,7 @@
 //! measurements-to-disclosure?
 
 use crate::cpa::{CpaAccumulator, CpaResult};
+use crate::memo::{self, Kernel, KernelKey};
 use crate::sensor::SensorConfig;
 use crate::workload::{derive_key, LeakageModel, TraceActivity, Workload, WorkloadConfig};
 use rand::SeedableRng;
@@ -135,6 +136,12 @@ impl AttackConfig {
     /// The largest trace count an attack accepts.
     pub const MAX_TRACES: usize = 1_000_000;
 
+    /// The most observation points per trace ([`SensorConfig::points`]) an attack
+    /// accepts; the presets use 9 and 18. Memory grows with it three ways: the CPA sums
+    /// hold `256 × points` floats per key byte (2 MiB at the cap), a trace chunk
+    /// `8 × points`, and the kernel `points × modules`.
+    pub const MAX_POINTS: usize = 1024;
+
     /// The finest analysis grid (bins per axis) an attack accepts; the transient network
     /// holds `layers × grid_bins²` nodes. The flow's own grids share the bound.
     pub const MAX_GRID_BINS: usize = tsc3d::FlowConfig::MAX_GRID_BINS;
@@ -176,8 +183,27 @@ impl AttackConfig {
         if self.workload.background_sigma < 0.0 {
             return fail("background_sigma must be non-negative".into());
         }
-        if self.sensors.sensors_per_axis == 0 || self.sensors.samples_per_trace == 0 {
+        let sensors = &self.sensors;
+        if sensors.sensors_per_axis == 0 || sensors.samples_per_trace == 0 {
             return fail("the sensor array and sampling must be non-empty".into());
+        }
+        if sensors.sensors_per_axis > self.grid_bins {
+            return fail(format!(
+                "sensors_per_axis must be at most grid_bins ({}), got {}",
+                self.grid_bins, sensors.sensors_per_axis
+            ));
+        }
+        let points = sensors
+            .sensors_per_axis
+            .checked_mul(sensors.sensors_per_axis)
+            .and_then(|sensors_total| sensors_total.checked_mul(sensors.samples_per_trace));
+        if !points.is_some_and(|points| points <= Self::MAX_POINTS) {
+            return fail(format!(
+                "points (sensors_per_axis² × samples_per_trace) must be at most {}, got {}² × {}",
+                Self::MAX_POINTS,
+                sensors.sensors_per_axis,
+                sensors.samples_per_trace
+            ));
         }
         if !(self.sensors.dwell_s > 0.0 && self.sensors.dwell_s.is_finite()) {
             return fail(format!(
@@ -296,9 +322,10 @@ pub struct ScaOutcome {
     pub target_module: usize,
     /// Trace-equivalent transient steps: `traces × samples_per_trace ×
     /// steps_for(sample_dt)`, the explicit-Euler steps each trace's response spans. The
-    /// same for both engines; only [`TraceEngine::Batched`] steps them all. The kernel
-    /// engine steps `sensors × samples_per_trace × steps_for(sample_dt)` lane-steps per
-    /// attack, counted by `tsc3d_sca_kernel_steps_total` and the `sca_kernel` span.
+    /// same for both engines, and for a kernel memo hit or miss; only
+    /// [`TraceEngine::Batched`] steps them all. The kernel engine steps `sensors ×
+    /// samples_per_trace × steps_for(sample_dt)` lane-steps per extraction (memo misses
+    /// only), counted by `tsc3d_sca_kernel_steps_total` and the `sca_kernel` span.
     pub transient_steps: u64,
 }
 
@@ -543,6 +570,23 @@ pub enum TraceEngine {
     ///
     /// The sensor lanes are split over the pool in parts padded to a specialised lane
     /// width. Extraction polls the cancel token at least every 512 substeps.
+    ///
+    /// **The kernel memo.** A kernel depends only on what extraction reads, so one
+    /// process-wide memo keeps it across attacks. Its key is the exact bits of the
+    /// stack and outline, the attack grid's bin count, every placement's block, die and
+    /// rectangle, every TSV field's grid and density map, and the sensor die, array size,
+    /// samples per trace and dwell. Keys compare in full; the hash only picks the bucket.
+    /// The key leaves out what never reaches the kernel: sensor noise and quantisation,
+    /// the workload, the key and trace seeds, the trace count, the checkpoints, the target
+    /// policy, the nominal powers and the pool. A hit needs no network: the entry keeps
+    /// the kernel with its trace-equivalent steps per trace. A miss extracts as described
+    /// above (pool fan-out, cancel polls, the `sca_kernel` span and
+    /// `tsc3d_sca_kernel_steps_total`) and memoizes the result; an interrupted or failed
+    /// extraction memoizes nothing. Two concurrent misses on one key may both extract;
+    /// their kernels are bit-identical and the first inserted is kept. Entries weigh
+    /// their key and kernel bytes against a fixed 4 MiB budget, least recently used first
+    /// out, and a kernel larger than the budget is never kept. Each attack counts one
+    /// lookup in `tsc3d_sca_kernel_cache_total{outcome="hit"|"miss"}`.
     #[default]
     Kernel,
     /// The reference engine: lockstep SoA stepping of every trace, `batch_traces`
@@ -694,9 +738,7 @@ impl ThermalResponse for AttackNetwork {
 /// The evaluator behind [`TraceEngine::Kernel`]: each temperature is a dot product of
 /// the trace's module powers with one row of the extracted kernel.
 struct KernelResponse {
-    /// `samples × sensors × modules`, module-minor.
-    kernel: Vec<f64>,
-    modules: usize,
+    kernel: Arc<Kernel>,
     ambient: f64,
 }
 
@@ -706,7 +748,7 @@ impl ThermalResponse for KernelResponse {
     fn temperatures(&self, activities: &[TraceActivity], out: &mut Vec<f64>) {
         for activity in activities {
             // One kernel row per (sample, sensor), sample-major: the trace's point order.
-            for taps in self.kernel.chunks_exact(self.modules) {
+            for taps in self.kernel.values.chunks_exact(self.kernel.modules) {
                 let rise = activity
                     .powers
                     .iter()
@@ -778,12 +820,13 @@ fn kernel_parts(sensors: usize, workers: usize) -> Vec<(usize, usize)> {
 }
 
 /// Extracts the attack's `samples × sensors × modules` kernel, its sensor lanes split
-/// over the pool's threads plus the helping caller.
+/// over the pool's threads plus the helping caller. This is the one extraction path; it
+/// never reads or fills the memo.
 fn extract_kernel(
     network: Arc<AttackNetwork>,
     pool: Option<&Pool>,
     cancel: &CancelToken,
-) -> Result<Vec<f64>, ScaError> {
+) -> Result<Kernel, ScaError> {
     let _span = tsc3d_obs::span!("sca_kernel");
     let sensors = network.positions.len();
     let parts = kernel_parts(sensors, pool.map_or(1, |pool| pool.threads() + 1));
@@ -809,10 +852,15 @@ fn extract_kernel(
             kernel[at..at + len].copy_from_slice(rows);
         }
     }
-    let kernel_steps = sensors as u64 * network.steps_per_trace();
+    let steps_per_trace = network.steps_per_trace();
+    let kernel_steps = sensors as u64 * steps_per_trace;
     tsc3d_obs::add_to_span("kernel_steps", kernel_steps);
     crate::obs_metrics::get().kernel_steps.add(kernel_steps);
-    Ok(kernel)
+    Ok(Kernel {
+        values: kernel,
+        modules,
+        steps_per_trace,
+    })
 }
 
 /// Folds one chunk's traces into the CPA sums, in trace order.
@@ -892,17 +940,55 @@ pub fn run_attack(
 
 /// The validated, target-resolved inputs shared by both trace engines.
 struct AttackSetup {
-    /// The engine's network (ambient 0 for the kernel engine).
-    network: AttackNetwork,
     /// The stack's ambient temperature, which every trace starts from.
     ambient: f64,
     target: usize,
     workload: Workload,
+    sensors: SensorConfig,
 }
 
-/// Validates the configuration and resolves everything both engines share: the grid,
-/// the (expensive, once-per-mitigation-state) transient network, the attacked module,
-/// the key and the sensor positions.
+/// [`TraceEngine::Kernel`]'s kernel as the memo lookup found it.
+enum KernelLookup {
+    /// A hit: the memoized kernel; no network is built.
+    Hit(Arc<Kernel>),
+    /// A miss: the ambient-0 network to extract the kernel from, and the key to memoize
+    /// it under.
+    Miss(KernelKey, Arc<AttackNetwork>),
+}
+
+/// How an attack computes its true sensor temperatures.
+enum Physics {
+    /// [`TraceEngine::Kernel`].
+    Kernel(KernelLookup),
+    /// [`TraceEngine::Batched`]: the network every trace steps through.
+    Stepped {
+        network: Box<AttackNetwork>,
+        batch_traces: usize,
+    },
+}
+
+/// The transient network an attack steps, the expensive part of its set-up: the batched
+/// engine builds it for every attack, the kernel engine only on a memo miss.
+fn attack_network(
+    floorplan: &Floorplan,
+    tsv_fields: &[TsvField],
+    config: &AttackConfig,
+    grid: Grid,
+    thermal_config: &ThermalConfig,
+) -> Result<AttackNetwork, ScaError> {
+    let solver = TransientSolver::new(thermal_config, grid, tsv_fields)?;
+    Ok(AttackNetwork {
+        solver: BatchTransientSolver::new(Arc::new(solver)),
+        stamps: floorplan.power_stamps(grid),
+        sensors: config.sensors,
+        positions: config.sensors.positions(grid),
+        sample_dt: config.sensors.dwell_s / config.sensors.samples_per_trace as f64,
+    })
+}
+
+/// Validates the configuration and resolves everything the engines share: the attacked
+/// module, the key, and the engine's physics. The kernel engine looks its kernel up in
+/// the memo and builds the network only on a miss.
 fn prepare_attack(
     floorplan: &Floorplan,
     nominal_powers: &[f64],
@@ -911,7 +997,7 @@ fn prepare_attack(
     config: &AttackConfig,
     key_seed: u64,
     engine: TraceEngine,
-) -> Result<AttackSetup, ScaError> {
+) -> Result<(AttackSetup, Physics), ScaError> {
     config.validate()?;
     if config.sensors.die >= floorplan.stack().dies() {
         return Err(ScaError::InvalidConfig {
@@ -934,12 +1020,30 @@ fn prepare_attack(
     let grid = floorplan.analysis_grid(config.grid_bins);
     let thermal_config = ThermalConfig::default_for(floorplan.stack());
     let ambient = thermal_config.ambient;
-    // The kernel engine steps unit-power responses: rises over ambient.
-    let network = match engine {
-        TraceEngine::Kernel => thermal_config.with_ambient(0.0),
-        TraceEngine::Batched { .. } => thermal_config,
+    let physics = match engine {
+        TraceEngine::Kernel => {
+            let key = KernelKey::new(floorplan, tsv_fields, config);
+            Physics::Kernel(match memo::lookup(&key) {
+                Some(kernel) => KernelLookup::Hit(kernel),
+                // The kernel engine steps unit-power responses: rises over ambient.
+                None => {
+                    let unit = thermal_config.with_ambient(0.0);
+                    let network = attack_network(floorplan, tsv_fields, config, grid, &unit)?;
+                    KernelLookup::Miss(key, Arc::new(network))
+                }
+            })
+        }
+        TraceEngine::Batched { batch_traces } => Physics::Stepped {
+            network: Box::new(attack_network(
+                floorplan,
+                tsv_fields,
+                config,
+                grid,
+                &thermal_config,
+            )?),
+            batch_traces,
+        },
     };
-    let solver = TransientSolver::new(&network, grid, tsv_fields)?;
     let target = resolve_target(
         config.target,
         floorplan,
@@ -954,18 +1058,13 @@ fn prepare_attack(
         nominal_powers.to_vec(),
         target,
     );
-    Ok(AttackSetup {
-        network: AttackNetwork {
-            solver: BatchTransientSolver::new(Arc::new(solver)),
-            stamps: floorplan.power_stamps(grid),
-            sensors: config.sensors,
-            positions: config.sensors.positions(grid),
-            sample_dt: config.sensors.dwell_s / config.sensors.samples_per_trace as f64,
-        },
+    let setup = AttackSetup {
         ambient,
         target,
         workload,
-    })
+        sensors: config.sensors,
+    };
+    Ok((setup, physics))
 }
 
 /// The cancellable core behind every attack entry point: polls `cancel` at the
@@ -990,7 +1089,7 @@ fn run_attack_impl(
             reason: "batch_traces must be >= 1".into(),
         });
     }
-    let setup = prepare_attack(
+    let (setup, physics) = prepare_attack(
         floorplan,
         nominal_powers,
         tsv_fields,
@@ -1007,17 +1106,21 @@ fn run_attack_impl(
         config.mtd_checkpoints,
     );
     let target = setup.target;
-    let transient_steps = match engine {
-        TraceEngine::Kernel => {
-            let source = kernel_source(setup, seed, pool, cancel)?;
+    let transient_steps = match physics {
+        Physics::Kernel(lookup) => {
+            let source = kernel_source(lookup, setup, seed, pool, cancel)?;
             let chunks = ranges(config.traces, CHUNK_TRACES);
             stream_batches(&source, chunks, &mut cpa, cancel)?
         }
-        TraceEngine::Batched { batch_traces } => {
+        Physics::Stepped {
+            network,
+            batch_traces,
+        } => {
             // Fixed-size lockstep batches (the last one may be short); the batch
             // boundary only affects the SoA lane width, never values.
             let chunks = ranges(config.traces, batch_traces);
-            stream_batches(&stepped_source(setup, seed), chunks, &mut cpa, cancel)?
+            let source = stepped_source(*network, setup, seed);
+            stream_batches(&source, chunks, &mut cpa, cancel)?
         }
     };
     let outcome = ScaOutcome {
@@ -1034,38 +1137,45 @@ fn run_attack_impl(
     Ok(outcome)
 }
 
-/// [`TraceEngine::Kernel`]'s trace source: extracts the attack's kernel (over the pool,
-/// polling `cancel`), then evaluates traces against it.
+/// [`TraceEngine::Kernel`]'s trace source: takes the memoized kernel, or on a miss
+/// extracts it (over the pool, polling `cancel`) and memoizes it, then evaluates traces
+/// against it. An interrupted extraction memoizes nothing.
 fn kernel_source(
+    lookup: KernelLookup,
     setup: AttackSetup,
     seed: u64,
     pool: Option<&Pool>,
     cancel: &CancelToken,
 ) -> Result<TraceSource<KernelResponse>, ScaError> {
-    let sensors = setup.network.sensors;
-    let steps_per_trace = setup.network.steps_per_trace();
-    let modules = setup.network.stamps.blocks();
-    let kernel = extract_kernel(Arc::new(setup.network), pool, cancel)?;
+    let kernel = match lookup {
+        KernelLookup::Hit(kernel) => kernel,
+        KernelLookup::Miss(key, network) => {
+            memo::memoize(key, extract_kernel(network, pool, cancel)?)
+        }
+    };
     Ok(TraceSource {
+        steps_per_trace: kernel.steps_per_trace,
         response: KernelResponse {
             kernel,
-            modules,
             ambient: setup.ambient,
         },
         workload: setup.workload,
-        sensors,
+        sensors: setup.sensors,
         seed,
-        steps_per_trace,
     })
 }
 
 /// [`TraceEngine::Batched`]'s trace source: steps every trace.
-fn stepped_source(setup: AttackSetup, seed: u64) -> TraceSource<AttackNetwork> {
+fn stepped_source(
+    network: AttackNetwork,
+    setup: AttackSetup,
+    seed: u64,
+) -> TraceSource<AttackNetwork> {
     TraceSource {
-        sensors: setup.network.sensors,
-        steps_per_trace: setup.network.steps_per_trace(),
-        response: setup.network,
+        steps_per_trace: network.steps_per_trace(),
+        response: network,
         workload: setup.workload,
+        sensors: setup.sensors,
         seed,
     }
 }
@@ -1271,6 +1381,21 @@ mod tests {
     use super::*;
     use crate::tests::{flow_fixture, test_config};
 
+    /// The ambient-0 network the kernel engine extracts from, built without the memo.
+    fn unit_network(
+        floorplan: &Floorplan,
+        fields: &[TsvField],
+        config: &AttackConfig,
+    ) -> AttackNetwork {
+        let thermal = ThermalConfig::default_for(floorplan.stack()).with_ambient(0.0);
+        let grid = floorplan.analysis_grid(config.grid_bins);
+        attack_network(floorplan, fields, config, grid, &thermal).unwrap()
+    }
+
+    fn bits(kernel: &Kernel) -> Vec<u64> {
+        kernel.values.iter().map(|v| v.to_bits()).collect()
+    }
+
     #[test]
     fn kernel_temperatures_match_the_stepped_reference() {
         let (design, flow) = flow_fixture();
@@ -1280,34 +1405,41 @@ mod tests {
             for mitigation in [Mitigation::Baseline, Mitigation::DummyTsvs] {
                 let grid = floorplan.analysis_grid(config.grid_bins);
                 let fields = attack_tsv_fields(design, flow, grid, mitigation);
-                let setup = |engine| {
-                    prepare_attack(
-                        floorplan,
-                        &flow.scaled_powers,
-                        &fields,
-                        stability,
-                        &config,
-                        11,
-                        engine,
-                    )
-                    .unwrap()
+                let (setup, physics) = prepare_attack(
+                    floorplan,
+                    &flow.scaled_powers,
+                    &fields,
+                    stability,
+                    &config,
+                    11,
+                    TraceEngine::Batched { batch_traces: 8 },
+                )
+                .unwrap();
+                let Physics::Stepped { network, .. } = physics else {
+                    panic!("the batched engine steps its network");
                 };
-                let kernel =
-                    kernel_source(setup(TraceEngine::Kernel), 5, None, &CancelToken::new())
-                        .unwrap();
-                let stepped = stepped_source(setup(TraceEngine::Batched { batch_traces: 8 }), 5);
-                assert_eq!(kernel.steps_per_trace, stepped.steps_per_trace);
+                let kernel = extract_kernel(
+                    Arc::new(unit_network(floorplan, &fields, &config)),
+                    None,
+                    &CancelToken::new(),
+                )
+                .unwrap();
+                assert_eq!(kernel.steps_per_trace, network.steps_per_trace());
+                let kernel = KernelResponse {
+                    kernel: Arc::new(kernel),
+                    ambient: setup.ambient,
+                };
                 let mut worst = 0.0f64;
                 for (lo, hi) in ranges(config.traces, CHUNK_TRACES) {
                     let activities: Vec<TraceActivity> = (lo..hi)
                         .map(|trace| {
                             let mut rng = ChaCha8Rng::seed_from_u64(trace_seed(5, trace as u64));
-                            kernel.workload.draw_trace(&mut rng)
+                            setup.workload.draw_trace(&mut rng)
                         })
                         .collect();
                     let (mut fast, mut reference) = (Vec::new(), Vec::new());
-                    kernel.response.temperatures(&activities, &mut fast);
-                    stepped.response.temperatures(&activities, &mut reference);
+                    kernel.temperatures(&activities, &mut fast);
+                    network.temperatures(&activities, &mut reference);
                     assert_eq!(fast.len(), (hi - lo) * config.sensors.points());
                     assert_eq!(fast.len(), reference.len());
                     for (a, b) in fast.iter().zip(&reference) {
@@ -1321,6 +1453,128 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Repeated attacks hit the memo, so the engine comparisons over pools no longer
+    /// exercise multi-worker extraction; this compares the uncached extraction itself.
+    #[test]
+    fn uncached_extraction_is_bit_identical_across_worker_counts() {
+        let (design, flow) = flow_fixture();
+        let floorplan = flow.floorplan();
+        let pools = [Pool::new(1), Pool::new(2), Pool::new(4)];
+        for config in [test_config(), AttackConfig::smoke()] {
+            for mitigation in [Mitigation::Baseline, Mitigation::DummyTsvs] {
+                let grid = floorplan.analysis_grid(config.grid_bins);
+                let fields = attack_tsv_fields(design, flow, grid, mitigation);
+                let network = Arc::new(unit_network(floorplan, &fields, &config));
+                let extract =
+                    |pool| extract_kernel(Arc::clone(&network), pool, &CancelToken::new()).unwrap();
+                let serial = extract(None);
+                assert_eq!(
+                    serial.values.len(),
+                    config.sensors.points() * floorplan.placements().len()
+                );
+                for pool in &pools {
+                    let pooled = extract(Some(pool));
+                    let label = format!("{mitigation:?}, {} workers", pool.threads());
+                    assert_eq!(bits(&pooled), bits(&serial), "{label}");
+                    assert_eq!(
+                        (pooled.modules, pooled.steps_per_trace),
+                        (serial.modules, serial.steps_per_trace),
+                        "{label}"
+                    );
+                }
+            }
+        }
+        for pool in &pools {
+            pool.shutdown();
+        }
+    }
+
+    /// A config whose dwell no other test uses, so its kernel's memo entry is this
+    /// test's alone (the memo is process-wide and tests run in parallel).
+    fn private_config(dwell_s: f64) -> AttackConfig {
+        let mut config = test_config();
+        config.sensors.dwell_s = dwell_s;
+        config
+    }
+
+    #[test]
+    fn a_memo_hit_returns_the_fresh_extraction_bit_for_bit() {
+        let (design, flow) = flow_fixture();
+        let config = private_config(0.0071);
+        let mitigation = Mitigation::DummyTsvs;
+        let grid = flow.floorplan().analysis_grid(config.grid_bins);
+        let fields = attack_tsv_fields(design, flow, grid, mitigation);
+        let key = KernelKey::new(flow.floorplan(), &fields, &config);
+        assert!(memo::peek(&key).is_none());
+        let attack = || run_on_flow(design, flow, &config, 5, 11, mitigation, None).unwrap();
+
+        let missed = attack();
+        let memoized = memo::peek(&key).expect("a completed miss memoizes its kernel");
+        let fresh = extract_kernel(
+            Arc::new(unit_network(flow.floorplan(), &fields, &config)),
+            None,
+            &CancelToken::new(),
+        )
+        .unwrap();
+        assert_eq!(bits(&memoized), bits(&fresh));
+        assert_eq!(
+            (memoized.modules, memoized.steps_per_trace),
+            (fresh.modules, fresh.steps_per_trace)
+        );
+
+        let hit = attack();
+        assert_eq!(hit, missed);
+        assert!(Arc::ptr_eq(&memo::peek(&key).unwrap(), &memoized));
+        let stepped = TraceEngine::Batched { batch_traces: 8 };
+        let reference =
+            run_on_flow_with(design, flow, &config, 5, 11, mitigation, stepped, None).unwrap();
+        assert_eq!(hit, reference);
+    }
+
+    #[test]
+    fn a_cancelled_extraction_memoizes_nothing() {
+        let (design, flow) = flow_fixture();
+        let config = private_config(0.0073);
+        let mitigation = Mitigation::Baseline;
+        let grid = flow.floorplan().analysis_grid(config.grid_bins);
+        let fields = attack_tsv_fields(design, flow, grid, mitigation);
+        let key = KernelKey::new(flow.floorplan(), &fields, &config);
+
+        let cancel = CancelToken::new();
+        cancel.cancel(tsc3d_exec::CancelReason::User);
+        let pool = Pool::new(2);
+        let err = run_on_flow_with_cancel(
+            design,
+            flow,
+            &config,
+            5,
+            11,
+            mitigation,
+            Some(&pool),
+            &cancel,
+        )
+        .unwrap_err();
+        pool.shutdown();
+        assert_eq!(err.kind(), "cancelled");
+        assert!(
+            memo::peek(&key).is_none(),
+            "an interrupted extraction is not memoized"
+        );
+
+        let outcome = run_on_flow(design, flow, &config, 5, 11, mitigation, None).unwrap();
+        let fresh = extract_kernel(
+            Arc::new(unit_network(flow.floorplan(), &fields, &config)),
+            None,
+            &CancelToken::new(),
+        )
+        .unwrap();
+        assert_eq!(bits(&memo::peek(&key).unwrap()), bits(&fresh));
+        let stepped = TraceEngine::Batched { batch_traces: 8 };
+        let reference =
+            run_on_flow_with(design, flow, &config, 5, 11, mitigation, stepped, None).unwrap();
+        assert_eq!(outcome, reference);
     }
 
     #[test]

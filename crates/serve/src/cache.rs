@@ -1,130 +1,13 @@
 //! The content-addressed result cache: canonical job spec → rendered result JSON.
 //!
 //! Entries are the exact bytes served to clients ([`std::sync::Arc<String>`]), so a cache
-//! hit is byte-identical to the original response. Eviction is least-recently-used with a
-//! configurable capacity; a capacity of 0 disables caching entirely (every submission
-//! executes, in-flight dedup still applies).
+//! hit is byte-identical to the original response. It is the workspace's one LRU map,
+//! [`tsc3d::exec::LruCache`], with every entry weighing 1, so its budget is the
+//! configured entry capacity (`--cache-cap`); a capacity of 0 disables caching entirely
+//! (every submission executes, in-flight dedup still applies).
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
-struct Entry {
-    result: Arc<String>,
-    last_used: u64,
-}
-
-struct Inner {
-    map: HashMap<Arc<str>, Entry>,
-    tick: u64,
-}
-
-/// A bounded LRU map from canonical job keys to rendered result bodies.
-pub struct ResultCache {
-    cap: usize,
-    inner: Mutex<Inner>,
-}
-
-impl std::fmt::Debug for ResultCache {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ResultCache")
-            .field("cap", &self.cap)
-            .field("len", &self.len())
-            .finish()
-    }
-}
-
-impl ResultCache {
-    /// An empty cache holding at most `cap` results.
-    pub fn new(cap: usize) -> Self {
-        Self {
-            cap,
-            inner: Mutex::new(Inner {
-                map: HashMap::new(),
-                tick: 0,
-            }),
-        }
-    }
-
-    /// The configured capacity.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
-    /// Number of cached results.
-    pub fn len(&self) -> usize {
-        self.inner.lock().expect("cache").map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Looks up a result and marks it most recently used.
-    pub fn get(&self, key: &str) -> Option<Arc<String>> {
-        let mut inner = self.inner.lock().expect("cache");
-        inner.tick += 1;
-        let tick = inner.tick;
-        let entry = inner.map.get_mut(key)?;
-        entry.last_used = tick;
-        Some(Arc::clone(&entry.result))
-    }
-
-    /// Inserts (or refreshes) a result, evicting the least-recently-used entries beyond
-    /// the capacity. No-op when the capacity is 0.
-    pub fn insert(&self, key: Arc<str>, result: Arc<String>) {
-        if self.cap == 0 {
-            return;
-        }
-        let mut inner = self.inner.lock().expect("cache");
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.map.insert(
-            key,
-            Entry {
-                result,
-                last_used: tick,
-            },
-        );
-        while inner.map.len() > self.cap {
-            let oldest = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(k, _)| Arc::clone(k))
-                .expect("non-empty map has a minimum");
-            inner.map.remove(&oldest);
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn arc(s: &str) -> Arc<String> {
-        Arc::new(s.to_string())
-    }
-
-    #[test]
-    fn lru_eviction_keeps_recently_used_entries() {
-        let cache = ResultCache::new(2);
-        cache.insert("a".into(), arc("ra"));
-        cache.insert("b".into(), arc("rb"));
-        assert_eq!(cache.get("a").as_deref().map(String::as_str), Some("ra"));
-        // "b" is now the least recently used and gets evicted by the third insert.
-        cache.insert("c".into(), arc("rc"));
-        assert_eq!(cache.len(), 2);
-        assert!(cache.get("b").is_none());
-        assert!(cache.get("a").is_some());
-        assert!(cache.get("c").is_some());
-    }
-
-    #[test]
-    fn zero_capacity_disables_the_cache() {
-        let cache = ResultCache::new(0);
-        cache.insert("a".into(), arc("ra"));
-        assert!(cache.is_empty());
-        assert!(cache.get("a").is_none());
-    }
-}
+/// A bounded LRU map from canonical job keys to rendered result bodies; insert every
+/// entry with weight 1.
+pub type ResultCache = tsc3d::exec::LruCache<Arc<str>, Arc<String>>;

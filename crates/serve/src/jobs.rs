@@ -224,7 +224,7 @@ impl JobService {
         let mut disk_index = HashMap::with_capacity(seed_entries.len());
         for entry in seed_entries {
             disk_index.insert(Arc::clone(&entry.key), entry.offset);
-            cache.insert(entry.key, entry.result);
+            cache.insert(entry.key, entry.result, 1);
         }
         Self {
             pool,
@@ -411,7 +411,7 @@ impl JobService {
         match state.read_at(offset) {
             Ok(entry) if entry.key == *key => {
                 self.cache
-                    .insert(Arc::clone(key), Arc::clone(&entry.result));
+                    .insert(Arc::clone(key), Arc::clone(&entry.result), 1);
                 Some(entry.result)
             }
             Ok(_) => {
@@ -499,7 +499,7 @@ impl JobService {
                         Err(e) => tsc3d_obs::log_error!("serve", "could not persist job {id}: {e}"),
                     }
                 }
-                self.cache.insert(Arc::clone(&key), Arc::clone(&result));
+                self.cache.insert(Arc::clone(&key), Arc::clone(&result), 1);
                 table = self.table.lock().expect("job table");
                 if let Some(job) = table.jobs.get_mut(&id) {
                     job.state = JobState::Done;

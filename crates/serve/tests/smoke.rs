@@ -675,6 +675,7 @@ fn sca_submissions_report_an_mtd_verdict_and_count_trace_sims() {
         "tsc3d_sca_traces_total",
         "tsc3d_sca_transient_steps_total",
         "tsc3d_sca_kernel_steps_total",
+        "tsc3d_sca_kernel_cache_total",
         "tsc3d_sca_cpa_checkpoints_total",
     ] {
         assert!(
