@@ -3,11 +3,10 @@
 use crate::ThermalOracle;
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use tsc3d_geometry::GridMap;
 
 /// The differential thermal signature of one module, as learnt by the attacker.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ModuleSignature {
     /// Index of the module (the attacker's numbering follows the inputs he crafts).
     pub module: usize,
@@ -22,7 +21,7 @@ pub struct ModuleSignature {
 }
 
 /// Result of the characterization attack.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CharacterizationResult {
     /// One learnt signature per module.
     pub signatures: Vec<ModuleSignature>,
@@ -55,7 +54,7 @@ impl CharacterizationResult {
 /// that description under the paper's attacker model: the attacker first records the
 /// steady-state baseline at nominal activity, then — module by module — crafts inputs that
 /// boost a single module's activity and records the differential response.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CharacterizationAttack {
     /// Relative activity boost applied to the probed module (e.g. 1.0 = +100 %).
     pub boost: f64,

@@ -2,11 +2,10 @@
 
 use crate::{CharacterizationAttack, CharacterizationResult, ThermalOracle};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use tsc3d_geometry::{DieId, Point, Rect};
 
 /// Where the attacker believes one module sits, versus where it actually is.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalizationOutcome {
     /// Module index.
     pub module: usize,
@@ -24,7 +23,7 @@ pub struct LocalizationOutcome {
 }
 
 /// Aggregate result of the localization attack.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocalizationResult {
     /// Per-module outcomes.
     pub outcomes: Vec<LocalizationOutcome>,
@@ -64,7 +63,7 @@ impl LocalizationResult {
 /// then, per module, guesses the module's die and location as the argmax of its differential
 /// thermal signature. Success is scored against the true (secret) floorplan, which the
 /// attack only uses for scoring — never for the guess itself.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalizationAttack {
     /// The characterization step driving the localization.
     pub characterization: CharacterizationAttack,

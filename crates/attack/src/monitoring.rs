@@ -2,12 +2,11 @@
 
 use crate::{standard_normal, ThermalOracle};
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use tsc3d_geometry::Point;
 use tsc3d_leakage::pearson;
 
 /// Result of the monitoring attack against one or more target modules.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MonitoringResult {
     /// Per target: the Pearson correlation between the module's true activity and the
     /// temperature the attacker observes at the monitored location.
@@ -36,7 +35,7 @@ impl MonitoringResult {
 /// reports how strongly the observed temperature correlates with the module's true activity
 /// — effectively a single-bin instance of Eq. 2 of the paper, evaluated from the attacker's
 /// side.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitoringAttack {
     /// Number of activity sets the attacker observes.
     pub samples: usize,

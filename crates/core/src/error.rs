@@ -6,13 +6,12 @@
 //! stage now threads a [`FlowError`] through `Result`, and solver relaxation is an
 //! explicit, observable policy ([`RetryPolicy`]) instead of a buried `unwrap_or_else`.
 
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use tsc3d_thermal::SolveError;
 
 /// The stages of the flow pipeline, in execution order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FlowStage {
     /// Multi-objective simulated-annealing floorplanning.
     Floorplan,
@@ -51,7 +50,7 @@ impl fmt::Display for FlowStage {
 }
 
 /// Wall-clock seconds spent in each stage of one flow run.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct StageTimings {
     /// Time in the floorplanning stage.
     pub floorplan_s: f64,
@@ -84,7 +83,7 @@ impl StageTimings {
 }
 
 /// Numerical settings of a detailed steady-state solve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SolverSettings {
     /// Convergence tolerance (largest per-node update, in K).
     pub tolerance: f64,
@@ -112,7 +111,7 @@ impl SolverSettings {
 }
 
 /// How the flow reacts when a detailed verification solve does not converge.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum RetryPolicy {
     /// Fail the flow immediately with a [`FlowError`].
     Fail,
@@ -131,7 +130,7 @@ impl RetryPolicy {
 
 /// Which solver configuration produced an accepted verification report — the observable
 /// record of the retry policy having kicked in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SolveQuality {
     /// The nominal solver converged.
     Nominal,

@@ -5,13 +5,12 @@
 //! (`tsc3d-campaign`), whose aggregate bridges back into [`SetupAverages`] and
 //! [`BenchmarkComparison`].
 
-use serde::{Deserialize, Serialize};
 use tsc3d_netlist::suite::Benchmark;
 
 use crate::{FlowConfig, Setup};
 
 /// Configuration of one benchmark comparison.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExperimentConfig {
     /// Number of independent floorplanning runs per setup (the paper uses 50).
     pub runs: usize,
@@ -33,7 +32,7 @@ impl ExperimentConfig {
 }
 
 /// Averages of one setup over all runs — one half of a Table 2 column pair.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SetupAverages {
     /// Average spatial entropy of the bottom die (S1).
     pub s1: f64,
@@ -81,7 +80,7 @@ impl SetupAverages {
 }
 
 /// A full PA-vs-TSC comparison for one benchmark: one row group of Table 2 / Figure 5.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BenchmarkComparison {
     /// The benchmark.
     pub benchmark: Benchmark,

@@ -8,13 +8,12 @@
 use rand::Rng;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use tsc3d_geometry::{Grid, GridMap, Outline, Rect, Stack};
 use tsc3d_leakage::map_correlation;
 use tsc3d_thermal::{SteadyStateSolver, ThermalConfig, TsvField, TsvPattern};
 
 /// The five power-distribution archetypes of the exploratory study.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PowerPattern {
     /// Artificially unified power for all modules (globally uniform).
     GloballyUniform,
@@ -51,7 +50,7 @@ impl PowerPattern {
 }
 
 /// One evaluated combination of the study.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExplorationCase {
     /// The power-distribution archetype.
     pub power: PowerPattern,
@@ -136,7 +135,7 @@ fn gradient_map(grid: Grid, amplitude: f64, rng: &mut ChaCha8Rng) -> GridMap {
 }
 
 /// Configuration of the exploratory study.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ExplorationConfig {
     /// Die outline (shared by both dies).
     pub outline_mm2: f64,

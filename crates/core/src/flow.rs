@@ -7,7 +7,6 @@
 //! explicit relaxed retry — whose use is recorded in the result ([`SolveQuality`]) rather
 //! than hidden in a fallback.
 
-use serde::{Deserialize, Serialize};
 use tsc3d_exec::{CancelToken, FlowThread, Helpers, Interrupt, Speculation};
 use tsc3d_floorplan::{
     plan_signal_tsvs, Evaluator, Floorplan, ObjectiveWeights, SaResult, SaSchedule,
@@ -63,7 +62,7 @@ use crate::postprocess::{DummyTsvInserter, PostProcessConfig, PostProcessResult}
 use crate::verification::{default_solver, verify_cancellable, VerificationReport};
 
 /// The two floorplanning setups compared throughout the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Setup {
     /// Power-aware floorplanning (the competitive baseline, setup (i)).
     PowerAware,
@@ -91,7 +90,7 @@ impl Setup {
 
 /// How the flow reacts when the floorplanning stage produces a packing envelope that
 /// exceeds the fixed die outline (possible under short annealing schedules).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum OutlinePolicy {
     /// Fail immediately with [`FlowError::OutlineViolation`].
     Fail,
@@ -121,7 +120,7 @@ impl OutlinePolicy {
 
 /// Record of an outline-repair pass having run: the observable trace of
 /// [`OutlinePolicy::Repair`] kicking in, so repaired floorplans never flow silently.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OutlineRepair {
     /// Number of re-annealing rounds run (1-based; the round that produced the accepted
     /// floorplan).
@@ -133,7 +132,7 @@ pub struct OutlineRepair {
 }
 
 /// Configuration of a full flow run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FlowConfig {
     /// Which setup to run.
     pub setup: Setup,
@@ -375,7 +374,7 @@ struct PostProcessStage {
 static REPAIR_ANNEALS: Speculation = Speculation::new("anneal");
 
 /// The flow driver: floorplanning, verification, and (for the TSC setup) post-processing.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TscFlow {
     config: FlowConfig,
     helpers: Helpers,

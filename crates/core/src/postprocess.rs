@@ -7,7 +7,6 @@
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use tsc3d_exec::{CancelToken, Helpers, Speculation};
 use tsc3d_floorplan::{Floorplan, TsvPlan};
 use tsc3d_geometry::{DieId, Grid, GridMap, GridPos};
@@ -19,7 +18,7 @@ use tsc3d_thermal::{
 };
 
 /// Which thermal engine drives the sampling and the insertion decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ThermalEngine {
     /// The fast power-blurring estimator (cheap; used for in-loop experimentation and the
     /// ablation benches).
@@ -29,7 +28,7 @@ pub enum ThermalEngine {
 }
 
 /// Configuration of the post-processing stage.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PostProcessConfig {
     /// Number of sampled activity sets (the paper samples 100 steady-state evaluations).
     pub activity_samples: usize,
@@ -72,7 +71,7 @@ impl PostProcessConfig {
 }
 
 /// Outcome of the post-processing stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PostProcessResult {
     /// The TSV plan including the inserted dummy TSVs.
     pub tsv_plan: TsvPlan,

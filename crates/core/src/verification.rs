@@ -5,14 +5,13 @@
 //! the final correlation after floorplanning with the detailed engine. This module does the
 //! same with our finite-volume solver.
 
-use serde::{Deserialize, Serialize};
 use tsc3d_floorplan::{Floorplan, TsvPlan};
 use tsc3d_geometry::{Grid, GridMap};
 use tsc3d_leakage::map_correlation;
 use tsc3d_thermal::{SolveError, SteadyStateSolver, ThermalConfig, ThermalResult};
 
 /// Result of a detailed verification pass.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VerificationReport {
     /// Power maps used (watts per bin, per die).
     pub power_maps: Vec<GridMap>,

@@ -2,7 +2,6 @@
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use tsc3d_exec::{CancelToken, Interrupt};
 use tsc3d_geometry::Stack;
 use tsc3d_netlist::Design;
@@ -10,7 +9,7 @@ use tsc3d_netlist::Design;
 use crate::{CostBreakdown, Evaluator, Floorplan, ObjectiveWeights, PackScratch, SequencePair3d};
 
 /// Annealing schedule parameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SaSchedule {
     /// Number of temperature stages.
     pub stages: usize,
@@ -94,7 +93,7 @@ pub struct SaResult {
 /// The simulated-annealing floorplanner.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimulatedAnnealing {
     schedule: SaSchedule,
 }

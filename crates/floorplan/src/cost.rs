@@ -47,7 +47,6 @@
 //! its accumulation order (a lane loop sums each output in the scalar order), and only
 //! `min`/`max` folds, which are order-insensitive, are regrouped.
 
-use serde::{Deserialize, Serialize};
 use tsc3d_geometry::{Grid, GridMap, GridPos, Point, Stack};
 use tsc3d_leakage::{map_correlation, EntropyScratch, SpatialEntropy};
 use tsc3d_netlist::{Design, PinRef};
@@ -71,7 +70,7 @@ use crate::{plan_signal_tsvs, AdjacencySweep, Floorplan, TsvPlan};
 /// criteria are weighted equally. [...] For (ii) [TSC-aware], we consider the same criteria
 /// \[and\] additionally seek to minimize both the average correlation coefficients and the
 /// average spatial entropies."
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObjectiveWeights {
     /// Weight of the packing / fixed-outline term.
     pub packing: f64,
@@ -161,7 +160,7 @@ impl ObjectiveWeights {
 }
 
 /// All evaluated criteria of one floorplan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostBreakdown {
     /// Largest per-die packing-envelope stretch: `max(bbox_w/outline_w, bbox_h/outline_h)`
     /// over all dies. Values above 1 violate the fixed outline.

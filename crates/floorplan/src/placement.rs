@@ -1,13 +1,12 @@
 //! Concrete placements of blocks onto the dies of a 3D stack.
 
-use serde::{Deserialize, Serialize};
 use tsc3d_geometry::{DieId, Grid, GridMap, Outline, Point, Rect, Stack};
 use tsc3d_netlist::{BlockId, Design, NetId};
 use tsc3d_power::BlockAdjacency;
 use tsc3d_timing::NetTopology;
 
 /// A block placed on a specific die with a concrete footprint.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlacedBlock {
     /// The placed block.
     pub block: BlockId,
@@ -22,7 +21,7 @@ pub struct PlacedBlock {
 /// The floorplan owns no reference to the [`Design`]; methods that need netlist information
 /// (wirelength, net topologies, power maps) take it as an argument, so floorplans remain
 /// cheap to clone inside the annealer.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Floorplan {
     stack: Stack,
     placements: Vec<PlacedBlock>,

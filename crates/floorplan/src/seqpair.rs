@@ -24,14 +24,13 @@
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use tsc3d_geometry::{DieId, Rect, Stack};
 use tsc3d_netlist::{BlockId, Design};
 
 use crate::{Floorplan, PlacedBlock};
 
 /// The annealer's state: a sequence pair per die plus per-block shape choices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SequencePair3d {
     stack: Stack,
     /// Die index per block.

@@ -1,6 +1,5 @@
 //! Signal-TSV planning and the combined signal/dummy TSV plan.
 
-use serde::{Deserialize, Serialize};
 use tsc3d_geometry::{Grid, Point};
 use tsc3d_netlist::Design;
 use tsc3d_thermal::{TsvField, TsvSite};
@@ -9,7 +8,7 @@ use crate::Floorplan;
 
 /// The TSVs of a floorplan: per inter-die interface, the signal TSVs required by nets that
 /// cross dies plus any dummy thermal TSVs inserted by post-processing.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TsvPlan {
     signal: Vec<TsvField>,
     dummy: Vec<TsvField>,

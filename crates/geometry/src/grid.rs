@@ -1,12 +1,11 @@
 //! Uniform grids and scalar grid maps (power maps, thermal maps, TSV-density maps).
 
 use crate::{Point, Rect};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Index, IndexMut};
 
 /// A position (column, row) within a [`Grid`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct GridPos {
     /// Column index (x direction), `0..cols`.
     pub col: usize,
@@ -43,7 +42,7 @@ impl fmt::Display for GridPos {
 /// assert_eq!(grid.bins(), 100);
 /// assert_eq!(grid.bin_area(), 100.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Grid {
     region: Rect,
     cols: usize,
@@ -237,7 +236,7 @@ impl Grid {
 /// assert_eq!(m.max(), 2.0);
 /// assert_eq!(m.mean(), 2.0 / 25.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GridMap {
     grid: Grid,
     values: Vec<f64>,

@@ -1,6 +1,5 @@
 //! 2D points and distance helpers.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::{Add, Sub};
 
@@ -17,7 +16,7 @@ use std::ops::{Add, Sub};
 /// assert_eq!(a.distance(b), 5.0);
 /// assert_eq!(a.manhattan(b), 7.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Point {
     /// Horizontal coordinate in micrometres.
     pub x: f64,

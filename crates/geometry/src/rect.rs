@@ -1,7 +1,6 @@
 //! Axis-aligned rectangles and fixed die outlines.
 
 use crate::Point;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// An axis-aligned rectangle in micrometres, defined by its lower-left corner and size.
@@ -15,7 +14,7 @@ use std::fmt;
 /// assert_eq!(r.area(), 1200.0);
 /// assert_eq!(r.center().x, 25.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Rect {
     /// Lower-left x coordinate.
     pub x: f64,
@@ -178,7 +177,7 @@ impl fmt::Display for Rect {
 /// assert!((outline.rect().area() - 25.0e6).abs() < 1e-6);
 /// assert!(outline.fits(&Rect::new(0.0, 0.0, 100.0, 100.0)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Outline {
     rect: Rect,
 }

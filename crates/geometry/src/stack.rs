@@ -1,7 +1,6 @@
 //! Addressing of dies within a 3D stack.
 
 use crate::Outline;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a die within the 3D stack.
@@ -9,7 +8,7 @@ use std::fmt;
 /// Die 0 is the **bottom** die (farthest from the heatsink), die `n-1` is the **top** die
 /// (the heatsink is attached above it), matching the face-to-back stacking of the paper
 /// (Figure 1). In the paper's notation the bottom die is `d = 1` and the top die `d = 2`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DieId(pub usize);
 
 impl DieId {
@@ -48,7 +47,7 @@ impl From<usize> for DieId {
 /// assert_eq!(stack.dies(), 2);
 /// assert!(stack.is_top(stack.top()));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Stack {
     dies: usize,
     outline: Outline,

@@ -1,6 +1,5 @@
 //! Spatial entropy of power maps (Eq. 3 of the paper, following Claramunt).
 
-use serde::{Deserialize, Serialize};
 use tsc3d_geometry::{GridMap, GridPos};
 
 /// Result of the nested-means classification of a power map.
@@ -8,7 +7,7 @@ use tsc3d_geometry::{GridMap, GridPos};
 /// Bins are grouped into classes of similar power values; classes are the `c_i ∈ C` of
 /// Eq. 3. The classification is produced by recursively bi-partitioning the sorted power
 /// values at their mean until the values within a class are (nearly) constant.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NestedMeansClasses {
     /// For every bin (row-major), the index of the class it belongs to.
     pub assignment: Vec<usize>,
@@ -66,7 +65,7 @@ impl EntropyScratch {
 /// values are close together (steep gradients → high leakage). It is evaluated directly on
 /// the power map, without any thermal analysis, which makes it cheap enough for the inner
 /// floorplanning loop.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpatialEntropy {
     /// Recursion depth limit of the nested-means partitioning (at most `2^depth` classes).
     pub max_depth: usize,

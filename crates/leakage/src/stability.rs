@@ -1,7 +1,6 @@
 //! Runtime correlation stability (Eq. 2 of the paper).
 
 use crate::correlation::pearson;
-use serde::{Deserialize, Serialize};
 use tsc3d_geometry::{Grid, GridMap, GridPos};
 
 /// Per-bin correlation-stability map produced by [`CorrelationStability::finish`].
@@ -10,7 +9,7 @@ use tsc3d_geometry::{Grid, GridMap, GridPos};
 /// local power and local temperature at that bin. Bins where the correlation is undefined
 /// (constant power or constant temperature across all samples) hold `0.0` — such bins leak
 /// nothing an attacker could calibrate against.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StabilityMap {
     map: GridMap,
     samples: usize,
@@ -76,7 +75,7 @@ impl StabilityMap {
 /// let stability = acc.finish();
 /// assert!(stability.mean() > 0.99); // perfectly stable everywhere
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorrelationStability {
     grid: Grid,
     power_samples: Vec<Vec<f64>>,

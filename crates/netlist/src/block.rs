@@ -1,13 +1,12 @@
 //! Blocks (modules) of a block-level design.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a block within a [`crate::Design`].
 ///
 /// Block ids are dense indices into the design's block vector, which keeps every per-block
 /// table (placements, voltages, activities) a plain `Vec`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub usize);
 
 impl BlockId {
@@ -33,7 +32,7 @@ impl From<usize> for BlockId {
 ///
 /// GSRC benchmarks contain only soft blocks (area fixed, aspect ratio flexible);
 /// IBM-HB+ benchmarks mix hard macros (fixed width/height) and soft blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum BlockShape {
     /// Fixed footprint: the block must be placed with exactly this width and height
     /// (rotation by 90° is still allowed by the floorplanner).
@@ -135,7 +134,7 @@ impl BlockShape {
 /// The paper treats blocks as black-box IP: only area, pins and nominal power are known.
 /// `power` is the nominal dissipation in watts at the 1.0 V operating point; voltage
 /// assignment scales it (see `tsc3d-power`).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Block {
     name: String,
     shape: BlockShape,

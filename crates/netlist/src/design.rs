@@ -1,7 +1,6 @@
 //! The [`Design`] container: blocks + nets + terminals + die outline.
 
 use crate::{Block, BlockId, Net, NetId, PinRef, Terminal, TerminalId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
@@ -39,7 +38,7 @@ impl fmt::Display for DesignError {
 impl Error for DesignError {}
 
 /// Aggregate statistics of a design, mirroring the columns of Table 1 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DesignStats {
     /// Number of hard blocks.
     pub hard_blocks: usize,
@@ -80,7 +79,7 @@ pub struct DesignStats {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Design {
     name: String,
     blocks: Vec<Block>,

@@ -1,12 +1,11 @@
 //! Nets, pins and terminals.
 
 use crate::BlockId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tsc3d_geometry::Point;
 
 /// Identifier of a net within a design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NetId(pub usize);
 
 impl NetId {
@@ -23,7 +22,7 @@ impl fmt::Display for NetId {
 }
 
 /// Identifier of an I/O terminal within a design.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TerminalId(pub usize);
 
 impl TerminalId {
@@ -43,7 +42,7 @@ impl fmt::Display for TerminalId {
 ///
 /// Terminal pins participate in wirelength estimation but are never moved by the
 /// floorplanner.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Terminal {
     name: String,
     position: Point,
@@ -70,7 +69,7 @@ impl Terminal {
 }
 
 /// A pin of a net: either a block pin or an I/O terminal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PinRef {
     /// Pin on a block; the pin is assumed to sit at the block centre (block-level model).
     Block(BlockId),
@@ -112,7 +111,7 @@ impl From<TerminalId> for PinRef {
 ///
 /// Nets drive the half-perimeter wirelength estimate, the Elmore delay model and — when the
 /// connected blocks end up on different dies — the demand for signal TSVs.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Net {
     name: String,
     pins: Vec<PinRef>,

@@ -20,12 +20,11 @@
 use crate::{Block, BlockId, BlockShape, Design, Net, PinRef, Terminal, TerminalId};
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tsc3d_geometry::{Outline, Point};
 
 /// The six benchmarks evaluated in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Benchmark {
     /// GSRC n100: 100 soft modules.
     N100,
@@ -94,7 +93,7 @@ impl fmt::Display for Benchmark {
 }
 
 /// One row of Table 1: the aggregate benchmark properties the generators reproduce.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Table1Row {
     /// Benchmark name.
     pub name: &'static str,

@@ -4,8 +4,8 @@
 //! Where [`crate::trace`] answers *"where did the time go?"* after a run, this
 //! module answers *"where is the run right now?"* while it is still going.
 //! Instrumented sites emit typed [`Event`] records — job lifecycle transitions,
-//! stage enter/exit, fraction-complete progress, checkpoints — into a global
-//! lock-sharded ring buffer. Consumers ([`Subscriber`]) read with a sequence
+//! stage enter/exit, fraction-complete progress, checkpoints — into one global
+//! mutex-held ring buffer. Consumers ([`Subscriber`]) read with a sequence
 //! cursor: the serve daemon streams them over SSE, the campaign binary renders
 //! a live stderr progress line and an `--events-out` JSONL file.
 //!
@@ -14,18 +14,22 @@
 //! enable flag ([`events_enabled`]), and the event payload is built inside a
 //! closure that never runs while disabled.
 //!
-//! The bus is a *flight recorder*, not a queue: a fixed-capacity ring keyed by
-//! sequence number. Writers never block on readers; when the ring wraps, the
-//! oldest events are overwritten and counted in [`dropped_events`] (also
-//! exported as the `tsc3d_obs_dropped_events_total` counter in the global
-//! metrics registry). A subscriber that falls behind the ring observes the gap
-//! as [`EventPoll::missed`] instead of stalling the writers — the bounded-
-//! buffering half of the slow-client contract.
+//! The bus is a *flight recorder*, not a queue: a ring of the last
+//! [`capacity`] events. Writers never wait for a reader to catch up; when the
+//! ring is full, each new event overwrites the oldest, counted in
+//! [`dropped_events`] (also exported as the `tsc3d_obs_dropped_events_total`
+//! counter in the global metrics registry). A subscriber that falls behind the
+//! ring observes the gap as [`EventPoll::missed`] instead of stalling the
+//! writers — the bounded-buffering half of the slow-client contract.
 //!
-//! Sequence numbers are process-global, dense (`0, 1, 2, …`), and assigned at
-//! emission, so a delivered run of events with consecutive `seq` values is
-//! provably gap-free and `Last-Event-ID`-style resume is just
-//! [`subscribe_from`]`(last + 1)`.
+//! Sequence numbers are process-global, dense (`0, 1, 2, …`), and assigned under
+//! the ring's lock as the event lands, so the ring always holds a run of
+//! consecutive `seq` values, a poll delivers a gap-free run, and
+//! `Last-Event-ID`-style resume is just [`subscribe_from`]`(last + 1)`.
+//!
+//! The ring holds events only. Spans keep their own collector in
+//! [`crate::trace`]: a trace export needs a whole run's spans, while live readers
+//! need only a short replay window.
 //!
 //! ```
 //! use tsc3d_obs::event::{self, EventKind};
@@ -45,29 +49,25 @@
 //! whether events are on or off.
 
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 
 use crate::json::write_string;
 use crate::metrics::Counter;
 
-/// Number of ring shards. Writers map onto shards by sequence number, so two
-/// concurrent emitters contend on the same lock only once every [`SHARDS`]
-/// events.
-pub const SHARDS: usize = 16;
-
-/// Ring slots per shard; total retained capacity is `SHARDS * SHARD_SLOTS`.
-const SHARD_SLOTS: usize = 1 << 9;
+/// Events the ring retains; past it each new event overwrites the oldest.
+const CAPACITY: usize = 1 << 13;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
-static NEXT_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// One recorded event.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Event {
-    /// Process-global dense sequence number, assigned at emission (0-based).
+    /// Process-global dense sequence number, assigned as the event lands in
+    /// the ring (0-based).
     pub seq: u64,
     /// Nanoseconds since the process-wide obs epoch (shared with span
     /// timestamps, so events and spans interleave on one timeline).
@@ -229,19 +229,22 @@ impl Event {
 
 // --- Global ring -------------------------------------------------------------------
 
-struct Bus {
-    /// `shards[seq % SHARDS][(seq / SHARDS) % SHARD_SLOTS]` holds the event
-    /// with that sequence number (or an older/newer resident of the slot).
-    shards: Vec<Mutex<Vec<Option<Event>>>>,
+/// The retained events, oldest first, with consecutive sequence numbers ending
+/// just below `next_seq`.
+struct Ring {
+    events: VecDeque<Event>,
+    next_seq: u64,
 }
 
-fn bus() -> &'static Bus {
-    static BUS: OnceLock<Bus> = OnceLock::new();
-    BUS.get_or_init(|| Bus {
-        shards: (0..SHARDS)
-            .map(|_| Mutex::new(vec![None; SHARD_SLOTS]))
-            .collect(),
-    })
+/// The ring, locked. A poisoned lock is recovered: no critical section can
+/// panic between its updates, and [`StageScope`] emits from `Drop`, which must
+/// not panic.
+fn ring() -> MutexGuard<'static, Ring> {
+    static RING: Mutex<Ring> = Mutex::new(Ring {
+        events: VecDeque::new(),
+        next_seq: 0,
+    });
+    RING.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The counter behind [`dropped_events`], registered in the global metrics
@@ -258,7 +261,7 @@ fn dropped_counter() -> &'static Counter {
 
 /// Total retained capacity of the flight recorder, in events.
 pub fn capacity() -> usize {
-    SHARDS * SHARD_SLOTS
+    CAPACITY
 }
 
 /// Turn runtime event emission on or off.
@@ -282,7 +285,7 @@ pub fn dropped_events() -> u64 {
 /// The sequence number the *next* emitted event will receive. Equivalently,
 /// the number of events emitted so far.
 pub fn next_seq() -> u64 {
-    NEXT_SEQ.load(Ordering::Relaxed)
+    ring().next_seq
 }
 
 /// Emit one event. When emission is disabled this costs one relaxed atomic
@@ -296,31 +299,24 @@ pub fn emit(make: impl FnOnce() -> EventKind) {
     record(current_job(), make());
 }
 
-/// Emit one event attributed to an explicit job id, regardless of the calling
-/// thread's [`JobScope`]. Same cost discipline as [`emit`].
-#[inline]
-pub fn emit_for_job(job: u64, make: impl FnOnce() -> EventKind) {
-    if !events_enabled() {
-        return;
-    }
-    record(job, make());
-}
-
 fn record(job: u64, kind: EventKind) {
-    let seq = NEXT_SEQ.fetch_add(1, Ordering::Relaxed);
-    let event = Event {
+    let mut ring = ring();
+    let overwrote = ring.events.len() == CAPACITY;
+    if overwrote {
+        ring.events.pop_front();
+    }
+    let seq = ring.next_seq;
+    ring.next_seq += 1;
+    ring.events.push_back(Event {
         seq,
         ts_ns: crate::trace::now_ns(),
         job,
         kind,
-    };
-    let shard = (seq as usize) % SHARDS;
-    let slot = (seq as usize / SHARDS) % SHARD_SLOTS;
-    let mut ring = bus().shards[shard].lock().unwrap();
-    if ring[slot].is_some() {
+    });
+    drop(ring);
+    if overwrote {
         dropped_counter().inc();
     }
-    ring[slot] = Some(event);
 }
 
 /// Open a flow stage: a [`crate::span!`] named `name` plus a paired
@@ -399,8 +395,7 @@ impl Drop for JobScope {
 /// The result of one [`Subscriber::poll`].
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct EventPoll {
-    /// Delivered events, in strictly increasing (though not necessarily
-    /// consecutive — see `missed`) sequence order.
+    /// Delivered events, consecutive in sequence order.
     pub events: Vec<Event>,
     /// Events between the cursor and the first delivered event that aged out
     /// of the ring before this subscriber read them.
@@ -430,48 +425,19 @@ pub fn subscribe_from(seq: u64) -> Subscriber {
 }
 
 impl Subscriber {
-    /// The next sequence number this subscriber will deliver.
-    pub fn cursor(&self) -> u64 {
-        self.cursor
-    }
-
     /// Deliver up to `max` events at or past the cursor, in sequence order,
     /// and advance the cursor past them. Events the ring already overwrote are
     /// reported in [`EventPoll::missed`] rather than delivered. Returns an
     /// empty poll when nothing new has been emitted.
     pub fn poll(&mut self, max: usize) -> EventPoll {
-        let bus = bus();
-        // Lock all shards up front: emitters allocate their sequence number
-        // *before* taking a shard lock, so with the locks held the set of
-        // landed events is frozen and a missing slot can only mean a writer
-        // mid-flight (stop and retry next poll) — never a reordering.
-        let rings: Vec<MutexGuard<'_, Vec<Option<Event>>>> =
-            bus.shards.iter().map(|s| s.lock().unwrap()).collect();
-        let head = NEXT_SEQ.load(Ordering::Relaxed);
-        let mut missed = 0u64;
-        let mut events = Vec::new();
-        let mut seq = self.cursor;
-        while seq < head && events.len() < max {
-            let shard = (seq as usize) % SHARDS;
-            let slot = (seq as usize / SHARDS) % SHARD_SLOTS;
-            match &rings[shard][slot] {
-                Some(event) if event.seq == seq => {
-                    events.push(event.clone());
-                    seq += 1;
-                }
-                Some(event) if event.seq > seq => {
-                    // The ring lapped this sequence number; the event is gone.
-                    missed += 1;
-                    seq += 1;
-                }
-                // Empty slot or an older resident: the emitter that owns this
-                // sequence number hasn't landed it yet. Stop here to keep the
-                // delivered run gap-free; the next poll picks it up.
-                _ => break,
-            }
-        }
-        drop(rings);
-        self.cursor = seq;
+        let ring = ring();
+        let oldest = ring.next_seq - ring.events.len() as u64;
+        let missed = oldest.saturating_sub(self.cursor);
+        let from = self.cursor.max(oldest);
+        let skip = (from - oldest).min(ring.events.len() as u64) as usize;
+        let events: Vec<Event> = ring.events.range(skip..).take(max).cloned().collect();
+        drop(ring);
+        self.cursor = from + events.len() as u64;
         EventPoll { events, missed }
     }
 }

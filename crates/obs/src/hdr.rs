@@ -146,7 +146,9 @@ impl LogHistogram {
     /// Estimates the `q`-quantile in nanoseconds (`q` clamped to `[0, 1]`),
     /// interpolating linearly within the bucket holding rank `max(1, q·count)`
     /// — the estimate Prometheus's `histogram_quantile` computes, with
-    /// ≤`1/SUB_COUNT` relative quantization error. Returns `NaN` when empty.
+    /// ≤`1/SUB_COUNT` relative quantization error — and then clamping it to the
+    /// exact `[min_ns, max_ns]`, so no quantile reads above the maximum (or
+    /// below the minimum) printed beside it. Returns `NaN` when empty.
     pub fn quantile(&self, q: f64) -> f64 {
         let count = self.count();
         if count == 0 {
@@ -154,14 +156,18 @@ impl LogHistogram {
         }
         let rank = (q.clamp(0.0, 1.0) * count as f64).max(1.0);
         let mut cumulative = 0u64;
+        let mut estimate = self.max_ns() as f64;
         for (lower, upper, in_bucket) in self.cells() {
             if (cumulative + in_bucket) as f64 >= rank {
                 let into = (rank - cumulative as f64) / in_bucket as f64;
-                return lower as f64 + (upper - lower) as f64 * into;
+                estimate = lower as f64 + (upper - lower) as f64 * into;
+                break;
             }
             cumulative += in_bucket;
         }
-        self.max_ns() as f64
+        // `max`/`min` rather than `clamp`: a concurrent first observation can
+        // leave the extremes momentarily crossed, and `clamp` panics on that.
+        estimate.min(self.max_ns() as f64).max(self.min_ns() as f64)
     }
 
     /// The non-empty bucket cells in ascending value order, as
@@ -237,6 +243,16 @@ mod tests {
         // Rank clamps to the first observation at q=0.
         assert!(h.quantile(0.0) <= 101.0);
         assert!(h.quantile(1.0) >= 400.0 * (1.0 - 1.0 / SUB_COUNT as f64));
+        // Interpolation inside a bucket never leaves the observed range: the
+        // 400 ns bucket spans [400, 416), yet no quantile may read above 400.
+        for step in 0..=100 {
+            let q = h.quantile(f64::from(step) / 100.0);
+            assert!(
+                (100.0..=400.0).contains(&q),
+                "quantile {q} outside [100, 400]"
+            );
+        }
+        assert_eq!(h.quantile(1.0), 400.0);
         assert_eq!(h.min_ns(), 100);
         assert_eq!(h.max_ns(), 400);
         assert_eq!(h.sum_ns(), 2200);

@@ -2,9 +2,9 @@
 //! recursive-descent parser, shared by every JSONL file, bench file, span export, event
 //! line and HTTP body the workspace reads or writes.
 //!
-//! The vendored `serde` is an offline API stand-in whose traits carry no data model (see
-//! `vendor/README.md`), so the format is owned concretely here, at the bottom of the
-//! dependency graph. The important property for resumability is an exact `f64` round
+//! The vendored `serde` is an offline API stand-in whose traits carry no data model and
+//! that no source file uses (see `vendor/README.md`), so the format is owned concretely
+//! here, at the bottom of the dependency graph. The important property for resumability is an exact `f64` round
 //! trip — finite numbers are written with Rust's shortest-round-trip `Display` and
 //! re-parsed with `str::parse`, which is correctly rounded, so a metric read back from
 //! disk is bit-identical to the one written.

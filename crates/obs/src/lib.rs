@@ -7,20 +7,23 @@
 //! independent facilities share it:
 //!
 //! * **Tracing** ([`trace`], [`span!`]): RAII span guards on a thread-local
-//!   stack, with per-span counters and a sharded global collector. Off by
-//!   default; when disabled every instrumentation site costs one relaxed atomic
-//!   load. Enable with [`set_tracing`]`(true)` (the campaign and serve binaries
-//!   do this for `--trace-out PATH`), export with [`drain_spans`] +
-//!   [`spans_to_jsonl`], and render the aggregated self/total-time tree with
-//!   `obs report PATH` (or [`aggregate`] + [`render_tree`] in code); `obs
-//!   flamegraph PATH` ([`render_folded`]) collapses the same export into
-//!   folded-stack lines any flamegraph renderer accepts.
+//!   stack, with per-span counters and one global collector (a mutex-held
+//!   vector of up to 1 048 576 finished spans). Off by default; when disabled
+//!   every instrumentation site costs one relaxed atomic load. Enable with
+//!   [`set_tracing`]`(true)` (the campaign and serve binaries do this for
+//!   `--trace-out PATH`), export with [`drain_spans`] + [`spans_to_jsonl`], and
+//!   render the aggregated self/total-time tree with `obs report PATH` (or
+//!   [`aggregate`] + [`render_tree`] in code); `obs flamegraph PATH`
+//!   ([`render_folded`]) collapses the same export into folded-stack lines any
+//!   flamegraph renderer accepts.
 //! * **Events** ([`event`]): a bounded flight-recorder event bus for *live*
 //!   progress — typed job/stage/progress/checkpoint records with dense
-//!   sequence numbers in a lock-sharded ring, read by cursor-based
-//!   [`Subscriber`]s. Off by default with the same one-relaxed-load
-//!   discipline; enable with [`set_events`]`(true)` (serve does this at
-//!   startup for its SSE endpoints, campaign for `--progress`/`--events-out`).
+//!   sequence numbers in one mutex-held ring of the last 8 192 events, read by
+//!   cursor-based [`Subscriber`]s. Spans stay out of the ring: a trace export
+//!   needs the whole run, live readers only a short replay window. Off by
+//!   default with the same one-relaxed-load discipline; enable with
+//!   [`set_events`]`(true)` (serve does this at startup for its SSE
+//!   endpoints, campaign for `--progress`/`--events-out`).
 //! * **Metrics** ([`metrics`]): counters, gauges, histograms and labeled
 //!   families in a [`Registry`] with a Prometheus-text encoder. The one
 //!   histogram type is the log-bucketed HDR [`LogHistogram`] over nanoseconds
@@ -73,8 +76,8 @@ pub mod report;
 pub mod trace;
 
 pub use event::{
-    dropped_events, emit, emit_for_job, events_enabled, set_events, stage_scope, subscribe,
-    subscribe_from, Event, EventKind, EventPoll, JobScope, JobState, StageScope, Subscriber,
+    dropped_events, emit, events_enabled, set_events, stage_scope, subscribe, subscribe_from,
+    Event, EventKind, EventPoll, JobScope, JobState, StageScope, Subscriber,
 };
 pub use flame::{render_folded, render_top};
 pub use hdr::LogHistogram;

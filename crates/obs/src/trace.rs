@@ -1,5 +1,5 @@
-//! The structured-tracing core: thread-local span stacks, RAII guards, and a
-//! sharded global collector.
+//! The structured-tracing core: thread-local span stacks, RAII guards, and one
+//! global collector.
 //!
 //! Tracing is **off by default**. Every instrumentation site ([`SpanGuard::enter`],
 //! [`add_to_span`]) starts with a single relaxed atomic load of the global enable
@@ -7,23 +7,21 @@
 //!
 //! When enabled, each thread keeps a stack of active span frames; a guard pushes a
 //! frame on construction and, on drop, pops it and appends a finished
-//! [`SpanRecord`] to one of [`SHARDS`] mutex-protected vectors (sharded by thread,
-//! so unrelated threads never contend). Timestamps are nanoseconds since a
-//! process-wide epoch taken from a monotonic clock. Each shard is capped; spans
-//! past the cap are counted in [`dropped_spans`] instead of growing without bound
-//! in a long-lived server.
+//! [`SpanRecord`] to the one mutex-held collector. Timestamps are nanoseconds since
+//! a process-wide epoch taken from a monotonic clock. The collector holds at most
+//! 1 048 576 spans, whichever threads closed them; spans closed past the cap are
+//! dropped and counted in [`dropped_spans`] instead of growing without bound in a
+//! long-lived server.
 
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
-/// Number of collector shards. Threads map onto shards by their obs-local id.
-pub const SHARDS: usize = 16;
-
-/// Per-shard finished-span cap; beyond it spans are dropped (and counted).
-const SHARD_CAP: usize = 1 << 16;
+/// Finished-span cap of the collector; beyond it the newest spans are dropped (and
+/// counted).
+const SPAN_CAP: usize = 1 << 20;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
@@ -36,7 +34,7 @@ fn dropped_counter() -> &'static crate::metrics::Counter {
     DROPPED.get_or_init(|| {
         crate::metrics::global().counter(
             "tsc3d_obs_dropped_spans_total",
-            "Finished spans dropped because a collector shard hit its cap",
+            "Finished spans dropped because the span collector hit its cap",
         )
     })
 }
@@ -86,9 +84,12 @@ pub(crate) fn now_ns() -> u64 {
     epoch().elapsed().as_nanos() as u64
 }
 
-fn collector() -> &'static Vec<Mutex<Vec<SpanRecord>>> {
-    static COLLECTOR: OnceLock<Vec<Mutex<Vec<SpanRecord>>>> = OnceLock::new();
-    COLLECTOR.get_or_init(|| (0..SHARDS).map(|_| Mutex::new(Vec::new())).collect())
+/// The collector, locked. A poisoned lock is recovered: each critical section
+/// pushes, clones or takes the vector whole, so it is valid at every step, and
+/// span guards lock it from `Drop`, which must not panic.
+fn collector() -> MutexGuard<'static, Vec<SpanRecord>> {
+    static COLLECTOR: Mutex<Vec<SpanRecord>> = Mutex::new(Vec::new());
+    COLLECTOR.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// The obs-local id of the calling thread (assigned monotonically on first use).
@@ -115,7 +116,7 @@ pub fn tracing_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// Number of finished spans dropped because a collector shard hit its cap.
+/// Number of finished spans dropped because the collector hit its cap.
 /// Also exported as the `tsc3d_obs_dropped_spans_total` counter in
 /// [`crate::metrics::global`].
 pub fn dropped_spans() -> u64 {
@@ -188,9 +189,8 @@ impl Drop for SpanGuard {
                 .map(|(k, v)| (k.to_string(), v))
                 .collect(),
         };
-        let shard = (record.thread as usize) % SHARDS;
-        let mut spans = collector()[shard].lock().unwrap();
-        if spans.len() < SHARD_CAP {
+        let mut spans = collector();
+        if spans.len() < SPAN_CAP {
             spans.push(record);
         } else {
             drop(spans);
@@ -262,10 +262,7 @@ impl Drop for AdoptedParent {
 
 /// Remove and return all finished spans collected so far, ordered by start time.
 pub fn drain_spans() -> Vec<SpanRecord> {
-    let mut all = Vec::new();
-    for shard in collector() {
-        all.append(&mut shard.lock().unwrap());
-    }
+    let mut all = std::mem::take(&mut *collector());
     all.sort_by_key(|s| (s.start_ns, s.id));
     all
 }
@@ -273,10 +270,7 @@ pub fn drain_spans() -> Vec<SpanRecord> {
 /// Clone all finished spans collected so far (ordered by start time) without
 /// clearing the collector. This is what `GET /v1/trace` serves.
 pub fn snapshot_spans() -> Vec<SpanRecord> {
-    let mut all = Vec::new();
-    for shard in collector() {
-        all.extend(shard.lock().unwrap().iter().cloned());
-    }
+    let mut all = collector().clone();
     all.sort_by_key(|s| (s.start_ns, s.id));
     all
 }

@@ -1,13 +1,14 @@
 //! Integration tests of the flight-recorder event bus: concurrent gap-free
-//! delivery up to capacity, drop accounting past it, scoping, and the
-//! off-by-default cost contract.
+//! delivery up to capacity (read after the emitters join and while they run),
+//! drop accounting past it, scoping, and the off-by-default cost contract.
 //!
 //! The bus is process-global (one ring, one sequence counter), so every test
 //! takes `TEST_LOCK` and works *relative* to the sequence position it started
 //! at — absolute numbers depend on which tests ran before.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock};
+use std::sync::{Arc, Barrier, Mutex, MutexGuard, OnceLock};
+use std::time::{Duration, Instant};
 use tsc3d_obs::event::{self, EventKind, JobState};
 
 fn lock() -> MutexGuard<'static, ()> {
@@ -21,10 +22,10 @@ fn lock() -> MutexGuard<'static, ()> {
 /// Drains the subscriber until `expected` events were delivered (or a deadline
 /// passes), returning `(events, missed)`.
 fn drain(subscriber: &mut event::Subscriber, expected: usize) -> (Vec<tsc3d_obs::Event>, u64) {
-    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(10);
+    let deadline = Instant::now() + Duration::from_secs(10);
     let mut events = Vec::new();
     let mut missed = 0;
-    while events.len() + (missed as usize) < expected && std::time::Instant::now() < deadline {
+    while events.len() + (missed as usize) < expected && Instant::now() < deadline {
         let poll = subscriber.poll(512);
         missed += poll.missed;
         events.extend(poll.events);
@@ -77,6 +78,73 @@ fn concurrent_emitters_deliver_gap_free_up_to_capacity() {
             "delivered run must be dense in sequence order"
         );
     }
+}
+
+#[test]
+fn a_subscriber_polling_while_emitters_race_reads_each_event_once_in_order() {
+    let _guard = lock();
+    event::set_events(true);
+    let start = event::next_seq();
+    let mut subscriber = event::subscribe_from(start);
+
+    const THREADS: u64 = 4;
+    const PER_THREAD: u64 = 1000; // 4000 total, under the 8192 ring: nothing ages out
+    let total = THREADS * PER_THREAD;
+    let go = Arc::new(Barrier::new(THREADS as usize + 1));
+    let handles: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let go = Arc::clone(&go);
+            std::thread::spawn(move || {
+                go.wait();
+                for i in 0..PER_THREAD {
+                    event::emit(|| EventKind::Progress {
+                        phase: "race",
+                        done: t * PER_THREAD + i,
+                        total,
+                    });
+                }
+            })
+        })
+        .collect();
+
+    go.wait();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut next = start;
+    let mut missed = 0;
+    let mut delivered = Vec::new();
+    while next < start + total && Instant::now() < deadline {
+        let poll = subscriber.poll(64);
+        missed += poll.missed;
+        for event in &poll.events {
+            assert_eq!(
+                event.seq, next,
+                "a poll is consecutive in seq and starts where the last one ended"
+            );
+            next += 1;
+            match event.kind {
+                EventKind::Progress { done, .. } => delivered.push(done),
+                _ => panic!("unexpected kind"),
+            }
+        }
+    }
+    for handle in handles {
+        handle.join().unwrap();
+    }
+    event::set_events(false);
+
+    assert_eq!(missed, 0, "nothing may age out below capacity");
+    // Each emitter's events arrive in the order it emitted them.
+    for t in 0..THREADS {
+        let own: Vec<u64> = delivered
+            .iter()
+            .copied()
+            .filter(|done| done / PER_THREAD == t)
+            .collect();
+        assert!(own.windows(2).all(|pair| pair[0] < pair[1]), "emitter {t}");
+    }
+    // The union of all polls is everything emitted, each event once.
+    delivered.sort_unstable();
+    assert_eq!(delivered, (0..total).collect::<Vec<_>>());
 }
 
 #[test]
@@ -194,9 +262,6 @@ fn disabled_emission_never_builds_the_payload() {
     event::set_events(false);
     let start = event::next_seq();
     event::emit(|| -> EventKind { panic!("the payload closure must not run while disabled") });
-    event::emit_for_job(42, || -> EventKind {
-        panic!("the payload closure must not run while disabled")
-    });
     assert_eq!(event::next_seq(), start, "no sequence number was consumed");
 }
 

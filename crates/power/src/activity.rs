@@ -2,7 +2,6 @@
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use tsc3d_netlist::Design;
 
 /// Samples per-module power values from Gaussian distributions.
@@ -10,7 +9,7 @@ use tsc3d_netlist::Design;
 /// "To impersonate an attacker triggering various activity patterns by alternating the
 /// inputs at runtime, we model the power profiles of all modules as Gaussian distributions
 /// [...] with the module's nominal power value as mean and a standard deviation of 10 %."
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ActivitySampler {
     means: Vec<f64>,
     relative_sigma: f64,

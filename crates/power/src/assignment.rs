@@ -1,7 +1,6 @@
 //! Floorplanning-centric voltage assignment (Section 6.1 of the paper).
 
 use crate::{VoltageAssignment, VoltageVolume};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use tsc3d_netlist::{BlockId, Design};
 use tsc3d_timing::{VoltageLevel, VoltageScaling};
@@ -17,7 +16,7 @@ const _: () = assert!(
 );
 
 /// Optimization objective of the voltage-volume selection.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AssignmentObjective {
     /// Power-aware floorplanning (setup (i) of the paper): minimize overall power and the
     /// number of voltage volumes — every volume runs at the lowest commonly feasible voltage
@@ -178,7 +177,7 @@ impl AssignScratch {
 /// a multi-branch tree representation of voltage volumes. Each tree/volume is recursively
 /// built up via a breadth-first search across the respectively adjacent modules. During this
 /// merging procedure, we update the resulting set of feasible voltages."
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VoltageAssigner {
     objective: AssignmentObjective,
 }

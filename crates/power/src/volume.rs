@@ -1,6 +1,5 @@
 //! Voltage volumes: 3D voltage domains spanning (possibly) multiple dies.
 
-use serde::{Deserialize, Serialize};
 use tsc3d_netlist::{BlockId, Design};
 use tsc3d_timing::{VoltageLevel, VoltageScaling};
 
@@ -9,7 +8,7 @@ use tsc3d_timing::{VoltageLevel, VoltageScaling};
 /// "Voltage volumes — the generalized 3D version of voltage domains spanning across multiple
 /// dies." Every module of the volume must be able to run at the chosen voltage without
 /// violating its timing budget; the feasible set records the voltages for which this holds.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VoltageVolume {
     blocks: Vec<BlockId>,
     feasible: Vec<VoltageLevel>,
@@ -64,7 +63,7 @@ impl VoltageVolume {
 }
 
 /// A complete voltage assignment: a partition of all modules into voltage volumes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VoltageAssignment {
     volumes: Vec<VoltageVolume>,
     /// Per block (by index), the volume it belongs to.

@@ -8,10 +8,9 @@
 //! metric this subsystem reports for mitigated vs. unmitigated floorplans.
 
 use crate::workload::LeakageModel;
-use serde::{Deserialize, Serialize};
 
 /// The attack outcome for one key byte.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ByteResult {
     /// Index of the byte within the key.
     pub byte: usize,
@@ -38,7 +37,7 @@ impl ByteResult {
 }
 
 /// The full CPA outcome.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CpaResult {
     /// Per-byte outcomes, in key order.
     pub bytes: Vec<ByteResult>,

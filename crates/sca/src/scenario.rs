@@ -13,7 +13,6 @@ use crate::sensor::SensorConfig;
 use crate::workload::{derive_key, LeakageModel, TraceActivity, Workload, WorkloadConfig};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 use tsc3d::FlowResult;
 use tsc3d_exec::{CancelToken, Interrupt, Pool};
@@ -23,7 +22,7 @@ use tsc3d_netlist::Design;
 use tsc3d_thermal::{BatchTransientSolver, SolveError, ThermalConfig, TransientSolver, TsvField};
 
 /// How the attacked module (the "crypto core") is chosen on the instrumented die.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TargetPolicy {
     /// The highest-powered block on the sensor die.
     HighestPower,
@@ -64,7 +63,7 @@ impl TargetPolicy {
 }
 
 /// The full configuration of one trace-level attack evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AttackConfig {
     /// Analysis-grid resolution (bins per axis) of the transient simulation.
     pub grid_bins: usize,
@@ -314,7 +313,7 @@ impl ScaError {
 }
 
 /// The outcome of one attack evaluation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScaOutcome {
     /// The full CPA result.
     pub cpa: CpaResult,
@@ -357,7 +356,7 @@ impl ScaOutcome {
 }
 
 /// Whether to evaluate the attack against the mitigated or the unmitigated floorplan.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Mitigation {
     /// Signal TSVs only — the floorplan before the decorrelation post-process.
     Baseline,
@@ -385,7 +384,7 @@ impl Mitigation {
 }
 
 /// The side-by-side evaluation out of one [`FlowResult`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ScaVerdict {
     /// The attack against the signal-TSV-only floorplan.
     pub baseline: ScaOutcome,

@@ -7,12 +7,11 @@
 //! is shared with [`tsc3d_attack::NoisyOracle`] via [`tsc3d_attack::standard_normal`].
 
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use tsc3d_attack::standard_normal;
 use tsc3d_geometry::{Grid, GridPos};
 
 /// Configuration of the attacker's sensor array and acquisition chain.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SensorConfig {
     /// The die the attacker instruments (0 = bottom die, the package-exposed side of the
     /// default stack).

@@ -4,7 +4,6 @@
 
 use rand::Rng;
 use rand_chacha::ChaCha8Rng;
-use serde::{Deserialize, Serialize};
 use tsc3d_power::ActivitySampler;
 
 /// The AES S-box (the first-round SubBytes table).
@@ -28,7 +27,7 @@ pub const SBOX: [u8; 256] = [
 ];
 
 /// How the target's power depends on the processed data.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LeakageModel {
     /// Hamming weight of the S-box output — the classic CPA model for precharged buses.
     HammingWeight,
@@ -67,7 +66,7 @@ impl LeakageModel {
 }
 
 /// Configuration of the key-dependent workload.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkloadConfig {
     /// Number of key bytes the crypto core processes (and the attack targets), `1..=16`.
     pub key_bytes: usize,

@@ -369,10 +369,13 @@ impl JobService {
         table.pending += 1;
         drop(table);
         let kind = payload.kind();
-        tsc3d_obs::emit_for_job(id, || tsc3d_obs::EventKind::Job {
-            state: tsc3d_obs::JobState::Queued,
-            label: kind.to_string(),
-        });
+        {
+            let _scope = tsc3d_obs::JobScope::enter(id);
+            tsc3d_obs::emit(|| tsc3d_obs::EventKind::Job {
+                state: tsc3d_obs::JobState::Queued,
+                label: kind.to_string(),
+            });
+        }
 
         let service = Arc::clone(self);
         let task_key = Arc::clone(&key);

@@ -136,7 +136,7 @@ impl Server {
     pub fn start(config: ServerConfig) -> Result<Self, ServeError> {
         // The daemon always records live events: the SSE endpoints are part of
         // its API surface, and emission costs one relaxed load per site plus a
-        // sharded ring write — noise next to any evaluation it serves.
+        // locked ring write — noise next to any evaluation it serves.
         tsc3d_obs::set_events(true);
         let listener = TcpListener::bind(&config.addr).map_err(ServeError::Bind)?;
         let local_addr = listener.local_addr().map_err(ServeError::Bind)?;

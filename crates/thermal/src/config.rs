@@ -1,13 +1,12 @@
 //! Physical description of the 3D stack: materials, layers and boundary conditions.
 
-use serde::{Deserialize, Serialize};
 use tsc3d_geometry::Stack;
 
 /// Bulk material properties used by the thermal solvers.
 ///
 /// Conductivity is in W/(m·K), volumetric heat capacity in J/(m³·K). Values follow the
 /// defaults shipped with HotSpot / Corblivar for the 3D-IC configuration used in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaterialProperties {
     /// Thermal conductivity in W/(m·K).
     pub conductivity: f64,
@@ -38,7 +37,7 @@ impl MaterialProperties {
 
 /// The role a layer plays in the stack; used to decide where power is injected and where
 /// TSV fields modulate the vertical conductivity.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StackLayerKind {
     /// Active silicon of a die; power maps are injected here. The payload is the die index
     /// (0 = bottom die).
@@ -60,7 +59,7 @@ pub enum StackLayerKind {
 }
 
 /// One layer of the thermal stack (bottom-to-top ordering).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StackLayer {
     /// What the layer represents.
     pub kind: StackLayerKind,
@@ -87,7 +86,7 @@ impl StackLayer {
 /// (modelled as an area-specific conductance to ambient above the top layer). The secondary
 /// path conducts a smaller amount of heat downwards through the package into the board
 /// (area-specific conductance below the bottom layer), as described in Section 3.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalConfig {
     /// The 3D stack being analysed (die count + outline).
     pub stack: Stack,
@@ -172,18 +171,6 @@ impl ThermalConfig {
         self.ambient = ambient;
         self
     }
-
-    /// Returns a copy with a different heatsink conductance (W/(m²·K)).
-    pub fn with_heatsink_conductance(mut self, conductance: f64) -> Self {
-        self.heatsink_conductance = conductance;
-        self
-    }
-
-    /// Returns a copy with a different secondary-path conductance (W/(m²·K)).
-    pub fn with_secondary_conductance(mut self, conductance: f64) -> Self {
-        self.secondary_conductance = conductance;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -217,12 +204,8 @@ mod tests {
     #[test]
     fn builders_override_boundaries() {
         let cfg = ThermalConfig::default_for(Stack::two_die(Outline::new(10.0, 10.0)))
-            .with_ambient(300.0)
-            .with_heatsink_conductance(1.0)
-            .with_secondary_conductance(0.5);
+            .with_ambient(300.0);
         assert_eq!(cfg.ambient, 300.0);
-        assert_eq!(cfg.heatsink_conductance, 1.0);
-        assert_eq!(cfg.secondary_conductance, 0.5);
     }
 
     #[test]

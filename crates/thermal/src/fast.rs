@@ -18,11 +18,10 @@
 //! same, see `tsc3d::flow`).
 
 use crate::{ThermalConfig, TsvField};
-use serde::{Deserialize, Serialize};
 use tsc3d_geometry::{Grid, GridMap};
 
 /// Parameters of the power-blurring estimator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerBlurring {
     /// Ambient temperature in kelvin.
     pub ambient: f64,
@@ -51,24 +50,6 @@ impl PowerBlurring {
             coupling: 0.45,
             tsv_relief: 0.65,
         }
-    }
-
-    /// Sets the Gaussian mask width in bins.
-    pub fn with_sigma(mut self, sigma_bins: f64) -> Self {
-        self.sigma_bins = sigma_bins.max(0.1);
-        self
-    }
-
-    /// Sets the inter-die coupling factor.
-    pub fn with_coupling(mut self, coupling: f64) -> Self {
-        self.coupling = coupling.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Sets the TSV relief factor.
-    pub fn with_tsv_relief(mut self, relief: f64) -> Self {
-        self.tsv_relief = relief.clamp(0.0, 1.0);
-        self
     }
 
     /// Estimates the per-die thermal maps for a stack of `power_per_die.len()` dies.
@@ -588,14 +569,6 @@ mod tests {
         let maps = pb.estimate(&[p0, GridMap::zeros(grid)], &[TsvField::empty(grid)]);
         // The un-powered top die still warms above ambient through coupling.
         assert!(maps[1].max() > pb.ambient + 0.01);
-    }
-
-    #[test]
-    fn builders_clamp_ranges() {
-        let (pb, _) = setup();
-        assert_eq!(pb.with_coupling(5.0).coupling, 1.0);
-        assert_eq!(pb.with_tsv_relief(-1.0).tsv_relief, 0.0);
-        assert!(pb.with_sigma(0.0).sigma_bins > 0.0);
     }
 
     #[test]

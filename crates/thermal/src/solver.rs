@@ -22,7 +22,6 @@ use crate::config::{StackLayerKind, ThermalConfig};
 use crate::sor::Checkerboard;
 use crate::tsv::TsvField;
 use crate::MaterialProperties;
-use serde::{Deserialize, Serialize};
 use std::error::Error;
 use std::fmt;
 use tsc3d_exec::CancelToken;
@@ -114,7 +113,7 @@ impl fmt::Display for SolveError {
 impl Error for SolveError {}
 
 /// Result of a steady-state thermal analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalResult {
     config: ThermalConfig,
     die_temperatures: Vec<GridMap>,
@@ -171,28 +170,28 @@ impl ThermalResult {
 /// Successive-over-relaxation steady-state solver.
 ///
 /// See the [crate-level documentation](crate) for an end-to-end example.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SteadyStateSolver {
     config: ThermalConfig,
     max_iterations: usize,
     tolerance: f64,
-    relaxation: f64,
 }
 
 impl SteadyStateSolver {
     /// Default convergence tolerance of [`SteadyStateSolver::new`], in K.
     pub const DEFAULT_TOLERANCE: f64 = 1e-5;
+    /// The SOR relaxation factor ω of every solve.
+    pub const RELAXATION: f64 = 1.85;
     /// Default SOR iteration budget of [`SteadyStateSolver::new`].
     pub const DEFAULT_MAX_ITERATIONS: usize = 10_000;
 
     /// Creates a solver with default numerical parameters ([`Self::DEFAULT_MAX_ITERATIONS`]
-    /// iterations, [`Self::DEFAULT_TOLERANCE`] K tolerance, ω = 1.85).
+    /// iterations, [`Self::DEFAULT_TOLERANCE`] K tolerance, ω = [`Self::RELAXATION`]).
     pub fn new(config: ThermalConfig) -> Self {
         Self {
             config,
             max_iterations: Self::DEFAULT_MAX_ITERATIONS,
             tolerance: Self::DEFAULT_TOLERANCE,
-            relaxation: 1.85,
         }
     }
 
@@ -210,20 +209,6 @@ impl SteadyStateSolver {
     /// Sets the convergence tolerance (largest per-node update, in K).
     pub fn with_tolerance(mut self, tolerance: f64) -> Self {
         self.tolerance = tolerance;
-        self
-    }
-
-    /// Sets the SOR relaxation factor (1.0 = Gauss-Seidel; must be in `(0, 2)`).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `omega` is outside `(0, 2)`.
-    pub fn with_relaxation(mut self, omega: f64) -> Self {
-        assert!(
-            omega > 0.0 && omega < 2.0,
-            "SOR relaxation must be in (0, 2)"
-        );
-        self.relaxation = omega;
         self
     }
 
@@ -295,7 +280,7 @@ impl SteadyStateSolver {
         let _span = tsc3d_obs::span!("thermal_solve");
         let network = Network::build(&self.config, grid, power_per_die, tsv_per_interface);
         let swept = Checkerboard::new(network).solve(
-            self.relaxation,
+            Self::RELAXATION,
             self.max_iterations,
             self.tolerance,
             cancel,
@@ -789,22 +774,6 @@ mod tests {
         assert!(max.die_temperature(0).std_dev() < none.die_temperature(0).std_dev());
     }
 
-    #[test]
-    fn relaxation_validation() {
-        let (cfg, _) = setup(4);
-        let s = SteadyStateSolver::new(cfg)
-            .with_relaxation(1.0)
-            .with_tolerance(1e-4);
-        assert_eq!(s.config().ambient, 293.0);
-    }
-
-    #[test]
-    #[should_panic(expected = "relaxation")]
-    fn invalid_relaxation_panics() {
-        let (cfg, _) = setup(4);
-        let _ = SteadyStateSolver::new(cfg).with_relaxation(2.5);
-    }
-
     /// `dies` dies on a `cols × rows` grid: a power floor plus two hotspots per die (one
     /// moving with the die index) and two TSV islands per interface over a sparse
     /// uniform background.
@@ -848,7 +817,7 @@ mod tests {
         tsvs: &[TsvField],
     ) -> (Vec<f64>, usize, f64) {
         Network::build(&solver.config, power[0].grid(), power, tsvs).solve_reference(
-            solver.relaxation,
+            SteadyStateSolver::RELAXATION,
             solver.max_iterations,
             solver.tolerance,
         )

@@ -18,7 +18,6 @@
 use crate::solver::Network;
 use crate::tsv::TsvField;
 use crate::{MaterialProperties, SolveError, StackLayerKind, ThermalConfig};
-use serde::{Deserialize, Serialize};
 use tsc3d_geometry::{Grid, GridMap, GridPos};
 
 /// A lumped (single-node-per-die) transient thermal model.
@@ -35,7 +34,7 @@ use tsc3d_geometry::{Grid, GridMap, GridPos};
 /// let model = LumpedTransient::new(&config);
 /// assert!(model.time_constant(0) > 1e-4); // much slower than logic (ns)
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LumpedTransient {
     /// Thermal capacitance per die in J/K.
     capacitance: Vec<f64>,
@@ -46,7 +45,7 @@ pub struct LumpedTransient {
 }
 
 /// One sample of a transient simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransientSample {
     /// Simulation time in seconds.
     pub time: f64,

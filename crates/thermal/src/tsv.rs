@@ -10,12 +10,11 @@
 //! floorplanner's TSV planning) or synthesized from one of the exploratory [`TsvPattern`]s
 //! of the paper's initial study.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use tsc3d_geometry::{Grid, GridMap, GridPos, Point, Rect};
 
 /// Technology parameters of a TSV.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TsvTechnology {
     /// TSV (copper) diameter in µm.
     pub diameter: f64,
@@ -60,7 +59,7 @@ impl Default for TsvTechnology {
 }
 
 /// A single TSV (or a group of TSVs at the same site) located on an inter-die interface.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TsvSite {
     /// Centre position of the site in µm.
     pub position: Point,
@@ -81,7 +80,7 @@ impl TsvSite {
 }
 
 /// The exploratory TSV arrangements studied in Section 3 / Figure 2 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TsvPattern {
     /// No TSVs at all (pure face-to-back bonding, no vertical interconnect).
     None,
@@ -132,7 +131,7 @@ impl fmt::Display for TsvPattern {
 /// Each bin stores the fraction of the bin area occupied by TSV metal, in `[0, 1]`. The
 /// thermal solvers turn this into an effective vertical conductivity; the floorplanner
 /// updates it as signal and dummy TSVs are planned.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TsvField {
     density: GridMap,
     sites: Vec<TsvSite>,

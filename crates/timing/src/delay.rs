@@ -1,13 +1,11 @@
 //! Elmore net delays and module intrinsic delays.
 
-use serde::{Deserialize, Serialize};
-
 /// Placement-derived description of one net, as needed for delay estimation.
 ///
 /// The floorplanner produces one `NetTopology` per net from the current layout: the
 /// half-perimeter wirelength of the net's bounding box and the number of dies the net has to
 /// cross (each crossing requires one signal TSV).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetTopology {
     /// Half-perimeter wirelength in µm.
     pub hpwl: f64,
@@ -36,7 +34,7 @@ impl NetTopology {
 /// RC, the lumped TSV RC of every die crossing, and the input capacitance of each sink.
 /// All resistances are in ohms, capacitances in farads, lengths in µm; delays are returned
 /// in nanoseconds.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElmoreModel {
     /// Wire resistance per µm (Ω/µm).
     pub wire_resistance: f64,
@@ -105,7 +103,7 @@ impl Default for ElmoreModel {
 /// the paper from its reference \[27\] — a module's intrinsic delay is estimated from its
 /// footprint: larger modules host longer internal paths, with a square-root dependence on
 /// area (logic depth grows with the linear dimension, not the area).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ModuleDelayModel {
     /// Fixed overhead per module in ns (register + local routing).
     pub base_delay: f64,

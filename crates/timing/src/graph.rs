@@ -1,11 +1,10 @@
 //! Block-level timing graph: critical path and per-module slack.
 
 use crate::{ElmoreModel, ModuleDelayModel, NetTopology};
-use serde::{Deserialize, Serialize};
 use tsc3d_netlist::{BlockId, Design};
 
 /// Summary of the critical (longest) path.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PathSummary {
     /// Total path delay in ns.
     pub delay: f64,
@@ -14,7 +13,7 @@ pub struct PathSummary {
 }
 
 /// Result of a timing analysis.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimingReport {
     arrival: Vec<f64>,
     required: Vec<f64>,
@@ -108,7 +107,7 @@ impl TimingScratch {
 /// Every edge runs from a smaller to a larger block id, so increasing id is a topological
 /// order. The edges are stored as compressed sparse rows: the out-edges of block `b` are
 /// the positions `out_start[b]..out_start[b + 1]` of `edge_sink`/`edge_net`, in net order.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TimingGraph {
     blocks: usize,
     nets: usize,

@@ -1,10 +1,9 @@
 //! Voltage levels and their power/delay scaling (90 nm node, Section 7 of the paper).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The three supply voltages considered for voltage volumes in the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum VoltageLevel {
     /// 0.8 V: 0.817× power, 1.56× delay.
     V0_8,
@@ -37,7 +36,7 @@ impl fmt::Display for VoltageLevel {
 /// Power and delay scaling factors per voltage level.
 ///
 /// The default values are the 90 nm simulation results quoted in Section 7 of the paper.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VoltageScaling {
     levels: Vec<(VoltageLevel, f64, f64)>,
 }
