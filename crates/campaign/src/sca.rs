@@ -20,9 +20,9 @@ use crate::job::{fnv1a, splitmix64};
 use crate::kind::JobKind;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 use tsc3d::exec::CancelToken;
-use tsc3d::{display_chain, FlowConfig, Setup, TscFlow};
+use tsc3d::{display_chain, FlowConfig, FlowError, Setup, TscFlow};
 use tsc3d_netlist::suite::Benchmark;
 use tsc3d_obs::json::Json;
 use tsc3d_sca::{
@@ -608,8 +608,8 @@ pub fn sca_spec_from_json(value: &Json) -> Result<ScaCampaignSpec, DecodeError> 
 /// The per-(benchmark, seed) flow product shared by every job of that group.
 struct FlowProduct {
     design: tsc3d_netlist::Design,
-    /// The flow result, or its typed failure as `(kind, message)`.
-    flow: Result<tsc3d::FlowResult, (String, String)>,
+    /// The flow result, or its typed failure.
+    flow: Result<tsc3d::FlowResult, FlowError>,
 }
 
 /// One lazily filled, independently lockable cache slot.
@@ -621,6 +621,10 @@ type FlowSlot = Arc<Mutex<Option<Arc<FlowProduct>>>>;
 /// 8-job smoke from re-annealing the same design 8 times. Per-group mutexes let distinct
 /// groups anneal in parallel while same-group jobs wait for (and then share) the first
 /// computation.
+///
+/// Only a flow that ran to its end is memoized, succeeded or failed typed. An interrupted
+/// one (it polls no job token, so only an injected fault stops it) fails just the attempt
+/// that ran it: the retry, or the next job of the group, runs the flow again.
 #[derive(Default)]
 pub struct FlowCache {
     slots: Mutex<std::collections::HashMap<(Benchmark, u64), FlowSlot>>,
@@ -635,16 +639,17 @@ impl FlowCache {
                 .entry((job.benchmark, job.seed))
                 .or_default(),
         );
-        let mut guard = slot.lock().expect("flow cache slot");
+        // Written only after the flow returns, so a flow that panicked left the slot empty.
+        let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(product) = guard.as_ref() {
             return Arc::clone(product);
         }
         let design = tsc3d_netlist::suite::generate(job.benchmark, job.seed);
-        let flow = TscFlow::new(spec.flow)
-            .run(&design, job.run_seed())
-            .map_err(|error| (format!("flow-{}", error.kind()), display_chain(&error)));
+        let flow = TscFlow::new(spec.flow).run(&design, job.run_seed());
         let product = Arc::new(FlowProduct { design, flow });
-        *guard = Some(Arc::clone(&product));
+        if !matches!(product.flow, Err(FlowError::Interrupted { .. })) {
+            *guard = Some(Arc::clone(&product));
+        }
         product
     }
 }
@@ -701,9 +706,13 @@ impl JobKind for ScaCampaignSpec {
         // the token at the `sca-batch` checkpoint.
         let product = flows.get(self, job);
         let outcome = match &product.flow {
-            Err((kind, message)) => ScaJobOutcome::Failure {
-                kind: kind.clone(),
-                message: message.clone(),
+            Err(error) => ScaJobOutcome::Failure {
+                // An interrupt keeps its own kind, so the retry policy sees the fault.
+                kind: match error {
+                    FlowError::Interrupted { interrupt, .. } => interrupt.kind().to_string(),
+                    error => format!("flow-{}", error.kind()),
+                },
+                message: display_chain(error),
             },
             Ok(flow) => {
                 let mut attack = self.attack;

@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 use tsc3d_campaign::{
     read_results_file, resume_from_file, run_campaign, CampaignOptions, CampaignSpec, JobOutcome,
-    JobRecord, JobRetryPolicy,
+    JobRecord, JobRetryPolicy, ScaCampaignSpec, ScaJobOutcome, ScaJobRecord,
 };
 use tsc3d_exec::fault::{self, FaultAction, FaultPlan};
 use tsc3d_netlist::suite::Benchmark;
@@ -37,6 +37,20 @@ fn normalized(records: &[JobRecord]) -> Vec<JobRecord> {
         .cloned()
         .map(|mut record| {
             if let JobOutcome::Success(metrics) = &mut record.outcome {
+                metrics.runtime_s = 0.0;
+            }
+            record
+        })
+        .collect()
+}
+
+/// [`normalized`] for sca records.
+fn normalized_sca(records: &[ScaJobRecord]) -> Vec<ScaJobRecord> {
+    records
+        .iter()
+        .cloned()
+        .map(|mut record| {
+            if let ScaJobOutcome::Success(metrics) = &mut record.outcome {
                 metrics.runtime_s = 0.0;
             }
             record
@@ -178,4 +192,40 @@ fn cancelled_campaigns_leave_no_records_and_resume_reruns_the_jobs() {
     assert_eq!(resumed.executed, spec.job_count());
     assert_eq!(normalized(&resumed.records), normalized(&baseline.records));
     let _ = std::fs::remove_file(&path);
+}
+
+/// Every attack on one floorplan shares one memoized flow. A fault or a panic inside that
+/// flow fails only the attempt that ran it: the retry, or the next job of the group, runs
+/// the flow again, so the records equal a clean run's.
+#[test]
+fn a_faulted_shared_sca_flow_is_retried_not_memoized() {
+    let _guard = fault::test_lock();
+    // Both mitigation states of one key and sensor set: two jobs sharing one flow.
+    let mut spec = ScaCampaignSpec::smoke();
+    spec.key_seeds.truncate(1);
+    spec.sensors.truncate(1);
+    spec.attack.traces = 96;
+    spec.attack.mtd_checkpoints = 96;
+    let baseline = run_campaign(&spec, &CampaignOptions::in_memory(2)).unwrap();
+    assert_eq!(baseline.records.len(), 2);
+    assert!(baseline.records.iter().all(ScaJobRecord::is_success));
+
+    // The first flow stage boundary fails typed; the second SA epoch panics.
+    for plan in ["flow-stage:1:error", "sa-epoch:2:panic"] {
+        fault::arm(FaultPlan::parse(plan).unwrap());
+        let mut options = CampaignOptions::in_memory(2);
+        options.retry = JobRetryPolicy {
+            base_backoff_ms: 1,
+            max_backoff_ms: 2,
+            ..JobRetryPolicy::default()
+        };
+        let chaotic = run_campaign(&spec, &options).unwrap();
+        let fired = fault::disarm();
+        assert_eq!(fired.len(), 1, "{plan}: {fired:?}");
+        assert_eq!(
+            normalized_sca(&baseline.records),
+            normalized_sca(&chaotic.records),
+            "{plan}"
+        );
+    }
 }

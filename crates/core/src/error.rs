@@ -8,6 +8,7 @@
 
 use std::error::Error;
 use std::fmt;
+use tsc3d_exec::Interrupt;
 use tsc3d_thermal::SolveError;
 
 /// The stages of the flow pipeline, in execution order.
@@ -146,6 +147,10 @@ impl SolveQuality {
 }
 
 /// Error of a flow run, tagged with the pipeline stage it occurred in.
+///
+/// A run stopped by its cancel token or by an injected fault is one variant,
+/// [`FlowError::Interrupted`], carrying the [`Interrupt`] its checkpoint returned, so
+/// callers tell a stop from a failure by matching the interrupt, not its kind string.
 #[derive(Debug, Clone, PartialEq)]
 pub enum FlowError {
     /// A detailed thermal solve failed in `stage` after `attempts` solver attempts
@@ -172,34 +177,14 @@ pub enum FlowError {
         /// dies; values above 1 violate the fixed outline.
         packing: f64,
     },
-    /// The run was cancelled cooperatively (user request or process shutdown) at a
-    /// checkpoint inside `stage`. Timings of the stages that *did* complete are
-    /// preserved.
-    Cancelled {
-        /// Why the cancel token fired ([`tsc3d_exec::CancelReason::User`] or
-        /// [`tsc3d_exec::CancelReason::Shutdown`]; a deadline surfaces as
-        /// [`FlowError::DeadlineExceeded`] instead).
-        reason: tsc3d_exec::CancelReason,
-        /// The stage that observed the cancellation.
+    /// A cooperative checkpoint inside `stage` stopped the run: its cancel token fired
+    /// (user request, shutdown or deadline), or an armed chaos plan
+    /// ([`tsc3d_exec::fault`]) injected an error. A stopped run carries no stage timings.
+    Interrupted {
+        /// The stage that observed the interrupt.
         stage: FlowStage,
-        /// Wall-clock of the stages completed before the cancellation.
-        timings: StageTimings,
-    },
-    /// The run's deadline elapsed before it finished; detected at a checkpoint inside
-    /// `stage`. Timings of the stages that completed are preserved.
-    DeadlineExceeded {
-        /// The stage that observed the expired deadline.
-        stage: FlowStage,
-        /// Wall-clock of the stages completed before the deadline fired.
-        timings: StageTimings,
-    },
-    /// The fault-injection harness ([`tsc3d_exec::fault`]) injected an error at a
-    /// checkpoint inside `stage` — only ever seen under an armed chaos plan.
-    Fault {
-        /// The fault site that fired (e.g. `flow-stage`, `sa-epoch`, `solver-sweep`).
-        site: &'static str,
-        /// The stage the site belongs to.
-        stage: FlowStage,
+        /// What stopped the run.
+        interrupt: Interrupt,
     },
 }
 
@@ -211,9 +196,7 @@ impl FlowError {
             FlowError::Solve { stage, .. } => *stage,
             FlowError::InvalidConfig { .. } => FlowStage::Floorplan,
             FlowError::OutlineViolation { .. } => FlowStage::Floorplan,
-            FlowError::Cancelled { stage, .. } => *stage,
-            FlowError::DeadlineExceeded { stage, .. } => *stage,
-            FlowError::Fault { stage, .. } => *stage,
+            FlowError::Interrupted { stage, .. } => *stage,
         }
     }
 
@@ -225,50 +208,7 @@ impl FlowError {
             FlowError::Solve { .. } => "solve",
             FlowError::InvalidConfig { .. } => "invalid-config",
             FlowError::OutlineViolation { .. } => "outline-violation",
-            FlowError::Cancelled { reason, .. } => reason.kind(),
-            FlowError::DeadlineExceeded { .. } => "deadline",
-            FlowError::Fault { .. } => "fault-injected",
-        }
-    }
-
-    /// Builds the typed error for an [`tsc3d_exec::Interrupt`] observed at a checkpoint
-    /// in `stage`, carrying the `timings` of the stages completed so far.
-    pub fn from_interrupt(
-        interrupt: tsc3d_exec::Interrupt,
-        stage: FlowStage,
-        timings: StageTimings,
-    ) -> FlowError {
-        match interrupt {
-            tsc3d_exec::Interrupt::Cancelled(tsc3d_exec::CancelReason::Deadline) => {
-                FlowError::DeadlineExceeded { stage, timings }
-            }
-            tsc3d_exec::Interrupt::Cancelled(reason) => FlowError::Cancelled {
-                reason,
-                stage,
-                timings,
-            },
-            tsc3d_exec::Interrupt::Fault(fault) => FlowError::Fault {
-                site: fault.site,
-                stage,
-            },
-        }
-    }
-
-    /// Replaces the carried partial timings on the cancellation variants (the flow
-    /// driver patches in the stage wall-clocks it accumulated before the interrupt;
-    /// stage helpers build the error before those are known). Other variants pass
-    /// through unchanged.
-    pub fn with_timings(self, timings: StageTimings) -> FlowError {
-        match self {
-            FlowError::Cancelled { reason, stage, .. } => FlowError::Cancelled {
-                reason,
-                stage,
-                timings,
-            },
-            FlowError::DeadlineExceeded { stage, .. } => {
-                FlowError::DeadlineExceeded { stage, timings }
-            }
-            other => other,
+            FlowError::Interrupted { interrupt, .. } => interrupt.kind(),
         }
     }
 }
@@ -310,15 +250,14 @@ impl fmt::Display for FlowError {
                 f,
                 "floorplan violates the fixed outline: packing envelope stretch {packing:.4} > 1"
             ),
-            FlowError::Cancelled { reason, stage, .. } => {
-                write!(f, "flow {reason} in the {stage} stage")
-            }
-            FlowError::DeadlineExceeded { stage, .. } => {
-                write!(f, "flow deadline exceeded in the {stage} stage")
-            }
-            FlowError::Fault { site, stage } => {
-                write!(f, "injected fault at site '{site}' in the {stage} stage")
-            }
+            FlowError::Interrupted {
+                stage,
+                interrupt: Interrupt::Cancelled(reason),
+            } => write!(f, "flow {reason} in the {stage} stage"),
+            FlowError::Interrupted {
+                stage,
+                interrupt: Interrupt::Fault(fault),
+            } => write!(f, "{fault} in the {stage} stage"),
         }
     }
 }

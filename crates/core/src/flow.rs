@@ -21,29 +21,22 @@ use tsc3d_thermal::{SolveError, SteadyStateSolver, ThermalConfig};
 use tsc3d_obs as obs;
 
 use crate::error::{FlowError, FlowStage, RetryPolicy, SolveQuality, SolverSettings, StageTimings};
+use crate::postprocess::{DummyTsvInserter, PostProcessConfig, PostProcessResult};
+use crate::verification::{default_solver, verify_cancellable, VerificationReport};
 
 /// Cached handles into the global registry for the `tsc3d_flow_*` families, so
 /// the per-run cost is atomic bumps rather than registry lookups.
 struct FlowMetrics {
     runs: obs::Counter,
     evaluations: obs::Counter,
-    stage_floorplan: obs::LogHistogram,
-    stage_assign: obs::LogHistogram,
-    stage_verify: obs::LogHistogram,
-    stage_post_process: obs::LogHistogram,
+    /// `tsc3d_flow_stage_seconds`, one series per [`FlowStage`] in [`FlowStage::ALL`] order.
+    stages: [obs::LogHistogram; 4],
 }
 
 fn flow_metrics() -> &'static FlowMetrics {
     static METRICS: std::sync::OnceLock<FlowMetrics> = std::sync::OnceLock::new();
     METRICS.get_or_init(|| {
         let registry = obs::global();
-        let stage = |name: &str| {
-            registry.histogram_with(
-                "tsc3d_flow_stage_seconds",
-                "Flow-stage wall-clock latency",
-                &[("stage", name)],
-            )
-        };
         FlowMetrics {
             runs: registry.counter("tsc3d_flow_runs_total", "Flow pipeline runs started"),
             evaluations: registry.counter(
@@ -51,15 +44,46 @@ fn flow_metrics() -> &'static FlowMetrics {
                 "SA cost evaluations of the anneal each successful flow run kept (after an \
                  outline repair, the accepted round's anneal only)",
             ),
-            stage_floorplan: stage("floorplan"),
-            stage_assign: stage("assign"),
-            stage_verify: stage("verify"),
-            stage_post_process: stage("post_process"),
+            stages: FlowStage::ALL.map(|stage| {
+                registry.histogram_with(
+                    "tsc3d_flow_stage_seconds",
+                    "Flow-stage wall-clock latency",
+                    &[("stage", stage_label(stage))],
+                )
+            }),
         }
     })
 }
-use crate::postprocess::{DummyTsvInserter, PostProcessConfig, PostProcessResult};
-use crate::verification::{default_solver, verify_cancellable, VerificationReport};
+
+/// The stage's span, `Stage` event and `tsc3d_flow_stage_seconds` label: its
+/// [`FlowStage::name`] in snake case.
+fn stage_label(stage: FlowStage) -> &'static str {
+    match stage {
+        FlowStage::PostProcess => "post_process",
+        stage => stage.name(),
+    }
+}
+
+/// Runs one flow stage: the `flow-stage` checkpoint, then `body` inside the stage's span
+/// and events. A stage that succeeds leaves its wall-clock in `seconds` and in the
+/// stage histogram.
+fn run_stage<T>(
+    stage: FlowStage,
+    cancel: &CancelToken,
+    seconds: &mut f64,
+    body: impl FnOnce() -> Result<T, FlowError>,
+) -> Result<T, FlowError> {
+    tsc3d_exec::checkpoint("flow-stage", cancel)
+        .map_err(|interrupt| FlowError::Interrupted { stage, interrupt })?;
+    let start = std::time::Instant::now();
+    let output = {
+        let _stage = obs::stage_scope(stage_label(stage));
+        body()?
+    };
+    *seconds = start.elapsed().as_secs_f64();
+    flow_metrics().stages[stage as usize].observe_secs(*seconds);
+    Ok(output)
+}
 
 /// The two floorplanning setups compared throughout the paper's evaluation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -417,9 +441,9 @@ impl TscFlow {
     /// window (`solver-sweep`).
     ///
     /// A run that completes is byte-identical to an uncancelled [`TscFlow::run`] — the
-    /// checkpoints never touch the seeded random streams. An interrupted run returns
-    /// [`FlowError::Cancelled`] / [`FlowError::DeadlineExceeded`] carrying the wall-clock
-    /// of the stages that did complete.
+    /// checkpoints never touch the seeded random streams. A run stopped by `cancel` or by
+    /// an injected fault returns [`FlowError::Interrupted`] with the stage that observed
+    /// the [`Interrupt`]; no stage timings are kept for it.
     ///
     /// While the process-wide flow budget has a free core ([`tsc3d_exec::lanes`]), the
     /// floorplan stage anneals the first outline-repair round on a helper thread while
@@ -429,7 +453,7 @@ impl TscFlow {
     ///
     /// # Errors
     ///
-    /// The [`TscFlow::run`] errors, plus the cancellation/deadline/fault variants.
+    /// The [`TscFlow::run`] errors, plus [`FlowError::Interrupted`].
     pub fn run_with_cancel(
         &self,
         design: &Design,
@@ -460,10 +484,6 @@ impl TscFlow {
     }
 
     /// The stage pipeline behind [`TscFlow::run`] (which adds the span/metric shell).
-    ///
-    /// Each stage boundary is a `flow-stage` checkpoint, and every stage error (including
-    /// cancellations surfacing from inside a stage) is patched with the timings of the
-    /// stages that completed before it, so partial progress is never lost on an abort.
     fn run_stages(
         &self,
         design: &Design,
@@ -471,54 +491,26 @@ impl TscFlow {
         cancel: &CancelToken,
     ) -> Result<FlowResult, FlowError> {
         self.config.validate()?;
-        let metrics = flow_metrics();
         let start = std::time::Instant::now();
         let mut timings = StageTimings::default();
-        let boundary = |stage: FlowStage, timings: &StageTimings| {
-            tsc3d_exec::checkpoint("flow-stage", cancel)
-                .map_err(|i| FlowError::from_interrupt(i, stage, *timings))
-        };
-
-        boundary(FlowStage::Floorplan, &timings)?;
-        let stage_start = std::time::Instant::now();
-        let floorplanned = {
-            let _stage = obs::stage_scope("floorplan");
-            self.stage_floorplan(design, seed, cancel)
-        };
-        timings.floorplan_s = stage_start.elapsed().as_secs_f64();
-        let floorplanned = floorplanned.map_err(|e| e.with_timings(timings))?;
-        metrics.stage_floorplan.observe_secs(timings.floorplan_s);
-
-        boundary(FlowStage::Assign, &timings)?;
-        let stage_start = std::time::Instant::now();
-        let assigned = {
-            let _stage = obs::stage_scope("assign");
-            self.stage_assign(design, &floorplanned)
-        };
-        timings.assign_s = stage_start.elapsed().as_secs_f64();
-        metrics.stage_assign.observe_secs(timings.assign_s);
-
-        boundary(FlowStage::Verify, &timings)?;
-        let stage_start = std::time::Instant::now();
-        let verified = {
-            let _stage = obs::stage_scope("verify");
+        let floorplanned = run_stage(
+            FlowStage::Floorplan,
+            cancel,
+            &mut timings.floorplan_s,
+            || self.stage_floorplan(design, seed, cancel),
+        )?;
+        let assigned = run_stage(FlowStage::Assign, cancel, &mut timings.assign_s, || {
+            Ok(self.stage_assign(design, &floorplanned))
+        })?;
+        let verified = run_stage(FlowStage::Verify, cancel, &mut timings.verify_s, || {
             self.stage_verify(design, &floorplanned, &assigned, cancel)
-        };
-        timings.verify_s = stage_start.elapsed().as_secs_f64();
-        let verified = verified.map_err(|e| e.with_timings(timings))?;
-        metrics.stage_verify.observe_secs(timings.verify_s);
-
-        boundary(FlowStage::PostProcess, &timings)?;
-        let stage_start = std::time::Instant::now();
-        let processed = {
-            let _stage = obs::stage_scope("post_process");
-            self.stage_post_process(design, &floorplanned, &assigned, &verified, seed, cancel)
-        };
-        timings.post_process_s = stage_start.elapsed().as_secs_f64();
-        let processed = processed.map_err(|e| e.with_timings(timings))?;
-        metrics
-            .stage_post_process
-            .observe_secs(timings.post_process_s);
+        })?;
+        let processed = run_stage(
+            FlowStage::PostProcess,
+            cancel,
+            &mut timings.post_process_s,
+            || self.stage_post_process(design, &floorplanned, &assigned, &verified, seed, cancel),
+        )?;
 
         Ok(FlowResult {
             setup: self.config.setup,
@@ -609,8 +601,9 @@ impl TscFlow {
 
         let (mut packing_before, mut best_packing) = (f64::NAN, f64::NAN);
         for (round, outcome) in rounds.into_iter().enumerate() {
-            let sa = outcome.map_err(|i| {
-                FlowError::from_interrupt(i, FlowStage::Floorplan, StageTimings::default())
+            let sa = outcome.map_err(|interrupt| FlowError::Interrupted {
+                stage: FlowStage::Floorplan,
+                interrupt,
             })?;
             let packing = sa.breakdown.packing;
             if legal(&sa) {
@@ -734,12 +727,9 @@ impl TscFlow {
         // estimates poll no token, so the job's token is checked here instead (no fault
         // site, so fault-hit numbering is unchanged).
         let (final_verification, signoff_solve) = if result.accepted_steps == 0 {
-            cancel.check().map_err(|reason| {
-                FlowError::from_interrupt(
-                    Interrupt::Cancelled(reason),
-                    FlowStage::PostProcess,
-                    StageTimings::default(),
-                )
+            cancel.check().map_err(|reason| FlowError::Interrupted {
+                stage: FlowStage::PostProcess,
+                interrupt: Interrupt::Cancelled(reason),
             })?;
             (verified.verification.clone(), verified.verification_solve)
         } else {
@@ -770,7 +760,7 @@ impl TscFlow {
     /// grid mismatches) cannot be fixed by relaxing the solver and surface immediately
     /// with the nominal attempt's error. An interrupted solve
     /// ([`SolveError::Interrupted`]) is never retried either — the caller asked out, so
-    /// it maps straight to the typed cancellation/deadline/fault error.
+    /// it maps straight to [`FlowError::Interrupted`].
     fn verify_with_retry(
         &self,
         stage: FlowStage,
@@ -796,13 +786,10 @@ impl TscFlow {
 }
 
 /// The flow error of a detailed solve in `stage` that failed after `attempts` attempts:
-/// an interrupt becomes the typed cancellation, deadline or fault error, anything else
-/// [`FlowError::Solve`].
+/// an interrupt becomes [`FlowError::Interrupted`], anything else [`FlowError::Solve`].
 fn solve_failure(stage: FlowStage, attempts: usize, source: SolveError) -> FlowError {
     match source {
-        SolveError::Interrupted { interrupt, .. } => {
-            FlowError::from_interrupt(interrupt, stage, StageTimings::default())
-        }
+        SolveError::Interrupted { interrupt, .. } => FlowError::Interrupted { stage, interrupt },
         source => FlowError::Solve {
             stage,
             attempts,
@@ -1140,7 +1127,10 @@ mod tests {
         let cancelled = CancelToken::new();
         cancelled.cancel(CancelReason::User);
         match post_process(&cancelled) {
-            Err(FlowError::Cancelled { reason, stage, .. }) => {
+            Err(FlowError::Interrupted {
+                stage,
+                interrupt: Interrupt::Cancelled(reason),
+            }) => {
                 assert_eq!(
                     (reason, stage),
                     (CancelReason::User, FlowStage::PostProcess)
@@ -1152,9 +1142,9 @@ mod tests {
         expired.cancel(CancelReason::Deadline);
         assert!(matches!(
             post_process(&expired),
-            Err(FlowError::DeadlineExceeded {
+            Err(FlowError::Interrupted {
                 stage: FlowStage::PostProcess,
-                ..
+                interrupt: Interrupt::Cancelled(CancelReason::Deadline),
             })
         ));
     }

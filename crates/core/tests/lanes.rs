@@ -13,7 +13,7 @@ use std::sync::{Mutex, MutexGuard};
 use tsc3d::verification::{default_solver, verify};
 use tsc3d::{FlowConfig, FlowError, FlowResult, Setup, TscFlow};
 use tsc3d_exec::fault::{self, FaultPlan};
-use tsc3d_exec::{flow_threads, CancelReason, CancelToken, FlowThread, Speculation};
+use tsc3d_exec::{flow_threads, CancelReason, CancelToken, FlowThread, Interrupt, Speculation};
 use tsc3d_netlist::suite::{generate, Benchmark};
 use tsc3d_obs as obs;
 
@@ -138,8 +138,14 @@ fn a_job_cancelled_mid_anneal_returns_cancelled_and_leaves_no_helper() {
             run.join().expect("a cancelled flow does not panic")
         });
         match outcome {
-            Err(FlowError::Cancelled { stage, .. }) => {
-                assert_eq!(stage, tsc3d::FlowStage::Floorplan);
+            Err(FlowError::Interrupted {
+                stage,
+                interrupt: Interrupt::Cancelled(reason),
+            }) => {
+                assert_eq!(
+                    (stage, reason),
+                    (tsc3d::FlowStage::Floorplan, CancelReason::User)
+                );
             }
             other => panic!("expected a cancelled flow, got {:?}", other.map(|_| ())),
         }

@@ -148,8 +148,8 @@ pub use workload::{derive_key, LeakageModel, TraceActivity, Workload, WorkloadCo
 mod tests {
     use super::*;
     use std::sync::OnceLock;
-    use tsc3d::{FlowConfig, FlowResult, Setup, TscFlow};
-    use tsc3d_exec::Pool;
+    use tsc3d::{display_chain, FlowConfig, FlowError, FlowResult, FlowStage, Setup, TscFlow};
+    use tsc3d_exec::{CancelReason, InjectedFault, Interrupt, Pool};
     use tsc3d_netlist::suite::{generate, Benchmark};
     use tsc3d_netlist::Design;
 
@@ -427,18 +427,85 @@ mod tests {
         let cancel = tsc3d_exec::CancelToken::new();
         cancel.cancel(tsc3d_exec::CancelReason::User);
         let err = run_verdict_with_cancel(design, flow, &config, 5, 11, None, &cancel).unwrap_err();
-        assert!(matches!(
+        assert_eq!(
             err,
-            ScaError::Cancelled {
-                reason: tsc3d_exec::CancelReason::User
-            }
-        ));
+            ScaError::Interrupted(Interrupt::Cancelled(CancelReason::User))
+        );
         assert_eq!(err.kind(), "cancelled");
 
         let expired = tsc3d_exec::CancelToken::new().with_deadline(std::time::Duration::ZERO);
         let err =
             run_verdict_with_cancel(design, flow, &config, 5, 11, None, &expired).unwrap_err();
-        assert!(matches!(err, ScaError::DeadlineExceeded));
+        assert_eq!(
+            err,
+            ScaError::Interrupted(Interrupt::Cancelled(CancelReason::Deadline))
+        );
         assert_eq!(err.kind(), "deadline");
+    }
+
+    /// Campaign records, serve bodies and recorded benchmark outputs quote these kinds
+    /// and texts, so each interrupt keeps them exactly, in every flow stage and in the
+    /// attack, and its error names no source to append.
+    #[test]
+    fn interrupt_errors_keep_their_kinds_and_texts() {
+        let (user, shutdown, deadline) = (
+            Interrupt::Cancelled(CancelReason::User),
+            Interrupt::Cancelled(CancelReason::Shutdown),
+            Interrupt::Cancelled(CancelReason::Deadline),
+        );
+        let fault = |site| Interrupt::Fault(InjectedFault { site });
+        // Each flow text continues " in the <stage> stage".
+        let flow_rows = [
+            (user, "cancelled", "flow cancelled by request"),
+            (shutdown, "shutdown", "flow cancelled by shutdown"),
+            (deadline, "deadline", "flow deadline exceeded"),
+            (
+                fault("flow-stage"),
+                "fault-injected",
+                "injected fault at site 'flow-stage'",
+            ),
+        ];
+        let stages = [
+            (FlowStage::Floorplan, "floorplan"),
+            (FlowStage::Assign, "assign"),
+            (FlowStage::Verify, "verify"),
+            (FlowStage::PostProcess, "post-process"),
+        ];
+        for (stage, name) in stages {
+            for (interrupt, kind, text) in flow_rows {
+                let err = FlowError::Interrupted { stage, interrupt };
+                let text = format!("{text} in the {name} stage");
+                assert_eq!(err.stage(), stage);
+                assert_eq!(err.kind(), kind);
+                assert_eq!(err.to_string(), text);
+                assert_eq!(display_chain(&err), text);
+                assert!(std::error::Error::source(&err).is_none());
+            }
+        }
+        let sca_rows = [
+            (
+                user,
+                "cancelled",
+                "sca attack cancelled (cancelled by request)",
+            ),
+            (
+                shutdown,
+                "shutdown",
+                "sca attack cancelled (cancelled by shutdown)",
+            ),
+            (deadline, "deadline", "sca attack deadline exceeded"),
+            (
+                fault("sca-batch"),
+                "fault-injected",
+                "injected fault at sca-batch",
+            ),
+        ];
+        for (interrupt, kind, text) in sca_rows {
+            let err = ScaError::Interrupted(interrupt);
+            assert_eq!(err.kind(), kind);
+            assert_eq!(err.to_string(), text);
+            assert_eq!(display_chain(&err), text);
+            assert!(std::error::Error::source(&err).is_none());
+        }
     }
 }

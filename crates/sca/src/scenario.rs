@@ -15,7 +15,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 use tsc3d::FlowResult;
-use tsc3d_exec::{CancelToken, Interrupt, Pool};
+use tsc3d_exec::{CancelReason, CancelToken, Interrupt, Pool};
 use tsc3d_floorplan::{plan_signal_tsvs, Floorplan, PowerStamps};
 use tsc3d_geometry::{DieId, Grid, GridMap, GridPos};
 use tsc3d_netlist::Design;
@@ -224,6 +224,10 @@ impl AttackConfig {
 }
 
 /// Errors of a scenario run.
+///
+/// An attack stopped by its cancel token or by an injected fault is one variant,
+/// [`ScaError::Interrupted`], carrying the [`Interrupt`] its checkpoint returned, as
+/// [`tsc3d::FlowError::Interrupted`] does for the flow.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ScaError {
     /// The attack configuration is invalid.
@@ -238,18 +242,9 @@ pub enum ScaError {
         /// The instrumented die.
         die: usize,
     },
-    /// The attack was cancelled at a trace-batch checkpoint.
-    Cancelled {
-        /// Why the token fired.
-        reason: tsc3d_exec::CancelReason,
-    },
-    /// The attack's deadline expired at a trace-batch checkpoint.
-    DeadlineExceeded,
-    /// A fault-injection hook fired at a checkpoint (chaos testing only).
-    Fault {
-        /// The fault site that fired.
-        site: &'static str,
-    },
+    /// A checkpoint stopped the attack: its cancel token fired (user request, shutdown
+    /// or deadline), or an armed chaos plan injected an error.
+    Interrupted(Interrupt),
 }
 
 impl std::fmt::Display for ScaError {
@@ -260,9 +255,15 @@ impl std::fmt::Display for ScaError {
             ScaError::NoTargetModule { die } => {
                 write!(f, "no module placed on the instrumented die {die}")
             }
-            ScaError::Cancelled { reason } => write!(f, "sca attack cancelled ({reason})"),
-            ScaError::DeadlineExceeded => write!(f, "sca attack deadline exceeded"),
-            ScaError::Fault { site } => write!(f, "injected fault at {site}"),
+            ScaError::Interrupted(Interrupt::Cancelled(CancelReason::Deadline)) => {
+                write!(f, "sca attack deadline exceeded")
+            }
+            ScaError::Interrupted(Interrupt::Cancelled(reason)) => {
+                write!(f, "sca attack cancelled ({reason})")
+            }
+            ScaError::Interrupted(Interrupt::Fault(fault)) => {
+                write!(f, "injected fault at {}", fault.site)
+            }
         }
     }
 }
@@ -271,6 +272,8 @@ impl std::error::Error for ScaError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ScaError::Solve(e) => Some(e),
+            // Not the interrupt: its text is not in ours, so `display_chain` would
+            // append it and change every recorded failure message.
             _ => None,
         }
     }
@@ -279,7 +282,7 @@ impl std::error::Error for ScaError {
 impl From<SolveError> for ScaError {
     fn from(e: SolveError) -> Self {
         match e {
-            SolveError::Interrupted { interrupt, .. } => ScaError::from_interrupt(interrupt),
+            SolveError::Interrupted { interrupt, .. } => ScaError::Interrupted(interrupt),
             other => ScaError::Solve(other),
         }
     }
@@ -288,26 +291,14 @@ impl From<SolveError> for ScaError {
 impl ScaError {
     /// Stable variant tag for failure aggregation.
     ///
-    /// Cancellation kinds match the flow's: `cancelled`, `shutdown`, `deadline`,
-    /// `fault-injected`.
+    /// An interrupt is tagged [`Interrupt::kind`], as in the flow: `cancelled`,
+    /// `shutdown`, `deadline` or `fault-injected`.
     pub fn kind(&self) -> &'static str {
         match self {
             ScaError::InvalidConfig { .. } => "sca-invalid-config",
             ScaError::Solve(_) => "sca-solve",
             ScaError::NoTargetModule { .. } => "sca-no-target",
-            ScaError::Cancelled { reason } => reason.kind(),
-            ScaError::DeadlineExceeded => "deadline",
-            ScaError::Fault { .. } => "fault-injected",
-        }
-    }
-
-    /// Maps a checkpoint [`Interrupt`] to the matching typed variant (deadline
-    /// cancellations become [`ScaError::DeadlineExceeded`]).
-    pub fn from_interrupt(interrupt: Interrupt) -> ScaError {
-        match interrupt {
-            Interrupt::Cancelled(tsc3d_exec::CancelReason::Deadline) => ScaError::DeadlineExceeded,
-            Interrupt::Cancelled(reason) => ScaError::Cancelled { reason },
-            Interrupt::Fault(fault) => ScaError::Fault { site: fault.site },
+            ScaError::Interrupted(interrupt) => interrupt.kind(),
         }
     }
 }
@@ -683,7 +674,7 @@ impl AttackNetwork {
                 if step % KERNEL_POLL_STEPS == 0 {
                     cancel
                         .check()
-                        .map_err(|reason| ScaError::from_interrupt(Interrupt::Cancelled(reason)))?;
+                        .map_err(|reason| ScaError::Interrupted(Interrupt::Cancelled(reason)))?;
                 }
                 solver.step(&mut state, dt);
             }
@@ -891,7 +882,7 @@ fn stream_batches<R: ThermalResponse>(
     let points = source.sensors.points();
     let mut steps = 0u64;
     for range in chunks {
-        tsc3d_exec::checkpoint("sca-batch", cancel).map_err(ScaError::from_interrupt)?;
+        tsc3d_exec::checkpoint("sca-batch", cancel).map_err(ScaError::Interrupted)?;
         let chunk = source.simulate(range);
         steps += chunk.steps;
         consume_chunk(cpa, &chunk, key_bytes, points);
@@ -1245,8 +1236,8 @@ pub fn run_on_flow_with(
 ///
 /// # Errors
 ///
-/// See [`run_attack`], plus [`ScaError::Cancelled`]/[`ScaError::DeadlineExceeded`] when
-/// the token fires mid-attack.
+/// See [`run_attack`], plus [`ScaError::Interrupted`] when the token (or an armed fault
+/// plan) fires mid-attack.
 #[allow(clippy::too_many_arguments)]
 pub fn run_on_flow_with_cancel(
     design: &Design,
@@ -1335,8 +1326,7 @@ pub fn run_verdict(
 ///
 /// # Errors
 ///
-/// See [`run_attack`]; additionally [`ScaError::Cancelled`],
-/// [`ScaError::DeadlineExceeded`] or [`ScaError::Fault`] when the token (or an armed
+/// See [`run_attack`]; additionally [`ScaError::Interrupted`] when the token (or an armed
 /// fault plan) fires mid-attack.
 pub fn run_verdict_with_cancel(
     design: &Design,

@@ -14,15 +14,15 @@ use crate::state::StateFile;
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
-use tsc3d::exec::{CancelReason, CancelToken, Pool};
-use tsc3d::{display_chain, TscFlow};
+use tsc3d::exec::{CancelReason, CancelToken, Interrupt, Pool};
+use tsc3d::{display_chain, FlowError, TscFlow};
 use tsc3d_campaign::{
     aggregate, render_report, run_campaign_on, CampaignOptions, JobOutcome, JobRecord,
     ScaJobMetrics,
 };
 use tsc3d_netlist::suite::generate;
 use tsc3d_obs::json::Json;
-use tsc3d_sca::run_verdict_with_cancel;
+use tsc3d_sca::{run_verdict_with_cancel, ScaError};
 
 /// Lifecycle of one submitted job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -170,11 +170,11 @@ pub enum CancelOutcome {
 /// enter the result cache or the state file, while a [`RunError::Failed`] run is a
 /// terminal error whose message is the result.
 enum RunError {
-    /// The job's token fired (cancellation, deadline or shutdown); `kind` is the
-    /// [`CancelReason`] kind label the failure metric is recorded under.
+    /// The job's token fired (cancellation, deadline or shutdown); the failure metric is
+    /// recorded under the reason's kind.
     Interrupted {
-        /// `"cancelled"`, `"shutdown"` or `"deadline"`.
-        kind: &'static str,
+        /// Why the token fired.
+        reason: CancelReason,
         /// Human-readable description for the job's `error` field.
         message: String,
     },
@@ -510,7 +510,7 @@ impl JobService {
                 }
                 self.metrics.jobs_executed.inc();
             }
-            Ok(Err(RunError::Interrupted { kind, message })) => {
+            Ok(Err(RunError::Interrupted { reason, message })) => {
                 // Interrupted runs are partial: never persisted, never cached — a later
                 // identical submission re-executes from scratch.
                 if let Some(job) = table.jobs.get_mut(&id) {
@@ -518,7 +518,7 @@ impl JobService {
                     job.error = Some(message);
                 }
                 self.metrics.jobs_failed.inc();
-                self.metrics.record_job_failure(kind);
+                self.metrics.record_job_failure(reason.kind());
             }
             Ok(Err(RunError::Failed(message))) => {
                 if let Some(job) = table.jobs.get_mut(&id) {
@@ -552,7 +552,7 @@ impl JobService {
         // running anything.
         if let Some(reason) = cancel.is_cancelled() {
             return Err(RunError::Interrupted {
-                kind: reason.kind(),
+                reason,
                 message: format!("job cancelled before it started ({})", reason.kind()),
             });
         }
@@ -564,18 +564,15 @@ impl JobService {
                 // Interrupts abort the job (no cacheable partial output); every other
                 // flow failure is a *result* — the typed failure record is data a client
                 // asked for, exactly as in campaign files.
-                if let Err(e) = &result {
-                    let kind = e.kind();
-                    if matches!(kind, "cancelled" | "shutdown" | "deadline") {
-                        return Err(RunError::Interrupted {
-                            kind,
+                if let Err(e @ FlowError::Interrupted { interrupt, .. }) = &result {
+                    return Err(match *interrupt {
+                        Interrupt::Cancelled(reason) => RunError::Interrupted {
+                            reason,
                             message: display_chain(e),
-                        });
-                    }
-                    if kind == "fault-injected" {
+                        },
                         // Harness-made, non-deterministic: never cache it as a record.
-                        return Err(RunError::Failed(display_chain(e)));
-                    }
+                        Interrupt::Fault(_) => RunError::Failed(display_chain(e)),
+                    });
                 }
                 if let Ok(flow) = &result {
                     self.metrics.observe_stages(&flow.stage_timings);
@@ -608,14 +605,19 @@ impl JobService {
                 let design = generate(job.benchmark, job.seed);
                 let flow = TscFlow::new(spec.flow)
                     .run_with_cancel(&design, job.run_seed(), cancel)
-                    .map_err(|e| match e.kind() {
-                        kind if matches!(kind, "cancelled" | "shutdown" | "deadline") => {
-                            RunError::Interrupted {
-                                kind,
-                                message: format!("sca flow: {}", display_chain(&e)),
-                            }
-                        }
-                        kind => RunError::Failed(format!("sca flow-{kind}: {}", display_chain(&e))),
+                    .map_err(|e| match e {
+                        FlowError::Interrupted {
+                            interrupt: Interrupt::Cancelled(reason),
+                            ..
+                        } => RunError::Interrupted {
+                            reason,
+                            message: format!("sca flow: {}", display_chain(&e)),
+                        },
+                        e => RunError::Failed(format!(
+                            "sca flow-{}: {}",
+                            e.kind(),
+                            display_chain(&e)
+                        )),
                     })?;
                 self.metrics.observe_stages(&flow.stage_timings);
                 self.metrics
@@ -633,14 +635,12 @@ impl JobService {
                     Some(&self.pool),
                     cancel,
                 )
-                .map_err(|e| match e.kind() {
-                    kind if matches!(kind, "cancelled" | "shutdown" | "deadline") => {
-                        RunError::Interrupted {
-                            kind,
-                            message: format!("sca attack: {e}"),
-                        }
-                    }
-                    kind => RunError::Failed(format!("sca {kind}: {e}")),
+                .map_err(|e| match e {
+                    ScaError::Interrupted(Interrupt::Cancelled(reason)) => RunError::Interrupted {
+                        reason,
+                        message: format!("sca attack: {e}"),
+                    },
+                    e => RunError::Failed(format!("sca {}: {e}", e.kind())),
                 })?;
                 let attack_s = attack_started.elapsed().as_secs_f64();
                 let runtime_s = started.elapsed().as_secs_f64();
@@ -689,7 +689,7 @@ impl JobService {
                 // A fired token means the outcome is partial — refuse to cache it.
                 if let Some(reason) = cancel.is_cancelled() {
                     return Err(RunError::Interrupted {
-                        kind: reason.kind(),
+                        reason,
                         message: format!(
                             "campaign interrupted ({}) after {} of {} jobs",
                             reason.kind(),

@@ -320,15 +320,8 @@ impl BatchTransientSolver {
         assert!(duration > 0.0, "duration must be positive");
         let steps = self.inner.steps_for(duration);
         let dt = duration / steps as f64;
-        for step in 0..steps {
+        for _ in 0..steps {
             self.step(state, dt);
-            // Live substep progress within this lockstep window; one relaxed load per
-            // substep when events are off (the substep itself is O(nodes × lanes)).
-            tsc3d_obs::emit(|| tsc3d_obs::EventKind::Progress {
-                phase: "batch_window",
-                done: (step + 1) as u64,
-                total: steps as u64,
-            });
         }
         steps
     }
