@@ -5,7 +5,7 @@
 
 use crate::job::{CampaignSpec, Shard};
 use crate::kind::JobKind;
-use crate::retry::{is_cancellation_kind, JobRetryPolicy};
+use crate::retry::{is_cancellation_kind, Attempt, JobRetryPolicy};
 use crate::sca::ScaCampaignSpec;
 use crate::sink::{read_results_file, repair_torn_tail, CampaignFile, ResultSink, SinkError};
 use std::collections::BTreeMap;
@@ -125,11 +125,11 @@ fn execute_attempt<K: JobKind>(
     spec: &K,
     job: &K::Job,
     context: &K::Context,
-    cancel: &CancelToken,
+    attempt: &Attempt,
 ) -> K::Record {
     let metrics = crate::obs_metrics::get();
     let running = crate::obs_metrics::RunningGuard::enter();
-    let record = spec.execute(job, context, cancel);
+    let record = spec.execute(job, context, attempt);
     drop(running);
     metrics.done.inc();
     if let Some(kind) = K::failure_kind(&record) {
@@ -155,7 +155,7 @@ fn execute_with_retry<K: JobKind>(
         policy,
         K::run_seed(job),
         cancel,
-        |token| execute_attempt(spec, job, context, token),
+        |attempt| execute_attempt(spec, job, context, attempt),
         |record| K::failure_kind(record).map(str::to_string),
         |message| {
             crate::obs_metrics::record_failure("panic");

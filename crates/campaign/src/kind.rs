@@ -9,8 +9,8 @@
 use crate::codec::{spec_from_json, spec_to_json, DecodeError};
 use crate::job::{CampaignJob, CampaignSpec};
 use crate::record::{JobOutcome, JobRecord};
+use crate::retry::Attempt;
 use std::fmt::Debug;
-use tsc3d::exec::CancelToken;
 use tsc3d::TscFlow;
 use tsc3d_netlist::suite::generate;
 use tsc3d_obs::json::Json;
@@ -42,14 +42,10 @@ pub trait JobKind: Clone + Debug + PartialEq + Send + Sync + 'static {
     fn job_id(job: &Self::Job) -> u64;
     /// The job's run seed (also seeds its retry backoff jitter).
     fn run_seed(job: &Self::Job) -> u64;
-    /// Runs one attempt of a job, polling `cancel` at the job's checkpoints; every
-    /// failure is a typed record.
-    fn execute(
-        &self,
-        job: &Self::Job,
-        context: &Self::Context,
-        cancel: &CancelToken,
-    ) -> Self::Record;
+    /// Runs one attempt of a job. The job arms the attempt's deadline
+    /// ([`Attempt::arm`]) once it starts its own work and polls that token at its
+    /// checkpoints; every failure is a typed record.
+    fn execute(&self, job: &Self::Job, context: &Self::Context, attempt: &Attempt) -> Self::Record;
     /// The typed `panic` failure record of a job whose attempt panicked.
     fn panic_record(job: &Self::Job, message: String) -> Self::Record;
     /// The failure kind of a record, `None` for a success.
@@ -96,12 +92,14 @@ impl JobKind for CampaignSpec {
         job.run_seed()
     }
 
-    /// Generates the design instance and runs the flow; an interrupt lands as a typed
-    /// failure (kind `cancelled`, `shutdown`, `deadline` or `fault-injected`).
-    fn execute(&self, job: &CampaignJob, _: &(), cancel: &CancelToken) -> JobRecord {
+    /// Generates the design instance and runs the flow, all under the attempt's
+    /// deadline; an interrupt lands as a typed failure (kind `cancelled`, `shutdown`,
+    /// `deadline` or `fault-injected`).
+    fn execute(&self, job: &CampaignJob, _: &(), attempt: &Attempt) -> JobRecord {
         let _span = tsc3d_obs::span!("campaign_job");
+        let cancel = attempt.arm();
         let design = generate(job.benchmark, job.seed);
-        let result = TscFlow::new(job.config).run_with_cancel(&design, job.run_seed(), cancel);
+        let result = TscFlow::new(job.config).run_with_cancel(&design, job.run_seed(), &cancel);
         Self::record(job, JobOutcome::from_flow(&result))
     }
 

@@ -144,7 +144,7 @@ pub use engine::{
 pub use job::{CampaignJob, CampaignSpec, OverrideSet, Shard};
 pub use kind::JobKind;
 pub use record::{JobMetrics, JobOutcome, JobRecord};
-pub use retry::JobRetryPolicy;
+pub use retry::{Attempt, JobRetryPolicy};
 pub use sca::{
     aggregate_sca, render_sca_report, FlowCache, ScaCampaignSpec, ScaCampaignSummary,
     ScaGroupSummary, ScaJob, ScaJobMetrics, ScaJobOutcome, ScaJobRecord, ScaSensorSet,

@@ -34,8 +34,9 @@ pub struct JobRetryPolicy {
     /// [`tsc3d::FlowError::kind`]/[`tsc3d_sca::ScaError::kind`] plus the synthetic
     /// `panic` kind). Anything else fails the job on the first attempt.
     pub retry_on: Vec<String>,
-    /// Wall-clock budget of each attempt in milliseconds; the attempt's cancel token
-    /// carries the deadline and the job fails with kind `deadline` when it expires.
+    /// Wall-clock budget of each attempt in milliseconds, counted from when the job starts
+    /// its own work ([`Attempt::arm`]); the job fails with kind `deadline` when it
+    /// expires.
     pub attempt_deadline_ms: Option<u64>,
 }
 
@@ -85,13 +86,24 @@ impl JobRetryPolicy {
             splitmix64(run_seed ^ fnv1a("backoff") ^ u64::from(attempt)) as f64 / u64::MAX as f64;
         Duration::from_millis((exp as f64 * (0.5 + 0.5 * unit)).round() as u64)
     }
+}
 
-    /// The cancel token of one attempt: shares `parent`'s cancellation flag and narrows
-    /// the deadline to this attempt's budget (if any).
-    pub fn attempt_token(&self, parent: &CancelToken) -> CancelToken {
-        match self.attempt_deadline_ms {
-            Some(ms) => parent.with_deadline(Duration::from_millis(ms)),
-            None => parent.clone(),
+/// The cancellation of one attempt: the campaign's token and the attempt's wall-clock
+/// budget ([`JobRetryPolicy::attempt_deadline_ms`]), which the job arms once it starts
+/// its own work. A shared input the job waits on, such as the sca kind's memoized flow,
+/// cannot be cancelled, so its time does not count against the budget.
+pub struct Attempt<'a> {
+    cancel: &'a CancelToken,
+    budget: Option<Duration>,
+}
+
+impl Attempt<'_> {
+    /// The attempt's token: shares the campaign token's cancellation flag, with the
+    /// budget (if any) counted from now.
+    pub fn arm(&self) -> CancelToken {
+        match self.budget {
+            Some(budget) => self.cancel.with_deadline(budget),
+            None => self.cancel.clone(),
         }
     }
 }
@@ -106,7 +118,7 @@ pub(crate) fn is_cancellation_kind(kind: &str) -> bool {
 /// eligible failure kinds with seeded backoff, and returns the final record plus the
 /// number of attempts actually executed.
 ///
-/// `execute` performs one attempt under the given (deadline-scoped) token;
+/// `execute` performs one attempt, arming its deadline through the given [`Attempt`];
 /// `failure_kind` extracts the failure kind of a produced record (`None` = success);
 /// `panic_record` builds the typed record of a panicked attempt from the panic payload's
 /// message.
@@ -114,19 +126,22 @@ pub(crate) fn run_attempts<R>(
     policy: &JobRetryPolicy,
     run_seed: u64,
     cancel: &CancelToken,
-    execute: impl Fn(&CancelToken) -> R,
+    execute: impl Fn(&Attempt) -> R,
     failure_kind: impl Fn(&R) -> Option<String>,
     panic_record: impl Fn(String) -> R,
 ) -> (R, u32) {
     let metrics = crate::obs_metrics::get();
     let mut attempt = 1u32;
     loop {
-        let token = policy.attempt_token(cancel);
-        let record =
-            match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(&token))) {
-                Ok(record) => record,
-                Err(payload) => panic_record(panic_message(payload.as_ref())),
-            };
+        let run = Attempt {
+            cancel,
+            budget: policy.attempt_deadline_ms.map(Duration::from_millis),
+        };
+        let record = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| execute(&run)))
+        {
+            Ok(record) => record,
+            Err(payload) => panic_record(panic_message(payload.as_ref())),
+        };
         let Some(kind) = failure_kind(&record) else {
             return (record, attempt);
         };

@@ -18,10 +18,11 @@ use crate::codec::{
 };
 use crate::job::{fnv1a, splitmix64};
 use crate::kind::JobKind;
+use crate::retry::Attempt;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::{Arc, Mutex, PoisonError};
-use tsc3d::exec::CancelToken;
+use std::time::Instant;
 use tsc3d::{display_chain, FlowConfig, FlowError, Setup, TscFlow};
 use tsc3d_netlist::suite::Benchmark;
 use tsc3d_obs::json::Json;
@@ -631,7 +632,9 @@ pub struct FlowCache {
 }
 
 impl FlowCache {
-    fn get(&self, spec: &ScaCampaignSpec, job: &ScaJob) -> Arc<FlowProduct> {
+    /// The group's flow product, and the seconds this call spent computing it: `0` when
+    /// it took the memoized product, however long it waited for the job computing it.
+    fn get(&self, spec: &ScaCampaignSpec, job: &ScaJob) -> (Arc<FlowProduct>, f64) {
         let slot = Arc::clone(
             self.slots
                 .lock()
@@ -642,15 +645,16 @@ impl FlowCache {
         // Written only after the flow returns, so a flow that panicked left the slot empty.
         let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
         if let Some(product) = guard.as_ref() {
-            return Arc::clone(product);
+            return (Arc::clone(product), 0.0);
         }
+        let started = Instant::now();
         let design = tsc3d_netlist::suite::generate(job.benchmark, job.seed);
         let flow = TscFlow::new(spec.flow).run(&design, job.run_seed());
         let product = Arc::new(FlowProduct { design, flow });
         if !matches!(product.flow, Err(FlowError::Interrupted { .. })) {
             *guard = Some(Arc::clone(&product));
         }
-        product
+        (product, started.elapsed().as_secs_f64())
     }
 }
 
@@ -695,16 +699,18 @@ impl JobKind for ScaCampaignSpec {
         job.run_seed()
     }
 
-    /// Runs the flow (or takes its memoized result), then the attack against the job's
-    /// mitigation state. `runtime_s` covers the work this job actually performed — the
-    /// flow is included only for the job that computed it.
-    fn execute(&self, job: &ScaJob, flows: &FlowCache, cancel: &CancelToken) -> ScaJobRecord {
+    /// Takes the group's flow (computing it, or waiting for the job that does), then runs
+    /// the attack against the job's mitigation state. The flow is a shared product
+    /// (other jobs of the same (benchmark, seed) group attack it), so it runs
+    /// uncancellable: the attempt's deadline is armed, and `runtime_s` counted, once the
+    /// job holds it, and only the attack polls the token (at the `sca-batch`
+    /// checkpoint). `runtime_s` covers the work this job actually performed, so it adds
+    /// the flow's time only for the job that computed it.
+    fn execute(&self, job: &ScaJob, flows: &FlowCache, attempt: &Attempt) -> ScaJobRecord {
         let _span = tsc3d_obs::span!("campaign_sca_job");
-        let started = std::time::Instant::now();
-        // The memoized flow is a shared product (other jobs of the same (benchmark, seed)
-        // group attack it), so it runs uncancellable; only this job's own attack polls
-        // the token at the `sca-batch` checkpoint.
-        let product = flows.get(self, job);
+        let (product, flow_s) = flows.get(self, job);
+        let cancel = attempt.arm();
+        let started = Instant::now();
         let outcome = match &product.flow {
             Err(error) => ScaJobOutcome::Failure {
                 // An interrupt keeps its own kind, so the retry policy sees the fault.
@@ -725,7 +731,7 @@ impl JobKind for ScaCampaignSpec {
                     job.key_seed,
                     job.mitigation,
                     None,
-                    cancel,
+                    &cancel,
                 ) {
                     Err(error) => ScaJobOutcome::Failure {
                         kind: error.kind().to_string(),
@@ -734,7 +740,7 @@ impl JobKind for ScaCampaignSpec {
                     Ok(outcome) => ScaJobOutcome::Success(ScaJobMetrics::from_outcome(
                         &outcome,
                         flow.dummy_tsvs(),
-                        started.elapsed().as_secs_f64(),
+                        flow_s + started.elapsed().as_secs_f64(),
                     )),
                 }
             }

@@ -229,3 +229,35 @@ fn a_faulted_shared_sca_flow_is_retried_not_memoized() {
         );
     }
 }
+
+/// A job's deadline covers its own attack, not the shared flow it holds: with that flow
+/// delayed past the attempt budget, both attacks on it still succeed on their one attempt,
+/// with the clean run's records.
+#[test]
+fn a_delayed_shared_sca_flow_does_not_count_against_the_attack_deadline() {
+    let _guard = fault::test_lock();
+    // Both mitigation states of one key and sensor set: two jobs sharing one flow.
+    let mut spec = ScaCampaignSpec::smoke();
+    spec.key_seeds.truncate(1);
+    spec.sensors.truncate(1);
+    spec.attack.traces = 96;
+    spec.attack.mtd_checkpoints = 96;
+    let baseline = run_campaign(&spec, &CampaignOptions::in_memory(2)).unwrap();
+    assert_eq!(baseline.records.len(), 2);
+    assert!(baseline.records.iter().all(ScaJobRecord::is_success));
+
+    // The flow sleeps 1.5 s at its first stage boundary; each attempt has 1 s.
+    fault::arm(FaultPlan::parse("flow-stage:1:delay:1500").unwrap());
+    let mut options = CampaignOptions::in_memory(2);
+    options.retry = JobRetryPolicy {
+        attempt_deadline_ms: Some(1_000),
+        ..JobRetryPolicy::none()
+    };
+    let delayed = run_campaign(&spec, &options).unwrap();
+    let fired = fault::disarm();
+    assert_eq!(fired.len(), 1, "{fired:?}");
+    assert_eq!(
+        normalized_sca(&baseline.records),
+        normalized_sca(&delayed.records)
+    );
+}

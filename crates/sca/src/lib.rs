@@ -34,7 +34,9 @@
 //!    period, quantized and noisy (the [`tsc3d_attack::NoisyOracle`] noise conventions).
 //! 4. **CPA + MTD** ([`cpa`]): Pearson correlation of hypothetical leakage against the
 //!    sensor traces per key-byte guess — recovered bytes, guessing entropy and MTD, with
-//!    disclosure evaluated at checkpoints so MTD is a first-class number.
+//!    disclosure evaluated at checkpoints so MTD is a first-class number. The running
+//!    sums are point-major and each checkpoint's winner comes from an exact screen, both
+//!    bit-identical to a per-guess loop.
 //!
 //! [`scenario::run_verdict`] ties it together: identical traces against both mitigation
 //! states of one flow, returning a [`ScaVerdict`]. Every stage is deterministic under a
