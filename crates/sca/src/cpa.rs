@@ -518,6 +518,18 @@ impl CpaAccumulator {
 }
 
 #[cfg(test)]
+impl CpaAccumulator {
+    /// Each byte's checkpoint verdicts so far, in run-length form (`guess*repeats` per
+    /// run).
+    pub(crate) fn verdict_runs(&self) -> Vec<String> {
+        self.bytes
+            .iter()
+            .map(|acc| tests::runs(&acc.best_at_checkpoint))
+            .collect()
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
     use crate::workload::{derive_key, LeakageModel, SBOX};
@@ -584,7 +596,7 @@ mod tests {
     }
 
     /// Run-length form of a checkpoint verdict sequence: `guess*repeats` per run.
-    fn runs(verdicts: &[u8]) -> String {
+    pub(super) fn runs(verdicts: &[u8]) -> String {
         let mut out: Vec<(u8, usize)> = Vec::new();
         for &guess in verdicts {
             match out.last_mut() {

@@ -38,11 +38,11 @@
 //!    sums are point-major and each checkpoint's winner comes from an exact screen, both
 //!    bit-identical to a per-guess loop.
 //!
-//! [`scenario::run_verdict`] ties it together: identical traces against both mitigation
-//! states of one flow, returning a [`ScaVerdict`]. Every stage is deterministic under a
-//! seed, with per-trace rng streams, so results are bit-identical for any
-//! [`tsc3d_exec::Pool`] worker count — the property the campaign layer's resumable,
-//! sharded sca jobs rely on.
+//! [`scenario::run_verdict`] ties it together: one trace stream, drawn once, read through
+//! both mitigation states of one flow, returning a [`ScaVerdict`]. Every stage is
+//! deterministic under a seed, with per-trace rng streams, so results are bit-identical
+//! for any [`tsc3d_exec::Pool`] worker count — the property the campaign layer's
+//! resumable, sharded sca jobs rely on.
 //!
 //! # Example
 //!

@@ -5,7 +5,8 @@
 //! twice out of the same [`FlowResult`]: once against the unmitigated baseline (signal
 //! TSVs only) and once against the decorrelated floorplan (signal *plus* dummy TSVs),
 //! reporting the [`ScaVerdict`]: did the mitigation raise the attacker's
-//! measurements-to-disclosure?
+//! measurements-to-disclosure? Both attacks observe one trace stream: each trace is
+//! drawn once and read through both states' thermal responses.
 
 use crate::cpa::{CpaAccumulator, CpaResult};
 use crate::memo::{self, Kernel, KernelKey};
@@ -375,6 +376,11 @@ impl Mitigation {
 }
 
 /// The side-by-side evaluation out of one [`FlowResult`].
+///
+/// Both states are attacked with the same traces: one key, and per trace one draw of
+/// plaintexts, background traffic and sensor noise. Only the thermal response differs,
+/// so the two outcomes are a paired comparison of the floorplan with and without its
+/// dummy TSVs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScaVerdict {
     /// The attack against the signal-TSV-only floorplan.
@@ -386,6 +392,10 @@ pub struct ScaVerdict {
 impl ScaVerdict {
     /// `true` when the mitigation measurably hurt the attacker: strictly higher MTD, or
     /// the key (or more of it) stays unrecovered.
+    ///
+    /// This reads one realization: one key and one draw of traces and sensor noise. Over
+    /// other keys or noise draws the two MTDs may tie or change order, so a statement
+    /// about the mitigation needs many verdicts compared pair by pair.
     pub fn mitigation_effective(&self) -> bool {
         match (self.baseline.mtd_traces(), self.mitigated.mtd_traces()) {
             (Some(base), Some(mitigated)) => mitigated > base,
@@ -589,13 +599,6 @@ pub enum TraceEngine {
     },
 }
 
-/// One chunk's simulated traces, in trace order.
-struct ChunkTraces {
-    plaintexts: Vec<u8>,
-    samples: Vec<f64>,
-    steps: u64,
-}
-
 /// The per-trace seed: decorrelates consecutive trace indices (SplitMix64 finalizer).
 fn trace_seed(seed: u64, trace: u64) -> u64 {
     let mut z = seed
@@ -614,15 +617,18 @@ fn ranges(total: usize, width: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// The physics of one trace engine: the true (pre-acquisition) sensor temperatures of
-/// given traces.
+/// The physics of one trace engine in one mitigation state: the true (pre-acquisition)
+/// sensor temperatures of given traces.
 trait ThermalResponse {
-    /// The span wrapping one chunk's simulation.
+    /// The span wrapping one chunk's evaluation.
     const SPAN: &'static str;
 
     /// Appends the true sensor temperatures of every trace to `out`, laid out
     /// `trace × sample × sensor`.
     fn temperatures(&self, activities: &[TraceActivity], out: &mut Vec<f64>);
+
+    /// Trace-equivalent transient steps per trace.
+    fn steps_per_trace(&self) -> u64;
 }
 
 /// What both engines step: one shared [`BatchTransientSolver`] (network and capacities
@@ -638,11 +644,6 @@ struct AttackNetwork {
 }
 
 impl AttackNetwork {
-    /// Trace-equivalent transient steps per trace.
-    fn steps_per_trace(&self) -> u64 {
-        (self.sensors.samples_per_trace * self.solver.steps_for(self.sample_dt)) as u64
-    }
-
     /// Extracts the kernel rows of sensors `lo..hi`, laid out
     /// `samples × (hi − lo) × modules`, stepping them as one batch padded to a
     /// power-of-two lane count. Padding lanes carry no power and stay at 0 K.
@@ -723,6 +724,10 @@ impl ThermalResponse for AttackNetwork {
             }
         }
     }
+
+    fn steps_per_trace(&self) -> u64 {
+        (self.sensors.samples_per_trace * self.solver.steps_for(self.sample_dt)) as u64
+    }
 }
 
 /// The evaluator behind [`TraceEngine::Kernel`]: each temperature is a dot product of
@@ -748,51 +753,78 @@ impl ThermalResponse for KernelResponse {
             }
         }
     }
+
+    fn steps_per_trace(&self) -> u64 {
+        self.kernel.steps_per_trace
+    }
 }
 
-/// Trace generation around a [`ThermalResponse`]. Each trace draws its workload from its
-/// own seeded rng, takes its true temperatures from the engine, then feeds them through
-/// the acquisition chain on the same rng (sample-major, sensor-minor).
-struct TraceSource<R> {
-    response: R,
+/// The seeded trace stream of one attack, shared by every mitigation state it observes.
+///
+/// Trace `t` draws from its own rng, seeded with `trace_seed(seed, t)`: its workload
+/// (plaintexts, then background), then one sensor-noise Gaussian per point, sample-major
+/// and sensor-minor. No thermal response reads the rng, so the states differ only in
+/// their true temperatures, and one draw serves them all.
+struct TraceDraws {
     workload: Workload,
     sensors: SensorConfig,
     seed: u64,
-    /// Trace-equivalent transient steps per trace.
-    steps_per_trace: u64,
 }
 
-impl<R: ThermalResponse> TraceSource<R> {
-    /// Simulates the traces `range.0..range.1`.
-    fn simulate(&self, range: (usize, usize)) -> ChunkTraces {
-        let _span = tsc3d_obs::span!(R::SPAN);
-        let (lo, hi) = range;
-        let (mut rngs, activities): (Vec<ChaCha8Rng>, Vec<TraceActivity>) = (lo..hi)
+/// One chunk of drawn traces, in trace order.
+struct DrawnChunk {
+    activities: Vec<TraceActivity>,
+    /// Sensor noise in kelvin, `trace × point`.
+    noise: Vec<f64>,
+}
+
+impl TraceDraws {
+    /// Draws the traces `range.0..range.1`.
+    fn draw(&self, (lo, hi): (usize, usize)) -> DrawnChunk {
+        let _span = tsc3d_obs::span!("trace_draw");
+        let points = self.sensors.points();
+        let mut noise = Vec::with_capacity((hi - lo) * points);
+        let activities: Vec<TraceActivity> = (lo..hi)
             .map(|trace| {
                 let mut rng = ChaCha8Rng::seed_from_u64(trace_seed(self.seed, trace as u64));
                 let activity = self.workload.draw_trace(&mut rng);
-                (rng, activity)
+                noise.extend((0..points).map(|_| self.sensors.noise(&mut rng)));
+                activity
             })
-            .unzip();
-        let points = self.sensors.points();
-        let mut samples = Vec::with_capacity(activities.len() * points);
-        self.response.temperatures(&activities, &mut samples);
-        for (rng, row) in rngs.iter_mut().zip(samples.chunks_exact_mut(points)) {
-            for sample in row {
-                *sample = self.sensors.acquire(*sample, rng);
+            .collect();
+        tsc3d_obs::add_to_span("traces", activities.len() as u64);
+        DrawnChunk { activities, noise }
+    }
+}
+
+/// One mitigation state of a trace stream: its thermal response and its CPA sums.
+struct StateStream<R> {
+    response: R,
+    cpa: CpaAccumulator,
+}
+
+impl<R: ThermalResponse> StateStream<R> {
+    /// Reads a drawn chunk through this state's response and the acquisition chain, then
+    /// folds it into the CPA sums in trace order. `samples` is a reused buffer.
+    fn observe(&mut self, chunk: &DrawnChunk, sensors: &SensorConfig, samples: &mut Vec<f64>) {
+        {
+            let _span = tsc3d_obs::span!(R::SPAN);
+            samples.clear();
+            self.response.temperatures(&chunk.activities, samples);
+            for (sample, &noise) in samples.iter_mut().zip(&chunk.noise) {
+                *sample = sensors.read(*sample, noise);
             }
+            let traces = chunk.activities.len() as u64;
+            tsc3d_obs::add_to_span("traces", traces);
+            tsc3d_obs::add_to_span("transient_steps", traces * self.response.steps_per_trace());
         }
-        let traces = activities.len() as u64;
-        let steps = traces * self.steps_per_trace;
-        tsc3d_obs::add_to_span("traces", traces);
-        tsc3d_obs::add_to_span("transient_steps", steps);
-        ChunkTraces {
-            plaintexts: activities
-                .iter()
-                .flat_map(|activity| activity.plaintexts.iter().copied())
-                .collect(),
-            samples,
-            steps,
+        let _span = tsc3d_obs::span!("cpa_fold");
+        for (activity, samples) in chunk
+            .activities
+            .iter()
+            .zip(samples.chunks_exact(sensors.points()))
+        {
+            self.cpa.push(&activity.plaintexts, samples);
         }
     }
 }
@@ -853,41 +885,49 @@ fn extract_kernel(
     })
 }
 
-/// Folds one chunk's traces into the CPA sums, in trace order.
-fn consume_chunk(cpa: &mut CpaAccumulator, chunk: &ChunkTraces, key_bytes: usize, points: usize) {
-    let _span = tsc3d_obs::span!("cpa_fold");
-    for (plaintexts, samples) in chunk
-        .plaintexts
-        .chunks_exact(key_bytes)
-        .zip(chunk.samples.chunks_exact(points))
-    {
-        cpa.push(plaintexts, samples);
-    }
-}
-
-/// Simulates the trace chunks one at a time and folds each into the CPA sums in trace
-/// order (memory `O(chunk × points)`), returning the total (trace-equivalent) transient
-/// step count.
+/// Streams the attack's traces into fresh CPA sums, one per state (one per response, in
+/// order), returning each state's sums with its trace-equivalent transient steps.
 ///
-/// `cancel` is polled at the `sca-batch` checkpoint once per chunk, so the hit count of
-/// that fault site is exactly the chunk count on a fault-free run. An interrupt abandons
-/// the remaining chunks.
-fn stream_batches<R: ThermalResponse>(
-    source: &TraceSource<R>,
-    chunks: Vec<(usize, usize)>,
-    cpa: &mut CpaAccumulator,
+/// Each chunk is drawn once, then every state in turn reads it through its own response
+/// and folds it (memory `O(chunk × points)` besides the sums). `cancel` is polled at the
+/// `sca-batch` checkpoint before each state's part of a chunk, so the hit count of that
+/// fault site on a fault-free run is chunks × states, chunk-major. An interrupt abandons
+/// the rest of the stream.
+fn stream_traces<R: ThermalResponse>(
+    setup: &AttackSetup,
+    responses: impl IntoIterator<Item = R>,
+    chunk_traces: usize,
+    config: &AttackConfig,
     cancel: &CancelToken,
-) -> Result<u64, ScaError> {
-    let key_bytes = source.workload.config().key_bytes;
-    let points = source.sensors.points();
-    let mut steps = 0u64;
-    for range in chunks {
-        tsc3d_exec::checkpoint("sca-batch", cancel).map_err(ScaError::Interrupted)?;
-        let chunk = source.simulate(range);
-        steps += chunk.steps;
-        consume_chunk(cpa, &chunk, key_bytes, points);
+) -> Result<Vec<(CpaAccumulator, u64)>, ScaError> {
+    let draws = &setup.draws;
+    let mut states: Vec<StateStream<R>> = responses
+        .into_iter()
+        .map(|response| StateStream {
+            response,
+            cpa: CpaAccumulator::new(
+                draws.workload.key(),
+                config.workload.leakage,
+                config.sensors.points(),
+                config.traces,
+                config.mtd_checkpoints,
+            ),
+        })
+        .collect();
+    let mut samples = Vec::new();
+    for range in ranges(config.traces, chunk_traces) {
+        let mut chunk = None;
+        for state in &mut states {
+            tsc3d_exec::checkpoint("sca-batch", cancel).map_err(ScaError::Interrupted)?;
+            let chunk = chunk.get_or_insert_with(|| draws.draw(range));
+            state.observe(chunk, &draws.sensors, &mut samples);
+        }
     }
-    Ok(steps)
+    let traces = config.traces as u64;
+    Ok(states
+        .into_iter()
+        .map(|state| (state.cpa, traces * state.response.steps_per_trace()))
+        .collect())
 }
 
 /// Runs one attack evaluation against explicit TSV fields.
@@ -914,10 +954,10 @@ pub fn run_attack(
     key_seed: u64,
     pool: Option<&Pool>,
 ) -> Result<ScaOutcome, ScaError> {
-    run_attack_impl(
+    let [outcome] = run_attack_impl(
         floorplan,
         nominal_powers,
-        tsv_fields,
+        [tsv_fields],
         stability,
         config,
         seed,
@@ -925,34 +965,26 @@ pub fn run_attack(
         TraceEngine::default(),
         pool,
         &CancelToken::new(),
-    )
+    )?;
+    Ok(outcome)
 }
 
-/// The validated, target-resolved inputs shared by both trace engines.
+/// What every mitigation state of one attack shares: the validated, target-resolved
+/// inputs and the seeded trace stream.
 struct AttackSetup {
     /// The stack's ambient temperature, which every trace starts from.
     ambient: f64,
     target: usize,
-    workload: Workload,
-    sensors: SensorConfig,
+    draws: TraceDraws,
 }
 
-/// [`TraceEngine::Kernel`]'s kernel as the memo lookup found it.
-enum KernelLookup {
-    /// A hit: the memoized kernel; no network is built.
-    Hit(Arc<Kernel>),
-    /// A miss: the ambient-0 network to extract the kernel from, and the key to memoize
-    /// it under.
-    Miss(KernelKey, Arc<AttackNetwork>),
-}
-
-/// How an attack computes its true sensor temperatures.
+/// How an attack computes its states' true sensor temperatures, one entry per state.
 enum Physics {
-    /// [`TraceEngine::Kernel`].
-    Kernel(KernelLookup),
-    /// [`TraceEngine::Batched`]: the network every trace steps through.
+    /// [`TraceEngine::Kernel`]: each state's kernel, memoized or freshly extracted.
+    Kernel(Vec<Arc<Kernel>>),
+    /// [`TraceEngine::Batched`]: the network each state's traces step through.
     Stepped {
-        network: Box<AttackNetwork>,
+        networks: Vec<AttackNetwork>,
         batch_traces: usize,
     },
 }
@@ -976,17 +1008,46 @@ fn attack_network(
     })
 }
 
-/// Validates the configuration and resolves everything the engines share: the attacked
-/// module, the key, and the engine's physics. The kernel engine looks its kernel up in
-/// the memo and builds the network only on a miss.
+/// [`TraceEngine::Kernel`]'s physics of one state: the memoized kernel, or on a miss one
+/// extracted from an ambient-0 network (over the pool, polling `cancel`) and memoized.
+/// An interrupted or failed extraction memoizes nothing.
+fn state_kernel(
+    floorplan: &Floorplan,
+    tsv_fields: &[TsvField],
+    config: &AttackConfig,
+    grid: Grid,
+    pool: Option<&Pool>,
+    cancel: &CancelToken,
+) -> Result<Arc<Kernel>, ScaError> {
+    let key = KernelKey::new(floorplan, tsv_fields, config);
+    if let Some(kernel) = memo::lookup(&key) {
+        return Ok(kernel);
+    }
+    // The kernel engine steps unit-power responses: rises over ambient.
+    let unit = ThermalConfig::default_for(floorplan.stack()).with_ambient(0.0);
+    let network = attack_network(floorplan, tsv_fields, config, grid, &unit)?;
+    Ok(memo::memoize(
+        key,
+        extract_kernel(Arc::new(network), pool, cancel)?,
+    ))
+}
+
+/// Validates the configuration and resolves what the states share once (the attacked
+/// module, the key, the trace stream), then each state's physics in state order: the
+/// kernel engine takes each kernel from the memo or extracts it, the batched engine
+/// builds each network. The first failure is returned before any trace is drawn.
+#[allow(clippy::too_many_arguments)]
 fn prepare_attack(
     floorplan: &Floorplan,
     nominal_powers: &[f64],
-    tsv_fields: &[TsvField],
+    state_fields: &[&[TsvField]],
     stability: Option<&tsc3d_leakage::StabilityMap>,
     config: &AttackConfig,
+    seed: u64,
     key_seed: u64,
     engine: TraceEngine,
+    pool: Option<&Pool>,
+    cancel: &CancelToken,
 ) -> Result<(AttackSetup, Physics), ScaError> {
     config.validate()?;
     if config.sensors.die >= floorplan.stack().dies() {
@@ -1009,31 +1070,6 @@ fn prepare_attack(
     }
     let grid = floorplan.analysis_grid(config.grid_bins);
     let thermal_config = ThermalConfig::default_for(floorplan.stack());
-    let ambient = thermal_config.ambient;
-    let physics = match engine {
-        TraceEngine::Kernel => {
-            let key = KernelKey::new(floorplan, tsv_fields, config);
-            Physics::Kernel(match memo::lookup(&key) {
-                Some(kernel) => KernelLookup::Hit(kernel),
-                // The kernel engine steps unit-power responses: rises over ambient.
-                None => {
-                    let unit = thermal_config.with_ambient(0.0);
-                    let network = attack_network(floorplan, tsv_fields, config, grid, &unit)?;
-                    KernelLookup::Miss(key, Arc::new(network))
-                }
-            })
-        }
-        TraceEngine::Batched { batch_traces } => Physics::Stepped {
-            network: Box::new(attack_network(
-                floorplan,
-                tsv_fields,
-                config,
-                grid,
-                &thermal_config,
-            )?),
-            batch_traces,
-        },
-    };
     let target = resolve_target(
         config.target,
         floorplan,
@@ -1042,6 +1078,21 @@ fn prepare_attack(
         grid,
         stability,
     )?;
+    let physics = match engine {
+        TraceEngine::Kernel => Physics::Kernel(
+            state_fields
+                .iter()
+                .map(|fields| state_kernel(floorplan, fields, config, grid, pool, cancel))
+                .collect::<Result<_, _>>()?,
+        ),
+        TraceEngine::Batched { batch_traces } => Physics::Stepped {
+            networks: state_fields
+                .iter()
+                .map(|fields| attack_network(floorplan, fields, config, grid, &thermal_config))
+                .collect::<Result<_, _>>()?,
+            batch_traces,
+        },
+    };
     let workload = Workload::new(
         config.workload,
         derive_key(key_seed, config.workload.key_bytes),
@@ -1049,22 +1100,51 @@ fn prepare_attack(
         target,
     );
     let setup = AttackSetup {
-        ambient,
+        ambient: thermal_config.ambient,
         target,
-        workload,
-        sensors: config.sensors,
+        draws: TraceDraws {
+            workload,
+            sensors: config.sensors,
+            seed,
+        },
     };
     Ok((setup, physics))
 }
 
-/// The cancellable core behind every attack entry point: polls `cancel` at the
-/// `sca-batch` checkpoint once per consumed trace chunk, and during kernel extraction
-/// directly at least every [`KERNEL_POLL_STEPS`] substeps.
+/// Streams the prepared attack's traces into every state (see [`stream_traces`]); the
+/// kernel engine chunks them by [`CHUNK_TRACES`], the batched engine by its batch size.
+fn stream_attack(
+    setup: &AttackSetup,
+    physics: Physics,
+    config: &AttackConfig,
+    cancel: &CancelToken,
+) -> Result<Vec<(CpaAccumulator, u64)>, ScaError> {
+    match physics {
+        Physics::Kernel(kernels) => {
+            let responses = kernels.into_iter().map(|kernel| KernelResponse {
+                kernel,
+                ambient: setup.ambient,
+            });
+            stream_traces(setup, responses, CHUNK_TRACES, config, cancel)
+        }
+        // Fixed-size lockstep batches (the last one may be short); the batch boundary
+        // only affects the SoA lane width, never values.
+        Physics::Stepped {
+            networks,
+            batch_traces,
+        } => stream_traces(setup, networks, batch_traces, config, cancel),
+    }
+}
+
+/// The cancellable core behind every attack entry point: one attack per TSV-field set
+/// (mitigation state), all observing one trace stream under one `sca_attack` span. Polls
+/// `cancel` at the `sca-batch` checkpoint once per state and trace chunk, and during
+/// kernel extraction directly at least every [`KERNEL_POLL_STEPS`] substeps.
 #[allow(clippy::too_many_arguments)]
-fn run_attack_impl(
+fn run_attack_impl<const N: usize>(
     floorplan: &Floorplan,
     nominal_powers: &[f64],
-    tsv_fields: &[TsvField],
+    state_fields: [&[TsvField]; N],
     stability: Option<&tsc3d_leakage::StabilityMap>,
     config: &AttackConfig,
     seed: u64,
@@ -1072,7 +1152,7 @@ fn run_attack_impl(
     engine: TraceEngine,
     pool: Option<&Pool>,
     cancel: &CancelToken,
-) -> Result<ScaOutcome, ScaError> {
+) -> Result<[ScaOutcome; N], ScaError> {
     let _span = tsc3d_obs::span!("sca_attack");
     if let TraceEngine::Batched { batch_traces: 0 } = engine {
         return Err(ScaError::InvalidConfig {
@@ -1082,92 +1162,32 @@ fn run_attack_impl(
     let (setup, physics) = prepare_attack(
         floorplan,
         nominal_powers,
-        tsv_fields,
+        &state_fields,
         stability,
         config,
+        seed,
         key_seed,
         engine,
+        pool,
+        cancel,
     )?;
-    let mut cpa = CpaAccumulator::new(
-        setup.workload.key(),
-        config.workload.leakage,
-        config.sensors.points(),
-        config.traces,
-        config.mtd_checkpoints,
-    );
-    let target = setup.target;
-    let transient_steps = match physics {
-        Physics::Kernel(lookup) => {
-            let source = kernel_source(lookup, setup, seed, pool, cancel)?;
-            let chunks = ranges(config.traces, CHUNK_TRACES);
-            stream_batches(&source, chunks, &mut cpa, cancel)?
-        }
-        Physics::Stepped {
-            network,
-            batch_traces,
-        } => {
-            // Fixed-size lockstep batches (the last one may be short); the batch
-            // boundary only affects the SoA lane width, never values.
-            let chunks = ranges(config.traces, batch_traces);
-            let source = stepped_source(*network, setup, seed);
-            stream_batches(&source, chunks, &mut cpa, cancel)?
-        }
-    };
-    let outcome = ScaOutcome {
-        cpa: cpa.finish(),
-        target_module: target,
-        transient_steps,
-    };
     let metrics = crate::obs_metrics::get();
-    metrics.attacks.inc();
-    metrics.traces.add(config.traces as u64);
-    metrics.transient_steps.add(outcome.transient_steps);
-    tsc3d_obs::add_to_span("traces", config.traces as u64);
-    tsc3d_obs::add_to_span("transient_steps", outcome.transient_steps);
-    Ok(outcome)
-}
-
-/// [`TraceEngine::Kernel`]'s trace source: takes the memoized kernel, or on a miss
-/// extracts it (over the pool, polling `cancel`) and memoizes it, then evaluates traces
-/// against it. An interrupted extraction memoizes nothing.
-fn kernel_source(
-    lookup: KernelLookup,
-    setup: AttackSetup,
-    seed: u64,
-    pool: Option<&Pool>,
-    cancel: &CancelToken,
-) -> Result<TraceSource<KernelResponse>, ScaError> {
-    let kernel = match lookup {
-        KernelLookup::Hit(kernel) => kernel,
-        KernelLookup::Miss(key, network) => {
-            memo::memoize(key, extract_kernel(network, pool, cancel)?)
-        }
-    };
-    Ok(TraceSource {
-        steps_per_trace: kernel.steps_per_trace,
-        response: KernelResponse {
-            kernel,
-            ambient: setup.ambient,
-        },
-        workload: setup.workload,
-        sensors: setup.sensors,
-        seed,
-    })
-}
-
-/// [`TraceEngine::Batched`]'s trace source: steps every trace.
-fn stepped_source(
-    network: AttackNetwork,
-    setup: AttackSetup,
-    seed: u64,
-) -> TraceSource<AttackNetwork> {
-    TraceSource {
-        steps_per_trace: network.steps_per_trace(),
-        response: network,
-        workload: setup.workload,
-        sensors: setup.sensors,
-        seed,
-    }
+    let outcomes: Vec<ScaOutcome> = stream_attack(&setup, physics, config, cancel)?
+        .into_iter()
+        .map(|(cpa, transient_steps)| {
+            metrics.attacks.inc();
+            metrics.traces.add(config.traces as u64);
+            metrics.transient_steps.add(transient_steps);
+            tsc3d_obs::add_to_span("traces", config.traces as u64);
+            tsc3d_obs::add_to_span("transient_steps", transient_steps);
+            ScaOutcome {
+                cpa: cpa.finish(),
+                target_module: setup.target,
+                transient_steps,
+            }
+        })
+        .collect();
+    Ok(outcomes.try_into().expect("one outcome per state"))
 }
 
 /// Runs one attack evaluation out of a [`FlowResult`], against the chosen mitigation
@@ -1215,17 +1235,18 @@ pub fn run_on_flow_with(
     engine: TraceEngine,
     pool: Option<&Pool>,
 ) -> Result<ScaOutcome, ScaError> {
-    run_on_flow_impl(
+    let [outcome] = run_on_flow_impl(
         design,
         flow,
         config,
         seed,
         key_seed,
-        mitigation,
+        [mitigation],
         engine,
         pool,
         &CancelToken::new(),
-    )
+    )?;
+    Ok(outcome)
 }
 
 /// [`run_on_flow`] polling `cancel` at the `sca-batch` checkpoint (once per consumed
@@ -1249,38 +1270,40 @@ pub fn run_on_flow_with_cancel(
     pool: Option<&Pool>,
     cancel: &CancelToken,
 ) -> Result<ScaOutcome, ScaError> {
-    run_on_flow_impl(
+    let [outcome] = run_on_flow_impl(
         design,
         flow,
         config,
         seed,
         key_seed,
-        mitigation,
+        [mitigation],
         TraceEngine::default(),
         pool,
         cancel,
-    )
+    )?;
+    Ok(outcome)
 }
 
+/// One attack per mitigation state of `flow`, all observing one trace stream.
 #[allow(clippy::too_many_arguments)]
-fn run_on_flow_impl(
+fn run_on_flow_impl<const N: usize>(
     design: &Design,
     flow: &FlowResult,
     config: &AttackConfig,
     seed: u64,
     key_seed: u64,
-    mitigation: Mitigation,
+    mitigations: [Mitigation; N],
     engine: TraceEngine,
     pool: Option<&Pool>,
     cancel: &CancelToken,
-) -> Result<ScaOutcome, ScaError> {
+) -> Result<[ScaOutcome; N], ScaError> {
     config.validate()?;
     let grid = flow.floorplan().analysis_grid(config.grid_bins);
-    let fields = attack_tsv_fields(design, flow, grid, mitigation);
+    let fields = mitigations.map(|mitigation| attack_tsv_fields(design, flow, grid, mitigation));
     run_attack_impl(
         flow.floorplan(),
         &flow.scaled_powers,
-        &fields,
+        std::array::from_fn(|state| fields[state].as_slice()),
         flow.post_process.as_ref().map(|pp| &pp.stability),
         config,
         seed,
@@ -1295,9 +1318,16 @@ fn run_on_flow_impl(
 /// traces (same seeds), identical sensors, only the dummy TSVs differ — and returns the
 /// [`ScaVerdict`].
 ///
+/// Each trace is drawn once (its workload and sensor noise) and read through both states'
+/// thermal responses, each folding into its own CPA sums; the verdict equals
+/// `ScaVerdict { baseline: run_on_flow(.., Baseline, ..), mitigated: run_on_flow(..,
+/// DummyTsvs, ..) }` bit for bit.
+///
 /// # Errors
 ///
-/// See [`run_attack`].
+/// See [`run_attack`]. Both states are set up (the baseline first: kernel lookup or
+/// extraction) before any trace is drawn, so a set-up error of either state fails the
+/// verdict before the stream starts.
 pub fn run_verdict(
     design: &Design,
     flow: &FlowResult,
@@ -1317,17 +1347,18 @@ pub fn run_verdict(
     )
 }
 
-/// [`run_verdict`] polling `cancel` at the `sca-batch` checkpoint (once per consumed
-/// trace chunk of either mitigation state) and during kernel extraction — the serve
-/// daemon's cancellation and deadline path.
+/// [`run_verdict`] polling `cancel` during kernel extraction and at the `sca-batch`
+/// checkpoint once per trace chunk and mitigation state, chunk-major (baseline,
+/// mitigated, baseline, …): the serve daemon's cancellation and deadline path. A
+/// fault-free verdict hits `sca-batch` twice per chunk, as two separate attacks did.
 ///
 /// A run that completes is bit-identical to an uncancelled [`run_verdict`]: the token is
 /// only *read* at checkpoints and never touches the seeded trace streams.
 ///
 /// # Errors
 ///
-/// See [`run_attack`]; additionally [`ScaError::Interrupted`] when the token (or an armed
-/// fault plan) fires mid-attack.
+/// See [`run_verdict`]; additionally [`ScaError::Interrupted`] when the token (or an
+/// armed fault plan) fires during either state's set-up or the stream.
 pub fn run_verdict_with_cancel(
     design: &Design,
     flow: &FlowResult,
@@ -1337,24 +1368,13 @@ pub fn run_verdict_with_cancel(
     pool: Option<&Pool>,
     cancel: &CancelToken,
 ) -> Result<ScaVerdict, ScaError> {
-    let baseline = run_on_flow_impl(
+    let [baseline, mitigated] = run_on_flow_impl(
         design,
         flow,
         config,
         seed,
         key_seed,
-        Mitigation::Baseline,
-        TraceEngine::default(),
-        pool,
-        cancel,
-    )?;
-    let mitigated = run_on_flow_impl(
-        design,
-        flow,
-        config,
-        seed,
-        key_seed,
-        Mitigation::DummyTsvs,
+        [Mitigation::Baseline, Mitigation::DummyTsvs],
         TraceEngine::default(),
         pool,
         cancel,
@@ -1369,6 +1389,7 @@ pub fn run_verdict_with_cancel(
 mod tests {
     use super::*;
     use crate::tests::{flow_fixture, test_config};
+    use crate::CpaResult;
 
     /// The ambient-0 network the kernel engine extracts from, built without the memo.
     fn unit_network(
@@ -1397,15 +1418,21 @@ mod tests {
                 let (setup, physics) = prepare_attack(
                     floorplan,
                     &flow.scaled_powers,
-                    &fields,
+                    &[&fields],
                     stability,
                     &config,
+                    5,
                     11,
                     TraceEngine::Batched { batch_traces: 8 },
+                    None,
+                    &CancelToken::new(),
                 )
                 .unwrap();
-                let Physics::Stepped { network, .. } = physics else {
+                let Physics::Stepped { networks, .. } = physics else {
                     panic!("the batched engine steps its network");
+                };
+                let [network] = &networks[..] else {
+                    panic!("one network per state");
                 };
                 let kernel = extract_kernel(
                     Arc::new(unit_network(floorplan, &fields, &config)),
@@ -1423,7 +1450,7 @@ mod tests {
                     let activities: Vec<TraceActivity> = (lo..hi)
                         .map(|trace| {
                             let mut rng = ChaCha8Rng::seed_from_u64(trace_seed(5, trace as u64));
-                            setup.workload.draw_trace(&mut rng)
+                            setup.draws.workload.draw_trace(&mut rng)
                         })
                         .collect();
                     let (mut fast, mut reference) = (Vec::new(), Vec::new());
@@ -1564,6 +1591,204 @@ mod tests {
         let reference =
             run_on_flow_with(design, flow, &config, 5, 11, mitigation, stepped, None).unwrap();
         assert_eq!(outcome, reference);
+    }
+
+    /// One smoke verdict on the fixture floorplan (trace seed 5, key seed 11), recorded
+    /// when `run_verdict` still ran two separate attacks, each drawing its own traces:
+    /// per state, each byte's checkpoint verdicts (run-length), rank, MTD and
+    /// correlation bit patterns, and the state's transient steps.
+    #[test]
+    fn smoke_verdict_matches_its_recorded_outputs() {
+        let (design, flow) = flow_fixture();
+        let config = AttackConfig::smoke();
+        let verdict = run_verdict(design, flow, &config, 5, 11, None).unwrap();
+
+        // The checkpoint verdicts come from the set-up and stream `run_verdict` runs.
+        let grid = flow.floorplan().analysis_grid(config.grid_bins);
+        let fields = [Mitigation::Baseline, Mitigation::DummyTsvs]
+            .map(|mitigation| attack_tsv_fields(design, flow, grid, mitigation));
+        let (setup, physics) = prepare_attack(
+            flow.floorplan(),
+            &flow.scaled_powers,
+            &[&fields[0], &fields[1]],
+            flow.post_process.as_ref().map(|pp| &pp.stability),
+            &config,
+            5,
+            11,
+            TraceEngine::Kernel,
+            None,
+            &CancelToken::new(),
+        )
+        .unwrap();
+        let streamed = stream_attack(&setup, physics, &config, &CancelToken::new()).unwrap();
+        let runs: Vec<Vec<String>> = streamed.iter().map(|(cpa, _)| cpa.verdict_runs()).collect();
+        assert_eq!(
+            runs,
+            [
+                [
+                    "0*2 89*1 228*1 164*3 136*1 216*1 184*1 97*1 117*1 56*2 215*7 132*2 66*1 \
+                     187*168",
+                    "0*2 15*1 167*1 191*2 169*1 0*1 169*1 44*1 0*1 53*181",
+                ],
+                [
+                    "0*1 70*2 228*1 164*3 136*1 216*1 184*1 97*1 117*1 56*2 215*7 132*2 66*1 \
+                     187*168",
+                    "0*1 4*1 88*1 167*1 191*2 169*1 0*1 169*1 44*1 117*1 53*181",
+                ],
+            ]
+        );
+        let finished: Vec<CpaResult> = streamed.into_iter().map(|(cpa, _)| cpa.finish()).collect();
+        assert_eq!(
+            finished,
+            [verdict.baseline.cpa.clone(), verdict.mitigated.cpa.clone()]
+        );
+
+        // Per byte: (true byte, MTD, correlation bits); every byte is recovered, so its
+        // true and best correlations are one value.
+        let pinned = [
+            (
+                &verdict.baseline,
+                623_424,
+                [
+                    (187, Some(25), 0x3fe5_2060_33a2_69ec_u64),
+                    (53, Some(12), 0x3fe6_054f_9377_fa30),
+                ],
+            ),
+            (
+                &verdict.mitigated,
+                1_864_896,
+                [
+                    (187, Some(25), 0x3fe4_f69f_f3a5_ec9c),
+                    (53, Some(12), 0x3fe5_ea24_47a9_d33e),
+                ],
+            ),
+        ];
+        for (outcome, steps, bytes) in pinned {
+            assert_eq!(outcome.target_module, 55);
+            assert_eq!(outcome.transient_steps, steps);
+            assert_eq!(outcome.mtd_traces(), Some(25));
+            assert_eq!(outcome.cpa.traces, 192);
+            assert_eq!(outcome.cpa.checkpoints.len(), 192);
+            assert_eq!(outcome.cpa.bytes.len(), bytes.len());
+            for (byte, (true_byte, mtd, correlation)) in outcome.cpa.bytes.iter().zip(bytes) {
+                assert_eq!(
+                    (byte.true_byte, byte.best_guess, byte.rank, byte.mtd_traces),
+                    (true_byte, true_byte, 1, mtd)
+                );
+                assert_eq!(byte.true_correlation.to_bits(), correlation);
+                assert_eq!(byte.best_correlation.to_bits(), correlation);
+            }
+        }
+    }
+
+    /// Asserts two verdicts equal bit for bit: `==` on every field, and the correlation
+    /// bit patterns, which `==` would let differ by the sign of a zero.
+    fn assert_bitwise(fused: &ScaVerdict, separate: &ScaVerdict, label: &str) {
+        assert_eq!(fused, separate, "{label}");
+        let bits = |verdict: &ScaVerdict| -> Vec<u64> {
+            [&verdict.baseline, &verdict.mitigated]
+                .iter()
+                .flat_map(|outcome| &outcome.cpa.bytes)
+                .flat_map(|byte| [byte.true_correlation, byte.best_correlation])
+                .map(f64::to_bits)
+                .collect()
+        };
+        assert_eq!(bits(fused), bits(separate), "{label}");
+    }
+
+    /// `run_verdict` streams one trace sequence into both states; it must equal one
+    /// separate attack per state bit for bit. Covered: both presets, 1 and 3 key bytes,
+    /// both leakage models, unquantized and noise-free sensors, 18 points, 13 traces (a
+    /// short last chunk), pools of 0 and 4 workers, and a cold kernel memo on either side.
+    #[test]
+    fn a_verdict_equals_one_attack_per_state_bit_for_bit() {
+        let (design, flow) = flow_fixture();
+        let pool = Pool::new(4);
+        let edit = |mut config: AttackConfig, change: fn(&mut AttackConfig)| {
+            change(&mut config);
+            config
+        };
+        let configs = [
+            ("quick", test_config()),
+            ("smoke", AttackConfig::smoke()),
+            ("1 byte", edit(test_config(), |c| c.workload.key_bytes = 1)),
+            (
+                "smoke, 3 bytes, hd",
+                edit(AttackConfig::smoke(), |c| {
+                    c.workload.key_bytes = 3;
+                    c.workload.leakage = LeakageModel::HammingDistance;
+                }),
+            ),
+            (
+                "hd",
+                edit(test_config(), |c| {
+                    c.workload.leakage = LeakageModel::HammingDistance
+                }),
+            ),
+            (
+                "unquantized",
+                edit(test_config(), |c| c.sensors.quantization_k = 0.0),
+            ),
+            (
+                "smoke, noise-free",
+                edit(AttackConfig::smoke(), |c| c.sensors.sigma_k = 0.0),
+            ),
+            (
+                "18 points",
+                edit(test_config(), |c| c.sensors.samples_per_trace = 2),
+            ),
+            (
+                "13 traces",
+                edit(test_config(), |c| {
+                    c.traces = 13;
+                    c.mtd_checkpoints = 13;
+                }),
+            ),
+        ];
+        let separate = |config: &AttackConfig, (seed, key_seed), pool: Option<&Pool>| {
+            let attack = |mitigation| {
+                run_on_flow(design, flow, config, seed, key_seed, mitigation, pool).unwrap()
+            };
+            ScaVerdict {
+                baseline: attack(Mitigation::Baseline),
+                mitigated: attack(Mitigation::DummyTsvs),
+            }
+        };
+        let fused = |config: &AttackConfig, (seed, key_seed), pool: Option<&Pool>| {
+            run_verdict(design, flow, config, seed, key_seed, pool).unwrap()
+        };
+        let seeds = [(5, 11), (9, 2)];
+        for (name, config) in &configs {
+            for pool in [None, Some(&pool)] {
+                for seeds in seeds {
+                    let workers = pool.map_or(0, Pool::threads);
+                    let label = format!("{name}, seeds {seeds:?}, {workers} workers");
+                    assert_bitwise(
+                        &fused(config, seeds, pool),
+                        &separate(config, seeds, pool),
+                        &label,
+                    );
+                }
+            }
+        }
+
+        // Cold kernel memos: geometries no other test uses, so the first call extracts.
+        let cold = |dwell_s| {
+            let config = private_config(dwell_s);
+            let grid = flow.floorplan().analysis_grid(config.grid_bins);
+            for mitigation in [Mitigation::Baseline, Mitigation::DummyTsvs] {
+                let fields = attack_tsv_fields(design, flow, grid, mitigation);
+                assert!(memo::peek(&KernelKey::new(flow.floorplan(), &fields, &config)).is_none());
+            }
+            config
+        };
+        let config = cold(0.0077);
+        let first = fused(&config, seeds[0], Some(&pool));
+        assert_bitwise(&first, &separate(&config, seeds[0], None), "cold verdict");
+        let config = cold(0.0079);
+        let first = separate(&config, seeds[1], Some(&pool));
+        assert_bitwise(&fused(&config, seeds[1], None), &first, "cold attacks");
+        pool.shutdown();
     }
 
     #[test]

@@ -51,10 +51,18 @@ impl SensorConfig {
         out
     }
 
-    /// Applies the acquisition chain to one true temperature: noise, then quantization.
+    /// Draws one reading's Gaussian noise in kelvin (`sigma_k` times a standard normal;
+    /// the rng advances even when `sigma_k` is 0).
     #[inline]
-    pub fn acquire(&self, true_temperature: f64, rng: &mut ChaCha8Rng) -> f64 {
-        let noisy = true_temperature + self.sigma_k * standard_normal(rng);
+    pub fn noise(&self, rng: &mut ChaCha8Rng) -> f64 {
+        self.sigma_k * standard_normal(rng)
+    }
+
+    /// Applies the acquisition chain to one true temperature and its drawn
+    /// [`SensorConfig::noise`]: adds the noise, then quantizes.
+    #[inline]
+    pub fn read(&self, true_temperature: f64, noise: f64) -> f64 {
+        let noisy = true_temperature + noise;
         if self.quantization_k > 0.0 {
             (noisy / self.quantization_k).round() * self.quantization_k
         } else {
@@ -107,22 +115,22 @@ mod tests {
     fn ideal_acquisition_is_transparent() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let c = config(0.0, 0.0);
-        assert_eq!(c.acquire(300.25, &mut rng), 300.25);
+        assert_eq!(c.read(300.25, c.noise(&mut rng)), 300.25);
     }
 
     #[test]
     fn quantization_snaps_to_the_lsb() {
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         let c = config(0.0, 0.125);
-        let q = c.acquire(300.30, &mut rng);
+        let q = c.read(300.30, c.noise(&mut rng));
         assert_eq!(q, 300.25);
     }
 
     #[test]
     fn noise_is_seed_deterministic() {
         let c = config(0.5, 0.0);
-        let a = c.acquire(300.0, &mut ChaCha8Rng::seed_from_u64(9));
-        let b = c.acquire(300.0, &mut ChaCha8Rng::seed_from_u64(9));
+        let a = c.read(300.0, c.noise(&mut ChaCha8Rng::seed_from_u64(9)));
+        let b = c.read(300.0, c.noise(&mut ChaCha8Rng::seed_from_u64(9)));
         assert_eq!(a, b);
         assert_ne!(a, 300.0);
     }

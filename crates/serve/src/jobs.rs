@@ -592,9 +592,9 @@ impl JobService {
             }
             Payload::Sca(submission) => {
                 // One flow run, then both mitigation states attacked out of the same
-                // FlowResult (identical traces; only the dummy TSVs differ) — the
-                // `run_verdict` contract — with the trace simulation fanned out over the
-                // evaluation pool.
+                // FlowResult (one trace stream, drawn once; only the dummy TSVs differ)
+                // — the `run_verdict` contract — with kernel extraction fanned out over
+                // the evaluation pool.
                 let spec = &submission.spec;
                 let job = submission
                     .jobs()
