@@ -13,6 +13,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use tsc3d::exec::{CancelToken, Pool};
+use tsc3d_obs::Metric;
 
 /// Execution options of a campaign run.
 #[derive(Debug, Clone)]
@@ -120,6 +121,52 @@ impl From<SinkError> for CampaignError {
     }
 }
 
+/// Jobs enqueued for execution (resumed records do not count).
+static QUEUED: Metric = Metric::new(
+    "tsc3d_campaign_jobs_queued_total",
+    "Campaign jobs enqueued for execution",
+);
+static RESUMED: Metric = Metric::new(
+    "tsc3d_campaign_jobs_resumed_total",
+    "Campaign jobs skipped on resume (record already on disk)",
+);
+static DONE: Metric = Metric::new(
+    "tsc3d_campaign_jobs_done_total",
+    "Campaign jobs that ran to completion (success or typed failure)",
+);
+
+/// Bumps the per-kind failure family (`tsc3d_campaign_job_failures_total{kind=...}`).
+fn record_failure(kind: &str) {
+    tsc3d_obs::global()
+        .counter_with(
+            "tsc3d_campaign_job_failures_total",
+            "Campaign job failures by FlowError/ScaError kind",
+            &[("kind", kind)],
+        )
+        .inc();
+}
+
+/// Holds one job attempt in the `tsc3d_campaign_jobs_running` gauge until it drops, so
+/// a panicking attempt cannot leak a permanently "running" job.
+struct Running(tsc3d_obs::Gauge);
+
+impl Running {
+    fn enter() -> Running {
+        let gauge = tsc3d_obs::global().gauge(
+            "tsc3d_campaign_jobs_running",
+            "Campaign jobs currently executing",
+        );
+        gauge.add(1.0);
+        Running(gauge)
+    }
+}
+
+impl Drop for Running {
+    fn drop(&mut self) {
+        self.0.add(-1.0);
+    }
+}
+
 /// Runs one attempt of a job and keeps the job lifecycle metrics.
 fn execute_attempt<K: JobKind>(
     spec: &K,
@@ -127,13 +174,12 @@ fn execute_attempt<K: JobKind>(
     context: &K::Context,
     attempt: &Attempt,
 ) -> K::Record {
-    let metrics = crate::obs_metrics::get();
-    let running = crate::obs_metrics::RunningGuard::enter();
+    let running = Running::enter();
     let record = spec.execute(job, context, attempt);
     drop(running);
-    metrics.done.inc();
+    DONE.inc();
     if let Some(kind) = K::failure_kind(&record) {
-        crate::obs_metrics::record_failure(kind);
+        record_failure(kind);
     }
     record
 }
@@ -158,7 +204,7 @@ fn execute_with_retry<K: JobKind>(
         |attempt| execute_attempt(spec, job, context, attempt),
         |record| K::failure_kind(record).map(str::to_string),
         |message| {
-            crate::obs_metrics::record_failure("panic");
+            record_failure("panic");
             K::panic_record(job, message)
         },
     );
@@ -338,8 +384,8 @@ fn run_with_prior<K: JobKind>(
     let sink_error: Arc<Mutex<Option<SinkError>>> = Arc::new(Mutex::new(None));
     let abort = Arc::new(AtomicBool::new(false));
     let executed = pending.len();
-    crate::obs_metrics::get().queued.add(executed as u64);
-    crate::obs_metrics::get().resumed.add(prior.len() as u64);
+    QUEUED.add(executed as u64);
+    RESUMED.add(prior.len() as u64);
     let eta = Arc::new(crate::progress::EtaTracker::new(executed, pool.threads()));
     let new_records = {
         let sink = Arc::clone(&sink);

@@ -53,86 +53,6 @@ pub mod retry;
 pub mod sca;
 pub mod sink;
 
-/// Cached handles into the global registry for the `tsc3d_campaign_*` metric families
-/// (job lifecycle: queued → running → done, plus per-kind failures).
-pub(crate) mod obs_metrics {
-    pub(crate) struct CampaignMetrics {
-        /// Jobs enqueued for execution (resumed records do not count).
-        pub queued: tsc3d_obs::Counter,
-        /// Jobs currently executing a flow or attack.
-        pub running: tsc3d_obs::Gauge,
-        /// Jobs that ran to completion (success or typed failure).
-        pub done: tsc3d_obs::Counter,
-        /// Jobs skipped on resume because the results file already had their record.
-        pub resumed: tsc3d_obs::Counter,
-        /// Job attempts re-executed after a retryable failure.
-        pub retries: tsc3d_obs::Counter,
-        /// Jobs that exhausted their retry budget and were recorded as typed failures.
-        pub quarantined: tsc3d_obs::Counter,
-    }
-
-    /// RAII guard of the `tsc3d_campaign_jobs_running` gauge: decrements on drop, so a
-    /// panicking job attempt cannot leak a permanently "running" job.
-    pub(crate) struct RunningGuard;
-
-    impl RunningGuard {
-        pub(crate) fn enter() -> RunningGuard {
-            get().running.add(1.0);
-            RunningGuard
-        }
-    }
-
-    impl Drop for RunningGuard {
-        fn drop(&mut self) {
-            get().running.add(-1.0);
-        }
-    }
-
-    pub(crate) fn get() -> &'static CampaignMetrics {
-        static METRICS: std::sync::OnceLock<CampaignMetrics> = std::sync::OnceLock::new();
-        METRICS.get_or_init(|| {
-            let registry = tsc3d_obs::global();
-            CampaignMetrics {
-                queued: registry.counter(
-                    "tsc3d_campaign_jobs_queued_total",
-                    "Campaign jobs enqueued for execution",
-                ),
-                running: registry.gauge(
-                    "tsc3d_campaign_jobs_running",
-                    "Campaign jobs currently executing",
-                ),
-                done: registry.counter(
-                    "tsc3d_campaign_jobs_done_total",
-                    "Campaign jobs that ran to completion (success or typed failure)",
-                ),
-                resumed: registry.counter(
-                    "tsc3d_campaign_jobs_resumed_total",
-                    "Campaign jobs skipped on resume (record already on disk)",
-                ),
-                retries: registry.counter(
-                    "tsc3d_campaign_job_retries_total",
-                    "Campaign job attempts re-executed after a retryable failure",
-                ),
-                quarantined: registry.counter(
-                    "tsc3d_campaign_jobs_quarantined_total",
-                    "Campaign jobs recorded as typed failures after exhausting retries",
-                ),
-            }
-        })
-    }
-
-    /// Bumps the per-kind failure family (`tsc3d_campaign_job_failures_total{kind=...}`).
-    pub(crate) fn record_failure(kind: &str) {
-        tsc3d_obs::global()
-            .counter_with(
-                "tsc3d_campaign_job_failures_total",
-                "Campaign job failures by FlowError/ScaError kind",
-                &[("kind", kind)],
-            )
-            .inc();
-    }
-}
-
 pub use aggregate::{aggregate, render_csv, render_report, CampaignSummary, GroupSummary, Stat};
 /// [`run_campaign_on`] under the sca name existing callers use; the spec argument pins
 /// the kind either way.

@@ -301,7 +301,9 @@ impl ProgressLine {
 fn render_duration_ns(ns: u64) -> String {
     let seconds = ns as f64 / 1e9;
     if seconds >= 90.0 {
-        format!("{:.0}m{:02.0}s", (seconds / 60.0).floor(), seconds % 60.0)
+        // Whole seconds first, so a remainder that rounds up carries into the minutes.
+        let whole = seconds.round() as u64;
+        format!("{}m{:02}s", whole / 60, whole % 60)
     } else {
         format!("{seconds:.1}s")
     }
@@ -322,5 +324,7 @@ mod tests {
     fn durations_render_in_both_ranges() {
         assert_eq!(render_duration_ns(1_500_000_000), "1.5s");
         assert_eq!(render_duration_ns(125_000_000_000), "2m05s");
+        assert_eq!(render_duration_ns(119_600_000_000), "2m00s");
+        assert_eq!(render_duration_ns(3_599_500_000_000), "60m00s");
     }
 }

@@ -17,6 +17,7 @@
 use crate::job::{fnv1a, splitmix64};
 use std::time::Duration;
 use tsc3d_exec::CancelToken;
+use tsc3d_obs::Metric;
 
 /// Retry/backoff policy applied per campaign job (flow and sca alike).
 ///
@@ -114,6 +115,15 @@ pub(crate) fn is_cancellation_kind(kind: &str) -> bool {
     matches!(kind, "cancelled" | "shutdown")
 }
 
+static RETRIES: Metric = Metric::new(
+    "tsc3d_campaign_job_retries_total",
+    "Campaign job attempts re-executed after a retryable failure",
+);
+static QUARANTINED: Metric = Metric::new(
+    "tsc3d_campaign_jobs_quarantined_total",
+    "Campaign jobs recorded as typed failures after exhausting retries",
+);
+
 /// Runs one job under `policy`: contains panics as typed `panic` failures, retries
 /// eligible failure kinds with seeded backoff, and returns the final record plus the
 /// number of attempts actually executed.
@@ -130,7 +140,6 @@ pub(crate) fn run_attempts<R>(
     failure_kind: impl Fn(&R) -> Option<String>,
     panic_record: impl Fn(String) -> R,
 ) -> (R, u32) {
-    let metrics = crate::obs_metrics::get();
     let mut attempt = 1u32;
     loop {
         let run = Attempt {
@@ -152,11 +161,11 @@ pub(crate) fn run_attempts<R>(
         }
         if !policy.should_retry(&kind, attempt) {
             if attempt > 1 || policy.retry_on.iter().any(|k| k == &kind) {
-                metrics.quarantined.inc();
+                QUARANTINED.inc();
             }
             return (record, attempt);
         }
-        metrics.retries.inc();
+        RETRIES.inc();
         std::thread::sleep(policy.backoff(run_seed, attempt));
         attempt += 1;
     }

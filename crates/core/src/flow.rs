@@ -24,36 +24,14 @@ use crate::error::{FlowError, FlowStage, RetryPolicy, SolveQuality, SolverSettin
 use crate::postprocess::{DummyTsvInserter, PostProcessConfig, PostProcessResult};
 use crate::verification::{default_solver, verify_cancellable, VerificationReport};
 
-/// Cached handles into the global registry for the `tsc3d_flow_*` families, so
-/// the per-run cost is atomic bumps rather than registry lookups.
-struct FlowMetrics {
-    runs: obs::Counter,
-    evaluations: obs::Counter,
-    /// `tsc3d_flow_stage_seconds`, one series per [`FlowStage`] in [`FlowStage::ALL`] order.
-    stages: [obs::LogHistogram; 4],
-}
+static RUNS: obs::Metric = obs::Metric::new("tsc3d_flow_runs_total", "Flow pipeline runs started");
 
-fn flow_metrics() -> &'static FlowMetrics {
-    static METRICS: std::sync::OnceLock<FlowMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| {
-        let registry = obs::global();
-        FlowMetrics {
-            runs: registry.counter("tsc3d_flow_runs_total", "Flow pipeline runs started"),
-            evaluations: registry.counter(
-                "tsc3d_flow_evaluations_total",
-                "SA cost evaluations of the anneal each successful flow run kept (after an \
-                 outline repair, the accepted round's anneal only)",
-            ),
-            stages: FlowStage::ALL.map(|stage| {
-                registry.histogram_with(
-                    "tsc3d_flow_stage_seconds",
-                    "Flow-stage wall-clock latency",
-                    &[("stage", stage_label(stage))],
-                )
-            }),
-        }
-    })
-}
+static EVALUATIONS: obs::Metric = obs::Metric::new(
+    "tsc3d_flow_evaluations_total",
+    "SA cost evaluations of the anneal each successful flow run kept (after an outline \
+     repair, the accepted round's anneal only)",
+)
+.on_span("evaluations");
 
 /// The stage's span, `Stage` event and `tsc3d_flow_stage_seconds` label: its
 /// [`FlowStage::name`] in snake case.
@@ -81,7 +59,13 @@ fn run_stage<T>(
         body()?
     };
     *seconds = start.elapsed().as_secs_f64();
-    flow_metrics().stages[stage as usize].observe_secs(*seconds);
+    obs::global()
+        .histogram_with(
+            "tsc3d_flow_stage_seconds",
+            "Flow-stage wall-clock latency",
+            &[("stage", stage_label(stage))],
+        )
+        .observe_secs(*seconds);
     Ok(output)
 }
 
@@ -462,14 +446,10 @@ impl TscFlow {
     ) -> Result<FlowResult, FlowError> {
         let _span = obs::span!("flow");
         let _thread = FlowThread::enter();
-        let metrics = flow_metrics();
-        metrics.runs.inc();
+        RUNS.inc();
         let result = self.run_stages(design, seed, cancel);
         match &result {
-            Ok(flow) => {
-                metrics.evaluations.add(flow.sa.evaluations as u64);
-                obs::add_to_span("evaluations", flow.sa.evaluations as u64);
-            }
+            Ok(flow) => EVALUATIONS.add(flow.sa.evaluations as u64),
             Err(error) => {
                 obs::global()
                     .counter_with(

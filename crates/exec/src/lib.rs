@@ -51,7 +51,7 @@ pub use lanes::{flow_threads, FlowThread, Helpers, Speculation};
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Instant;
 
@@ -68,17 +68,10 @@ macro_rules! fault_point {
     };
 }
 
-/// The workspace-wide panic counter (`tsc3d_exec_panics_total`): contained
-/// task panics plus supervised worker-loop panics.
-fn panics_total() -> &'static tsc3d_obs::Counter {
-    static COUNTER: OnceLock<tsc3d_obs::Counter> = OnceLock::new();
-    COUNTER.get_or_init(|| {
-        tsc3d_obs::global().counter(
-            "tsc3d_exec_panics_total",
-            "Pool task panics contained (and worker-loop panics survived by respawn)",
-        )
-    })
-}
+static PANICS: tsc3d_obs::Metric = tsc3d_obs::Metric::new(
+    "tsc3d_exec_panics_total",
+    "Pool task panics contained (and worker-loop panics survived by respawn)",
+);
 
 /// A unit of pool work.
 type Task = Box<dyn FnOnce() + Send + 'static>;
@@ -177,7 +170,7 @@ impl Shared {
         self.active.fetch_add(1, Ordering::Relaxed);
         if catch_unwind(AssertUnwindSafe(task)).is_err() {
             self.panicked.fetch_add(1, Ordering::Relaxed);
-            panics_total().inc();
+            PANICS.inc();
         }
         self.active.fetch_sub(1, Ordering::Relaxed);
         self.stats.executed.fetch_add(1, Ordering::Relaxed);
@@ -520,7 +513,7 @@ impl Drop for Supervisor {
             return;
         }
         self.shared.panicked.fetch_add(1, Ordering::Relaxed);
-        panics_total().inc();
+        PANICS.inc();
         spawn_worker(&self.shared, self.slot);
     }
 }
@@ -539,7 +532,7 @@ where
                 *batch.slots[index].lock().expect("batch slot") = Some(result);
             }
             Err(payload) => {
-                panics_total().inc();
+                PANICS.inc();
                 batch
                     .panic
                     .lock()

@@ -207,7 +207,7 @@ impl SimulatedAnnealing {
 
         for stage in 0..self.schedule.stages {
             tsc3d_exec::checkpoint("sa-epoch", cancel)?;
-            let _epoch = tsc3d_obs::span!("sa_epoch");
+            let epoch = tsc3d_obs::scope("sa_epoch");
             let epoch_evaluations = evaluations;
             let epoch_accepted = accepted;
             for _ in 0..self.schedule.moves_per_stage {
@@ -234,13 +234,17 @@ impl SimulatedAnnealing {
             }
             temperature *= self.schedule.cooling;
             history.push(best_cost);
-            tsc3d_obs::add_to_span("evaluations", (evaluations - epoch_evaluations) as u64);
-            tsc3d_obs::add_to_span("accepted", (accepted - epoch_accepted) as u64);
-            tsc3d_obs::emit(|| tsc3d_obs::EventKind::Progress {
-                phase: "sa",
-                done: (stage + 1) as u64,
-                total: self.schedule.stages as u64,
-            });
+            epoch.close(
+                &[
+                    ("evaluations", (evaluations - epoch_evaluations) as u64),
+                    ("accepted", (accepted - epoch_accepted) as u64),
+                ],
+                || tsc3d_obs::EventKind::Progress {
+                    phase: "sa",
+                    done: (stage + 1) as u64,
+                    total: self.schedule.stages as u64,
+                },
+            );
         }
 
         Ok(SaResult {

@@ -155,15 +155,14 @@ fn bench_diff(path: &str, args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let threshold: f64 = match arg_value(args, "--threshold") {
-        None => 25.0,
-        Some(raw) => match raw.parse() {
-            Ok(value) => value,
-            Err(_) => {
-                eprintln!("obs: --threshold expects a number, got '{raw}'");
-                return ExitCode::from(2);
-            }
-        },
+    let raw = arg_value(args, "--threshold").unwrap_or("25");
+    let threshold = match raw.parse::<f64>() {
+        // Under `nan` or `inf` no comparison flags a regression: the gate could never fail.
+        Ok(value) if value.is_finite() && value >= 0.0 => value,
+        _ => {
+            eprintln!("obs: --threshold expects a finite percentage of at least 0, got '{raw}'");
+            return ExitCode::from(2);
+        }
     };
     let gate = args.iter().any(|a| a == "--gate");
 

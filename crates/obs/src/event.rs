@@ -11,8 +11,8 @@
 //!
 //! Emission is **off by default** and follows the same cost discipline as
 //! tracing: every [`emit`] site starts with one relaxed atomic load of the
-//! enable flag ([`events_enabled`]), and the event payload is built inside a
-//! closure that never runs while disabled.
+//! recorders' flags word ([`events_enabled`]), and the event payload is built
+//! inside a closure that never runs while disabled.
 //!
 //! The bus is a *flight recorder*, not a queue: a ring of the last
 //! [`capacity`] events. Writers never wait for a reader to catch up; when the
@@ -52,16 +52,14 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use std::fmt::Write as _;
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use crate::json::write_string;
-use crate::metrics::Counter;
+use crate::metrics::Metric;
+use crate::trace::SpanGuard;
 
 /// Events the ring retains; past it each new event overwrites the oldest.
 const CAPACITY: usize = 1 << 13;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// One recorded event.
 #[derive(Debug, Clone, PartialEq)]
@@ -247,17 +245,11 @@ fn ring() -> MutexGuard<'static, Ring> {
     RING.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
-/// The counter behind [`dropped_events`], registered in the global metrics
-/// registry so ring overwrites are visible on `/metrics`.
-fn dropped_counter() -> &'static Counter {
-    static DROPPED: OnceLock<Counter> = OnceLock::new();
-    DROPPED.get_or_init(|| {
-        crate::metrics::global().counter(
-            "tsc3d_obs_dropped_events_total",
-            "Events overwritten in the flight-recorder ring before a subscriber read them",
-        )
-    })
-}
+/// The counter behind [`dropped_events`], so ring overwrites are visible on `/metrics`.
+static DROPPED: Metric = Metric::new(
+    "tsc3d_obs_dropped_events_total",
+    "Events overwritten in the flight-recorder ring before a subscriber read them",
+);
 
 /// Total retained capacity of the flight recorder, in events.
 pub fn capacity() -> usize {
@@ -266,20 +258,20 @@ pub fn capacity() -> usize {
 
 /// Turn runtime event emission on or off.
 pub fn set_events(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+    crate::set_recorder(crate::EVENTS, on);
 }
 
 /// Whether event emission is currently recording: a single relaxed atomic load.
 #[inline(always)]
 pub fn events_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    crate::recorders() & crate::EVENTS != 0
 }
 
 /// Number of events overwritten in the ring before any subscriber could have
 /// read them (the flight recorder wrapped). Also exported as the
 /// `tsc3d_obs_dropped_events_total` counter in [`crate::metrics::global`].
 pub fn dropped_events() -> u64 {
-    dropped_counter().get()
+    DROPPED.get()
 }
 
 /// The sequence number the *next* emitted event will receive. Equivalently,
@@ -293,13 +285,15 @@ pub fn next_seq() -> u64 {
 /// current [`JobScope`] job id (0 outside any scope).
 #[inline]
 pub fn emit(make: impl FnOnce() -> EventKind) {
-    if !events_enabled() {
-        return;
+    if events_enabled() {
+        record(make());
     }
-    record(current_job(), make());
 }
 
-fn record(job: u64, kind: EventKind) {
+/// Lands `kind` in the ring, stamped with the calling thread's job, for a caller that
+/// has found events on already.
+pub(crate) fn record(kind: EventKind) {
+    let job = current_job();
     let mut ring = ring();
     let overwrote = ring.events.len() == CAPACITY;
     if overwrote {
@@ -315,33 +309,68 @@ fn record(job: u64, kind: EventKind) {
     });
     drop(ring);
     if overwrote {
-        dropped_counter().inc();
+        DROPPED.inc();
     }
 }
 
 /// Open a flow stage: a [`crate::span!`] named `name` plus a paired
-/// [`EventKind::Stage`] enter/exit — enter now, exit when the returned guard
+/// [`EventKind::Stage`] enter/exit — enter now, exit when the returned scope
 /// drops, so early returns and `?` propagation still close the stage on the
-/// stream. The exit event is emitted before the span closes. Same cost
-/// discipline as [`emit`] and [`crate::trace::SpanGuard::enter`].
-#[must_use = "the stage exit event fires when the guard drops"]
-pub fn stage_scope(name: &'static str) -> StageScope {
-    let span = crate::trace::SpanGuard::enter(name);
-    emit(|| EventKind::Stage { name, enter: true });
-    StageScope { name, _span: span }
+/// stream. The exit event is emitted before the span closes.
+#[must_use = "the stage exit event fires when the scope drops"]
+pub fn stage_scope(name: &'static str) -> Scope {
+    let mut scope = scope(name);
+    scope.stage = Some(name);
+    if scope.events {
+        record(EventKind::Stage { name, enter: true });
+    }
+    scope
 }
 
-/// The RAII guard of [`stage_scope`]; dropping it emits the stage-exit event,
-/// then closes the stage's span.
-pub struct StageScope {
-    name: &'static str,
-    _span: crate::trace::SpanGuard,
+/// Open a span named `name` that [`Scope::close`] ends with its counters and its
+/// closing event (an SA epoch with its progress).
+#[must_use = "a scope's span closes when it drops; binding it to `_` closes it immediately"]
+pub fn scope(name: &'static str) -> Scope {
+    let on = crate::recorders();
+    Scope {
+        stage: None,
+        events: on & crate::EVENTS != 0,
+        span: SpanGuard::open(on & crate::TRACING != 0, name),
+    }
 }
 
-impl Drop for StageScope {
+/// A span paired with the events that mark it, opened by [`stage_scope`] or
+/// [`scope`]. The scope reads the recorders' flags once, when it opens: with tracing
+/// and events off, opening and closing it costs one relaxed load, and what it
+/// records follows the flags it read then.
+pub struct Scope {
+    /// The stage whose exit event the drop emits; `None` for a plain [`scope`].
+    stage: Option<&'static str>,
+    /// Whether events were on when the scope opened.
+    events: bool,
+    span: SpanGuard,
+}
+
+impl Scope {
+    /// Ends the scope: adds `counters` to its span, emits `event` (which never runs
+    /// while events are off), then closes the span.
+    pub fn close(self, counters: &[(&'static str, u64)], event: impl FnOnce() -> EventKind) {
+        if self.span.armed {
+            for &(name, n) in counters {
+                crate::trace::add_to_innermost(name, n);
+            }
+        }
+        if self.events {
+            record(event());
+        }
+    }
+}
+
+impl Drop for Scope {
     fn drop(&mut self) {
-        let name = self.name;
-        emit(|| EventKind::Stage { name, enter: false });
+        if let (Some(name), true) = (self.stage, self.events) {
+            record(EventKind::Stage { name, enter: false });
+        }
     }
 }
 

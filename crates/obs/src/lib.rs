@@ -9,7 +9,8 @@
 //! * **Tracing** ([`trace`], [`span!`]): RAII span guards on a thread-local
 //!   stack, with per-span counters and one global collector (a mutex-held
 //!   vector of up to 1 048 576 finished spans). Off by default; when disabled
-//!   every instrumentation site costs one relaxed atomic load. Enable with
+//!   every instrumentation site costs one relaxed atomic load (see
+//!   [Recording a fact](#recording-a-fact)). Enable with
 //!   [`set_tracing`]`(true)` (the campaign and serve binaries do this for
 //!   `--trace-out PATH`), export with [`drain_spans`] + [`spans_to_jsonl`], and
 //!   render the aggregated self/total-time tree with `obs report PATH` (or
@@ -59,11 +60,35 @@
 //! obs::set_tracing(false);
 //! ```
 //!
+//! # Recording a fact
+//!
+//! A fact the program records — an SA epoch, a detailed solve's sweeps, a CPA
+//! checkpoint — is declared once and recorded by one call, however many stores
+//! it lands in:
+//!
+//! * a registry counter is a `static` [`Metric`] (name, help, constant labels),
+//!   declared beside the code that records it and registered in
+//!   [`metrics::global`] on first touch. [`Metric::on_span`] names the span
+//!   counter it also feeds, so [`Metric::add`] records the fact in both, and
+//!   [`Metric::add_and_emit`] adds its event too;
+//! * a span with the events that mark it is a [`Scope`]: [`stage_scope`] emits a
+//!   flow stage's enter and exit events, and an SA epoch's [`scope`] closes with
+//!   its span counters and its progress event ([`Scope::close`]).
+//!
+//! Both recorders' enable flags share one word, so each such call reads it once:
+//! with tracing and events off, a call costs one relaxed load besides its
+//! registry add. The README's Observability section lists every fact recorded
+//! this way with its registry series, span counter and event. Series whose label
+//! is known only at run time (failures by kind, flow-stage latency) are looked up
+//! in the registry where they are recorded.
+//!
 //! Instrumentation must never perturb results: spans and counters only read
 //! clocks and bump atomics, so seeded flow/campaign/sca outputs stay
 //! byte-identical whether tracing is on or off.
 
 #![warn(missing_docs)]
+
+use std::sync::atomic::{AtomicU8, Ordering};
 
 pub mod bench;
 pub mod event;
@@ -76,13 +101,13 @@ pub mod report;
 pub mod trace;
 
 pub use event::{
-    dropped_events, emit, events_enabled, set_events, stage_scope, subscribe, subscribe_from,
-    Event, EventKind, EventPoll, JobScope, JobState, StageScope, Subscriber,
+    dropped_events, emit, events_enabled, scope, set_events, stage_scope, subscribe,
+    subscribe_from, Event, EventKind, EventPoll, JobScope, JobState, Scope, Subscriber,
 };
 pub use flame::{render_folded, render_top};
 pub use hdr::LogHistogram;
 pub use log::{log_enabled, set_log_filter, Level};
-pub use metrics::{global, Counter, Gauge, Registry};
+pub use metrics::{global, Counter, Gauge, Metric, Registry};
 pub use report::{
     aggregate, fmt_ns, parse_jsonl, render_quantiles, render_tree, spans_to_jsonl, TreeNode,
 };
@@ -90,3 +115,27 @@ pub use trace::{
     add_to_span, adopt_parent, current_span, drain_spans, dropped_spans, set_tracing,
     snapshot_spans, tracing_enabled, AdoptedParent, SpanGuard, SpanRecord,
 };
+
+/// Which recorders are on, one bit each ([`TRACING`], [`EVENTS`]), in one word so a
+/// call that feeds both reads it once: with both off it costs one relaxed load.
+static RECORDERS: AtomicU8 = AtomicU8::new(0);
+
+/// The [`RECORDERS`] bit of the span collector ([`set_tracing`]).
+const TRACING: u8 = 1;
+/// The [`RECORDERS`] bit of the event ring ([`set_events`]).
+const EVENTS: u8 = 2;
+
+/// The [`RECORDERS`] bits: one relaxed load.
+#[inline(always)]
+fn recorders() -> u8 {
+    RECORDERS.load(Ordering::Relaxed)
+}
+
+/// Turns one recorder's bit on or off, leaving the other's as it is.
+fn set_recorder(bit: u8, on: bool) {
+    if on {
+        RECORDERS.fetch_or(bit, Ordering::Relaxed);
+    } else {
+        RECORDERS.fetch_and(!bit, Ordering::Relaxed);
+    }
+}

@@ -22,9 +22,11 @@
 //! with the `le` label last plus `_sum` and `_count` lines.
 
 use std::collections::BTreeMap;
+use std::ops::Deref;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
+use crate::event::EventKind;
 use crate::hdr::LogHistogram;
 
 /// The `le` bucket bounds every registry histogram renders, in seconds: about
@@ -329,4 +331,101 @@ pub fn fmt_f64(v: f64) -> String {
 pub fn global() -> &'static Registry {
     static GLOBAL: Registry = Registry::new();
     &GLOBAL
+}
+
+/// A counter of the [`global`] registry, declared once as a `static`: its name, help
+/// text and constant labels, and optionally the span counter it also feeds. It
+/// registers on first touch and dereferences to its [`Counter`]. [`Metric::add`]
+/// and [`Metric::add_and_emit`] each read the recorders' flags at most once.
+///
+/// ```
+/// use tsc3d_obs::Metric;
+///
+/// static SWEEPS: Metric =
+///     Metric::new("tsc3d_demo_sweeps_total", "Sweeps performed").on_span("sweeps");
+///
+/// tsc3d_obs::set_tracing(true);
+/// {
+///     let _span = tsc3d_obs::span!("solve");
+///     SWEEPS.add(40);
+/// }
+/// tsc3d_obs::set_tracing(false);
+/// assert_eq!(SWEEPS.get(), 40);
+/// let spans = tsc3d_obs::drain_spans();
+/// assert_eq!(spans[0].counters, [("sweeps".to_string(), 40)]);
+/// ```
+pub struct Metric {
+    name: &'static str,
+    help: &'static str,
+    labels: &'static [(&'static str, &'static str)],
+    span: Option<&'static str>,
+    counter: OnceLock<Counter>,
+}
+
+impl Metric {
+    /// The unlabeled counter `name` with `help`, feeding no span counter.
+    pub const fn new(name: &'static str, help: &'static str) -> Metric {
+        Metric {
+            name,
+            help,
+            labels: &[],
+            span: None,
+            counter: OnceLock::new(),
+        }
+    }
+
+    /// The series of this counter with the constant `labels`.
+    pub const fn labeled(mut self, labels: &'static [(&'static str, &'static str)]) -> Metric {
+        self.labels = labels;
+        self
+    }
+
+    /// This counter, also added to the span counter `counter` of the innermost open
+    /// span.
+    pub const fn on_span(mut self, counter: &'static str) -> Metric {
+        self.span = Some(counter);
+        self
+    }
+
+    /// Adds `n` to the series and, while tracing, to its span counter.
+    #[inline]
+    pub fn add(&self, n: u64) {
+        self.deref().add(n);
+        if let Some(counter) = self.span {
+            crate::trace::add_to_span(counter, n);
+        }
+    }
+
+    /// Adds 1 (see [`Metric::add`]).
+    #[inline]
+    pub fn inc(&self) {
+        self.add(1);
+    }
+
+    /// [`Metric::add`], and emits `event` while events are on; `event` never runs
+    /// while they are off.
+    #[inline]
+    pub fn add_and_emit(&self, n: u64, event: impl FnOnce() -> EventKind) {
+        self.deref().add(n);
+        let on = crate::recorders();
+        if on & crate::TRACING != 0 {
+            if let Some(counter) = self.span {
+                crate::trace::add_to_innermost(counter, n);
+            }
+        }
+        if on & crate::EVENTS != 0 {
+            crate::event::record(event());
+        }
+    }
+}
+
+impl Deref for Metric {
+    type Target = Counter;
+
+    /// The series' handle, registered in [`global`] on first touch.
+    #[inline]
+    fn deref(&self) -> &Counter {
+        self.counter
+            .get_or_init(|| global().counter_with(self.name, self.help, self.labels))
+    }
 }

@@ -2,8 +2,8 @@
 //! global collector.
 //!
 //! Tracing is **off by default**. Every instrumentation site ([`SpanGuard::enter`],
-//! [`add_to_span`]) starts with a single relaxed atomic load of the global enable
-//! flag, so disabled tracing costs one predictable branch in hot loops.
+//! [`add_to_span`]) starts with a single relaxed atomic load of the recorders' flags
+//! word, so disabled tracing costs one predictable branch in hot loops.
 //!
 //! When enabled, each thread keeps a stack of active span frames; a guard pushes a
 //! frame on construction and, on drop, pops it and appends a finished
@@ -15,29 +15,24 @@
 
 use std::cell::{Cell, RefCell};
 use std::marker::PhantomData;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
+
+use crate::metrics::Metric;
 
 /// Finished-span cap of the collector; beyond it the newest spans are dropped (and
 /// counted).
 const SPAN_CAP: usize = 1 << 20;
 
-static ENABLED: AtomicBool = AtomicBool::new(false);
 static NEXT_SPAN_ID: AtomicU64 = AtomicU64::new(1);
 static NEXT_THREAD_ID: AtomicU64 = AtomicU64::new(1);
 
-/// The counter behind [`dropped_spans`], registered in the global metrics
-/// registry so collector overflow is visible on `/metrics`.
-fn dropped_counter() -> &'static crate::metrics::Counter {
-    static DROPPED: OnceLock<crate::metrics::Counter> = OnceLock::new();
-    DROPPED.get_or_init(|| {
-        crate::metrics::global().counter(
-            "tsc3d_obs_dropped_spans_total",
-            "Finished spans dropped because the span collector hit its cap",
-        )
-    })
-}
+/// The counter behind [`dropped_spans`], so collector overflow is visible on `/metrics`.
+static DROPPED: Metric = Metric::new(
+    "tsc3d_obs_dropped_spans_total",
+    "Finished spans dropped because the span collector hit its cap",
+);
 
 /// One finished span, as recorded by the collector (or parsed back from JSONL).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -107,20 +102,20 @@ pub fn thread_id() -> u64 {
 /// Turn runtime tracing on or off. Spans opened while enabled still record on
 /// close even if tracing was disabled in between (stack discipline is preserved).
 pub fn set_tracing(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
+    crate::set_recorder(crate::TRACING, on);
 }
 
 /// Whether tracing is currently recording: a single relaxed atomic load.
 #[inline(always)]
 pub fn tracing_enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
+    crate::recorders() & crate::TRACING != 0
 }
 
 /// Number of finished spans dropped because the collector hit its cap.
 /// Also exported as the `tsc3d_obs_dropped_spans_total` counter in
 /// [`crate::metrics::global`].
 pub fn dropped_spans() -> u64 {
-    dropped_counter().get()
+    DROPPED.get()
 }
 
 /// An RAII guard for one span: entering pushes a frame on the calling thread's
@@ -131,7 +126,8 @@ pub fn dropped_spans() -> u64 {
 /// executes inline nest under whatever span that thread currently has open.
 #[must_use = "a span guard records its span when dropped; binding it to `_` closes it immediately"]
 pub struct SpanGuard {
-    armed: bool,
+    /// Whether the guard opened a span (tracing was on), which it records on drop.
+    pub(crate) armed: bool,
     _not_send: PhantomData<*const ()>,
 }
 
@@ -140,7 +136,14 @@ impl SpanGuard {
     /// guard and costs one branch.
     #[inline]
     pub fn enter(name: &'static str) -> SpanGuard {
-        if !tracing_enabled() {
+        SpanGuard::open(tracing_enabled(), name)
+    }
+
+    /// Opens a span named `name` when `tracing` is set (a caller that has read the
+    /// recorders' flags already), else an inert guard.
+    #[inline]
+    pub(crate) fn open(tracing: bool, name: &'static str) -> SpanGuard {
+        if !tracing {
             return SpanGuard {
                 armed: false,
                 _not_send: PhantomData,
@@ -194,7 +197,7 @@ impl Drop for SpanGuard {
             spans.push(record);
         } else {
             drop(spans);
-            dropped_counter().inc();
+            DROPPED.inc();
         }
     }
 }
@@ -206,9 +209,13 @@ impl Drop for SpanGuard {
 /// once per element.
 #[inline]
 pub fn add_to_span(name: &'static str, n: u64) {
-    if !tracing_enabled() {
-        return;
+    if tracing_enabled() {
+        add_to_innermost(name, n);
     }
+}
+
+/// [`add_to_span`] for a caller that has found tracing on already.
+pub(crate) fn add_to_innermost(name: &'static str, n: u64) {
     STACK.with(|stack| {
         let mut stack = stack.borrow_mut();
         let Some(frame) = stack.last_mut() else {

@@ -37,6 +37,7 @@
 //! correlation equals the per-guess loop's bit for bit.
 
 use crate::workload::LeakageModel;
+use tsc3d_obs::Metric;
 
 /// Key-byte guesses per byte: the lane count of every per-byte sum.
 const GUESSES: usize = 256;
@@ -50,6 +51,12 @@ const COV_MAX: f64 = 1e45;
 const TOP_MIN: f64 = 1e-30;
 /// Relative width of the candidate band below the screened top (≫ the 18 ulp bound).
 const SCREEN_MARGIN: f64 = 1e-9;
+
+static CHECKPOINTS: Metric = Metric::new(
+    "tsc3d_sca_cpa_checkpoints_total",
+    "CPA disclosure checkpoints evaluated",
+)
+.on_span("cpa_checkpoints");
 
 /// The attack outcome for one key byte.
 #[derive(Debug, Clone, PartialEq)]
@@ -447,10 +454,8 @@ impl CpaAccumulator {
             acc.best_at_checkpoint.push(best as u8);
         }
         self.next_mark += 1;
-        tsc3d_obs::add_to_span("cpa_checkpoints", 1);
-        crate::obs_metrics::get().cpa_checkpoints.inc();
         let seen = self.seen as u64;
-        tsc3d_obs::emit(|| tsc3d_obs::EventKind::Checkpoint {
+        CHECKPOINTS.add_and_emit(1, || tsc3d_obs::EventKind::Checkpoint {
             name: "cpa_traces",
             value: seen,
         });

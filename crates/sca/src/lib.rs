@@ -71,72 +71,6 @@ pub mod scenario;
 pub mod sensor;
 pub mod workload;
 
-/// Cached handles into the global registry for the `tsc3d_sca_*` metric family
-/// (shared by the scenario engine and the CPA accumulator).
-pub(crate) mod obs_metrics {
-    pub(crate) struct ScaMetrics {
-        /// Attack evaluations completed (one per mitigation state).
-        pub attacks: tsc3d_obs::Counter,
-        /// Simulated traces (observed encryptions) across all attacks.
-        pub traces: tsc3d_obs::Counter,
-        /// Trace-equivalent transient steps across all attacks (the steps each trace's
-        /// response spans, whichever engine computed it).
-        pub transient_steps: tsc3d_obs::Counter,
-        /// Lane-steps stepped by kernel extractions (one lane per sensor; memo misses
-        /// only).
-        pub kernel_steps: tsc3d_obs::Counter,
-        /// Kernel memo lookups that found the kernel.
-        pub kernel_hits: tsc3d_obs::Counter,
-        /// Kernel memo lookups that did not (each followed by an extraction unless the
-        /// attack fails first).
-        pub kernel_misses: tsc3d_obs::Counter,
-        /// CPA disclosure checkpoints evaluated.
-        pub cpa_checkpoints: tsc3d_obs::Counter,
-    }
-
-    const KERNEL_CACHE_HELP: &str = "Reciprocity-kernel memo lookups by outcome (one per attack)";
-
-    pub(crate) fn get() -> &'static ScaMetrics {
-        static METRICS: std::sync::OnceLock<ScaMetrics> = std::sync::OnceLock::new();
-        METRICS.get_or_init(|| {
-            let registry = tsc3d_obs::global();
-            ScaMetrics {
-                attacks: registry.counter(
-                    "tsc3d_sca_attacks_total",
-                    "Trace-level attack evaluations completed",
-                ),
-                traces: registry.counter(
-                    "tsc3d_sca_traces_total",
-                    "Thermal traces simulated (one per observed encryption)",
-                ),
-                transient_steps: registry.counter(
-                    "tsc3d_sca_transient_steps_total",
-                    "Explicit-Euler transient steps spanned by simulated traces",
-                ),
-                kernel_steps: registry.counter(
-                    "tsc3d_sca_kernel_steps_total",
-                    "Lane-steps stepped by reciprocity-kernel extractions (one lane per \
-                     sensor; kernel memo misses only, hits step nothing)",
-                ),
-                kernel_hits: registry.counter_with(
-                    "tsc3d_sca_kernel_cache_total",
-                    KERNEL_CACHE_HELP,
-                    &[("outcome", "hit")],
-                ),
-                kernel_misses: registry.counter_with(
-                    "tsc3d_sca_kernel_cache_total",
-                    KERNEL_CACHE_HELP,
-                    &[("outcome", "miss")],
-                ),
-                cpa_checkpoints: registry.counter(
-                    "tsc3d_sca_cpa_checkpoints_total",
-                    "CPA disclosure checkpoints evaluated",
-                ),
-            }
-        })
-    }
-}
-
 pub use cpa::{ByteResult, CpaAccumulator, CpaResult};
 pub use scenario::{
     attack_tsv_fields, resolve_target, run_attack, run_on_flow, run_on_flow_with,

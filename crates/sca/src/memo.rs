@@ -15,6 +15,7 @@ use std::sync::{Arc, OnceLock};
 use tsc3d_exec::LruCache;
 use tsc3d_floorplan::Floorplan;
 use tsc3d_geometry::Rect;
+use tsc3d_obs::Metric;
 use tsc3d_thermal::TsvField;
 
 /// The memo's byte budget over key and kernel bytes.
@@ -104,13 +105,19 @@ fn memo() -> &'static Memo {
     MEMO.get_or_init(|| LruCache::new(KERNEL_MEMO_BYTES))
 }
 
+const CACHE_HELP: &str = "Reciprocity-kernel memo lookups by outcome (one per attack)";
+static HITS: Metric =
+    Metric::new("tsc3d_sca_kernel_cache_total", CACHE_HELP).labeled(&[("outcome", "hit")]);
+/// Each miss is followed by an extraction unless the attack fails first.
+static MISSES: Metric =
+    Metric::new("tsc3d_sca_kernel_cache_total", CACHE_HELP).labeled(&[("outcome", "miss")]);
+
 /// The memoized kernel of `key`, counting the lookup as a hit or a miss.
 pub(crate) fn lookup(key: &KernelKey) -> Option<Arc<Kernel>> {
     let found = memo().get(key);
-    let metrics = crate::obs_metrics::get();
     match found {
-        Some(_) => metrics.kernel_hits.inc(),
-        None => metrics.kernel_misses.inc(),
+        Some(_) => HITS.inc(),
+        None => MISSES.inc(),
     }
     found
 }

@@ -20,6 +20,7 @@ use tsc3d_exec::{CancelReason, CancelToken, Interrupt, Pool};
 use tsc3d_floorplan::{plan_signal_tsvs, Floorplan, PowerStamps};
 use tsc3d_geometry::{DieId, Grid, GridMap, GridPos};
 use tsc3d_netlist::Design;
+use tsc3d_obs::Metric;
 use tsc3d_thermal::{BatchTransientSolver, SolveError, ThermalConfig, TransientSolver, TsvField};
 
 /// How the attacked module (the "crypto core") is chosen on the instrumented die.
@@ -536,6 +537,29 @@ const KERNEL_POLL_STEPS: usize = 512;
 /// read 5–9% fewer ops/s with parts of 4 lanes and ~30% fewer with one part padded to 16.
 const MAX_KERNEL_LANES: usize = 8;
 
+/// Attack evaluations completed (one per mitigation state).
+static ATTACKS: Metric = Metric::new(
+    "tsc3d_sca_attacks_total",
+    "Trace-level attack evaluations completed",
+);
+static TRACES: Metric = Metric::new(
+    "tsc3d_sca_traces_total",
+    "Thermal traces simulated (one per observed encryption)",
+)
+.on_span("traces");
+/// The steps each trace's response spans, whichever engine computed it.
+static TRANSIENT_STEPS: Metric = Metric::new(
+    "tsc3d_sca_transient_steps_total",
+    "Explicit-Euler transient steps spanned by simulated traces",
+)
+.on_span("transient_steps");
+static KERNEL_STEPS: Metric = Metric::new(
+    "tsc3d_sca_kernel_steps_total",
+    "Lane-steps stepped by reciprocity-kernel extractions (one lane per sensor; kernel \
+     memo misses only, hits step nothing)",
+)
+.on_span("kernel_steps");
+
 /// Which trace-simulation engine evaluates the attack.
 ///
 /// Both engines draw the same seeded traces, step the same network through the same
@@ -875,9 +899,7 @@ fn extract_kernel(
         }
     }
     let steps_per_trace = network.steps_per_trace();
-    let kernel_steps = sensors as u64 * steps_per_trace;
-    tsc3d_obs::add_to_span("kernel_steps", kernel_steps);
-    crate::obs_metrics::get().kernel_steps.add(kernel_steps);
+    KERNEL_STEPS.add(sensors as u64 * steps_per_trace);
     Ok(Kernel {
         values: kernel,
         modules,
@@ -1171,15 +1193,12 @@ fn run_attack_impl<const N: usize>(
         pool,
         cancel,
     )?;
-    let metrics = crate::obs_metrics::get();
     let outcomes: Vec<ScaOutcome> = stream_attack(&setup, physics, config, cancel)?
         .into_iter()
         .map(|(cpa, transient_steps)| {
-            metrics.attacks.inc();
-            metrics.traces.add(config.traces as u64);
-            metrics.transient_steps.add(transient_steps);
-            tsc3d_obs::add_to_span("traces", config.traces as u64);
-            tsc3d_obs::add_to_span("transient_steps", transient_steps);
+            ATTACKS.inc();
+            TRACES.add(config.traces as u64);
+            TRANSIENT_STEPS.add(transient_steps);
             ScaOutcome {
                 cpa: cpa.finish(),
                 target_module: setup.target,

@@ -26,6 +26,7 @@ use std::error::Error;
 use std::fmt;
 use tsc3d_exec::CancelToken;
 use tsc3d_geometry::{Grid, GridMap};
+use tsc3d_obs::Metric;
 
 /// Errors raised by [`SteadyStateSolver::solve`].
 #[derive(Debug, Clone, PartialEq)]
@@ -285,19 +286,14 @@ impl SteadyStateSolver {
             self.tolerance,
             cancel,
         );
-        let (temps, iterations, residual) = match swept {
-            Ok(done) => done,
-            Err((interrupt, iterations)) => {
-                tsc3d_obs::add_to_span("solver_sweeps", iterations as u64);
-                return Err(SolveError::Interrupted {
-                    interrupt,
-                    iterations,
-                });
-            }
-        };
-        tsc3d_obs::add_to_span("solver_sweeps", iterations as u64);
-        solver_metrics().solves.inc();
-        solver_metrics().sweeps.add(iterations as u64);
+        let (Ok((_, sweeps, _)) | Err((_, sweeps))) = &swept;
+        SWEEPS.add(*sweeps as u64);
+        let (temps, iterations, residual) =
+            swept.map_err(|(interrupt, iterations)| SolveError::Interrupted {
+                interrupt,
+                iterations,
+            })?;
+        SOLVES.inc();
         if residual > self.tolerance {
             return Err(SolveError::NotConverged {
                 residual,
@@ -332,26 +328,18 @@ impl SteadyStateSolver {
     }
 }
 
-/// Cached handles for the `tsc3d_thermal_*` global-metric family (bumped once per
-/// detailed solve; the per-sweep hot loop stays untouched).
-struct SolverMetrics {
-    solves: tsc3d_obs::Counter,
-    sweeps: tsc3d_obs::Counter,
-}
+/// Detailed solves that ran to the end of their sweeps, converged or not.
+static SOLVES: Metric = Metric::new(
+    "tsc3d_thermal_solves_total",
+    "Detailed steady-state thermal solves completed",
+);
 
-fn solver_metrics() -> &'static SolverMetrics {
-    static METRICS: std::sync::OnceLock<SolverMetrics> = std::sync::OnceLock::new();
-    METRICS.get_or_init(|| SolverMetrics {
-        solves: tsc3d_obs::global().counter(
-            "tsc3d_thermal_solves_total",
-            "Detailed steady-state thermal solves completed",
-        ),
-        sweeps: tsc3d_obs::global().counter(
-            "tsc3d_thermal_sweeps_total",
-            "Red-black SOR iterations performed by detailed solves",
-        ),
-    })
-}
+/// Counted once per detailed solve, on every exit path (the sweep loop stays untouched).
+static SWEEPS: Metric = Metric::new(
+    "tsc3d_thermal_sweeps_total",
+    "Red-black SOR iterations performed by detailed solves",
+)
+.on_span("solver_sweeps");
 
 /// Assembled conductance network in structure-of-arrays form for the SOR sweep.
 ///
