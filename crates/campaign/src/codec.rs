@@ -33,10 +33,12 @@ fn field<'a>(value: &'a Json, key: &str) -> Result<&'a Json, DecodeError> {
 /// Strict numeric accessor for spec/config fields: unlike [`Json::as_f64`] (whose
 /// null-means-NaN convention exists for the metrics round trip), a `null` here is a
 /// malformed config — a NaN cooling factor or objective weight would silently break
-/// every annealer cost comparison downstream.
+/// every annealer cost comparison downstream. For the same reason a number too large for
+/// an `f64` (`1e999` parses to +∞) is refused.
 pub(crate) fn f64_field(value: &Json, key: &str) -> Result<f64, DecodeError> {
     match field(value, key)? {
-        Json::Num(x) => Ok(*x),
+        Json::Num(x) if x.is_finite() => Ok(*x),
+        Json::Num(_) => Err(DecodeError(format!("field '{key}' is not a finite number"))),
         Json::UInt(u) => Ok(*u as f64),
         _ => Err(DecodeError(format!("field '{key}' is not a number"))),
     }
@@ -436,6 +438,13 @@ mod tests {
         encoded = encoded.replacen("\"cooling\":0.85", "\"cooling\":null", 1);
         let err = flow_config_from_json(&Json::parse(&encoded).unwrap()).unwrap_err();
         assert!(err.to_string().contains("cooling"), "{err}");
+        // Nor is a number too large for an f64, which parses to +∞.
+        let encoded = encoded.replacen("\"cooling\":null", "\"cooling\":1e999", 1);
+        let err = flow_config_from_json(&Json::parse(&encoded).unwrap()).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "malformed campaign data: field 'cooling' is not a finite number"
+        );
         let err = setup_from_json(&Json::Str("XX".into())).unwrap_err();
         assert!(err.to_string().contains("XX"));
         let err = benchmark_from_json(&Json::Str("n999".into())).unwrap_err();

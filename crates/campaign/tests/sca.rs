@@ -156,3 +156,27 @@ fn sca_results_files_refuse_silent_overwrites_and_wrong_specs() {
     assert!(err.to_string().contains("spec"), "{err}");
     std::fs::remove_file(&path).unwrap();
 }
+
+/// `sca-run` validates every sensor set before any job runs: a NaN, infinite or negative
+/// noise level fails through the CLI's error path, without a flow run or a results file.
+#[test]
+fn sca_run_refuses_a_bad_noise_level_before_any_flow_runs() {
+    for noise in ["NaN", "inf", "-1"] {
+        let path = temp_file(&format!("sca-noise-{noise}"));
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_campaign"))
+            .args([
+                "sca-run", "--smoke", "--traces", "16", "--noise", noise, "--out",
+            ])
+            .arg(&path)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert!(!output.status.success(), "--noise {noise}: {stderr}");
+        assert!(
+            stderr.contains("invalid sca config: sigma_k must be non-negative and finite"),
+            "--noise {noise}: {stderr}"
+        );
+        assert!(!stderr.contains("executed"), "--noise {noise}: {stderr}");
+        assert!(!path.exists(), "--noise {noise} left {}", path.display());
+    }
+}

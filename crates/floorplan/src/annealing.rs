@@ -121,9 +121,9 @@ impl SimulatedAnnealing {
     /// place and reverted through an undo token on rejection (no clone per move), packing
     /// reuses a [`PackScratch`] and a single [`Floorplan`] buffer, and the cost is
     /// evaluated through the tiered scratch path ([`Evaluator::evaluate_with`]). It
-    /// consumes the same random stream and computes bit-identical costs as the retained
-    /// reference loop ([`SimulatedAnnealing::optimize_on_reference`]), so seeded results
-    /// are unchanged — only faster.
+    /// consumes the same random stream and computes bit-identical costs as the original
+    /// clone-per-move loop over the from-scratch evaluation, which the tests keep as the
+    /// reference, so seeded results are unchanged — only faster.
     pub fn optimize_on(
         &self,
         design: &Design,
@@ -145,8 +145,8 @@ impl SimulatedAnnealing {
     ///
     /// The checkpoint sits outside the move loop and never touches the random
     /// stream, so a run that completes is bit-identical to the plain entry
-    /// point (and to [`SimulatedAnnealing::optimize_on_reference`]); an
-    /// interrupted run abandons the epoch in progress and returns typed.
+    /// point (and to the tests' reference loop); an interrupted run abandons the
+    /// epoch in progress and returns typed.
     ///
     /// # Errors
     ///
@@ -260,13 +260,13 @@ impl SimulatedAnnealing {
     }
 
     /// The original clone-per-move annealing loop over the from-scratch evaluation path,
-    /// retained as the equivalence reference and the "before" measurement of the perf
-    /// harness (`tsc3d-bench`'s `bench` binary).
+    /// kept as the equivalence reference.
     ///
     /// Produces a [`SaResult`] identical to [`SimulatedAnnealing::optimize_on`] for the
     /// same inputs (bit-identical cost, breakdown and history; only `runtime_seconds`
     /// differs).
-    pub fn optimize_on_reference(
+    #[cfg(test)]
+    fn optimize_on_reference(
         &self,
         design: &Design,
         stack: Stack,
@@ -468,16 +468,27 @@ mod tests {
     #[test]
     fn incremental_loop_matches_reference_on_benchmark_designs() {
         use tsc3d_netlist::suite::{generate, Benchmark};
-        let design = generate(Benchmark::N100, 1);
-        let stack = Stack::two_die(design.outline());
-        let mut schedule = SaSchedule::quick();
-        schedule.stages = 4;
-        schedule.moves_per_stage = 8;
-        schedule.grid_bins = 12;
-        let sa = SimulatedAnnealing::new(schedule);
-        let fast = sa.optimize_on(&design, stack, &ObjectiveWeights::tsc_aware(), 3);
-        let reference = sa.optimize_on_reference(&design, stack, &ObjectiveWeights::tsc_aware(), 3);
-        assert_same_sa_result(&fast, &reference);
+        let mut short = SaSchedule::quick();
+        short.stages = 4;
+        short.moves_per_stage = 8;
+        short.grid_bins = 12;
+        // A short schedule on N100, then the unmodified quick schedule on N100 and N200
+        // at two seeds each.
+        let mut cases = vec![(Benchmark::N100, short, 3)];
+        for benchmark in [Benchmark::N100, Benchmark::N200] {
+            for seed in [3, 5] {
+                cases.push((benchmark, SaSchedule::quick(), seed));
+            }
+        }
+        let weights = ObjectiveWeights::tsc_aware();
+        for (benchmark, schedule, seed) in cases {
+            let design = generate(benchmark, 1);
+            let stack = Stack::two_die(design.outline());
+            let sa = SimulatedAnnealing::new(schedule);
+            let fast = sa.optimize_on(&design, stack, &weights, seed);
+            let reference = sa.optimize_on_reference(&design, stack, &weights, seed);
+            assert_same_sa_result(&fast, &reference);
+        }
     }
 
     #[test]

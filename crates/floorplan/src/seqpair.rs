@@ -19,8 +19,9 @@
 //! * [`SequencePair3d::perturb_undoable`] applies one random move and returns a [`MoveUndo`]
 //!   token; [`SequencePair3d::undo`] reverts it exactly, replacing the clone-per-move
 //!   pattern of the original annealing loop.
-//! * [`SequencePair3d::pack_reference`] retains the original O(n²) packing as the
-//!   from-scratch reference path for equivalence tests and before/after benchmarks.
+//!
+//! The tests keep the original O(n²) packing as the from-scratch reference and check
+//! [`SequencePair3d::pack_with`] against it bit for bit.
 
 use rand::prelude::*;
 use rand_chacha::ChaCha8Rng;
@@ -289,9 +290,10 @@ impl SequencePair3d {
     ///
     /// The longest path through the sequence-pair constraint graph is evaluated with two
     /// Fenwick prefix-max trees (O(n log n) per die instead of the O(n²) pairwise scan of
-    /// [`SequencePair3d::pack_reference`]). Both compute the same per-block maxima over the
-    /// same operand sets, and `max` over a set of non-NaN floats is order-insensitive, so
-    /// the produced coordinates are bit-identical to the reference packing.
+    /// the original packing, which the tests keep as the reference). Both compute the same
+    /// per-block maxima over the same operand sets, and `max` over a set of non-NaN floats
+    /// is order-insensitive, so the produced coordinates are bit-identical to the
+    /// reference packing.
     ///
     /// # Panics
     ///
@@ -363,10 +365,11 @@ impl SequencePair3d {
         }
     }
 
-    /// The original O(n²) longest-path packing, retained as the from-scratch reference path
-    /// for equivalence tests and before/after benchmarks ([`SequencePair3d::pack_with`] is
-    /// the production path and produces bit-identical coordinates).
-    pub fn pack_reference(&self, design: &Design) -> Floorplan {
+    /// The original O(n²) longest-path packing, kept as the from-scratch reference
+    /// ([`SequencePair3d::pack_with`] is the production path and produces bit-identical
+    /// coordinates).
+    #[cfg(test)]
+    pub(crate) fn pack_reference(&self, design: &Design) -> Floorplan {
         let n = design.blocks().len();
         let mut rects = vec![Rect::default(); n];
 
@@ -781,6 +784,10 @@ mod tests {
             (
                 generate(Benchmark::N100, 1),
                 generate(Benchmark::N100, 1).outline(),
+            ),
+            (
+                generate(Benchmark::N200, 1),
+                generate(Benchmark::N200, 1).outline(),
             ),
         ] {
             let stack = Stack::two_die(outline);

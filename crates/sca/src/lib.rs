@@ -17,19 +17,19 @@
 //!    to integrate the data-dependent power (Hamming-weight or Hamming-distance model),
 //!    plus Gaussian background traffic on every module (the
 //!    [`tsc3d_power::ActivitySampler`] convention).
-//! 2. **Transient thermal simulation** ([`TraceEngine`]): the spatial engine
+//! 2. **Transient thermal simulation** ([`scenario`]): the spatial engine
 //!    [`tsc3d_thermal::TransientSolver`] models the flow's floorplan (power maps, signal
 //!    and dummy TSVs) through each trace's dwell. Its network is linear, time-invariant
-//!    and reciprocal, and every trace starts from ambient under constant power, so the
-//!    default engine steps one lane *per sensor* (1 W at the sensor) through the dwell's
+//!    and reciprocal, and every trace starts from ambient under constant power, so an
+//!    attack steps one lane *per sensor* (1 W at the sensor) through the dwell's
 //!    substeps and evaluates every trace as a dot product of its module powers with that
-//!    response kernel. The batched stepper, which steps every trace, is the reference:
-//!    the two agree within 1e-10 K before acquisition, and identically after quantised
-//!    acquisition. The kernel depends only on the floorplan, its TSV fields and the
-//!    sensor geometry, so a bounded process-wide memo keeps it: every later attack on the
-//!    same floorplan, mitigation state and sensor geometry (any key, noise level or trace
-//!    count) skips the stepping and goes straight to trace evaluation and CPA (see
-//!    [`TraceEngine::Kernel`]).
+//!    response kernel. The crate's tests keep a stepper that advances every trace as the
+//!    reference: the two agree within 1e-10 K before acquisition, and identically after
+//!    quantised acquisition. The kernel depends only on the floorplan, its TSV fields and
+//!    the sensor geometry, so a bounded process-wide memo keeps it: every later attack on
+//!    the same floorplan, mitigation state and sensor geometry (any key, noise level or
+//!    trace count) skips the stepping and goes straight to trace evaluation and CPA (see
+//!    the [`scenario`] module).
 //! 3. **Sensors** ([`sensor`]): an `s × s` array on the exposed die, sampled at a finite
 //!    period, quantized and noisy (the [`tsc3d_attack::NoisyOracle`] noise conventions).
 //! 4. **CPA + MTD** ([`cpa`]): Pearson correlation of hypothetical leakage against the
@@ -73,9 +73,9 @@ pub mod workload;
 
 pub use cpa::{ByteResult, CpaAccumulator, CpaResult};
 pub use scenario::{
-    attack_tsv_fields, resolve_target, run_attack, run_on_flow, run_on_flow_with,
-    run_on_flow_with_cancel, run_verdict, run_verdict_with_cancel, AttackConfig, Mitigation,
-    ScaError, ScaOutcome, ScaVerdict, TargetPolicy, TraceEngine,
+    attack_tsv_fields, resolve_target, run_on_flow, run_on_flow_with_cancel, run_verdict,
+    run_verdict_with_cancel, AttackConfig, Mitigation, ScaError, ScaOutcome, ScaVerdict,
+    TargetPolicy,
 };
 pub use sensor::SensorConfig;
 pub use workload::{derive_key, LeakageModel, TraceActivity, Workload, WorkloadConfig, SBOX};
@@ -176,72 +176,54 @@ mod tests {
         }
     }
 
+    /// The kernel engine against the stepped reference (`scenario::run_on_flow_stepped`),
+    /// outcome for outcome: the quick size at attack grids 8 and 12 over several lockstep
+    /// batch sizes, and the smoke size once.
     #[test]
     fn kernel_engine_matches_the_batched_stepper() {
         let (design, flow) = flow_fixture();
-        assert_eq!(TraceEngine::default(), TraceEngine::Kernel);
-        let pools = [None, Some(Pool::new(1)), Some(Pool::new(4))];
-        // The stepper's invariance over batch sizes is checked at the quick size; at the
-        // smoke size it runs once. The pooled kernel-engine runs hit the kernel memo the
-        // first run filled (pooled extraction has its own test in `scenario`).
+        let pools = [Pool::new(1), Pool::new(4)];
+        let mut grid_12 = test_config();
+        grid_12.grid_bins = 12;
+        // The pooled kernel-engine runs hit the kernel memo the first run filled (pooled
+        // extraction has its own test in `scenario`).
         for (config, batch_sizes) in [
-            (test_config(), &[1usize, 3, 8][..]),
+            (test_config(), &[1usize, 3, 4, 8][..]),
+            (grid_12, &[4, 8][..]),
             (AttackConfig::smoke(), &[8][..]),
         ] {
             for mitigation in [Mitigation::Baseline, Mitigation::DummyTsvs] {
-                let run = |engine, pool: &Option<Pool>| {
-                    run_on_flow_with(
+                let run = |pool| run_on_flow(design, flow, &config, 5, 11, mitigation, pool);
+                let label = format!(
+                    "grid {}, {} traces, {mitigation:?}",
+                    config.grid_bins, config.traces
+                );
+                let kernel = run(None).unwrap();
+                for pool in &pools {
+                    let workers = pool.threads();
+                    assert_eq!(
+                        run(Some(pool)),
+                        Ok(kernel.clone()),
+                        "{label}, {workers} workers"
+                    );
+                }
+                for &batch_traces in batch_sizes {
+                    let stepped = scenario::run_on_flow_stepped(
                         design,
                         flow,
                         &config,
                         5,
                         11,
                         mitigation,
-                        engine,
-                        pool.as_ref(),
-                    )
-                    .unwrap()
-                };
-                let label = format!("{} traces, {mitigation:?}", config.traces);
-                let kernel = run(TraceEngine::Kernel, &None);
-                for pool in &pools[1..] {
-                    let workers = pool.as_ref().map_or(0, Pool::threads);
-                    assert_eq!(
-                        run(TraceEngine::Kernel, pool),
-                        kernel,
-                        "{label}, {workers} workers"
+                        batch_traces,
                     );
-                }
-                for &batch_traces in batch_sizes {
-                    assert_eq!(
-                        run(TraceEngine::Batched { batch_traces }, &None),
-                        kernel,
-                        "{label}, batch {batch_traces}"
-                    );
+                    assert_eq!(stepped, Ok(kernel.clone()), "{label}, batch {batch_traces}");
                 }
             }
         }
-        for pool in pools.iter().flatten() {
+        for pool in &pools {
             pool.shutdown();
         }
-    }
-
-    #[test]
-    fn zero_batch_size_is_rejected_typed() {
-        let (design, flow) = flow_fixture();
-        let config = test_config();
-        let err = run_on_flow_with(
-            design,
-            flow,
-            &config,
-            5,
-            11,
-            Mitigation::Baseline,
-            TraceEngine::Batched { batch_traces: 0 },
-            None,
-        )
-        .unwrap_err();
-        assert!(matches!(err, ScaError::InvalidConfig { .. }));
     }
 
     #[test]
@@ -282,15 +264,16 @@ mod tests {
         let grid = flow.floorplan().analysis_grid(test_config().grid_bins);
         let fields = attack_tsv_fields(design, flow, grid, Mitigation::Baseline);
         let powers = &flow.scaled_powers[1..];
-        let err = run_attack(
+        let err = scenario::run_attack_impl(
             flow.floorplan(),
             powers,
-            &fields,
+            [&fields],
             None,
             &test_config(),
             5,
             11,
             None,
+            &tsc3d_exec::CancelToken::new(),
         )
         .unwrap_err();
         assert!(matches!(err, ScaError::InvalidConfig { .. }), "{err}");
@@ -307,10 +290,20 @@ mod tests {
         mtd_checkpoints.mtd_checkpoints = mtd_checkpoints.traces + 1;
         let mut grid_bins = test_config();
         grid_bins.grid_bins = AttackConfig::MAX_GRID_BINS + 1;
+        // Noise levels must be finite as well as non-negative.
+        let mut sigma_k = test_config();
+        sigma_k.sensors.sigma_k = f64::NAN;
+        let mut quantization_k = test_config();
+        quantization_k.sensors.quantization_k = f64::INFINITY;
+        let mut background_sigma = test_config();
+        background_sigma.workload.background_sigma = f64::NAN;
         for (field, config) in [
             ("traces", traces),
             ("mtd_checkpoints", mtd_checkpoints),
             ("grid_bins", grid_bins),
+            ("sigma_k", sigma_k),
+            ("quantization_k", quantization_k),
+            ("background_sigma", background_sigma),
         ] {
             let err =
                 run_on_flow(design, flow, &config, 5, 11, Mitigation::Baseline, None).unwrap_err();

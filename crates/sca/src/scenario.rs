@@ -7,6 +7,56 @@
 //! reporting the [`ScaVerdict`]: did the mitigation raise the attacker's
 //! measurements-to-disclosure? Both attacks observe one trace stream: each trace is
 //! drawn once and read through both states' thermal responses.
+//!
+//! # Trace simulation: the reciprocity kernel
+//!
+//! An attack reads every trace's true sensor temperatures off one response kernel per
+//! mitigation state. Extracting it steps one lane per *sensor*, not per trace: 1 W
+//! injected at the sensor's node on the sensor die's active layer of an ambient-0 copy of
+//! the network, through the attack's exact `advance(sample_dt)` substeps. At each sample
+//! time every lane's field is folded through the floorplan's power stamps into a
+//! `samples × sensors × modules` kernel `K`. Trace `t` then reads
+//! `ambient + Σ_m p_m·K[j][s][m]` at sample `j` and sensor `s`, summed in module-index
+//! order. The sensor lanes are split over the pool in parts padded to a specialised lane
+//! width, and extraction polls the cancel token at least every 512 substeps.
+//!
+//! **Why the kernel is exact.** For one (floorplan, mitigation state) the RC network is
+//! linear and time-invariant, every trace starts from ambient, and its power is constant
+//! over the dwell. Conductances are symmetric and capacities diagonal, so the
+//! explicit-Euler operator `A = I − dt·C⁻¹G` satisfies `Aᵏ·C⁻¹ = (Aᵏ·C⁻¹)ᵀ`
+//! (reciprocity). The stepped rise at sensor `s` under a power vector `P` therefore
+//! equals `⟨θ_s, P⟩`, where `θ_s` is the field that 1 W injected at `s` produces on an
+//! ambient-0 copy of the network after the same substeps.
+//!
+//! **How closely it agrees with stepping every trace.** The crate's tests keep a stepped
+//! reference: the same set-up and trace stream, with every trace advanced through the
+//! network at the stack's ambient in lockstep [`BatchTransientSolver`] lanes, each
+//! bit-identical to the scalar [`TransientSolver`]. Its true temperatures differ from the
+//! kernel's only by rounding (summation order). The tests bound the difference by
+//! 1e-10 K at every trace, sample and sensor; measured, it stays below 4e-13 K (7 ULP at
+//! 293 K). An ADC code changes only when the noisy reading lies within that distance of a
+//! quantisation boundary, so with quantised sensors every acquired sample, and with them
+//! the whole [`ScaOutcome`], is identical. The tests check this on the quick
+//! configuration at attack grids 8 and 12 and on the smoke configuration, in both
+//! mitigation states. Unquantised sensors (`quantization_k = 0`) agree to the 1e-10 K
+//! bound only.
+//!
+//! **The kernel memo.** A kernel depends only on what extraction reads, so one
+//! process-wide memo keeps it across attacks. Its key is the exact bits of the stack and
+//! outline, the attack grid's bin count, every placement's block, die and rectangle,
+//! every TSV field's grid and density map, and the sensor die, array size, samples per
+//! trace and dwell. Keys compare in full; the hash only picks the bucket. The key leaves
+//! out what never reaches the kernel: sensor noise and quantisation, the workload, the
+//! key and trace seeds, the trace count, the checkpoints, the target policy, the nominal
+//! powers and the pool. A hit needs no network: the entry keeps the kernel with its
+//! trace-equivalent steps per trace. A miss extracts as described above (pool fan-out,
+//! cancel polls, the `sca_kernel` span and `tsc3d_sca_kernel_steps_total`) and memoizes
+//! the result; an interrupted or failed extraction memoizes nothing. Two concurrent
+//! misses on one key may both extract; their kernels are bit-identical and the first
+//! inserted is kept. Entries weigh their key and kernel bytes against a fixed 4 MiB
+//! budget, least recently used first out, and a kernel larger than the budget is never
+//! kept. Each attack counts one lookup in
+//! `tsc3d_sca_kernel_cache_total{outcome="hit"|"miss"}`.
 
 use crate::cpa::{CpaAccumulator, CpaResult};
 use crate::memo::{self, Kernel, KernelKey};
@@ -181,8 +231,11 @@ impl AttackConfig {
                 self.workload.watts_per_hw
             ));
         }
-        if self.workload.background_sigma < 0.0 {
-            return fail("background_sigma must be non-negative".into());
+        if !(self.workload.background_sigma >= 0.0 && self.workload.background_sigma.is_finite()) {
+            return fail(format!(
+                "background_sigma must be non-negative and finite, got {}",
+                self.workload.background_sigma
+            ));
         }
         let sensors = &self.sensors;
         if sensors.sensors_per_axis == 0 || sensors.samples_per_trace == 0 {
@@ -212,8 +265,15 @@ impl AttackConfig {
                 self.sensors.dwell_s
             ));
         }
-        if self.sensors.sigma_k < 0.0 || self.sensors.quantization_k < 0.0 {
-            return fail("sensor sigma and quantization must be non-negative".into());
+        for (field, value) in [
+            ("sigma_k", self.sensors.sigma_k),
+            ("quantization_k", self.sensors.quantization_k),
+        ] {
+            if !(value >= 0.0 && value.is_finite()) {
+                return fail(format!(
+                    "{field} must be non-negative and finite, got {value}"
+                ));
+            }
         }
         if !(1..=self.traces).contains(&self.mtd_checkpoints) {
             return fail(format!(
@@ -313,11 +373,11 @@ pub struct ScaOutcome {
     /// The module the workload keyed (index into the design's blocks).
     pub target_module: usize,
     /// Trace-equivalent transient steps: `traces × samples_per_trace ×
-    /// steps_for(sample_dt)`, the explicit-Euler steps each trace's response spans. The
-    /// same for both engines, and for a kernel memo hit or miss; only
-    /// [`TraceEngine::Batched`] steps them all. The kernel engine steps `sensors ×
-    /// samples_per_trace × steps_for(sample_dt)` lane-steps per extraction (memo misses
-    /// only), counted by `tsc3d_sca_kernel_steps_total` and the `sca_kernel` span.
+    /// steps_for(sample_dt)`, the explicit-Euler steps each trace's response spans, which
+    /// the kernel evaluates as one dot product per point. The same for a kernel memo hit
+    /// or miss. What is actually stepped is `sensors × samples_per_trace ×
+    /// steps_for(sample_dt)` lane-steps per extraction (memo misses only), counted by
+    /// `tsc3d_sca_kernel_steps_total` and the `sca_kernel` span.
     pub transient_steps: u64,
 }
 
@@ -524,8 +584,8 @@ pub fn resolve_target(
     }
 }
 
-/// Traces per chunk of the kernel engine: the unit in which traces are evaluated, folded
-/// into the CPA sums and polled at the `sca-batch` checkpoint.
+/// Traces per chunk: the unit in which traces are drawn, evaluated, folded into the CPA
+/// sums and polled at the `sca-batch` checkpoint.
 const CHUNK_TRACES: usize = 8;
 
 /// Kernel extraction polls the cancel token at least once per this many substeps.
@@ -547,7 +607,8 @@ static TRACES: Metric = Metric::new(
     "Thermal traces simulated (one per observed encryption)",
 )
 .on_span("traces");
-/// The steps each trace's response spans, whichever engine computed it.
+/// The steps each trace's response spans (trace-equivalent: the kernel evaluates them as
+/// one dot product per point).
 static TRANSIENT_STEPS: Metric = Metric::new(
     "tsc3d_sca_transient_steps_total",
     "Explicit-Euler transient steps spanned by simulated traces",
@@ -559,69 +620,6 @@ static KERNEL_STEPS: Metric = Metric::new(
      memo misses only, hits step nothing)",
 )
 .on_span("kernel_steps");
-
-/// Which trace-simulation engine evaluates the attack.
-///
-/// Both engines draw the same seeded traces, step the same network through the same
-/// substeps, and run the same acquisition chain. They differ only in how a trace's true
-/// sensor temperatures are computed.
-///
-/// **Why the kernel is exact.** For one (floorplan, mitigation state) the RC network is
-/// linear and time-invariant, every trace starts from ambient, and its power is constant
-/// over the dwell. Conductances are symmetric and capacities diagonal, so the
-/// explicit-Euler operator `A = I − dt·C⁻¹G` satisfies `Aᵏ·C⁻¹ = (Aᵏ·C⁻¹)ᵀ`
-/// (reciprocity). The stepped rise at sensor `s` under a power vector `P` therefore
-/// equals `⟨θ_s, P⟩`, where `θ_s` is the field that 1 W injected at `s` produces on an
-/// ambient-0 copy of the network after the same substeps.
-///
-/// **How closely the engines agree.** Their true temperatures differ only by rounding
-/// (summation order). The equivalence tests bound the difference by 1e-10 K at every
-/// trace, sample and sensor; measured, it stays below 4e-13 K (7 ULP at 293 K). An ADC
-/// code changes only when the noisy reading lies within that distance of a quantisation
-/// boundary, so with quantised sensors every acquired sample, and with them the whole
-/// [`ScaOutcome`], is identical. The tests check this on the quick and smoke
-/// configurations in both mitigation states. Unquantised sensors (`quantization_k = 0`)
-/// agree to the 1e-10 K bound only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TraceEngine {
-    /// The reciprocity-kernel engine (default). Each attack steps one lane per *sensor*,
-    /// not per trace: 1 W injected at the sensor's node on the sensor die's active
-    /// layer, through the attack's exact `advance(sample_dt)` substeps. At each sample
-    /// time every lane's field is folded through the floorplan's power stamps into a
-    /// `samples × sensors × modules` kernel `K`. Trace `t` then reads
-    /// `ambient + Σ_m p_m·K[j][s][m]` at sample `j` and sensor `s`, summed in
-    /// module-index order.
-    ///
-    /// The sensor lanes are split over the pool in parts padded to a specialised lane
-    /// width. Extraction polls the cancel token at least every 512 substeps.
-    ///
-    /// **The kernel memo.** A kernel depends only on what extraction reads, so one
-    /// process-wide memo keeps it across attacks. Its key is the exact bits of the
-    /// stack and outline, the attack grid's bin count, every placement's block, die and
-    /// rectangle, every TSV field's grid and density map, and the sensor die, array size,
-    /// samples per trace and dwell. Keys compare in full; the hash only picks the bucket.
-    /// The key leaves out what never reaches the kernel: sensor noise and quantisation,
-    /// the workload, the key and trace seeds, the trace count, the checkpoints, the target
-    /// policy, the nominal powers and the pool. A hit needs no network: the entry keeps
-    /// the kernel with its trace-equivalent steps per trace. A miss extracts as described
-    /// above (pool fan-out, cancel polls, the `sca_kernel` span and
-    /// `tsc3d_sca_kernel_steps_total`) and memoizes the result; an interrupted or failed
-    /// extraction memoizes nothing. Two concurrent misses on one key may both extract;
-    /// their kernels are bit-identical and the first inserted is kept. Entries weigh
-    /// their key and kernel bytes against a fixed 4 MiB budget, least recently used first
-    /// out, and a kernel larger than the budget is never kept. Each attack counts one
-    /// lookup in `tsc3d_sca_kernel_cache_total{outcome="hit"|"miss"}`.
-    #[default]
-    Kernel,
-    /// The reference engine: lockstep SoA stepping of every trace, `batch_traces`
-    /// traces sharing one conductance network and advancing through every substep
-    /// together. Each lane is bit-identical to the scalar [`TransientSolver`]. It runs
-    /// on the calling thread; a pool passed alongside it goes unused.
-    Batched {
-        /// Traces per lockstep batch (at least 1).
-        batch_traces: usize,
-    },
-}
 
 /// The per-trace seed: decorrelates consecutive trace indices (SplitMix64 finalizer).
 fn trace_seed(seed: u64, trace: u64) -> u64 {
@@ -641,8 +639,10 @@ fn ranges(total: usize, width: usize) -> Vec<(usize, usize)> {
         .collect()
 }
 
-/// The physics of one trace engine in one mitigation state: the true (pre-acquisition)
-/// sensor temperatures of given traces.
+/// The physics of one mitigation state: the true (pre-acquisition) sensor temperatures
+/// of given traces. Attacks read them off the state's kernel; the crate's tests also step
+/// every trace through the state's network, as the reference the kernel is checked
+/// against.
 trait ThermalResponse {
     /// The span wrapping one chunk's evaluation.
     const SPAN: &'static str;
@@ -655,10 +655,11 @@ trait ThermalResponse {
     fn steps_per_trace(&self) -> u64;
 }
 
-/// What both engines step: one shared [`BatchTransientSolver`] (network and capacities
-/// built once per mitigation state), the floorplan's precomputed [`PowerStamps`] on its
-/// grid, and the sensor array. As the [`TraceEngine::Batched`] response it steps one lane
-/// per trace; the kernel engine steps one lane per sensor through it.
+/// The transient network of one mitigation state: one shared [`BatchTransientSolver`]
+/// (network and capacities built once), the floorplan's precomputed [`PowerStamps`] on
+/// its grid, and the sensor array. Kernel extraction steps one lane per sensor through it
+/// at ambient 0; the tests' stepped reference steps one lane per trace at the stack's
+/// ambient.
 struct AttackNetwork {
     solver: BatchTransientSolver,
     stamps: PowerStamps,
@@ -668,6 +669,12 @@ struct AttackNetwork {
 }
 
 impl AttackNetwork {
+    /// Trace-equivalent transient steps per trace: every sample's `advance(sample_dt)`
+    /// substeps.
+    fn steps_per_trace(&self) -> u64 {
+        (self.sensors.samples_per_trace * self.solver.steps_for(self.sample_dt)) as u64
+    }
+
     /// Extracts the kernel rows of sensors `lo..hi`, laid out
     /// `samples × (hi − lo) × modules`, stepping them as one batch padded to a
     /// power-of-two lane count. Padding lanes carry no power and stay at 0 K.
@@ -717,6 +724,9 @@ impl AttackNetwork {
     }
 }
 
+/// The stepped reference: every trace advanced through the network, one lockstep lane
+/// per trace.
+#[cfg(test)]
 impl ThermalResponse for AttackNetwork {
     const SPAN: &'static str = "trace_window";
 
@@ -750,12 +760,12 @@ impl ThermalResponse for AttackNetwork {
     }
 
     fn steps_per_trace(&self) -> u64 {
-        (self.sensors.samples_per_trace * self.solver.steps_for(self.sample_dt)) as u64
+        AttackNetwork::steps_per_trace(self)
     }
 }
 
-/// The evaluator behind [`TraceEngine::Kernel`]: each temperature is a dot product of
-/// the trace's module powers with one row of the extracted kernel.
+/// The response attacks read: each temperature is a dot product of the trace's module
+/// powers with one row of the extracted kernel.
 struct KernelResponse {
     kernel: Arc<Kernel>,
     ambient: f64,
@@ -952,67 +962,19 @@ fn stream_traces<R: ThermalResponse>(
         .collect())
 }
 
-/// Runs one attack evaluation against explicit TSV fields.
-///
-/// `nominal_powers` are the per-block baseline powers (voltage-scaled); `stability` is
-/// the flow's correlation-stability map when available (the
-/// [`TargetPolicy::MostStable`] input); `seed` drives the traces (plaintexts, background
-/// traffic, sensor noise) and `key_seed` the secret key. With a pool, kernel extraction
-/// fans out over the workers; the per-trace seeding makes the result **bit-identical**
-/// for any worker count (including none).
-///
-/// # Errors
-///
-/// Returns a [`ScaError`] for invalid configurations, mismatched TSV fields, or a die
-/// without modules.
-#[allow(clippy::too_many_arguments)]
-pub fn run_attack(
-    floorplan: &Floorplan,
-    nominal_powers: &[f64],
-    tsv_fields: &[TsvField],
-    stability: Option<&tsc3d_leakage::StabilityMap>,
-    config: &AttackConfig,
-    seed: u64,
-    key_seed: u64,
-    pool: Option<&Pool>,
-) -> Result<ScaOutcome, ScaError> {
-    let [outcome] = run_attack_impl(
-        floorplan,
-        nominal_powers,
-        [tsv_fields],
-        stability,
-        config,
-        seed,
-        key_seed,
-        TraceEngine::default(),
-        pool,
-        &CancelToken::new(),
-    )?;
-    Ok(outcome)
-}
-
 /// What every mitigation state of one attack shares: the validated, target-resolved
 /// inputs and the seeded trace stream.
 struct AttackSetup {
     /// The stack's ambient temperature, which every trace starts from.
     ambient: f64,
+    /// The attack's analysis grid.
+    grid: Grid,
     target: usize,
     draws: TraceDraws,
 }
 
-/// How an attack computes its states' true sensor temperatures, one entry per state.
-enum Physics {
-    /// [`TraceEngine::Kernel`]: each state's kernel, memoized or freshly extracted.
-    Kernel(Vec<Arc<Kernel>>),
-    /// [`TraceEngine::Batched`]: the network each state's traces step through.
-    Stepped {
-        networks: Vec<AttackNetwork>,
-        batch_traces: usize,
-    },
-}
-
-/// The transient network an attack steps, the expensive part of its set-up: the batched
-/// engine builds it for every attack, the kernel engine only on a memo miss.
+/// The transient network of one mitigation state at `thermal_config`'s ambient, the
+/// expensive part of an attack's set-up: only a kernel memo miss builds it.
 fn attack_network(
     floorplan: &Floorplan,
     tsv_fields: &[TsvField],
@@ -1030,9 +992,9 @@ fn attack_network(
     })
 }
 
-/// [`TraceEngine::Kernel`]'s physics of one state: the memoized kernel, or on a miss one
-/// extracted from an ambient-0 network (over the pool, polling `cancel`) and memoized.
-/// An interrupted or failed extraction memoizes nothing.
+/// One state's physics: its memoized kernel, or on a miss one extracted from an
+/// ambient-0 network (over the pool, polling `cancel`) and memoized. An interrupted or
+/// failed extraction memoizes nothing.
 fn state_kernel(
     floorplan: &Floorplan,
     tsv_fields: &[TsvField],
@@ -1045,7 +1007,7 @@ fn state_kernel(
     if let Some(kernel) = memo::lookup(&key) {
         return Ok(kernel);
     }
-    // The kernel engine steps unit-power responses: rises over ambient.
+    // Extraction steps unit-power responses: rises over ambient.
     let unit = ThermalConfig::default_for(floorplan.stack()).with_ambient(0.0);
     let network = attack_network(floorplan, tsv_fields, config, grid, &unit)?;
     Ok(memo::memoize(
@@ -1054,23 +1016,16 @@ fn state_kernel(
     ))
 }
 
-/// Validates the configuration and resolves what the states share once (the attacked
-/// module, the key, the trace stream), then each state's physics in state order: the
-/// kernel engine takes each kernel from the memo or extracts it, the batched engine
-/// builds each network. The first failure is returned before any trace is drawn.
-#[allow(clippy::too_many_arguments)]
+/// Validates the configuration and resolves what the states share once: the analysis
+/// grid, the attacked module, the key and the trace stream.
 fn prepare_attack(
     floorplan: &Floorplan,
     nominal_powers: &[f64],
-    state_fields: &[&[TsvField]],
     stability: Option<&tsc3d_leakage::StabilityMap>,
     config: &AttackConfig,
     seed: u64,
     key_seed: u64,
-    engine: TraceEngine,
-    pool: Option<&Pool>,
-    cancel: &CancelToken,
-) -> Result<(AttackSetup, Physics), ScaError> {
+) -> Result<AttackSetup, ScaError> {
     config.validate()?;
     if config.sensors.die >= floorplan.stack().dies() {
         return Err(ScaError::InvalidConfig {
@@ -1091,7 +1046,6 @@ fn prepare_attack(
         });
     }
     let grid = floorplan.analysis_grid(config.grid_bins);
-    let thermal_config = ThermalConfig::default_for(floorplan.stack());
     let target = resolve_target(
         config.target,
         floorplan,
@@ -1100,70 +1054,35 @@ fn prepare_attack(
         grid,
         stability,
     )?;
-    let physics = match engine {
-        TraceEngine::Kernel => Physics::Kernel(
-            state_fields
-                .iter()
-                .map(|fields| state_kernel(floorplan, fields, config, grid, pool, cancel))
-                .collect::<Result<_, _>>()?,
-        ),
-        TraceEngine::Batched { batch_traces } => Physics::Stepped {
-            networks: state_fields
-                .iter()
-                .map(|fields| attack_network(floorplan, fields, config, grid, &thermal_config))
-                .collect::<Result<_, _>>()?,
-            batch_traces,
-        },
-    };
     let workload = Workload::new(
         config.workload,
         derive_key(key_seed, config.workload.key_bytes),
         nominal_powers.to_vec(),
         target,
     );
-    let setup = AttackSetup {
-        ambient: thermal_config.ambient,
+    Ok(AttackSetup {
+        ambient: ThermalConfig::default_for(floorplan.stack()).ambient,
+        grid,
         target,
         draws: TraceDraws {
             workload,
             sensors: config.sensors,
             seed,
         },
-    };
-    Ok((setup, physics))
-}
-
-/// Streams the prepared attack's traces into every state (see [`stream_traces`]); the
-/// kernel engine chunks them by [`CHUNK_TRACES`], the batched engine by its batch size.
-fn stream_attack(
-    setup: &AttackSetup,
-    physics: Physics,
-    config: &AttackConfig,
-    cancel: &CancelToken,
-) -> Result<Vec<(CpaAccumulator, u64)>, ScaError> {
-    match physics {
-        Physics::Kernel(kernels) => {
-            let responses = kernels.into_iter().map(|kernel| KernelResponse {
-                kernel,
-                ambient: setup.ambient,
-            });
-            stream_traces(setup, responses, CHUNK_TRACES, config, cancel)
-        }
-        // Fixed-size lockstep batches (the last one may be short); the batch boundary
-        // only affects the SoA lane width, never values.
-        Physics::Stepped {
-            networks,
-            batch_traces,
-        } => stream_traces(setup, networks, batch_traces, config, cancel),
-    }
+    })
 }
 
 /// The cancellable core behind every attack entry point: one attack per TSV-field set
-/// (mitigation state), all observing one trace stream under one `sca_attack` span. Polls
-/// `cancel` at the `sca-batch` checkpoint once per state and trace chunk, and during
-/// kernel extraction directly at least every [`KERNEL_POLL_STEPS`] substeps.
+/// (mitigation state), all observing one trace stream under one `sca_attack` span.
+///
+/// `nominal_powers` are the per-block baseline powers (voltage-scaled), one per placed
+/// module; `stability` is the flow's correlation-stability map when available (the
+/// [`TargetPolicy::MostStable`] input). Each state's kernel is looked up or extracted, in
+/// state order, before any trace is drawn. Polls `cancel` at the `sca-batch` checkpoint
+/// once per state and trace chunk of [`CHUNK_TRACES`], and during kernel extraction
+/// directly at least every [`KERNEL_POLL_STEPS`] substeps.
 #[allow(clippy::too_many_arguments)]
-fn run_attack_impl<const N: usize>(
+pub(crate) fn run_attack_impl<const N: usize>(
     floorplan: &Floorplan,
     nominal_powers: &[f64],
     state_fields: [&[TsvField]; N],
@@ -1171,29 +1090,22 @@ fn run_attack_impl<const N: usize>(
     config: &AttackConfig,
     seed: u64,
     key_seed: u64,
-    engine: TraceEngine,
     pool: Option<&Pool>,
     cancel: &CancelToken,
 ) -> Result<[ScaOutcome; N], ScaError> {
     let _span = tsc3d_obs::span!("sca_attack");
-    if let TraceEngine::Batched { batch_traces: 0 } = engine {
-        return Err(ScaError::InvalidConfig {
-            reason: "batch_traces must be >= 1".into(),
-        });
-    }
-    let (setup, physics) = prepare_attack(
-        floorplan,
-        nominal_powers,
-        &state_fields,
-        stability,
-        config,
-        seed,
-        key_seed,
-        engine,
-        pool,
-        cancel,
-    )?;
-    let outcomes: Vec<ScaOutcome> = stream_attack(&setup, physics, config, cancel)?
+    let setup = prepare_attack(floorplan, nominal_powers, stability, config, seed, key_seed)?;
+    let responses = state_fields
+        .iter()
+        .map(|fields| {
+            let kernel = state_kernel(floorplan, fields, config, setup.grid, pool, cancel)?;
+            Ok(KernelResponse {
+                kernel,
+                ambient: setup.ambient,
+            })
+        })
+        .collect::<Result<Vec<_>, ScaError>>()?;
+    let outcomes: Vec<ScaOutcome> = stream_traces(&setup, responses, CHUNK_TRACES, config, cancel)?
         .into_iter()
         .map(|(cpa, transient_steps)| {
             ATTACKS.inc();
@@ -1212,9 +1124,17 @@ fn run_attack_impl<const N: usize>(
 /// Runs one attack evaluation out of a [`FlowResult`], against the chosen mitigation
 /// state of the *same* floorplan.
 ///
+/// The attack keys the module [`AttackConfig::target`] picks, under the flow's
+/// voltage-scaled block powers (its correlation-stability map is the
+/// [`TargetPolicy::MostStable`] input). `seed` drives the traces (plaintexts, background
+/// traffic, sensor noise) and `key_seed` the secret key. With a pool, kernel extraction
+/// fans out over the workers; the per-trace seeding makes the result **bit-identical**
+/// for any worker count (including none).
+///
 /// # Errors
 ///
-/// See [`run_attack`].
+/// Returns a [`ScaError`] for an invalid configuration, a transient network the thermal
+/// engine rejects, or a die without modules.
 pub fn run_on_flow(
     design: &Design,
     flow: &FlowResult,
@@ -1224,48 +1144,16 @@ pub fn run_on_flow(
     mitigation: Mitigation,
     pool: Option<&Pool>,
 ) -> Result<ScaOutcome, ScaError> {
-    run_on_flow_with(
+    run_on_flow_with_cancel(
         design,
         flow,
         config,
         seed,
         key_seed,
         mitigation,
-        TraceEngine::default(),
-        pool,
-    )
-}
-
-/// [`run_on_flow`] with an explicit [`TraceEngine`] — the extension point the bench
-/// harness and the equivalence tests use to select the batched reference engine and pin
-/// its batch size.
-///
-/// # Errors
-///
-/// See [`run_attack`]; additionally rejects a zero batch size.
-#[allow(clippy::too_many_arguments)]
-pub fn run_on_flow_with(
-    design: &Design,
-    flow: &FlowResult,
-    config: &AttackConfig,
-    seed: u64,
-    key_seed: u64,
-    mitigation: Mitigation,
-    engine: TraceEngine,
-    pool: Option<&Pool>,
-) -> Result<ScaOutcome, ScaError> {
-    let [outcome] = run_on_flow_impl(
-        design,
-        flow,
-        config,
-        seed,
-        key_seed,
-        [mitigation],
-        engine,
         pool,
         &CancelToken::new(),
-    )?;
-    Ok(outcome)
+    )
 }
 
 /// [`run_on_flow`] polling `cancel` at the `sca-batch` checkpoint (once per consumed
@@ -1276,7 +1164,7 @@ pub fn run_on_flow_with(
 ///
 /// # Errors
 ///
-/// See [`run_attack`], plus [`ScaError::Interrupted`] when the token (or an armed fault
+/// See [`run_on_flow`], plus [`ScaError::Interrupted`] when the token (or an armed fault
 /// plan) fires mid-attack.
 #[allow(clippy::too_many_arguments)]
 pub fn run_on_flow_with_cancel(
@@ -1296,7 +1184,6 @@ pub fn run_on_flow_with_cancel(
         seed,
         key_seed,
         [mitigation],
-        TraceEngine::default(),
         pool,
         cancel,
     )?;
@@ -1312,7 +1199,6 @@ fn run_on_flow_impl<const N: usize>(
     seed: u64,
     key_seed: u64,
     mitigations: [Mitigation; N],
-    engine: TraceEngine,
     pool: Option<&Pool>,
     cancel: &CancelToken,
 ) -> Result<[ScaOutcome; N], ScaError> {
@@ -1327,7 +1213,6 @@ fn run_on_flow_impl<const N: usize>(
         config,
         seed,
         key_seed,
-        engine,
         pool,
         cancel,
     )
@@ -1344,7 +1229,7 @@ fn run_on_flow_impl<const N: usize>(
 ///
 /// # Errors
 ///
-/// See [`run_attack`]. Both states are set up (the baseline first: kernel lookup or
+/// See [`run_on_flow`]. Both states are set up (the baseline first: kernel lookup or
 /// extraction) before any trace is drawn, so a set-up error of either state fails the
 /// verdict before the stream starts.
 pub fn run_verdict(
@@ -1394,7 +1279,6 @@ pub fn run_verdict_with_cancel(
         seed,
         key_seed,
         [Mitigation::Baseline, Mitigation::DummyTsvs],
-        TraceEngine::default(),
         pool,
         cancel,
     )?;
@@ -1404,13 +1288,51 @@ pub fn run_verdict_with_cancel(
     })
 }
 
+/// [`run_on_flow`] on the stepped reference: the same set-up and trace stream, with each
+/// trace stepped through the state's network at the stack's ambient, `batch_traces`
+/// (at least 1) traces per lockstep batch, instead of read off the kernel. The batch size
+/// sets only the lane width, never a value. Serial, uncancellable, and it neither reads
+/// nor fills the kernel memo.
+#[cfg(test)]
+pub(crate) fn run_on_flow_stepped(
+    design: &Design,
+    flow: &FlowResult,
+    config: &AttackConfig,
+    seed: u64,
+    key_seed: u64,
+    mitigation: Mitigation,
+    batch_traces: usize,
+) -> Result<ScaOutcome, ScaError> {
+    let floorplan = flow.floorplan();
+    let setup = prepare_attack(
+        floorplan,
+        &flow.scaled_powers,
+        flow.post_process.as_ref().map(|pp| &pp.stability),
+        config,
+        seed,
+        key_seed,
+    )?;
+    let fields = attack_tsv_fields(design, flow, setup.grid, mitigation);
+    let thermal = ThermalConfig::default_for(floorplan.stack());
+    let network = attack_network(floorplan, &fields, config, setup.grid, &thermal)?;
+    let (cpa, transient_steps) =
+        stream_traces(&setup, [network], batch_traces, config, &CancelToken::new())?
+            .pop()
+            .expect("one state");
+    Ok(ScaOutcome {
+        cpa: cpa.finish(),
+        target_module: setup.target,
+        transient_steps,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tests::{flow_fixture, test_config};
     use crate::CpaResult;
 
-    /// The ambient-0 network the kernel engine extracts from, built without the memo.
+    /// The ambient-0 network kernel extraction steps, built without the memo.
     fn unit_network(
         floorplan: &Floorplan,
         fields: &[TsvField],
@@ -1432,27 +1354,13 @@ mod tests {
         let stability = flow.post_process.as_ref().map(|pp| &pp.stability);
         for config in [test_config(), AttackConfig::smoke()] {
             for mitigation in [Mitigation::Baseline, Mitigation::DummyTsvs] {
-                let grid = floorplan.analysis_grid(config.grid_bins);
-                let fields = attack_tsv_fields(design, flow, grid, mitigation);
-                let (setup, physics) = prepare_attack(
-                    floorplan,
-                    &flow.scaled_powers,
-                    &[&fields],
-                    stability,
-                    &config,
-                    5,
-                    11,
-                    TraceEngine::Batched { batch_traces: 8 },
-                    None,
-                    &CancelToken::new(),
-                )
-                .unwrap();
-                let Physics::Stepped { networks, .. } = physics else {
-                    panic!("the batched engine steps its network");
-                };
-                let [network] = &networks[..] else {
-                    panic!("one network per state");
-                };
+                let setup =
+                    prepare_attack(floorplan, &flow.scaled_powers, stability, &config, 5, 11)
+                        .unwrap();
+                let fields = attack_tsv_fields(design, flow, setup.grid, mitigation);
+                let thermal = ThermalConfig::default_for(floorplan.stack());
+                let network =
+                    attack_network(floorplan, &fields, &config, setup.grid, &thermal).unwrap();
                 let kernel = extract_kernel(
                     Arc::new(unit_network(floorplan, &fields, &config)),
                     None,
@@ -1562,9 +1470,7 @@ mod tests {
         let hit = attack();
         assert_eq!(hit, missed);
         assert!(Arc::ptr_eq(&memo::peek(&key).unwrap(), &memoized));
-        let stepped = TraceEngine::Batched { batch_traces: 8 };
-        let reference =
-            run_on_flow_with(design, flow, &config, 5, 11, mitigation, stepped, None).unwrap();
+        let reference = run_on_flow_stepped(design, flow, &config, 5, 11, mitigation, 8).unwrap();
         assert_eq!(hit, reference);
     }
 
@@ -1606,9 +1512,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(bits(&memo::peek(&key).unwrap()), bits(&fresh));
-        let stepped = TraceEngine::Batched { batch_traces: 8 };
-        let reference =
-            run_on_flow_with(design, flow, &config, 5, 11, mitigation, stepped, None).unwrap();
+        let reference = run_on_flow_stepped(design, flow, &config, 5, 11, mitigation, 8).unwrap();
         assert_eq!(outcome, reference);
     }
 
@@ -1626,20 +1530,25 @@ mod tests {
         let grid = flow.floorplan().analysis_grid(config.grid_bins);
         let fields = [Mitigation::Baseline, Mitigation::DummyTsvs]
             .map(|mitigation| attack_tsv_fields(design, flow, grid, mitigation));
-        let (setup, physics) = prepare_attack(
-            flow.floorplan(),
-            &flow.scaled_powers,
-            &[&fields[0], &fields[1]],
-            flow.post_process.as_ref().map(|pp| &pp.stability),
+        let floorplan = flow.floorplan();
+        let stability = flow.post_process.as_ref().map(|pp| &pp.stability);
+        let setup =
+            prepare_attack(floorplan, &flow.scaled_powers, stability, &config, 5, 11).unwrap();
+        let responses = fields.iter().map(|fields| {
+            let kernel = state_kernel(floorplan, fields, &config, grid, None, &CancelToken::new());
+            KernelResponse {
+                kernel: kernel.unwrap(),
+                ambient: setup.ambient,
+            }
+        });
+        let streamed = stream_traces(
+            &setup,
+            responses,
+            CHUNK_TRACES,
             &config,
-            5,
-            11,
-            TraceEngine::Kernel,
-            None,
             &CancelToken::new(),
         )
         .unwrap();
-        let streamed = stream_attack(&setup, physics, &config, &CancelToken::new()).unwrap();
         let runs: Vec<Vec<String>> = streamed.iter().map(|(cpa, _)| cpa.verdict_runs()).collect();
         assert_eq!(
             runs,

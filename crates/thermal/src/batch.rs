@@ -2,12 +2,13 @@
 //!
 //! Trace-level side-channel simulation (`tsc3d-sca`) steps the *same* RC network through
 //! many short transients that differ only in their injected power: one per sensor when
-//! it extracts its response kernel, one per trace in its reference engine. The scalar
-//! [`TransientSolver`] pays the per-node overhead — index arithmetic, boundary branches,
-//! conductance loads — once per node per step *per transient*. [`BatchTransientSolver`]
-//! steps a batch of transients ("lanes") in lockstep over structure-of-arrays fields laid
-//! out `[node × lane]`, so every per-node quantity is loaded once per step and the inner
-//! loop is a contiguous, vectorizable sweep over the lanes.
+//! it extracts its response kernel, one per trace in the stepped reference its tests
+//! check that kernel against. The scalar [`TransientSolver`] pays the per-node overhead
+//! — index arithmetic, boundary branches, conductance loads — once per node per step
+//! *per transient*. [`BatchTransientSolver`] steps a batch of transients ("lanes") in
+//! lockstep over structure-of-arrays fields laid out `[node × lane]`, so every per-node
+//! quantity is loaded once per step and the inner loop is a contiguous, vectorizable
+//! sweep over the lanes.
 //!
 //! **Reciprocity.** Conductances are symmetric and capacities diagonal, so after `n`
 //! substeps from ambient the rise at node `b` from 1 W at node `a` equals the rise at `a`
@@ -72,8 +73,8 @@ impl BatchTransientState {
 /// capacity vector, `lanes` independent transients advanced per step.
 ///
 /// It is equivalence-tested lane by lane against the scalar engine (see module docs for
-/// the bit-identity argument). The sca layer uses it twice: stepping one lane per sensor
-/// to extract its reciprocity kernel, and, in its reference engine, one lane per trace.
+/// the bit-identity argument). The sca layer steps one lane per sensor through it to
+/// extract its reciprocity kernel, and its tests one lane per trace, as the reference.
 /// Lane counts 1, 2, 4, 8 and 16 step through specialised fixed-width loops; other
 /// counts fall back to a slower generic loop, so callers pad to those widths.
 ///
