@@ -617,14 +617,7 @@ fn parse_sca_spec(args: &[String]) -> Result<ScaCampaignSpec, String> {
     }
     // Refuse a bad value before any job runs (and before a results file exists): each job
     // would otherwise run the shared flow only to fail its attack.
-    spec.flow.validate().map_err(|e| e.to_string())?;
-    for set in &spec.sensors {
-        let mut attack = spec.attack;
-        attack.sensors = set.config;
-        attack
-            .validate()
-            .map_err(|e| format!("sensor set '{}': {e}", set.name))?;
-    }
+    spec.validate()?;
     Ok(spec)
 }
 

@@ -87,6 +87,11 @@ pub enum CampaignError {
     },
     /// The spec expands to no jobs (empty benchmark/seed/setup/override axis).
     EmptySpec,
+    /// The spec holds a value its jobs would refuse ([`JobKind::validate`]).
+    InvalidSpec {
+        /// The first problem found.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for CampaignError {
@@ -102,6 +107,7 @@ impl std::fmt::Display for CampaignError {
                 write!(f, "results file does not match the campaign spec: {reason}")
             }
             CampaignError::EmptySpec => write!(f, "the campaign spec expands to zero jobs"),
+            CampaignError::InvalidSpec { reason } => write!(f, "{reason}"),
         }
     }
 }
@@ -297,14 +303,15 @@ pub fn resume_sca_from_file(
 }
 
 /// Resumes a campaign of kind `K` from its self-describing results file: repairs a torn
-/// tail, reads the file once, rebuilds the spec from the header and runs the jobs without
-/// a record. Returns the spec alongside the outcome.
+/// tail, reads the file once, rebuilds the spec from the header, validates it and runs
+/// the jobs without a record. Returns the spec alongside the outcome.
 ///
 /// # Errors
 ///
 /// Returns a [`CampaignError`] when the file cannot be read/repaired, has no `K` header
-/// (a file of another kind is corrupt as a `K` file), or its records do not match the
-/// header's spec.
+/// (a file of another kind is corrupt as a `K` file), its header's spec fails
+/// [`JobKind::validate`] (then no job runs and nothing is appended), or its records do
+/// not match the header's spec.
 pub fn resume_results_file<K: JobKind>(
     path: &Path,
     workers: usize,
@@ -318,6 +325,8 @@ pub fn resume_results_file<K: JobKind>(
         .ok_or_else(|| CampaignError::SpecMismatch {
             reason: format!("{} has no `{}` header", path.display(), K::HEADER_KEY),
         })?;
+    spec.validate()
+        .map_err(|reason| CampaignError::InvalidSpec { reason })?;
     // Without an explicit override, a sharded file resumes its own shard — never the
     // other shards' jobs (those belong to the other machines' files).
     let shard = shard_override.or(file.shard).unwrap_or_else(Shard::full);

@@ -38,6 +38,15 @@ pub trait JobKind: Clone + Debug + PartialEq + Send + Sync + 'static {
     fn from_json(value: &Json) -> Result<Self, DecodeError>;
     /// Expands the spec into jobs whose ids are their positions.
     fn expand(&self) -> Vec<Self::Job>;
+    /// Checks what every job would check for itself, before any job runs; the message
+    /// names the first problem. The default accepts every spec.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first problem found.
+    fn validate(&self) -> Result<(), String> {
+        Ok(())
+    }
     /// The stable id of a job.
     fn job_id(job: &Self::Job) -> u64;
     /// The job's run seed (also seeds its retry backoff jitter).

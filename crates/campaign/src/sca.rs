@@ -691,6 +691,21 @@ impl JobKind for ScaCampaignSpec {
         ScaCampaignSpec::expand(self)
     }
 
+    /// The flow configuration and, per sensor set, the attack template under that
+    /// set's sensors: a bad value would otherwise run the shared flow, then fail every
+    /// job of the set.
+    fn validate(&self) -> Result<(), String> {
+        self.flow.validate().map_err(|e| e.to_string())?;
+        for set in &self.sensors {
+            let mut attack = self.attack;
+            attack.sensors = set.config;
+            attack
+                .validate()
+                .map_err(|e| format!("sensor set '{}': {e}", set.name))?;
+        }
+        Ok(())
+    }
+
     fn job_id(job: &ScaJob) -> u64 {
         job.id
     }

@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 use tsc3d_campaign::{
     aggregate_sca, read_results_file, render_sca_report, resume_sca_from_file, run_campaign,
-    CampaignOptions, ScaCampaignSpec, ScaJobOutcome, ScaJobRecord,
+    CampaignOptions, ResultSink, ScaCampaignSpec, ScaJobOutcome, ScaJobRecord, Shard,
 };
 use tsc3d_netlist::suite::Benchmark;
 use tsc3d_sca::Mitigation;
@@ -179,4 +179,37 @@ fn sca_run_refuses_a_bad_noise_level_before_any_flow_runs() {
         assert!(!stderr.contains("executed"), "--noise {noise}: {stderr}");
         assert!(!path.exists(), "--noise {noise} left {}", path.display());
     }
+}
+
+/// `resume` validates the header's spec as `sca-run` validates its flags: a results file
+/// whose header sets one sensor set's noise to -1 fails with `sca-run`'s message, runs no
+/// flow and leaves the file as it was.
+#[test]
+fn resume_refuses_an_invalid_sca_header_before_any_flow_runs() {
+    let path = temp_file("sca-resume-invalid-header");
+    let mut spec = ScaCampaignSpec::smoke();
+    spec.sensors[1].config.sigma_k = -1.0;
+    drop(ResultSink::create(&path, &spec, Shard::full(), false).unwrap());
+    let before = std::fs::read(&path).unwrap();
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_campaign"))
+        .args(["resume", "--workers", "1", "--out"])
+        .arg(&path)
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(1), "{stderr}");
+    assert!(
+        stderr.contains(
+            "sensor set 'sigma-0.7': invalid sca config: sigma_k must be non-negative and \
+             finite, got -1"
+        ),
+        "{stderr}"
+    );
+    assert!(!stderr.contains("executed"), "{stderr}");
+    assert_eq!(
+        std::fs::read(&path).unwrap(),
+        before,
+        "the file is unchanged"
+    );
+    std::fs::remove_file(&path).unwrap();
 }

@@ -16,7 +16,8 @@
 //! but under a multi-worker pool *which* concurrent job absorbs the k-th global
 //! hit of a shared site can vary, and a flow running a helper lane
 //! ([`crate::lanes`]) interleaves its own `sa-epoch` and `solver-sweep` hits
-//! across its two lanes (a speculative round's hits included). Chaos tests
+//! across its two lanes (a speculative round's hits included), as an sca attack
+//! streaming on two lanes interleaves its states' `sca-batch` hits. Chaos tests
 //! therefore assert on what must hold regardless: every injected failure is
 //! retried or quarantined typed, and the surviving results are byte-identical
 //! to a fault-free run.

@@ -2,11 +2,12 @@
 //! flow, drawn from a process-wide budget of threads doing flow work.
 //!
 //! The budget owns no threads, unlike the [`crate::Pool`]: it only counts them. Each
-//! running flow counts its own thread ([`FlowThread`]) and each helper it leases. A
-//! flow takes a helper only while that count is below
-//! [`std::thread::available_parallelism`], so a campaign or serve pool that already
-//! keeps every core busy runs the serial schedule — the same [`Helpers::join`] code
-//! with zero helpers.
+//! running flow counts its own thread ([`FlowThread`]) and each helper it leases. An
+//! sca attack's trace stream counts the same way: its thread while it streams, and the
+//! helper that draws and folds beside it. A flow or stream takes a helper only while
+//! that count is below [`std::thread::available_parallelism`], so a campaign or serve
+//! pool that already keeps every core busy runs the serial schedule — the same
+//! [`Helpers::join`] code with zero helpers.
 //!
 //! [`Helpers::join`] runs two items where the serial loop runs the second only if the
 //! first's result calls for it (a repair round after an illegal anneal, the next
@@ -39,7 +40,7 @@ pub fn flow_threads() -> usize {
 }
 
 /// Counts the calling thread in the flow budget until dropped. A flow holds one for
-/// its whole run.
+/// its whole run, an sca attack for its trace stream.
 #[must_use = "the thread is counted only while the guard lives"]
 #[derive(Debug)]
 pub struct FlowThread(());

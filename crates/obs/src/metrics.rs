@@ -195,11 +195,20 @@ impl Registry {
     ) -> Series {
         let key = label_key(labels);
         let mut families = self.families.lock().unwrap();
-        let family = families.entry(name.to_string()).or_insert_with(|| Family {
-            help: help.to_string(),
-            kind,
-            series: BTreeMap::new(),
-        });
+        // Looked up by `&str` first, so a hit allocates no family name.
+        if !families.contains_key(name) {
+            families.insert(
+                name.to_string(),
+                Family {
+                    help: help.to_string(),
+                    kind,
+                    series: BTreeMap::new(),
+                },
+            );
+        }
+        let family = families
+            .get_mut(name)
+            .expect("the family was inserted above");
         assert!(
             family.kind == kind,
             "metric '{name}' already registered as a {}, requested as a {}",

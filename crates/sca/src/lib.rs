@@ -83,7 +83,7 @@ pub use workload::{derive_key, LeakageModel, TraceActivity, Workload, WorkloadCo
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::OnceLock;
+    use std::sync::{OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
     use tsc3d::{display_chain, FlowConfig, FlowError, FlowResult, FlowStage, Setup, TscFlow};
     use tsc3d_exec::{CancelReason, InjectedFault, Interrupt, Pool};
     use tsc3d_netlist::suite::{generate, Benchmark};
@@ -106,6 +106,23 @@ mod tests {
         })
     }
 
+    /// Held by every test that streams traces: the `sca-batch` fault site counts its
+    /// hits process-wide, and checkpoint events share one ring. Streaming tests hold it
+    /// shared ([`streams`]); a test that arms a fault plan at `sca-batch`, or counts
+    /// events, holds it alone ([`streams_alone`]), so no other test's stream absorbs its
+    /// hits or crowds its events.
+    static STREAMS: RwLock<()> = RwLock::new(());
+
+    /// A shared hold on [`STREAMS`].
+    pub(crate) fn streams() -> RwLockReadGuard<'static, ()> {
+        STREAMS.read().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// The sole hold on [`STREAMS`].
+    pub(crate) fn streams_alone() -> RwLockWriteGuard<'static, ()> {
+        STREAMS.write().unwrap_or_else(PoisonError::into_inner)
+    }
+
     /// The quick configuration at test scale: 64 traces, one sample, an 8-bin grid.
     pub(crate) fn test_config() -> AttackConfig {
         let mut config = AttackConfig::quick();
@@ -120,6 +137,7 @@ mod tests {
     #[test]
     fn cpa_recovers_the_key_at_zero_noise() {
         let (design, flow) = flow_fixture();
+        let _streams = streams();
         let mut config = test_config();
         config.sensors.sigma_k = 0.0;
         config.sensors.quantization_k = 0.0;
@@ -140,6 +158,7 @@ mod tests {
     #[test]
     fn cpa_fails_at_saturating_noise() {
         let (design, flow) = flow_fixture();
+        let _streams = streams();
         let mut config = test_config();
         config.sensors.sigma_k = 1e4;
         let outcome =
@@ -157,6 +176,7 @@ mod tests {
     #[test]
     fn attack_is_bit_identical_across_worker_counts() {
         let (design, flow) = flow_fixture();
+        let _streams = streams();
         let config = test_config();
         let serial = run_on_flow(design, flow, &config, 5, 11, Mitigation::Baseline, None).unwrap();
         for workers in [2usize, 5] {
@@ -182,6 +202,7 @@ mod tests {
     #[test]
     fn kernel_engine_matches_the_batched_stepper() {
         let (design, flow) = flow_fixture();
+        let _streams = streams();
         let pools = [Pool::new(1), Pool::new(4)];
         let mut grid_12 = test_config();
         grid_12.grid_bins = 12;
@@ -229,6 +250,7 @@ mod tests {
     #[test]
     fn verdict_compares_the_same_floorplan_with_and_without_dummy_tsvs() {
         let (design, flow) = flow_fixture();
+        let _streams = streams();
         let config = test_config();
         let verdict = run_verdict(design, flow, &config, 5, 11, None).unwrap();
         // Same target module, same key, same trace count on both sides.
@@ -273,6 +295,7 @@ mod tests {
             5,
             11,
             None,
+            tsc3d_exec::Helpers::Zero,
             &tsc3d_exec::CancelToken::new(),
         )
         .unwrap_err();
@@ -351,6 +374,7 @@ mod tests {
     #[test]
     fn cancelled_and_expired_tokens_interrupt_the_attack_typed() {
         let (design, flow) = flow_fixture();
+        let _streams = streams();
         let config = test_config();
 
         let cancel = tsc3d_exec::CancelToken::new();

@@ -57,6 +57,18 @@
 //! budget, least recently used first out, and a kernel larger than the budget is never
 //! kept. Each attack counts one lookup in
 //! `tsc3d_sca_kernel_cache_total{outcome="hit"|"miss"}`.
+//!
+//! # Two lanes per stream
+//!
+//! Given a pool with a worker thread, an attack's trace stream also takes a helper lane
+//! from the flow budget ([`tsc3d_exec::lanes`]), walking the traces in blocks of up to
+//! 32 chunks through two [`Helpers::join`]s per block. Each lane draws half a block's
+//! chunks; then the first mitigation state evaluates and folds the whole block on the
+//! calling thread while the others do the same on the helper. Each trace still comes
+//! from its own seeded rng and every state folds the block in trace order, so each CPA
+//! sum receives the same addends in the same order as on the serial schedule, whose
+//! blocks are one chunk each: the outcomes are bit-identical. A single attack has only
+//! the draws to share.
 
 use crate::cpa::{CpaAccumulator, CpaResult};
 use crate::memo::{self, Kernel, KernelKey};
@@ -66,7 +78,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use std::sync::Arc;
 use tsc3d::FlowResult;
-use tsc3d_exec::{CancelReason, CancelToken, Interrupt, Pool};
+use tsc3d_exec::{CancelReason, CancelToken, FlowThread, Helpers, Interrupt, Pool};
 use tsc3d_floorplan::{plan_signal_tsvs, Floorplan, PowerStamps};
 use tsc3d_geometry::{DieId, Grid, GridMap, GridPos};
 use tsc3d_netlist::Design;
@@ -588,6 +600,12 @@ pub fn resolve_target(
 /// sums and polled at the `sca-batch` checkpoint.
 const CHUNK_TRACES: usize = 8;
 
+/// Chunks per block of a stream: each lane draws half a block, then each folds its
+/// states over the whole block. A block costs two [`Helpers::join`]s, each spawning a
+/// helper thread (~30–60 µs on a 2-vCPU Xeon), so a smoke attack (24 chunks) is one block;
+/// a block's drawn traces take about 0.25 MB on a 100-module design.
+const BLOCK_CHUNKS: usize = 32;
+
 /// Kernel extraction polls the cancel token at least once per this many substeps.
 const KERNEL_POLL_STEPS: usize = 512;
 
@@ -861,6 +879,22 @@ impl<R: ThermalResponse> StateStream<R> {
             self.cpa.push(&activity.plaintexts, samples);
         }
     }
+
+    /// Observes a block of drawn chunks in trace order, polling `cancel` at the
+    /// `sca-batch` checkpoint before each chunk.
+    fn observe_block(
+        &mut self,
+        block: &[DrawnChunk],
+        sensors: &SensorConfig,
+        samples: &mut Vec<f64>,
+        cancel: &CancelToken,
+    ) -> Result<(), ScaError> {
+        for chunk in block {
+            tsc3d_exec::checkpoint("sca-batch", cancel).map_err(ScaError::Interrupted)?;
+            self.observe(chunk, sensors, samples);
+        }
+        Ok(())
+    }
 }
 
 /// Splits `sensors` lanes over `workers` threads: contiguous parts of one power-of-two
@@ -920,19 +954,33 @@ fn extract_kernel(
 /// Streams the attack's traces into fresh CPA sums, one per state (one per response, in
 /// order), returning each state's sums with its trace-equivalent transient steps.
 ///
-/// Each chunk is drawn once, then every state in turn reads it through its own response
-/// and folds it (memory `O(chunk × points)` besides the sums). `cancel` is polled at the
-/// `sca-batch` checkpoint before each state's part of a chunk, so the hit count of that
-/// fault site on a fault-free run is chunks × states, chunk-major. An interrupt abandons
-/// the rest of the stream.
-fn stream_traces<R: ThermalResponse>(
+/// The stream walks blocks of chunks on up to two lanes; `helpers` decides whether each
+/// [`Helpers::join`] runs its second item on a helper thread. A block is drawn first:
+/// the calling lane draws the first half of its chunks, the helper the rest, each trace
+/// from its own seeded rng. Then the first state reads the whole block through its
+/// response and folds it on the calling lane, while the other states do the same, one
+/// after another, on the helper. Every state folds every trace in trace order, so each
+/// sum receives the same addends in the same order on either schedule, and the sums are
+/// bit-identical. Under [`Helpers::Zero`] a block is one chunk: it is drawn, then every
+/// state in turn reads it, the serial order. Memory is `O(block × points)` besides the
+/// sums.
+///
+/// Each lane polls `cancel` at the `sca-batch` checkpoint before every chunk it reads,
+/// so a fault-free run hits that site chunks × states times (chunk-major on the serial
+/// schedule). An interrupt abandons the rest of the stream; a helper still reading when
+/// the calling lane stops is cancelled and joined. The stream counts its calling thread
+/// in the flow budget while it runs ([`FlowThread`]), so under [`Helpers::Budget`] an
+/// attack takes a helper only while fewer threads than cores do flow or stream work.
+fn stream_traces<R: ThermalResponse + Send>(
     setup: &AttackSetup,
     responses: impl IntoIterator<Item = R>,
     chunk_traces: usize,
     config: &AttackConfig,
+    helpers: Helpers,
     cancel: &CancelToken,
 ) -> Result<Vec<(CpaAccumulator, u64)>, ScaError> {
-    let draws = &setup.draws;
+    let _thread = FlowThread::enter();
+    let (draws, sensors) = (&setup.draws, &setup.draws.sensors);
     let mut states: Vec<StateStream<R>> = responses
         .into_iter()
         .map(|response| StateStream {
@@ -946,14 +994,39 @@ fn stream_traces<R: ThermalResponse>(
             ),
         })
         .collect();
-    let mut samples = Vec::new();
-    for range in ranges(config.traces, chunk_traces) {
-        let mut chunk = None;
-        for state in &mut states {
-            tsc3d_exec::checkpoint("sca-batch", cancel).map_err(ScaError::Interrupted)?;
-            let chunk = chunk.get_or_insert_with(|| draws.draw(range));
-            state.observe(chunk, &draws.sensors, &mut samples);
-        }
+    let (first, rest) = states.split_first_mut().expect("at least one state");
+    let block_chunks = if helpers == Helpers::Zero {
+        1
+    } else {
+        BLOCK_CHUNKS
+    };
+    let draw = |ranges: &[(usize, usize)]| -> Vec<DrawnChunk> {
+        ranges.iter().map(|&range| draws.draw(range)).collect()
+    };
+    let (mut samples, mut rest_samples) = (Vec::new(), Vec::new());
+    for block in ranges(config.traces, chunk_traces).chunks(block_chunks) {
+        let (own, other) = block.split_at((block.len() + 1) / 2);
+        let (mut drawn, other) = helpers.join(
+            None,
+            cancel,
+            || draw(own),
+            |_| true,
+            (!other.is_empty()).then_some(|_: &CancelToken| draw(other)),
+        );
+        drawn.extend(other.into_iter().flatten());
+        let (first_read, rest_read) = helpers.join(
+            None,
+            cancel,
+            || first.observe_block(&drawn, sensors, &mut samples, cancel),
+            Result::is_ok,
+            (!rest.is_empty()).then_some(|token: &CancelToken| {
+                rest.iter_mut().try_for_each(|state| {
+                    state.observe_block(&drawn, sensors, &mut rest_samples, token)
+                })
+            }),
+        );
+        first_read?;
+        rest_read.unwrap_or(Ok(()))?;
     }
     let traces = config.traces as u64;
     Ok(states
@@ -1077,10 +1150,11 @@ fn prepare_attack(
 ///
 /// `nominal_powers` are the per-block baseline powers (voltage-scaled), one per placed
 /// module; `stability` is the flow's correlation-stability map when available (the
-/// [`TargetPolicy::MostStable`] input). Each state's kernel is looked up or extracted, in
-/// state order, before any trace is drawn. Polls `cancel` at the `sca-batch` checkpoint
-/// once per state and trace chunk of [`CHUNK_TRACES`], and during kernel extraction
-/// directly at least every [`KERNEL_POLL_STEPS`] substeps.
+/// [`TargetPolicy::MostStable`] input). Each state's kernel is looked up or extracted
+/// (over `pool`), in state order, before any trace is drawn; the stream then runs on the
+/// lanes `stream` allows. Polls `cancel` at the `sca-batch` checkpoint once per state and
+/// trace chunk of [`CHUNK_TRACES`], and during kernel extraction directly at least every
+/// [`KERNEL_POLL_STEPS`] substeps.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_attack_impl<const N: usize>(
     floorplan: &Floorplan,
@@ -1091,6 +1165,7 @@ pub(crate) fn run_attack_impl<const N: usize>(
     seed: u64,
     key_seed: u64,
     pool: Option<&Pool>,
+    stream: Helpers,
     cancel: &CancelToken,
 ) -> Result<[ScaOutcome; N], ScaError> {
     let _span = tsc3d_obs::span!("sca_attack");
@@ -1105,7 +1180,8 @@ pub(crate) fn run_attack_impl<const N: usize>(
             })
         })
         .collect::<Result<Vec<_>, ScaError>>()?;
-    let outcomes: Vec<ScaOutcome> = stream_traces(&setup, responses, CHUNK_TRACES, config, cancel)?
+    let streamed = stream_traces(&setup, responses, CHUNK_TRACES, config, stream, cancel)?;
+    let outcomes: Vec<ScaOutcome> = streamed
         .into_iter()
         .map(|(cpa, transient_steps)| {
             ATTACKS.inc();
@@ -1127,9 +1203,14 @@ pub(crate) fn run_attack_impl<const N: usize>(
 /// The attack keys the module [`AttackConfig::target`] picks, under the flow's
 /// voltage-scaled block powers (its correlation-stability map is the
 /// [`TargetPolicy::MostStable`] input). `seed` drives the traces (plaintexts, background
-/// traffic, sensor noise) and `key_seed` the secret key. With a pool, kernel extraction
-/// fans out over the workers; the per-trace seeding makes the result **bit-identical**
-/// for any worker count (including none).
+/// traffic, sensor noise) and `key_seed` the secret key.
+///
+/// `pool: None` runs the attack on the calling thread only. With a pool, a kernel
+/// extraction (a memo miss) fans out over its workers, and if the pool has a worker
+/// thread the trace stream also takes a second lane: a helper thread, granted while the
+/// flow budget ([`tsc3d_exec::lanes`]) counts fewer busy threads than cores, draws half
+/// of each block of traces. The per-trace seeding and the per-state trace order make
+/// the result **bit-identical** for any pool and either schedule.
 ///
 /// # Errors
 ///
@@ -1162,6 +1243,10 @@ pub fn run_on_flow(
 /// 512 substeps' worth of work. A run that completes is bit-identical to an uncancelled
 /// [`run_on_flow`].
 ///
+/// `pool` is as in [`run_on_flow`]: `None` for the calling thread only; a pool for
+/// extraction fan-out plus a budgeted second lane that draws half the traces. A helper
+/// lane polls a child of `cancel`, and the call returns only after it has stopped.
+///
 /// # Errors
 ///
 /// See [`run_on_flow`], plus [`ScaError::Interrupted`] when the token (or an armed fault
@@ -1185,9 +1270,19 @@ pub fn run_on_flow_with_cancel(
         key_seed,
         [mitigation],
         pool,
+        stream_helpers(pool),
         cancel,
     )?;
     Ok(outcome)
+}
+
+/// The lanes of an attack's stream: a helper lane under the flow budget when the attack
+/// was given a pool with a worker thread, the calling thread alone otherwise.
+fn stream_helpers(pool: Option<&Pool>) -> Helpers {
+    match pool {
+        Some(pool) if pool.threads() > 0 => Helpers::Budget,
+        _ => Helpers::Zero,
+    }
 }
 
 /// One attack per mitigation state of `flow`, all observing one trace stream.
@@ -1200,6 +1295,7 @@ fn run_on_flow_impl<const N: usize>(
     key_seed: u64,
     mitigations: [Mitigation; N],
     pool: Option<&Pool>,
+    stream: Helpers,
     cancel: &CancelToken,
 ) -> Result<[ScaOutcome; N], ScaError> {
     config.validate()?;
@@ -1214,6 +1310,7 @@ fn run_on_flow_impl<const N: usize>(
         seed,
         key_seed,
         pool,
+        stream,
         cancel,
     )
 }
@@ -1226,6 +1323,14 @@ fn run_on_flow_impl<const N: usize>(
 /// thermal responses, each folding into its own CPA sums; the verdict equals
 /// `ScaVerdict { baseline: run_on_flow(.., Baseline, ..), mitigated: run_on_flow(..,
 /// DummyTsvs, ..) }` bit for bit.
+///
+/// `pool: None` runs the verdict on the calling thread only. With a pool, a kernel
+/// extraction (a memo miss) fans out over its workers, and if the pool has a worker
+/// thread the stream also takes a second lane: a helper thread, granted while the flow
+/// budget ([`tsc3d_exec::lanes`]) counts fewer busy threads than cores. Each lane then
+/// draws half of each block of traces, and the baseline folds the block on the calling
+/// thread while the mitigated state folds it on the helper. Each state still folds
+/// every trace in trace order, so the verdict is bit-identical on either schedule.
 ///
 /// # Errors
 ///
@@ -1252,9 +1357,14 @@ pub fn run_verdict(
 }
 
 /// [`run_verdict`] polling `cancel` during kernel extraction and at the `sca-batch`
-/// checkpoint once per trace chunk and mitigation state, chunk-major (baseline,
-/// mitigated, baseline, …): the serve daemon's cancellation and deadline path. A
-/// fault-free verdict hits `sca-batch` twice per chunk, as two separate attacks did.
+/// checkpoint once per trace chunk and mitigation state: the serve daemon's cancellation
+/// and deadline path. A fault-free verdict hits `sca-batch` twice per chunk, as two
+/// separate attacks did: chunk-major (baseline, mitigated, baseline, …) on the calling
+/// thread alone, and each state on its own lane when the stream has a helper.
+///
+/// `pool` is as in [`run_verdict`]: `None` for the calling thread only; a pool for
+/// extraction fan-out plus a budgeted second lane for the stream. The helper lane polls
+/// a child of `cancel`, and the call returns only after it has stopped.
 ///
 /// A run that completes is bit-identical to an uncancelled [`run_verdict`]: the token is
 /// only *read* at checkpoints and never touches the seeded trace streams.
@@ -1280,6 +1390,7 @@ pub fn run_verdict_with_cancel(
         key_seed,
         [Mitigation::Baseline, Mitigation::DummyTsvs],
         pool,
+        stream_helpers(pool),
         cancel,
     )?;
     Ok(ScaVerdict {
@@ -1315,10 +1426,16 @@ pub(crate) fn run_on_flow_stepped(
     let fields = attack_tsv_fields(design, flow, setup.grid, mitigation);
     let thermal = ThermalConfig::default_for(floorplan.stack());
     let network = attack_network(floorplan, &fields, config, setup.grid, &thermal)?;
-    let (cpa, transient_steps) =
-        stream_traces(&setup, [network], batch_traces, config, &CancelToken::new())?
-            .pop()
-            .expect("one state");
+    let (cpa, transient_steps) = stream_traces(
+        &setup,
+        [network],
+        batch_traces,
+        config,
+        Helpers::Zero,
+        &CancelToken::new(),
+    )?
+    .pop()
+    .expect("one state");
     Ok(ScaOutcome {
         cpa: cpa.finish(),
         target_module: setup.target,
@@ -1329,8 +1446,10 @@ pub(crate) fn run_on_flow_stepped(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tests::{flow_fixture, test_config};
+    use crate::tests::{flow_fixture, streams, streams_alone, test_config};
     use crate::CpaResult;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Barrier;
 
     /// The ambient-0 network kernel extraction steps, built without the memo.
     fn unit_network(
@@ -1445,6 +1564,7 @@ mod tests {
     #[test]
     fn a_memo_hit_returns_the_fresh_extraction_bit_for_bit() {
         let (design, flow) = flow_fixture();
+        let _streams = streams();
         let config = private_config(0.0071);
         let mitigation = Mitigation::DummyTsvs;
         let grid = flow.floorplan().analysis_grid(config.grid_bins);
@@ -1477,6 +1597,7 @@ mod tests {
     #[test]
     fn a_cancelled_extraction_memoizes_nothing() {
         let (design, flow) = flow_fixture();
+        let _streams = streams();
         let config = private_config(0.0073);
         let mitigation = Mitigation::Baseline;
         let grid = flow.floorplan().analysis_grid(config.grid_bins);
@@ -1523,6 +1644,7 @@ mod tests {
     #[test]
     fn smoke_verdict_matches_its_recorded_outputs() {
         let (design, flow) = flow_fixture();
+        let _streams = streams();
         let config = AttackConfig::smoke();
         let verdict = run_verdict(design, flow, &config, 5, 11, None).unwrap();
 
@@ -1546,6 +1668,7 @@ mod tests {
             responses,
             CHUNK_TRACES,
             &config,
+            Helpers::Zero,
             &CancelToken::new(),
         )
         .unwrap();
@@ -1609,34 +1732,40 @@ mod tests {
         }
     }
 
-    /// Asserts two verdicts equal bit for bit: `==` on every field, and the correlation
-    /// bit patterns, which `==` would let differ by the sign of a zero.
-    fn assert_bitwise(fused: &ScaVerdict, separate: &ScaVerdict, label: &str) {
-        assert_eq!(fused, separate, "{label}");
-        let bits = |verdict: &ScaVerdict| -> Vec<u64> {
-            [&verdict.baseline, &verdict.mitigated]
+    /// Asserts two lists of outcomes equal bit for bit: `==` on every field, and the
+    /// correlation bit patterns, which `==` would let differ by the sign of a zero.
+    fn assert_outcomes_bitwise(a: &[&ScaOutcome], b: &[&ScaOutcome], label: &str) {
+        assert_eq!(a, b, "{label}");
+        let bits = |outcomes: &[&ScaOutcome]| -> Vec<u64> {
+            outcomes
                 .iter()
                 .flat_map(|outcome| &outcome.cpa.bytes)
                 .flat_map(|byte| [byte.true_correlation, byte.best_correlation])
                 .map(f64::to_bits)
                 .collect()
         };
-        assert_eq!(bits(fused), bits(separate), "{label}");
+        assert_eq!(bits(a), bits(b), "{label}");
     }
 
-    /// `run_verdict` streams one trace sequence into both states; it must equal one
-    /// separate attack per state bit for bit. Covered: both presets, 1 and 3 key bytes,
-    /// both leakage models, unquantized and noise-free sensors, 18 points, 13 traces (a
-    /// short last chunk), pools of 0 and 4 workers, and a cold kernel memo on either side.
-    #[test]
-    fn a_verdict_equals_one_attack_per_state_bit_for_bit() {
-        let (design, flow) = flow_fixture();
-        let pool = Pool::new(4);
-        let edit = |mut config: AttackConfig, change: fn(&mut AttackConfig)| {
-            change(&mut config);
-            config
-        };
-        let configs = [
+    /// [`assert_outcomes_bitwise`] on two verdicts.
+    fn assert_bitwise(fused: &ScaVerdict, separate: &ScaVerdict, label: &str) {
+        assert_outcomes_bitwise(
+            &[&fused.baseline, &fused.mitigated],
+            &[&separate.baseline, &separate.mitigated],
+            label,
+        );
+    }
+
+    fn edit(mut config: AttackConfig, change: fn(&mut AttackConfig)) -> AttackConfig {
+        change(&mut config);
+        config
+    }
+
+    /// The stream's differential configurations: both presets, 1 and 3 key bytes, both
+    /// leakage models, unquantized and noise-free sensors, 18 points, and 13 traces (a
+    /// short last chunk).
+    fn differential_configs() -> Vec<(&'static str, AttackConfig)> {
+        vec![
             ("quick", test_config()),
             ("smoke", AttackConfig::smoke()),
             ("1 byte", edit(test_config(), |c| c.workload.key_bytes = 1)),
@@ -1672,7 +1801,18 @@ mod tests {
                     c.mtd_checkpoints = 13;
                 }),
             ),
-        ];
+        ]
+    }
+
+    /// `run_verdict` streams one trace sequence into both states; it must equal one
+    /// separate attack per state bit for bit, over the differential configurations, pools
+    /// of 0 and 4 workers, and a cold kernel memo on either side.
+    #[test]
+    fn a_verdict_equals_one_attack_per_state_bit_for_bit() {
+        let (design, flow) = flow_fixture();
+        let _streams = streams();
+        let pool = Pool::new(4);
+        let configs = differential_configs();
         let separate = |config: &AttackConfig, (seed, key_seed), pool: Option<&Pool>| {
             let attack = |mitigation| {
                 run_on_flow(design, flow, config, seed, key_seed, mitigation, pool).unwrap()
@@ -1717,6 +1857,246 @@ mod tests {
         let first = separate(&config, seeds[1], Some(&pool));
         assert_bitwise(&fused(&config, seeds[1], None), &first, "cold attacks");
         pool.shutdown();
+    }
+
+    /// One verdict (`[Baseline, DummyTsvs]`) or single attack on the stream lanes
+    /// `helpers` forces, with no pool.
+    fn on_lanes<const N: usize>(
+        config: &AttackConfig,
+        mitigations: [Mitigation; N],
+        helpers: Helpers,
+        cancel: &CancelToken,
+    ) -> Result<[ScaOutcome; N], ScaError> {
+        let (design, flow) = flow_fixture();
+        run_on_flow_impl(
+            design,
+            flow,
+            config,
+            5,
+            11,
+            mitigations,
+            None,
+            helpers,
+            cancel,
+        )
+    }
+
+    /// The two-lane stream against the serial one, bit for bit: a verdict and each
+    /// single state, over the differential configurations plus 581 traces (73 chunks,
+    /// the last one short, in blocks of 32, 32 and 9). The helper is forced, since a
+    /// budgeted one may run serially while other tests keep the cores busy.
+    #[test]
+    fn a_two_lane_stream_equals_the_serial_one_bit_for_bit() {
+        let _streams = streams();
+        let mut configs = differential_configs();
+        configs.push((
+            "581 traces",
+            edit(test_config(), |c| {
+                c.traces = 581;
+                c.mtd_checkpoints = 40;
+            }),
+        ));
+        let cancel = CancelToken::new();
+        for (name, config) in &configs {
+            let lanes = |helpers| {
+                let [baseline, mitigated] = on_lanes(
+                    config,
+                    [Mitigation::Baseline, Mitigation::DummyTsvs],
+                    helpers,
+                    &cancel,
+                )
+                .unwrap();
+                ScaVerdict {
+                    baseline,
+                    mitigated,
+                }
+            };
+            assert_bitwise(
+                &lanes(Helpers::One),
+                &lanes(Helpers::Zero),
+                &format!("{name}, verdict"),
+            );
+            for mitigation in [Mitigation::Baseline, Mitigation::DummyTsvs] {
+                let alone = |helpers| on_lanes(config, [mitigation], helpers, &cancel).unwrap();
+                let [two_lanes] = alone(Helpers::One);
+                let [serial] = alone(Helpers::Zero);
+                assert_outcomes_bitwise(
+                    &[&two_lanes],
+                    &[&serial],
+                    &format!("{name}, {mitigation:?} alone"),
+                );
+            }
+        }
+    }
+
+    /// A two-lane smoke verdict polls `sca-batch` as the serial one does, once per chunk
+    /// and state: 2 × 24 = 48 hits, whichever lane takes each. A fault on the 48th
+    /// interrupts it typed; a fault on the 49th never fires.
+    #[test]
+    fn a_two_lane_smoke_verdict_hits_sca_batch_forty_eight_times() {
+        let _alone = streams_alone();
+        let _faults = tsc3d_exec::fault::test_lock();
+        let config = AttackConfig::smoke();
+        let states = [Mitigation::Baseline, Mitigation::DummyTsvs];
+        let verdict = || on_lanes(&config, states, Helpers::One, &CancelToken::new());
+        let clean = verdict().unwrap();
+
+        tsc3d_exec::fault::arm(tsc3d_exec::FaultPlan::parse("sca-batch:48:error").unwrap());
+        let interrupted = verdict();
+        let fired = tsc3d_exec::fault::disarm();
+        assert_eq!(
+            interrupted,
+            Err(ScaError::Interrupted(Interrupt::Fault(
+                tsc3d_exec::InjectedFault { site: "sca-batch" }
+            )))
+        );
+        assert_eq!(fired.len(), 1);
+
+        tsc3d_exec::fault::arm(tsc3d_exec::FaultPlan::parse("sca-batch:49:error").unwrap());
+        let again = verdict();
+        let fired = tsc3d_exec::fault::disarm();
+        assert!(fired.is_empty(), "{fired:?}");
+        assert_eq!(again, Ok(clean));
+    }
+
+    /// Inside a job, a two-lane smoke verdict records under that job and its attack's
+    /// span on both lanes: all 384 checkpoint events (192 per state) carry the job, and
+    /// every `cpa_fold` span, the helper's 24 included, nests under `sca_attack`.
+    #[test]
+    fn a_two_lane_verdict_records_under_its_job_and_span() {
+        let _alone = streams_alone();
+        let config = AttackConfig::smoke();
+        let states = [Mitigation::Baseline, Mitigation::DummyTsvs];
+        // Warm the fixture and the kernels outside the recording.
+        on_lanes(&config, states, Helpers::Zero, &CancelToken::new()).unwrap();
+        let job = 0x7a0_1a4e;
+        let _ = tsc3d_obs::drain_spans();
+        let mut events = tsc3d_obs::subscribe();
+        tsc3d_obs::set_tracing(true);
+        tsc3d_obs::set_events(true);
+        {
+            let _job = tsc3d_obs::JobScope::enter(job);
+            on_lanes(&config, states, Helpers::One, &CancelToken::new()).unwrap();
+        }
+        tsc3d_obs::set_tracing(false);
+        tsc3d_obs::set_events(false);
+        let spans = tsc3d_obs::drain_spans();
+        let poll = events.poll(usize::MAX);
+        assert_eq!(poll.missed, 0);
+
+        let checkpoints = poll
+            .events
+            .iter()
+            .filter(|event| {
+                event.job == job
+                    && matches!(
+                        event.kind,
+                        tsc3d_obs::EventKind::Checkpoint {
+                            name: "cpa_traces",
+                            ..
+                        }
+                    )
+            })
+            .count();
+        assert_eq!(checkpoints, 2 * config.mtd_checkpoints);
+
+        let attacks: Vec<_> = spans.iter().filter(|s| s.name == "sca_attack").collect();
+        assert_eq!(attacks.len(), 1);
+        let attack = attacks[0];
+        let folds: Vec<_> = spans.iter().filter(|s| s.name == "cpa_fold").collect();
+        assert_eq!(folds.len(), 48);
+        assert!(folds.iter().all(|fold| fold.parent == attack.id));
+        let on_helper = folds.iter().filter(|fold| fold.thread != attack.thread);
+        assert_eq!(on_helper.count(), 24);
+    }
+
+    /// A kernel response that counts the chunks it reads in `reads` and calls
+    /// `hook(read)` before its `read`-th (from 0).
+    struct Hooked<'a> {
+        inner: KernelResponse,
+        reads: &'a AtomicUsize,
+        hook: &'a (dyn Fn(usize) + Sync),
+    }
+
+    impl ThermalResponse for Hooked<'_> {
+        const SPAN: &'static str = KernelResponse::SPAN;
+
+        fn temperatures(&self, activities: &[TraceActivity], out: &mut Vec<f64>) {
+            (self.hook)(self.reads.fetch_add(1, Ordering::SeqCst));
+            self.inner.temperatures(activities, out);
+        }
+
+        fn steps_per_trace(&self) -> u64 {
+            self.inner.steps_per_trace()
+        }
+    }
+
+    /// A token cancelled while both lanes stream stops a two-lane verdict typed, and the
+    /// helper has stopped when the call returns. The calling lane cancels inside its
+    /// third chunk while a barrier holds the helper inside its second, then releases it:
+    /// the helper stops at its next poll (two chunks read), the calling lane at its own
+    /// (three).
+    #[test]
+    fn a_token_cancelled_mid_stream_stops_both_lanes() {
+        let (design, flow) = flow_fixture();
+        let _streams = streams();
+        let config = AttackConfig::smoke();
+        let floorplan = flow.floorplan();
+        let stability = flow.post_process.as_ref().map(|pp| &pp.stability);
+        let setup =
+            prepare_attack(floorplan, &flow.scaled_powers, stability, &config, 5, 11).unwrap();
+        let cancel = CancelToken::new();
+        let both = Barrier::new(2);
+        let caller = |read: usize| {
+            if read == 2 {
+                both.wait();
+                cancel.cancel(CancelReason::User);
+                both.wait();
+            }
+        };
+        let helper = |read: usize| {
+            if read == 1 {
+                both.wait();
+                both.wait();
+            }
+        };
+        let hooks: [&(dyn Fn(usize) + Sync); 2] = [&caller, &helper];
+        let reads = [AtomicUsize::new(0), AtomicUsize::new(0)];
+        let states = [Mitigation::Baseline, Mitigation::DummyTsvs];
+        let responses: Vec<Hooked> = (0..2)
+            .map(|state| {
+                let fields = attack_tsv_fields(design, flow, setup.grid, states[state]);
+                let kernel = state_kernel(floorplan, &fields, &config, setup.grid, None, &cancel);
+                Hooked {
+                    inner: KernelResponse {
+                        kernel: kernel.unwrap(),
+                        ambient: setup.ambient,
+                    },
+                    reads: &reads[state],
+                    hook: hooks[state],
+                }
+            })
+            .collect();
+        let streamed = stream_traces(
+            &setup,
+            responses,
+            CHUNK_TRACES,
+            &config,
+            Helpers::One,
+            &cancel,
+        );
+        assert_eq!(
+            streamed.err(),
+            Some(ScaError::Interrupted(Interrupt::Cancelled(
+                CancelReason::User
+            )))
+        );
+        let reads = reads.map(|reads| reads.into_inner());
+        assert_eq!(
+            reads,
+            [3, 2],
+            "chunks read by the calling lane and the helper"
+        );
     }
 
     #[test]
