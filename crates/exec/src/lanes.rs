@@ -1,13 +1,20 @@
-//! A flow's second lane: one scoped helper thread beside the thread running the
-//! flow, drawn from a process-wide budget of threads doing flow work.
+//! A flow's second lane: one helper thread beside the thread running the flow, drawn
+//! from a process-wide budget of threads doing flow work.
 //!
-//! The budget owns no threads, unlike the [`crate::Pool`]: it only counts them. Each
-//! running flow counts its own thread ([`FlowThread`]) and each helper it leases. An
-//! sca attack's trace stream counts the same way: its thread while it streams, and the
-//! helper that draws and folds beside it. A flow or stream takes a helper only while
-//! that count is below [`std::thread::available_parallelism`], so a campaign or serve
-//! pool that already keeps every core busy runs the serial schedule — the same
-//! [`Helpers::join`] code with zero helpers.
+//! The budget only counts threads. Each running flow counts its own thread
+//! ([`FlowThread`]) and each helper it leases. An sca attack's trace stream that may
+//! take a helper counts the same way: its thread while it streams, and the helper that
+//! draws and folds beside it. A flow or stream takes a helper only while that count is
+//! below [`std::thread::available_parallelism`], so a campaign or serve pool that
+//! already keeps every core busy runs the serial schedule — the same [`Helpers::join`]
+//! code with zero helpers.
+//!
+//! The helpers themselves are parked threads, kept between joins: a join wakes a parked
+//! one (or starts one when none is parked), and it parks again once its item is done,
+//! so there are as many as joins have ever run at once. A woken thread starts within
+//! microseconds, where a freshly spawned one can wait for its spawner's core: on a
+//! 2-vCPU VM a new thread sometimes did not start until its spawner blocked, 0.5 ms
+//! later in a probe that spun that long, while a parked one woke in 1–8 µs.
 //!
 //! [`Helpers::join`] runs two items where the serial loop runs the second only if the
 //! first's result calls for it (a repair round after an illegal anneal, the next
@@ -18,9 +25,10 @@
 //! guess is a [`Speculation`] that a budgeted flow stops making once its recent
 //! second items went unneeded.
 
+use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, OnceLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, OnceLock, PoisonError};
 
 use crate::{CancelReason, CancelToken};
 
@@ -136,6 +144,135 @@ impl Speculation {
     }
 }
 
+/// An item for a parked helper, its borrows erased (see [`Running::start`]).
+type Work = Box<dyn FnOnce() + Send + 'static>;
+
+/// One item handed to a parked helper, and the latch it sets once the item is done.
+struct Task {
+    work: Work,
+    done: Arc<Latch>,
+}
+
+/// Parked helpers, each behind the sender of its task channel.
+static PARKED: Mutex<Vec<mpsc::Sender<Task>>> = Mutex::new(Vec::new());
+
+/// Takes a parked helper, or starts one when none is parked; `None` when no thread can
+/// be started.
+fn helper() -> Option<mpsc::Sender<Task>> {
+    let parked = PARKED.lock().unwrap_or_else(PoisonError::into_inner).pop();
+    parked.or_else(|| {
+        let (tasks, inbox) = mpsc::channel::<Task>();
+        let home = tasks.clone();
+        std::thread::Builder::new()
+            .name("flow-helper".into())
+            .spawn(move || {
+                for task in inbox {
+                    (task.work)();
+                    // Parked again before the caller is released, so its next join
+                    // finds this helper rather than starting another.
+                    PARKED
+                        .lock()
+                        .unwrap_or_else(PoisonError::into_inner)
+                        .push(home.clone());
+                    task.done.set();
+                }
+            })
+            .ok()?;
+        Some(tasks)
+    })
+}
+
+/// A flag one thread sets and another waits for.
+#[derive(Default)]
+struct Latch {
+    set: Mutex<bool>,
+    wake: Condvar,
+}
+
+impl Latch {
+    fn set(&self) {
+        *self.set.lock().unwrap_or_else(PoisonError::into_inner) = true;
+        self.wake.notify_one();
+    }
+
+    fn wait(&self) {
+        let mut set = self.set.lock().unwrap_or_else(PoisonError::into_inner);
+        while !*set {
+            set = self.wake.wait(set).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+}
+
+/// An item running on a parked helper, borrowing from the join that started it. It
+/// waits for the item to finish when joined or dropped, unwinding included, so the item
+/// never outlives its borrows.
+struct Running<'a, B> {
+    result: Arc<Mutex<Option<std::thread::Result<B>>>>,
+    done: Arc<Latch>,
+    _borrows: PhantomData<&'a ()>,
+}
+
+impl<'a, B: Send + 'a> Running<'a, B> {
+    /// Starts `item` on a parked helper; `None`, with `item` not run, when no helper
+    /// thread can be started.
+    ///
+    /// # Safety
+    ///
+    /// The returned `Running` must be joined or dropped, never leaked (say, by
+    /// [`std::mem::forget`]): only its wait keeps the helper from using `item`'s borrows
+    /// after they end.
+    unsafe fn start(item: impl FnOnce() -> B + Send + 'a) -> Option<Self> {
+        let helper = helper()?;
+        let result = Arc::new(Mutex::new(None));
+        let done = Arc::new(Latch::default());
+        let slot = Arc::clone(&result);
+        let work: Box<dyn FnOnce() + Send + 'a> = Box::new(move || {
+            let outcome = catch_unwind(AssertUnwindSafe(item));
+            *slot.lock().unwrap_or_else(PoisonError::into_inner) = Some(outcome);
+        });
+        // SAFETY: `work` may borrow for `'a` only. The helper sets `done` after `work`
+        // has returned and dropped everything it captured (the item ran inside it and
+        // its result sits in `result`). The `Running` returned here holds the borrows
+        // for `'a` and waits for `done` when joined or dropped, and the caller joins or
+        // drops it (this function's contract). So no borrow is used after it ends, as
+        // with a scoped thread.
+        let work: Work =
+            unsafe { std::mem::transmute::<Box<dyn FnOnce() + Send + 'a>, Work>(work) };
+        let task = Task {
+            work,
+            done: Arc::clone(&done),
+        };
+        // A parked helper never exits, so the send succeeds; were one gone, the item
+        // runs here instead.
+        if let Err(mpsc::SendError(task)) = helper.send(task) {
+            (task.work)();
+            task.done.set();
+        }
+        Some(Running {
+            result,
+            done,
+            _borrows: PhantomData,
+        })
+    }
+
+    /// Waits for the item and returns its result, or the payload of its panic.
+    fn join(self) -> std::thread::Result<B> {
+        self.done.wait();
+        let outcome = self
+            .result
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .take();
+        outcome.expect("a finished item leaves its result")
+    }
+}
+
+impl<B> Drop for Running<'_, B> {
+    fn drop(&mut self) {
+        self.done.wait();
+    }
+}
+
 /// A lease of one budget slot for a helper lane, returned on drop.
 struct Lease;
 
@@ -167,10 +304,10 @@ impl Helpers {
     /// serial loop runs after `first` only when `needs_second(&first_result)` holds;
     /// returns `first`'s result and, when needed, `second`'s.
     ///
-    /// With a helper leased, `second` starts beside `first` on a scoped helper thread.
-    /// It gets a [`CancelToken::child`] of `cancel`, cancelled as soon as `first`'s
-    /// result turns out not to need it, so it stops at its next checkpoint; its result
-    /// is then discarded. Without a helper, `second` runs after `first` on the calling
+    /// With a helper leased, `second` starts beside `first` on a parked helper thread,
+    /// and the call returns only after it has finished. It gets a [`CancelToken::child`]
+    /// of `cancel`, cancelled as soon as `first`'s result turns out not to need it, so it
+    /// stops at its next checkpoint; its result is then discarded. Without a helper, `second` runs after `first` on the calling
     /// thread, and only when needed. A panic on either lane resumes on the calling
     /// thread after both lanes have stopped. The helper runs inside the caller's
     /// [`tsc3d_obs::JobScope`], and its spans nest under the caller's innermost span.
@@ -203,53 +340,53 @@ impl Helpers {
             let second = second.lock().expect("second item poisoned").take();
             second.map(|second| second(&token))
         };
-        std::thread::scope(|scope| {
-            let (job, parent) = (tsc3d_obs::event::current_job(), tsc3d_obs::current_span());
-            // A helper that cannot be spawned leaves the second item to the caller.
-            let helper = lease.as_ref().and_then(|_| {
-                std::thread::Builder::new()
-                    .name("flow-helper".into())
-                    .spawn_scoped(scope, move || {
-                        let _job = tsc3d_obs::JobScope::enter(job);
-                        let _parent = tsc3d_obs::adopt_parent(parent);
-                        run_second()
-                    })
-                    .ok()
-            });
-            let first = match catch_unwind(AssertUnwindSafe(first)) {
-                Ok(first) => first,
-                Err(payload) => {
-                    token.cancel(CancelReason::User);
-                    if let Some(helper) = helper {
-                        let _ = helper.join();
-                    }
-                    resume_unwind(payload);
-                }
-            };
-            let needed = needs_second(&first);
-            let Some(helper) = helper else {
-                if let Some(kind) = speculative {
-                    kind.record(needed, false);
-                }
-                return (first, needed.then(run_second).flatten());
-            };
-            if !needed {
+        let (job, parent) = (tsc3d_obs::event::current_job(), tsc3d_obs::current_span());
+        // A helper that cannot be started leaves the second item to the caller.
+        let helper = lease.as_ref().and_then(|_| {
+            // SAFETY: `helper` is joined or dropped before this call returns, on every
+            // path: an unwinding `first` joins it, an unwinding `needs_second` drops it.
+            unsafe {
+                Running::start(move || {
+                    let _job = tsc3d_obs::JobScope::enter(job);
+                    let _parent = tsc3d_obs::adopt_parent(parent);
+                    run_second()
+                })
+            }
+        });
+        let first = match catch_unwind(AssertUnwindSafe(first)) {
+            Ok(first) => first,
+            Err(payload) => {
                 token.cancel(CancelReason::User);
+                if let Some(helper) = helper {
+                    let _ = helper.join();
+                }
+                resume_unwind(payload);
             }
-            let second = helper
-                .join()
-                .unwrap_or_else(|payload| resume_unwind(payload));
+        };
+        let needed = needs_second(&first);
+        let Some(helper) = helper else {
             if let Some(kind) = speculative {
-                kind.record(needed, true);
+                kind.record(needed, false);
             }
-            (first, second.filter(|_| needed))
-        })
+            return (first, needed.then(run_second).flatten());
+        };
+        if !needed {
+            token.cancel(CancelReason::User);
+        }
+        let second = helper
+            .join()
+            .unwrap_or_else(|payload| resume_unwind(payload));
+        if let Some(kind) = speculative {
+            kind.record(needed, true);
+        }
+        (first, second.filter(|_| needed))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
     use std::sync::Barrier;
 
     /// `first` yields `a`, the second item `a + 1`.
@@ -396,6 +533,65 @@ mod tests {
             }));
             let payload = outcome.expect_err("the panic reaches the caller");
             assert_eq!(payload.downcast_ref::<&str>(), Some(&"lane panic"));
+        }
+    }
+
+    #[test]
+    fn parked_helpers_serve_later_joins_after_a_panic_too() {
+        let helper_of = |panics: bool| {
+            catch_unwind(AssertUnwindSafe(|| {
+                Helpers::One.join(
+                    None,
+                    &CancelToken::new(),
+                    || (),
+                    |_| true,
+                    Some(|_: &CancelToken| {
+                        if panics {
+                            panic!("helper panic");
+                        }
+                        std::thread::current().id()
+                    }),
+                )
+            }))
+            .ok()
+            .and_then(|(_, helper)| helper)
+        };
+        assert_eq!(helper_of(true), None, "the panic reaches the caller");
+        let helpers: Vec<_> = (0..20).map(|_| helper_of(false)).collect();
+        assert!(
+            helpers.iter().all(Option::is_some),
+            "every join ran its helper"
+        );
+        // Concurrent tests may hold a parked helper for a moment, but twenty joins in a
+        // row still find one parked rather than each starting a thread.
+        let threads: HashSet<_> = helpers.into_iter().flatten().collect();
+        assert!(threads.len() < 10, "{} helper threads", threads.len());
+        assert!(!threads.contains(&std::thread::current().id()));
+    }
+
+    /// A parked helper takes up the caller's job and span for one item only: the next
+    /// item it runs, outside any job, sees neither.
+    #[test]
+    fn a_parked_helper_keeps_no_job_between_items() {
+        let seen = || {
+            Helpers::One
+                .join(
+                    None,
+                    &CancelToken::new(),
+                    || (),
+                    |_| true,
+                    Some(|_: &CancelToken| {
+                        (tsc3d_obs::event::current_job(), tsc3d_obs::current_span())
+                    }),
+                )
+                .1
+        };
+        {
+            let _job = tsc3d_obs::JobScope::enter(7);
+            assert_eq!(seen().map(|(job, _)| job), Some(7));
+        }
+        for _ in 0..4 {
+            assert_eq!(seen(), Some((0, 0)));
         }
     }
 

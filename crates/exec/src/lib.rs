@@ -28,11 +28,11 @@
 //! degrades), and the deterministic fault-injection harness ([`fault`], [`fault_point!`]).
 //!
 //! The one thread user beside the pool is the flow budget ([`lanes`]): a running flow
-//! speculates ahead on one scoped helper thread of its own, and an sca attack's trace
-//! stream draws and folds on one, while the process-wide count of threads doing flow or
-//! stream work (each caller's own thread included) is below the core count. The budget
-//! owns no threads and queues nothing; a flow or stream that finds it full runs its
-//! serial schedule.
+//! speculates ahead on one helper thread of its own, and an sca attack's trace stream
+//! draws and folds on one, while the process-wide count of threads doing flow or stream
+//! work (each caller's own thread included) is below the core count. Helpers are parked
+//! threads woken per join, kept between joins; the budget queues nothing, and a flow or
+//! stream that finds it full runs its serial schedule.
 //!
 //! Work shared across jobs is kept in [`LruCache`], the one bounded LRU map of the
 //! workspace: serve's result cache and the sca attack's kernel memo.

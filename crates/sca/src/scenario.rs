@@ -601,9 +601,10 @@ pub fn resolve_target(
 const CHUNK_TRACES: usize = 8;
 
 /// Chunks per block of a stream: each lane draws half a block, then each folds its
-/// states over the whole block. A block costs two [`Helpers::join`]s, each spawning a
-/// helper thread (~30–60 µs on a 2-vCPU Xeon), so a smoke attack (24 chunks) is one block;
-/// a block's drawn traces take about 0.25 MB on a 100-module design.
+/// states over the whole block. A block costs two [`Helpers::join`]s, each waking a
+/// parked helper thread, so a smoke attack (24 chunks) is one block; a block's drawn
+/// traces take about 0.25 MB on a 100-module design. It also bounds what a lane does
+/// unpolled: half a block's draws.
 const BLOCK_CHUNKS: usize = 32;
 
 /// Kernel extraction polls the cancel token at least once per this many substeps.
@@ -967,10 +968,13 @@ fn extract_kernel(
 ///
 /// Each lane polls `cancel` at the `sca-batch` checkpoint before every chunk it reads,
 /// so a fault-free run hits that site chunks × states times (chunk-major on the serial
-/// schedule). An interrupt abandons the rest of the stream; a helper still reading when
-/// the calling lane stops is cancelled and joined. The stream counts its calling thread
-/// in the flow budget while it runs ([`FlowThread`]), so under [`Helpers::Budget`] an
-/// attack takes a helper only while fewer threads than cores do flow or stream work.
+/// schedule); the stream also checks `cancel` (not the fault site) before each block's
+/// draws. An interrupt abandons the rest of the stream; a helper still reading when the
+/// calling lane stops is cancelled and joined, while a fault on the helper's lane
+/// surfaces once the calling lane has read the rest of its block. A stream that may take
+/// a helper counts its calling thread in the flow budget while it runs ([`FlowThread`]),
+/// so under [`Helpers::Budget`] an attack takes a helper only while fewer threads than
+/// cores do flow or stream work; a serial stream counts nothing.
 fn stream_traces<R: ThermalResponse + Send>(
     setup: &AttackSetup,
     responses: impl IntoIterator<Item = R>,
@@ -979,7 +983,9 @@ fn stream_traces<R: ThermalResponse + Send>(
     helpers: Helpers,
     cancel: &CancelToken,
 ) -> Result<Vec<(CpaAccumulator, u64)>, ScaError> {
-    let _thread = FlowThread::enter();
+    // Only a stream that may take a helper counts in the budget: a serial one never
+    // leases, and counting it would only deny a concurrent flow its helper.
+    let _thread = (helpers != Helpers::Zero).then(FlowThread::enter);
     let (draws, sensors) = (&setup.draws, &setup.draws.sensors);
     let mut states: Vec<StateStream<R>> = responses
         .into_iter()
@@ -1005,6 +1011,11 @@ fn stream_traces<R: ThermalResponse + Send>(
     };
     let (mut samples, mut rest_samples) = (Vec::new(), Vec::new());
     for block in ranges(config.traces, chunk_traces).chunks(block_chunks) {
+        // The draws poll nothing, so an expired token or a fired one stops the stream
+        // here rather than after a block's draws.
+        cancel
+            .check()
+            .map_err(|reason| ScaError::Interrupted(Interrupt::Cancelled(reason)))?;
         let (own, other) = block.split_at((block.len() + 1) / 2);
         let (mut drawn, other) = helpers.join(
             None,
@@ -1238,14 +1249,16 @@ pub fn run_on_flow(
 }
 
 /// [`run_on_flow`] polling `cancel` at the `sca-batch` checkpoint (once per consumed
-/// trace chunk) and, during kernel extraction, directly at least every 512 substeps, so
-/// a running attack can be stopped — or bounded by a deadline — within one chunk's or
-/// 512 substeps' worth of work. A run that completes is bit-identical to an uncancelled
-/// [`run_on_flow`].
+/// trace chunk), before each block of draws, and, during kernel extraction, directly at
+/// least every 512 substeps, so a running attack can be stopped — or bounded by a
+/// deadline — within one chunk's or 512 substeps' worth of work. A run that completes is
+/// bit-identical to an uncancelled [`run_on_flow`].
 ///
 /// `pool` is as in [`run_on_flow`]: `None` for the calling thread only; a pool for
 /// extraction fan-out plus a budgeted second lane that draws half the traces. A helper
-/// lane polls a child of `cancel`, and the call returns only after it has stopped.
+/// lane polls a child of `cancel`, and the call returns only after it has stopped. On two
+/// lanes a block's draws poll nothing, so a token that fires during them stops the
+/// attack after up to half a block (16 chunks) of draws.
 ///
 /// # Errors
 ///
@@ -1364,7 +1377,11 @@ pub fn run_verdict(
 ///
 /// `pool` is as in [`run_verdict`]: `None` for the calling thread only; a pool for
 /// extraction fan-out plus a budgeted second lane for the stream. The helper lane polls
-/// a child of `cancel`, and the call returns only after it has stopped.
+/// a child of `cancel`, and the call returns only after it has stopped. The stream also
+/// checks `cancel` before each block of draws. On two lanes a token that fires during a
+/// block's draws stops the verdict after up to half a block (16 chunks) of draws, and a
+/// fault injected on the helper's lane surfaces once the calling lane has read the rest
+/// of its block (up to 32 chunks).
 ///
 /// A run that completes is bit-identical to an uncancelled [`run_verdict`]: the token is
 /// only *read* at checkpoints and never touches the seeded trace streams.
@@ -1957,6 +1974,35 @@ mod tests {
         let fired = tsc3d_exec::fault::disarm();
         assert!(fired.is_empty(), "{fired:?}");
         assert_eq!(again, Ok(clean));
+    }
+
+    /// An expired token stops a verdict before its first block is drawn, on either
+    /// schedule: the stream checks the token (not the fault site) before each block's
+    /// draws, so no `sca-batch` poll is reached and a fault armed on the first never
+    /// fires.
+    #[test]
+    fn an_expired_token_stops_the_stream_before_it_draws() {
+        let _alone = streams_alone();
+        let _faults = tsc3d_exec::fault::test_lock();
+        let config = AttackConfig::smoke();
+        let states = [Mitigation::Baseline, Mitigation::DummyTsvs];
+        // Warm the kernels, so that only the stream reads the token.
+        on_lanes(&config, states, Helpers::Zero, &CancelToken::new()).unwrap();
+        let expired = CancelToken::new();
+        expired.cancel(CancelReason::User);
+        for helpers in [Helpers::Zero, Helpers::One] {
+            tsc3d_exec::fault::arm(tsc3d_exec::FaultPlan::parse("sca-batch:1:error").unwrap());
+            let stopped = on_lanes(&config, states, helpers, &expired);
+            let fired = tsc3d_exec::fault::disarm();
+            assert_eq!(
+                stopped,
+                Err(ScaError::Interrupted(Interrupt::Cancelled(
+                    CancelReason::User
+                ))),
+                "{helpers:?}"
+            );
+            assert!(fired.is_empty(), "{helpers:?}: {fired:?}");
+        }
     }
 
     /// Inside a job, a two-lane smoke verdict records under that job and its attack's
